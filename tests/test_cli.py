@@ -3,11 +3,14 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import pinchsec as ps
 from pinchsec import cli
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def write_json(tmp_path, name, payload):
@@ -199,6 +202,12 @@ class TestCsv:
         cli.write_csv(cli.run_sweep(cfg), str(a))
         cli.write_csv(cli.run_sweep(dataclasses.replace(cfg, workers=4)), str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_default_sweep_matches_golden(self):
+        # The golden file changes only with a CHANGES.md entry saying why.
+        lines = cli.csv_lines(cli.run_sweep(cli.config_from_dict({})))
+        text = "".join(line + "\n" for line in lines)
+        assert text.encode("ascii") == (DATA_DIR / "default_sweep.csv").read_bytes()
 
     def test_read_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "x.csv"
