@@ -5,137 +5,59 @@ user, paying an in-waveguide attenuation for the guided travel.  This
 package provides the exact position-conditioned rate model, closed-form
 distance distributions, analytical upper/lower bounds with high-SNR
 asymptotes for the secrecy outage probability and the ergodic secrecy
-capacity, seeded Monte Carlo estimators, and a sweep CLI.
+capacity, and seeded Monte Carlo estimators.  The config, sweep, CSV and
+self-check helpers behind the command line live in `pinchsec.cli`; the
+term sums and quadrature internals in `pinchsec.bounds` and `pinchsec.quad`.
 """
 
 from .bounds import (
-    BoundCoefficients,
     BoundPair,
-    TermSums,
-    attenuation_span,
     diversity_estimate,
     esc_asymptotic,
     esc_bounds,
-    esc_coefficients,
-    esc_term_sums,
-    log2_moment_sums,
     slope_estimate,
     sop_asymptotic,
-    sop_asymptotic_term_sums,
     sop_bounds,
-    sop_coefficients,
-    sop_term_sums,
-    sop_threshold,
 )
-from .cli import (
-    CliError,
-    ConfigError,
-    RunConfig,
-    SweepRecord,
-    config_from_dict,
-    load_config,
-    read_csv,
-    run_sweep,
-    validate_stats,
-    write_csv,
-)
-from .diststats import (
-    ZbDistribution,
-    ZwDistribution,
-    cdf_pdf_fd_gap,
-    cdf_zb,
-    cdf_zw,
-    ks_statistic,
-    pdf_zb,
-    pdf_zw,
-    sample_zb,
-    sample_zw,
-)
-from .model import (
-    SPEED_OF_LIGHT,
-    ChannelParams,
-    RateSample,
-    Scenario,
-    SecrecyTarget,
-    UserPositions,
-    los_rate,
-    pa_position_for_bob,
-    rate_bob,
-    rate_fa,
-    rate_willie,
-    secrecy_rate,
-)
+from .diststats import ZbDistribution, ZwDistribution, cdf_pdf_fd_gap, ks_statistic
+from .model import ChannelParams, Scenario, SecrecyTarget, los_rate
 from .montecarlo import (
     McConfig,
     McEstimate,
+    fa_secrecy_rate,
     mc_esc_fa,
     mc_esc_pa,
     mc_sop_fa,
     mc_sop_pa,
+    pa_secrecy_rate,
 )
-from .quad import PieceMap, QuadratureRule, bob_piece, integrate, make_rule, willie_pieces
+from .quad import make_rule
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SPEED_OF_LIGHT",
-    "BoundCoefficients",
     "BoundPair",
     "ChannelParams",
-    "CliError",
-    "ConfigError",
     "McConfig",
     "McEstimate",
-    "PieceMap",
-    "QuadratureRule",
-    "RateSample",
-    "RunConfig",
     "Scenario",
     "SecrecyTarget",
-    "SweepRecord",
-    "TermSums",
-    "UserPositions",
     "ZbDistribution",
     "ZwDistribution",
-    "attenuation_span",
-    "bob_piece",
     "cdf_pdf_fd_gap",
-    "cdf_zb",
-    "cdf_zw",
-    "config_from_dict",
     "diversity_estimate",
     "esc_asymptotic",
     "esc_bounds",
-    "esc_coefficients",
-    "esc_term_sums",
-    "integrate",
+    "fa_secrecy_rate",
     "ks_statistic",
-    "load_config",
-    "log2_moment_sums",
     "los_rate",
     "make_rule",
     "mc_esc_fa",
     "mc_esc_pa",
     "mc_sop_fa",
     "mc_sop_pa",
-    "pa_position_for_bob",
-    "pdf_zb",
-    "pdf_zw",
-    "rate_bob",
-    "rate_fa",
-    "rate_willie",
-    "read_csv",
-    "run_sweep",
-    "sample_zb",
-    "sample_zw",
-    "secrecy_rate",
+    "pa_secrecy_rate",
     "slope_estimate",
     "sop_asymptotic",
-    "sop_asymptotic_term_sums",
     "sop_bounds",
-    "sop_coefficients",
-    "sop_term_sums",
-    "sop_threshold",
-    "validate_stats",
-    "write_csv",
 ]

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import esc_asymptotic, esc_bounds, sop_asymptotic, sop_bounds
+from .bounds import (_bob_sum, _distributions, _willie_sums, esc_asymptotic, esc_bounds,
+                     sop_asymptotic, sop_bounds)
 from .diststats import ZbDistribution, ZwDistribution, cdf_pdf_fd_gap, ks_statistic
 from .model import ChannelParams, Scenario, SecrecyTarget
 from .montecarlo import McConfig, mc_esc_fa, mc_esc_pa, mc_sop_fa, mc_sop_pa
-from .quad import bob_piece, integrate, make_rule, willie_pieces
+from .quad import make_rule
 
 
 class ConfigError(ValueError):
@@ -57,13 +58,6 @@ class RunConfig:
     mc: McConfig
     workers: int
     output_path: str | None
-
-    def base_channel(self) -> ChannelParams:
-        return ChannelParams(carrier_freq=self.carrier_freq,
-                             attenuation=self.attenuation,
-                             tx_power=1.0,
-                             noise_bob=self.noise_bob,
-                             noise_willie=self.noise_willie)
 
     def channel_at_snr_db(self, snr_db: float) -> ChannelParams:
         rho = 10.0 ** (snr_db / 10.0)
@@ -126,8 +120,6 @@ def _require_int(data, key, default, minimum):
 
 def config_from_dict(data: dict) -> RunConfig:
     """RunConfig from a flat key/value mapping; absent keys take defaults."""
-    if not isinstance(data, dict):
-        raise ConfigError("top-level config must be a JSON object")
     unknown = set(data) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config key: {sorted(unknown)[0]!r}")
@@ -188,20 +180,25 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse a flat JSON config file; an empty file means all defaults."""
+def _read_config(path: str) -> dict:
+    """The flat key/value mapping of a JSON config file; empty means {}."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    if text.strip() == "":
-        return config_from_dict({})
     try:
-        data = json.loads(text)
+        data = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    if not isinstance(data, dict):
+        raise ConfigError("top-level config must be a JSON object")
+    return data
+
+
+def load_config(path: str) -> RunConfig:
+    """Parse a flat JSON config file; an empty file means all defaults."""
+    return config_from_dict(_read_config(path))
 
 
 def _sweep_point(cfg: RunConfig, rule, snr_db: float) -> SweepRecord:
@@ -240,16 +237,12 @@ def run_sweep(cfg: RunConfig) -> list[SweepRecord]:
         return list(pool.map(lambda s: _sweep_point(cfg, rule, s), cfg.snr_db_grid))
 
 
-def _format_value(value) -> str:
-    # repr of a float is the shortest string that parses back to the same bits
-    return repr(float(value))
-
-
 def csv_lines(records) -> list[str]:
     names = [f.name for f in dataclasses.fields(SweepRecord)]
     lines = [",".join(names)]
     for rec in records:
-        lines.append(",".join(_format_value(getattr(rec, name)) for name in names))
+        # repr of a float is the shortest string that parses back to the same bits
+        lines.append(",".join(repr(float(getattr(rec, name))) for name in names))
     return lines
 
 
@@ -297,37 +290,14 @@ class StatsReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            verdict = "PASS" if c.passed else "FAIL"
-            out.append(f"{c.name}: {c.value:.6e} (tolerance {c.tolerance:.3e}) {verdict}")
-        out.append("all checks passed" if self.passed else "SOME CHECKS FAILED")
-        return out
-
     def __str__(self) -> str:
-        return "\n".join(self.lines())
+        out = [f"{c.name}: {c.value:.6e} (tolerance {c.tolerance:.3e}) "
+               f"{'PASS' if c.passed else 'FAIL'}" for c in self.checks]
+        out.append("all checks passed" if self.passed else "SOME CHECKS FAILED")
+        return "\n".join(out)
 
 
 _NORMALIZATION_NODES = 65536
-
-
-def _pdf_normalization_residuals(zb: ZbDistribution, zw: ZwDistribution) -> tuple[float, float]:
-    rule = make_rule(_NORMALIZATION_NODES)
-    piece = bob_piece(zb.side_length, zb.height)
-
-    def g_bob(t):
-        return zb.pdf(piece.map(t)) * piece.scale * np.sqrt(1.0 - t * t)
-
-    total_b = integrate(rule, g_bob)
-    total_w = 0.0
-    branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
-    for pc, branch in zip(willie_pieces(zw.side_length, zw.height), branches):
-        def g(t, pc=pc, branch=branch):
-            return branch(pc.map(t)) * pc.scale * np.sqrt(1.0 - t * t)
-
-        total_w += integrate(rule, g)
-    return abs(total_b - 1.0), abs(total_w - 1.0)
 
 
 def validate_stats(cfg: RunConfig, ks_samples: int = 200000,
@@ -341,9 +311,10 @@ def validate_stats(cfg: RunConfig, ks_samples: int = 200000,
     """
     if ks_samples < 1:
         raise ValueError("ks_samples must be >= 1")
-    zb = ZbDistribution(cfg.scenario.side_length, cfg.scenario.waveguide_height)
-    zw = ZwDistribution(cfg.scenario.side_length, cfg.scenario.waveguide_height)
-    res_b, res_w = _pdf_normalization_residuals(zb, zw)
+    zb, zw = _distributions(cfg.scenario)
+    rule = make_rule(_NORMALIZATION_NODES)
+    res_b = abs(_bob_sum(cfg.scenario, rule, np.ones_like) - 1.0)
+    res_w = abs(sum(_willie_sums(cfg.scenario, rule, np.ones_like)) - 1.0)
 
     b0, b1, b2, b3 = zw.breakpoints
     cont1 = abs(float(zw.cdf_piece1(b1)) - float(zw.cdf_piece2(b1)))
@@ -391,13 +362,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--out", metavar="PATH", help="output CSV path")
-    common.add_argument("--seed", type=int, help="Monte Carlo seed")
-    common.add_argument("--trials", type=int, help="Monte Carlo trials")
-    common.add_argument("--quad-n", type=int, help="quadrature node count")
-    common.add_argument("--snr-db", metavar="LIST",
+    # each flag's dest is its config key, so config_from_dict validates it
+    common.add_argument("--out", dest="output_path", metavar="PATH", help="output CSV path")
+    common.add_argument("--seed", dest="mc_seed", type=int, help="Monte Carlo seed")
+    common.add_argument("--trials", dest="mc_trials", type=int, help="Monte Carlo trials")
+    common.add_argument("--quad-n", dest="quadrature_n", type=int,
+                        help="quadrature node count")
+    common.add_argument("--snr-db", dest="snr_db_grid", metavar="LIST",
+                        type=lambda text: text.split(","),
                         help="comma-separated dB grid, e.g. 0,10,20")
-    common.add_argument("--alpha", type=float, help="attenuation in nepers/m")
+    common.add_argument("--alpha", dest="attenuation_alpha", type=float,
+                        help="attenuation in nepers/m")
     common.add_argument("--workers", type=int, help="concurrent grid workers")
     for name, help_text in (
             ("sweep", "bounds + asymptotes + Monte Carlo over the grid, to CSV"),
@@ -410,37 +385,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else config_from_dict({})
-    overrides = {}
-    if args.seed is not None:
-        overrides["mc"] = dataclasses.replace(cfg.mc, seed=args.seed)
-    if args.trials is not None:
-        base = overrides.get("mc", cfg.mc)
-        overrides["mc"] = dataclasses.replace(base, trials=args.trials)
-    if args.quad_n is not None:
-        overrides["quadrature_n"] = args.quad_n
-    if args.alpha is not None:
-        if args.alpha < 0:
-            raise ConfigError("--alpha must be >= 0")
-        overrides["attenuation"] = args.alpha
-    if args.snr_db is not None:
-        try:
-            grid = tuple(float(v) for v in args.snr_db.split(","))
-        except ValueError:
-            raise ConfigError(f"--snr-db: cannot parse {args.snr_db!r}") from None
-        if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("--snr-db: values must be strictly increasing")
-        overrides["snr_db_grid"] = grid
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        overrides["workers"] = args.workers
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    try:
-        return dataclasses.replace(cfg, **overrides) if overrides else cfg
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The --config file (or defaults) with every given flag set under its key."""
+    data = _read_config(args.config) if args.config else {}
+    data.update((key, value) for key, value in vars(args).items()
+                if key in _KNOWN_KEYS and value is not None)
+    return config_from_dict(data)
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:

@@ -199,32 +199,6 @@ def _draw_positions(rng, side_length, n):
     return x1, x2, y1, y2
 
 
-# module-level conveniences mirroring the distribution methods
-
-def pdf_zb(z, dist: ZbDistribution | None = None):
-    return (dist or ZbDistribution()).pdf(z)
-
-
-def cdf_zb(z, dist: ZbDistribution | None = None):
-    return (dist or ZbDistribution()).cdf(z)
-
-
-def pdf_zw(z, dist: ZwDistribution | None = None):
-    return (dist or ZwDistribution()).pdf(z)
-
-
-def cdf_zw(z, dist: ZwDistribution | None = None):
-    return (dist or ZwDistribution()).cdf(z)
-
-
-def sample_zb(rng, n, dist: ZbDistribution | None = None):
-    return (dist or ZbDistribution()).sample(rng, n)
-
-
-def sample_zw(rng, n, dist: ZwDistribution | None = None):
-    return (dist or ZwDistribution()).sample(rng, n)
-
-
 def ks_statistic(samples, cdf) -> float:
     """Sup-norm distance between the empirical CDF of samples and cdf."""
     x = np.sort(np.asarray(samples, dtype=float))

@@ -10,6 +10,8 @@ antenna (FA) baseline radiates from [0, 0, d] with no guided travel.
 
 All rates are spectral efficiencies in bits/s/Hz under a deterministic
 line-of-sight law: rate = (1/2) * log2(1 + eta * P / (dist^2 * sigma^2)).
+The secrecy rates of both placements, built on los_rate, are
+montecarlo.pa_secrecy_rate and montecarlo.fa_secrecy_rate.
 """
 
 from __future__ import annotations
@@ -34,45 +36,6 @@ class Scenario:
             raise ValueError("side_length must be > 0")
         if not (self.waveguide_height > 0):
             raise ValueError("waveguide_height must be > 0")
-
-    @property
-    def feed_point(self) -> tuple[float, float, float]:
-        """Signal entry point of the waveguide.
-
-        Placed at the x = -D/2 end so the guided travel to a radiator at
-        x spans the full [0, D] range.
-        """
-        return (-self.side_length / 2.0, 0.0, self.waveguide_height)
-
-    @property
-    def fa_position(self) -> tuple[float, float, float]:
-        """Fixed-antenna baseline location [0, 0, d]."""
-        return (0.0, 0.0, self.waveguide_height)
-
-    def contains_floor_point(self, x: float, y: float) -> bool:
-        h = self.side_length / 2.0
-        return -h <= x <= h and -h <= y <= h
-
-
-@dataclass(frozen=True)
-class UserPositions:
-    """Floor positions of Bob and Willie; z must be exactly 0."""
-
-    bob: tuple[float, float, float]
-    willie: tuple[float, float, float]
-
-    def __post_init__(self):
-        for name, p in (("bob", self.bob), ("willie", self.willie)):
-            if len(p) != 3:
-                raise ValueError(f"{name} position must be a 3-vector")
-            if p[2] != 0.0:
-                raise ValueError(f"{name} position must have z = 0")
-
-    def check_in_room(self, scenario: Scenario) -> None:
-        for name, p in (("bob", self.bob), ("willie", self.willie)):
-            if not scenario.contains_floor_point(p[0], p[1]):
-                raise ValueError(f"{name} position {p} outside room of side "
-                                 f"{scenario.side_length}")
 
 
 @dataclass(frozen=True)
@@ -110,16 +73,6 @@ class ChannelParams:
             raise ValueError("rho undefined: noise_bob != noise_willie")
         return self.tx_power / self.noise_bob
 
-    def at_rho(self, rho: float) -> "ChannelParams":
-        """Same channel with tx_power set so that P/sigma^2 = rho (unit noise)."""
-        if not (rho > 0):
-            raise ValueError("rho must be > 0")
-        return ChannelParams(carrier_freq=self.carrier_freq,
-                             attenuation=self.attenuation,
-                             tx_power=rho,
-                             noise_bob=1.0,
-                             noise_willie=1.0)
-
 
 @dataclass(frozen=True)
 class SecrecyTarget:
@@ -137,19 +90,6 @@ class SecrecyTarget:
         return 4.0 ** self.rate
 
 
-@dataclass(frozen=True)
-class RateSample:
-    """Instantaneous Bob/Willie rates; the secrecy rate is their difference."""
-
-    rate_bob: float
-    rate_willie: float
-
-    @property
-    def secrecy_rate(self) -> float:
-        # may be negative; outage logic compares it to the target as-is
-        return self.rate_bob - self.rate_willie
-
-
 def los_rate(dist_sq, chan: ChannelParams, noise_var: float, guided_len=0.0):
     """Line-of-sight rate (1/2)log2(1 + eta*P*exp(-2*alpha*L)/(dist^2*sigma^2)).
 
@@ -161,43 +101,3 @@ def los_rate(dist_sq, chan: ChannelParams, noise_var: float, guided_len=0.0):
     loss = np.exp(-2.0 * chan.attenuation * np.asarray(guided_len, dtype=float))
     snr = chan.eta * chan.tx_power * loss / (dist_sq * noise_var)
     return 0.5 * np.log2(1.0 + snr)
-
-
-def pa_position_for_bob(scenario: Scenario, users: UserPositions) -> tuple[float, float, float]:
-    """Radiator location on the waveguide: the point closest to Bob."""
-    users.check_in_room(scenario)
-    return (users.bob[0], 0.0, scenario.waveguide_height)
-
-
-def rate_bob(scenario: Scenario, users: UserPositions, chan: ChannelParams) -> float:
-    pin = pa_position_for_bob(scenario, users)
-    guided = pin[0] + scenario.side_length / 2.0
-    dist_sq = users.bob[1] ** 2 + scenario.waveguide_height ** 2
-    return float(los_rate(dist_sq, chan, chan.noise_bob, guided))
-
-
-def rate_willie(scenario: Scenario, users: UserPositions, chan: ChannelParams) -> float:
-    """Willie's rate from the radiator placed for Bob (same guided loss)."""
-    pin = pa_position_for_bob(scenario, users)
-    guided = pin[0] + scenario.side_length / 2.0
-    dist_sq = ((pin[0] - users.willie[0]) ** 2
-               + users.willie[1] ** 2
-               + scenario.waveguide_height ** 2)
-    return float(los_rate(dist_sq, chan, chan.noise_willie, guided))
-
-
-def secrecy_rate(scenario: Scenario, users: UserPositions, chan: ChannelParams) -> RateSample:
-    return RateSample(rate_bob=rate_bob(scenario, users, chan),
-                      rate_willie=rate_willie(scenario, users, chan))
-
-
-def rate_fa(scenario: Scenario, position, chan: ChannelParams,
-            noise_var: float | None = None) -> float:
-    """Rate from the fixed antenna at [0, 0, d]; no guided loss applies."""
-    if noise_var is None:
-        noise_var = chan.noise_bob
-    fa = scenario.fa_position
-    dist_sq = ((fa[0] - position[0]) ** 2
-               + (fa[1] - position[1]) ** 2
-               + (fa[2] - position[2]) ** 2)
-    return float(los_rate(dist_sq, chan, noise_var))

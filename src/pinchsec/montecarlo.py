@@ -53,8 +53,13 @@ def _chunk_positions(scenario: Scenario, cfg: McConfig, k: int):
     return _draw_positions(rng, scenario.side_length, size)
 
 
-def _pa_secrecy(scenario: Scenario, chan: ChannelParams, positions):
-    x1, x2, y1, y2 = positions
+def pa_secrecy_rate(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
+    """Exact secrecy rate Rb - Rw with the radiator pinned above Bob at (x1, 0, d).
+
+    Bob stands at (x1, y1), Willie at (x2, y2); both links pay the guided
+    loss of the travel x1 + D/2 from the feed.  Vectorized over positions;
+    scalars work too.  The difference may be negative.
+    """
     d2 = scenario.waveguide_height ** 2
     guided = x1 + scenario.side_length / 2.0
     zb = y1 ** 2 + d2
@@ -63,8 +68,8 @@ def _pa_secrecy(scenario: Scenario, chan: ChannelParams, positions):
             - los_rate(zw, chan, chan.noise_willie, guided))
 
 
-def _fa_secrecy(scenario: Scenario, chan: ChannelParams, positions):
-    x1, x2, y1, y2 = positions
+def fa_secrecy_rate(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
+    """Secrecy rate Rb - Rw from the fixed antenna at (0, 0, d); no guided loss."""
     d2 = scenario.waveguide_height ** 2
     zb = x1 ** 2 + y1 ** 2 + d2
     zw = x2 ** 2 + y2 ** 2 + d2
@@ -82,7 +87,7 @@ def _map_chunks(fn, cfg: McConfig, workers: int) -> list:
 
 def _outage_estimate(rates_of, scenario, chan, target, cfg, workers) -> McEstimate:
     def count(k):
-        rs = rates_of(scenario, chan, _chunk_positions(scenario, cfg, k))
+        rs = rates_of(scenario, chan, *_chunk_positions(scenario, cfg, k))
         return int(np.sum(rs < target.rate))
 
     total = sum(_map_chunks(count, cfg, workers))
@@ -93,7 +98,7 @@ def _outage_estimate(rates_of, scenario, chan, target, cfg, workers) -> McEstima
 
 def _mean_estimate(rates_of, scenario, chan, cfg, workers) -> McEstimate:
     def sums(k):
-        rs = rates_of(scenario, chan, _chunk_positions(scenario, cfg, k))
+        rs = rates_of(scenario, chan, *_chunk_positions(scenario, cfg, k))
         return float(np.sum(rs)), float(np.sum(rs * rs))
 
     s = s2 = 0.0
@@ -109,21 +114,21 @@ def _mean_estimate(rates_of, scenario, chan, cfg, workers) -> McEstimate:
 def mc_sop_pa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Fraction of placements whose exact secrecy rate falls below the target."""
-    return _outage_estimate(_pa_secrecy, scenario, chan, target, cfg, workers)
+    return _outage_estimate(pa_secrecy_rate, scenario, chan, target, cfg, workers)
 
 
 def mc_esc_pa(scenario: Scenario, chan: ChannelParams,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Sample mean of the exact secrecy rate over random placements."""
-    return _mean_estimate(_pa_secrecy, scenario, chan, cfg, workers)
+    return _mean_estimate(pa_secrecy_rate, scenario, chan, cfg, workers)
 
 
 def mc_sop_fa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Outage of the fixed-antenna baseline on the same position stream."""
-    return _outage_estimate(_fa_secrecy, scenario, chan, target, cfg, workers)
+    return _outage_estimate(fa_secrecy_rate, scenario, chan, target, cfg, workers)
 
 
 def mc_esc_fa(scenario: Scenario, chan: ChannelParams,
               cfg: McConfig, workers: int = 1) -> McEstimate:
-    return _mean_estimate(_fa_secrecy, scenario, chan, cfg, workers)
+    return _mean_estimate(fa_secrecy_rate, scenario, chan, cfg, workers)

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 import pinchsec as ps
+from pinchsec import bounds, quad
 
 SNR_GRID_DB = tuple(float(s) for s in range(-10, 55, 5))
 
@@ -90,7 +91,7 @@ def sop_term_oracles(scenario, chan, target, coeff, asymptotic=False):
     """The three Zw-piece no-outage integrals, adaptively in z."""
     zb = ps.ZbDistribution(scenario.side_length, scenario.waveguide_height)
     zw = ps.ZwDistribution(scenario.side_length, scenario.waveguide_height)
-    pieces = ps.willie_pieces(scenario.side_length, scenario.waveguide_height)
+    pieces = quad.willie_pieces(scenario.side_length, scenario.waveguide_height)
     branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
     if asymptotic:
         factor = coeff.bob_factor / (target.threshold * coeff.willie_factor)
@@ -99,7 +100,7 @@ def sop_term_oracles(scenario, chan, target, coeff, asymptotic=False):
             return z * factor
     else:
         def thr(z):
-            return float(ps.sop_threshold(z, coeff, chan, target))
+            return float(bounds.sop_threshold(z, coeff, chan, target))
 
     out = []
     for piece, branch in zip(pieces, branches):
@@ -118,13 +119,13 @@ def esc_term_oracles(scenario, chan, coeff):
     zb = ps.ZbDistribution(scenario.side_length, scenario.waveguide_height)
     zw = ps.ZwDistribution(scenario.side_length, scenario.waveguide_height)
     eta_rho = chan.eta * chan.rho
-    piece = ps.bob_piece(scenario.side_length, scenario.waveguide_height)
+    piece = quad.bob_piece(scenario.side_length, scenario.waveguide_height)
     lo, hi = piece.z_range
     bob = _quad(lambda z: math.log2(1.0 + eta_rho * coeff.bob_factor / z) * float(zb.pdf(z)),
                 lo, hi)
     out = [bob]
     branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
-    for piece, branch in zip(ps.willie_pieces(scenario.side_length, scenario.waveguide_height),
+    for piece, branch in zip(quad.willie_pieces(scenario.side_length, scenario.waveguide_height),
                              branches):
         lo, hi = piece.z_range
 
@@ -139,11 +140,11 @@ def log2_moment_oracles(scenario):
     """(bob, piece1, piece2, piece3) log2 distance moments, adaptively in z."""
     zb = ps.ZbDistribution(scenario.side_length, scenario.waveguide_height)
     zw = ps.ZwDistribution(scenario.side_length, scenario.waveguide_height)
-    piece = ps.bob_piece(scenario.side_length, scenario.waveguide_height)
+    piece = quad.bob_piece(scenario.side_length, scenario.waveguide_height)
     lo, hi = piece.z_range
     out = [_quad(lambda z: math.log2(z) * float(zb.pdf(z)), lo, hi)]
     branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
-    for piece, branch in zip(ps.willie_pieces(scenario.side_length, scenario.waveguide_height),
+    for piece, branch in zip(quad.willie_pieces(scenario.side_length, scenario.waveguide_height),
                              branches):
         lo, hi = piece.z_range
 

@@ -1,0 +1,25 @@
+"""The package's import surface matches what the README documents."""
+
+import re
+from pathlib import Path
+
+import pinchsec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_library_names():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    bullets = [line for line in section.splitlines() if line.startswith("- ")]
+    return {name for line in bullets for name in re.findall(r"`(\w+)`", line)}
+
+
+def test_all_names_resolve():
+    for name in pinchsec.__all__:
+        assert getattr(pinchsec, name, None) is not None, name
+    assert len(set(pinchsec.__all__)) == len(pinchsec.__all__)
+
+
+def test_all_matches_readme():
+    assert set(pinchsec.__all__) == readme_library_names()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pinchsec as ps
+from pinchsec import bounds
 from conftest import (SNR_GRID_DB, chan_at, esc_term_oracles,
                       log2_moment_oracles, sop_term_oracles)
 
@@ -20,78 +21,78 @@ SPAN = math.exp(-0.5)  # exp(-2 * 0.01 * 25)
 
 class TestCoefficients:
     def test_span_value(self, scenario):
-        assert ps.attenuation_span(scenario, chan_at(1e8)) == pytest.approx(
+        assert bounds.attenuation_span(scenario, chan_at(1e8)) == pytest.approx(
             0.6065306597126334, rel=1e-15)
-        assert ps.attenuation_span(scenario, chan_at(1e8, alpha=0.0)) == 1.0
+        assert bounds.attenuation_span(scenario, chan_at(1e8, alpha=0.0)) == 1.0
 
     def test_sop_pairs(self, scenario):
-        up, lo = ps.sop_coefficients(scenario, chan_at(1e8))
+        up, lo = bounds.sop_coefficients(scenario, chan_at(1e8))
         assert (up.bob_factor, up.willie_factor) == (SPAN, 1.0)
         assert (lo.bob_factor, lo.willie_factor) == (1.0, SPAN)
 
     def test_esc_pairs(self, scenario):
-        up, lo = ps.esc_coefficients(scenario, chan_at(1e8))
+        up, lo = bounds.esc_coefficients(scenario, chan_at(1e8))
         assert (up.bob_factor, up.willie_factor) == (1.0, SPAN)
         assert (lo.bob_factor, lo.willie_factor) == (SPAN, 1.0)
 
     def test_factor_validation(self):
         with pytest.raises(ValueError):
-            ps.BoundCoefficients(bob_factor=0.0, willie_factor=1.0)
+            bounds.BoundCoefficients(bob_factor=0.0, willie_factor=1.0)
         with pytest.raises(ValueError):
-            ps.BoundCoefficients(bob_factor=1.0, willie_factor=1.5)
+            bounds.BoundCoefficients(bob_factor=1.0, willie_factor=1.5)
 
 
 class TestSopThreshold:
     def test_reference_values(self, scenario, target):
         chan = chan_at(1e8)
-        up, lo = ps.sop_coefficients(scenario, chan)
+        up, lo = bounds.sop_coefficients(scenario, chan)
         z = 165.25
         fr = 4.0 ** 0.01
         for coeff, frozen in ((up, 98.4557479348137), (lo, 266.94101014423063)):
             want = (chan.eta * 1e8 * coeff.bob_factor
                     / (fr - 1.0 + fr * chan.eta * 1e8 * coeff.willie_factor / z))
-            got = float(ps.sop_threshold(z, coeff, chan, target))
+            got = float(bounds.sop_threshold(z, coeff, chan, target))
             assert got == pytest.approx(want, rel=1e-15)
             assert got == pytest.approx(frozen, rel=1e-13)
 
     def test_vectorized(self, scenario, target):
         chan = chan_at(1e8)
-        up, _ = ps.sop_coefficients(scenario, chan)
+        up, _ = bounds.sop_coefficients(scenario, chan)
         z = np.array([9.0, 100.0, 790.25])
-        thr = ps.sop_threshold(z, up, chan, target)
+        thr = bounds.sop_threshold(z, up, chan, target)
         assert thr.shape == (3,)
         assert np.all(np.diff(thr) > 0)  # farther Willie, looser threshold
 
     def test_zero_attenuation_pairs_coincide(self, scenario, target):
         chan = chan_at(1e8, alpha=0.0)
-        up, lo = ps.sop_coefficients(scenario, chan)
+        up, lo = bounds.sop_coefficients(scenario, chan)
         z = np.linspace(9.0, 790.25, 50)
-        np.testing.assert_array_equal(ps.sop_threshold(z, up, chan, target),
-                                      ps.sop_threshold(z, lo, chan, target))
+        np.testing.assert_array_equal(bounds.sop_threshold(z, up, chan, target),
+                                      bounds.sop_threshold(z, lo, chan, target))
 
     def test_high_snr_scaling(self, scenario, target):
         chan = chan_at(1e18)
-        up, lo = ps.sop_coefficients(scenario, chan)
+        up, lo = bounds.sop_coefficients(scenario, chan)
         fr = 4.0 ** 0.01
         for coeff in (up, lo):
             for z in (9.0, 165.25, 790.25):
                 want = z * coeff.bob_factor / (fr * coeff.willie_factor)
-                assert float(ps.sop_threshold(z, coeff, chan, target)) == pytest.approx(
+                assert float(bounds.sop_threshold(z, coeff, chan, target)) == pytest.approx(
                     want, rel=1e-10)
 
     def test_rejects_nonpositive_z(self, scenario, target):
         chan = chan_at(1e8)
-        up, _ = ps.sop_coefficients(scenario, chan)
+        up, _ = bounds.sop_coefficients(scenario, chan)
         with pytest.raises(ValueError):
-            ps.sop_threshold(0.0, up, chan, target)
+            bounds.sop_threshold(0.0, up, chan, target)
         with pytest.raises(ValueError):
-            ps.sop_threshold(np.array([10.0, -1.0]), up, chan, target)
+            bounds.sop_threshold(np.array([10.0, -1.0]), up, chan, target)
 
     def test_degenerate_denominator_gives_inf(self, scenario):
         # zero target rate with an infinitely distant Willie: no outage
         chan = chan_at(1e8)
-        up, _ = ps.sop_coefficients(scenario, chan)
-        got = ps.sop_threshold(np.inf, up, chan, ps.SecrecyTarget(rate=0.0))
+        up, _ = bounds.sop_coefficients(scenario, chan)
+        got = bounds.sop_threshold(np.inf, up, chan, ps.SecrecyTarget(rate=0.0))
         assert float(got) == np.inf
 
 
@@ -129,9 +130,9 @@ class TestSopBounds:
 
     def test_term_sums_reference(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
-        up, lo = ps.sop_coefficients(scenario, chan)
-        got_up = ps.sop_term_sums(scenario, chan, target, rule_8000, up)
-        got_lo = ps.sop_term_sums(scenario, chan, target, rule_8000, lo)
+        up, lo = bounds.sop_coefficients(scenario, chan)
+        got_up = bounds.sop_term_sums(scenario, chan, target, rule_8000, up)
+        got_lo = bounds.sop_term_sums(scenario, chan, target, rule_8000, lo)
         np.testing.assert_allclose(
             got_up.as_tuple()[:3],
             [0.2884738519497298, 0.3501617550601733, 0.003443711723538883], rtol=1e-12)
@@ -142,8 +143,8 @@ class TestSopBounds:
 
     def test_term_sums_against_adaptive_oracle(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
-        for coeff in ps.sop_coefficients(scenario, chan):
-            got = ps.sop_term_sums(scenario, chan, target, rule_8000, coeff)
+        for coeff in bounds.sop_coefficients(scenario, chan):
+            got = bounds.sop_term_sums(scenario, chan, target, rule_8000, coeff)
             want = sop_term_oracles(scenario, chan, target, coeff)
             np.testing.assert_allclose(got.as_tuple()[:3], want, rtol=1e-7)
 
@@ -173,8 +174,8 @@ class TestSopAsymptotic:
 
     def test_oracle_agreement(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
-        for coeff in ps.sop_coefficients(scenario, chan):
-            got = ps.sop_asymptotic_term_sums(scenario, target, rule_8000, coeff)
+        for coeff in bounds.sop_coefficients(scenario, chan):
+            got = bounds.sop_asymptotic_term_sums(scenario, target, rule_8000, coeff)
             want = sop_term_oracles(scenario, chan, target, coeff, asymptotic=True)
             np.testing.assert_allclose(got.as_tuple()[:3], want, rtol=1e-7)
 
@@ -205,9 +206,9 @@ class TestEscBounds:
 
     def test_term_sums_reference(self, scenario, rule_8000):
         chan = chan_at(1e8)
-        up, lo = ps.esc_coefficients(scenario, chan)
-        got_up = ps.esc_term_sums(scenario, chan, rule_8000, up)
-        got_lo = ps.esc_term_sums(scenario, chan, rule_8000, lo)
+        up, lo = bounds.esc_coefficients(scenario, chan)
+        got_up = bounds.esc_term_sums(scenario, chan, rule_8000, up)
+        got_lo = bounds.esc_term_sums(scenario, chan, rule_8000, lo)
         np.testing.assert_allclose(
             (got_up.bob,) + got_up.as_tuple()[:3],
             [3.8881189844293687, 1.6464171115827477, 0.44917091643017165,
@@ -219,8 +220,8 @@ class TestEscBounds:
 
     def test_term_sums_against_adaptive_oracle(self, scenario, rule_8000):
         chan = chan_at(1e8)
-        for coeff in ps.esc_coefficients(scenario, chan):
-            got = ps.esc_term_sums(scenario, chan, rule_8000, coeff)
+        for coeff in bounds.esc_coefficients(scenario, chan):
+            got = bounds.esc_term_sums(scenario, chan, rule_8000, coeff)
             want = esc_term_oracles(scenario, chan, coeff)
             np.testing.assert_allclose((got.bob,) + got.as_tuple()[:3], want, rtol=1e-7)
 
@@ -253,7 +254,7 @@ class TestEscAsymptotic:
         assert abs(finite.upper - asym.upper) < 1e-2
 
     def test_moment_sums_against_oracle(self, scenario, rule_1000):
-        got = ps.log2_moment_sums(scenario, rule_1000)
+        got = bounds.log2_moment_sums(scenario, rule_1000)
         want_bob, want_j, want_k, want_l = log2_moment_oracles(scenario)
         assert got.bob == pytest.approx(want_bob, rel=1e-6)
         assert got.willie_total == pytest.approx(want_j + want_k + want_l, rel=1e-6)

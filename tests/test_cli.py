@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import pinchsec as ps
 from pinchsec import cli
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_json(tmp_path, name, payload):
@@ -303,16 +307,39 @@ class TestMain:
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = write_json(tmp_path, "bad.json", {"side_length_D": -1})
-        rc = cli.main(["sweep", "--config", path])
-        assert rc == 2
-        assert "side_length_D" in capsys.readouterr().err
+        # flags go through the same validator as the file, so errors name the key
+        cases = ((["sweep", "--config", path], "side_length_D"),
+                 (["sweep", "--alpha", "nan"], "attenuation_alpha"),
+                 (["sweep", "--trials", "50"], "mc_trials"),
+                 (["mc-only", "--quad-n", "0"], "quadrature_n"))
+        for argv, key in cases:
+            assert cli.main(argv) == 2, argv
+            assert key in capsys.readouterr().err, argv
 
     def test_bad_snr_list(self, capsys):
         assert cli.main(["sweep", "--snr-db", "5,3"]) == 2
         assert "strictly increasing" in capsys.readouterr().err
+        for grid in ("0,nan", "0,inf"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(["sweep", "--snr-db", grid]) == 2, grid
+            err = capsys.readouterr().err
+            assert "snr_db_grid" in err and "finite" in err, grid
 
     def test_bad_workers(self, capsys):
         assert cli.main(["sweep", "--workers", "0", "--snr-db", "0"]) == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_clean(self):
+        # importing the package must not import cli, or runpy warns under -m
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pinchsec.cli", "sweep",
+             "--snr-db", "0", "--trials", "100", "--quad-n", "10"],
+            capture_output=True, text=True, timeout=120,
+            env={"PATH": "", "PYTHONPATH": str(SRC_DIR), "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.startswith(TestCsv.HEADER + "\n")
 
     def test_cli_overrides_config(self, tmp_path):
         path = write_json(tmp_path, "o.json", fast_dict(mc_seed=7))

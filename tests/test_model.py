@@ -1,5 +1,6 @@
 """Geometry and rate-equation tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +15,32 @@ def eta_of(fc):
     return 299792458.0 ** 2 / (16.0 * math.pi ** 2 * fc ** 2)
 
 
+# Silencing one user's link with a huge noise variance makes that rate
+# exactly 0.0 (1 + snr rounds to 1), so the secrecy rate isolates the other.
+
+def bob_rate(scenario, chan, bob, willie=(0.0, 0.0), fixed=False):
+    solo = dataclasses.replace(chan, noise_willie=1e30)
+    rate = ps.fa_secrecy_rate if fixed else ps.pa_secrecy_rate
+    return float(rate(scenario, solo, bob[0], willie[0], bob[1], willie[1]))
+
+
+def willie_rate(scenario, chan, bob, willie):
+    solo = dataclasses.replace(chan, noise_bob=1e30)
+    return -float(ps.pa_secrecy_rate(scenario, solo, bob[0], willie[0], bob[1], willie[1]))
+
+
+def secrecy(scenario, chan, bob, willie):
+    return float(ps.pa_secrecy_rate(scenario, chan, bob[0], willie[0], bob[1], willie[1]))
+
+
 class TestTypes:
     def test_scenario_feed_and_fa(self, scenario):
-        assert scenario.feed_point == (-12.5, 0.0, 3.0)
-        assert scenario.fa_position == (0.0, 0.0, 3.0)
+        # the feed sits at x = -D/2: a radiator there has no guided loss
+        chan = chan_at(1e8, alpha=0.3)
+        assert bob_rate(scenario, chan, (-12.5, 2.0)) == float(ps.los_rate(13.0, chan, 1.0))
+        # the fixed antenna hangs at [0, 0, d]: Bob below it is at distance d
+        assert (bob_rate(scenario, chan, (0.0, 0.0), fixed=True)
+                == float(ps.los_rate(9.0, chan, 1.0)))
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
@@ -26,21 +49,13 @@ class TestTypes:
             ps.Scenario(waveguide_height=-1.0)
 
     def test_guided_span_covers_full_side(self, scenario):
-        # travel distance from the feed spans [0, D] across the waveguide
+        # travel from the feed spans [0, D] across the waveguide
+        chan = chan_at(1e8)
         for x in (-12.5, 0.0, 12.5):
-            travel = x - scenario.feed_point[0]
+            travel = x + scenario.side_length / 2.0
             assert 0.0 <= travel <= scenario.side_length
-
-    def test_user_positions_require_zero_height(self):
-        with pytest.raises(ValueError):
-            ps.UserPositions(bob=(0.0, 0.0, 1.0), willie=(0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            ps.UserPositions(bob=(0.0, 0.0, 0.0), willie=(1.0, 2.0, -0.5))
-
-    def test_user_positions_room_check(self, scenario):
-        users = ps.UserPositions(bob=(13.0, 0.0, 0.0), willie=(0.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match="bob"):
-            users.check_in_room(scenario)
+            assert (bob_rate(scenario, chan, (x, 1.0))
+                    == float(ps.los_rate(10.0, chan, 1.0, guided_len=travel)))
 
     def test_eta_tracks_carrier(self):
         for fc in (1e9, 10e9, 28e9):
@@ -56,7 +71,8 @@ class TestTypes:
         assert ps.ChannelParams(tx_power=3.0, noise_bob=0.5, noise_willie=0.5).rho == 6.0
 
     def test_at_rho(self):
-        chan = ps.ChannelParams(attenuation=0.02).at_rho(1e6)
+        # a unit-noise channel at transmit SNR rho is ChannelParams(tx_power=rho)
+        chan = ps.ChannelParams(attenuation=0.02, tx_power=1e6)
         assert chan.rho == 1e6
         assert chan.attenuation == 0.02
 
@@ -74,54 +90,52 @@ class TestTypes:
         with pytest.raises(ValueError):
             ps.SecrecyTarget(rate=-0.1)
 
-    def test_rate_sample_identity(self):
-        s = ps.RateSample(rate_bob=1.25, rate_willie=2.0)
-        assert s.secrecy_rate == 1.25 - 2.0  # may be negative
-
 
 class TestPaPosition:
+    # the radiator sits above Bob at (x1, 0, d): Bob's rate is
+    # los_rate(y1^2 + d^2, guided = x1 + D/2)
+
     def test_projects_bob_onto_waveguide(self, scenario):
-        users = ps.UserPositions(bob=(3.0, -7.2, 0.0), willie=(0.0, 0.0, 0.0))
-        assert ps.pa_position_for_bob(scenario, users) == (3.0, 0.0, 3.0)
+        chan = chan_at(1e8)
+        want = float(ps.los_rate(7.2 ** 2 + 9.0, chan, 1.0, guided_len=3.0 + 12.5))
+        assert bob_rate(scenario, chan, (3.0, -7.2)) == want
 
     def test_origin(self, scenario):
-        users = ps.UserPositions(bob=(0.0, 0.0, 0.0), willie=(1.0, 1.0, 0.0))
-        assert ps.pa_position_for_bob(scenario, users) == (0.0, 0.0, 3.0)
+        chan = chan_at(1e8)
+        want = float(ps.los_rate(9.0, chan, 1.0, guided_len=12.5))
+        assert bob_rate(scenario, chan, (0.0, 0.0), willie=(1.0, 1.0)) == want
 
     def test_corner_stays_on_waveguide(self, scenario):
-        users = ps.UserPositions(bob=(-12.5, 12.5, 0.0), willie=(0.0, 0.0, 0.0))
-        assert ps.pa_position_for_bob(scenario, users) == (-12.5, 0.0, 3.0)
+        chan = chan_at(1e8)
+        want = float(ps.los_rate(12.5 ** 2 + 9.0, chan, 1.0, guided_len=0.0))
+        assert bob_rate(scenario, chan, (-12.5, 12.5)) == want
 
 
 class TestRates:
     def test_rate_bob_direct_evaluation(self, scenario):
         # Bob at the origin, no attenuation: dist^2 = d^2 = 9
-        users = ps.UserPositions(bob=(0.0, 0.0, 0.0), willie=(1.0, 1.0, 0.0))
-        got = ps.rate_bob(scenario, users, chan_at(1e10, alpha=0.0))
+        got = bob_rate(scenario, chan_at(1e10, alpha=0.0), (0.0, 0.0), willie=(1.0, 1.0))
         want = 0.5 * math.log2(1.0 + eta_of(10e9) * 1e10 / 9.0)
         assert got == pytest.approx(want, rel=1e-15)
         assert got == pytest.approx(6.3134038031374065, rel=1e-13)
 
     def test_rate_bob_below_pin_distance(self, scenario):
-        users = ps.UserPositions(bob=(4.0, 0.0, 0.0), willie=(0.0, 0.0, 0.0))
         chan = chan_at(123.0, alpha=0.0)
-        assert ps.rate_bob(scenario, users, chan) == float(ps.los_rate(9.0, chan, 1.0))
+        assert bob_rate(scenario, chan, (4.0, 0.0)) == float(ps.los_rate(9.0, chan, 1.0))
 
     def test_zero_travel_means_no_attenuation(self, scenario):
-        users = ps.UserPositions(bob=(-12.5, 5.0, 0.0), willie=(0.0, 0.0, 0.0))
-        with_loss = ps.rate_bob(scenario, users, chan_at(1e8, alpha=0.01))
-        without = ps.rate_bob(scenario, users, chan_at(1e8, alpha=0.0))
+        with_loss = bob_rate(scenario, chan_at(1e8, alpha=0.01), (-12.5, 5.0))
+        without = bob_rate(scenario, chan_at(1e8, alpha=0.0), (-12.5, 5.0))
         assert with_loss == without
 
     def test_willie_colocated_matches_bob(self, scenario):
-        users = ps.UserPositions(bob=(2.0, 5.0, 0.0), willie=(2.0, 5.0, 0.0))
         chan = chan_at(1e8)
-        assert ps.rate_willie(scenario, users, chan) == ps.rate_bob(scenario, users, chan)
+        pos = (2.0, 5.0)
+        assert willie_rate(scenario, chan, pos, pos) == bob_rate(scenario, chan, pos, pos)
 
     def test_willie_maximal_separation(self, scenario):
-        users = ps.UserPositions(bob=(12.5, 0.0, 0.0), willie=(-12.5, 12.5, 0.0))
         chan = chan_at(1e8)
-        got = ps.rate_willie(scenario, users, chan)
+        got = willie_rate(scenario, chan, (12.5, 0.0), (-12.5, 12.5))
         # dist^2 = D^2 + D^2/4 + d^2 = 790.25, full guided travel D
         want = float(ps.los_rate(790.25, chan, 1.0, guided_len=25.0))
         assert got == want
@@ -129,56 +143,57 @@ class TestRates:
     def test_willie_shares_bob_kernel(self, scenario):
         # same squared distance and travel must give the same rate
         chan = chan_at(3.7e7)
-        users = ps.UserPositions(bob=(1.0, 6.0, 0.0), willie=(7.0, 0.0, 0.0))
+        bob, willie = (1.0, 6.0), (7.0, 0.0)
         bob_dist_sq = 6.0 ** 2 + 9.0
         willie_dist_sq = 6.0 ** 2 + 9.0  # (1 - 7)^2 + 0 + 9
         assert bob_dist_sq == willie_dist_sq
-        assert ps.rate_willie(scenario, users, chan) == ps.rate_bob(scenario, users, chan)
+        assert willie_rate(scenario, chan, bob, willie) == bob_rate(scenario, chan, bob, willie)
 
     def test_secrecy_rate_symmetric_zero(self, scenario):
-        users = ps.UserPositions(bob=(-3.0, 4.0, 0.0), willie=(-3.0, 4.0, 0.0))
-        assert ps.secrecy_rate(scenario, users, chan_at(1e9)).secrecy_rate == 0.0
+        assert secrecy(scenario, chan_at(1e9), (-3.0, 4.0), (-3.0, 4.0)) == 0.0
 
     def test_secrecy_rate_noise_limited_willie(self, scenario):
-        users = ps.UserPositions(bob=(0.0, 1.0, 0.0), willie=(5.0, 5.0, 0.0))
         chan = ps.ChannelParams(attenuation=0.01, tx_power=1e8,
                                 noise_bob=1.0, noise_willie=1e30)
-        sample = ps.secrecy_rate(scenario, users, chan)
-        assert sample.rate_willie == pytest.approx(0.0, abs=1e-12)
-        assert sample.secrecy_rate == pytest.approx(sample.rate_bob, abs=1e-12)
+        rs = secrecy(scenario, chan, (0.0, 1.0), (5.0, 5.0))
+        rb = float(ps.los_rate(10.0, chan, 1.0, guided_len=12.5))
+        assert rs == pytest.approx(rb, abs=1e-12)
 
     def test_secrecy_rate_reference_point(self, scenario):
-        users = ps.UserPositions(bob=(0.0, 0.0, 0.0), willie=(10.0, 10.0, 0.0))
-        sample = ps.secrecy_rate(scenario, users, chan_at(1e8, alpha=0.01))
+        chan = chan_at(1e8, alpha=0.01)
+        bob, willie = (0.0, 0.0), (10.0, 10.0)
         # independent recomputation: travel 12.5, Bob dist^2 9, Willie dist^2 209
         eta = eta_of(10e9)
         loss = math.exp(-2.0 * 0.01 * 12.5)
         rb = 0.5 * math.log2(1.0 + eta * 1e8 * loss / 9.0)
         rw = 0.5 * math.log2(1.0 + eta * 1e8 * loss / 209.0)
-        assert sample.rate_bob == pytest.approx(rb, rel=1e-15)
-        assert sample.rate_willie == pytest.approx(rw, rel=1e-15)
-        assert sample.rate_bob == pytest.approx(2.825524727317673, rel=1e-13)
-        assert sample.rate_willie == pytest.approx(0.8209602729933557, rel=1e-13)
-        assert sample.secrecy_rate == pytest.approx(2.004564454324317, rel=1e-13)
+        assert bob_rate(scenario, chan, bob, willie) == pytest.approx(rb, rel=1e-15)
+        assert willie_rate(scenario, chan, bob, willie) == pytest.approx(rw, rel=1e-15)
+        assert bob_rate(scenario, chan, bob, willie) == pytest.approx(2.825524727317673,
+                                                                      rel=1e-13)
+        assert willie_rate(scenario, chan, bob, willie) == pytest.approx(0.8209602729933557,
+                                                                         rel=1e-13)
+        assert secrecy(scenario, chan, bob, willie) == pytest.approx(2.004564454324317,
+                                                                     rel=1e-13)
 
     def test_rate_fa_nadir(self, scenario):
         chan = chan_at(1e8)
-        got = ps.rate_fa(scenario, (0.0, 0.0, 0.0), chan)
+        got = bob_rate(scenario, chan, (0.0, 0.0), fixed=True)
         assert got == pytest.approx(0.5 * math.log2(1.0 + chan.eta * 1e8 / 9.0), rel=1e-15)
 
     def test_rate_fa_corner_distance(self, scenario):
         chan = chan_at(1e8)
-        got = ps.rate_fa(scenario, (12.5, 12.5, 0.0), chan)
+        got = bob_rate(scenario, chan, (12.5, 12.5), fixed=True)
         assert got == float(ps.los_rate(321.5, chan, 1.0))
 
     def test_rate_fa_zero_power_limit(self, scenario):
         chan = ps.ChannelParams(tx_power=1e-300)
-        assert ps.rate_fa(scenario, (0.0, 0.0, 0.0), chan) == pytest.approx(0.0, abs=1e-290)
+        assert bob_rate(scenario, chan, (0.0, 0.0), fixed=True) == pytest.approx(0.0, abs=1e-290)
 
     def test_rate_fa_ignores_attenuation(self, scenario):
-        pos = (5.0, -3.0, 0.0)
-        r1 = ps.rate_fa(scenario, pos, chan_at(1e8, alpha=0.0))
-        r2 = ps.rate_fa(scenario, pos, chan_at(1e8, alpha=0.5))
+        pos = (5.0, -3.0)
+        r1 = bob_rate(scenario, chan_at(1e8, alpha=0.0), pos, fixed=True)
+        r2 = bob_rate(scenario, chan_at(1e8, alpha=0.5), pos, fixed=True)
         assert r1 == r2
 
     def test_los_rate_rejects_zero_distance(self):
@@ -189,18 +204,19 @@ class TestRates:
 class TestRateProperties:
     def test_monotonicity_randomized(self, scenario):
         rng = np.random.default_rng(20240814)
-        chan_base = ps.ChannelParams()
         for _ in range(50):
             rho_lo, rho_hi = np.sort(rng.uniform(1e2, 1e12, 2))
             d_lo, d_hi = np.sort(rng.uniform(9.0, 700.0, 2))
             a_lo, a_hi = np.sort(rng.uniform(0.0, 0.2, 2))
             guided = rng.uniform(0.0, 25.0)
+            chan_lo = ps.ChannelParams(tx_power=rho_lo)
+            chan_hi = ps.ChannelParams(tx_power=rho_hi)
             # increasing in rho
-            assert (ps.los_rate(d_lo, chan_base.at_rho(rho_hi), 1.0, guided)
-                    > ps.los_rate(d_lo, chan_base.at_rho(rho_lo), 1.0, guided))
+            assert (ps.los_rate(d_lo, chan_hi, 1.0, guided)
+                    > ps.los_rate(d_lo, chan_lo, 1.0, guided))
             # decreasing in squared distance
-            assert (ps.los_rate(d_hi, chan_base.at_rho(rho_lo), 1.0, guided)
-                    < ps.los_rate(d_lo, chan_base.at_rho(rho_lo), 1.0, guided))
+            assert (ps.los_rate(d_hi, chan_lo, 1.0, guided)
+                    < ps.los_rate(d_lo, chan_lo, 1.0, guided))
             # decreasing in attenuation (for positive travel)
             c_lo = ps.ChannelParams(attenuation=a_lo, tx_power=rho_lo)
             c_hi = ps.ChannelParams(attenuation=a_hi, tx_power=rho_lo)
@@ -215,8 +231,7 @@ class TestRateProperties:
         span = math.exp(-2.0 * 0.01 * scenario.side_length)
         for _ in range(200):
             x1, y1 = rng.uniform(-12.5, 12.5, 2)
-            users = ps.UserPositions(bob=(x1, y1, 0.0), willie=(0.0, 0.0, 0.0))
-            exact = ps.rate_bob(scenario, users, chan)
+            exact = bob_rate(scenario, chan, (x1, y1))
             dist_sq = y1 ** 2 + 9.0
             best = float(ps.los_rate(dist_sq, chan, 1.0))
             worst = 0.5 * math.log2(1.0 + chan.eta * chan.tx_power * span / dist_sq)
@@ -224,16 +239,24 @@ class TestRateProperties:
 
     def test_zero_attenuation_collapse(self, scenario):
         chan = chan_at(1e8, alpha=0.0)
-        users = ps.UserPositions(bob=(3.0, 4.0, 0.0), willie=(1.0, 2.0, 0.0))
-        exact = ps.rate_bob(scenario, users, chan)
+        exact = bob_rate(scenario, chan, (3.0, 4.0), willie=(1.0, 2.0))
         factorless = float(ps.los_rate(25.0, chan, 1.0))
         assert exact == factorless
 
     def test_secrecy_antisymmetry_fixed_pin(self, scenario):
         # swapping users with equal x keeps the pin position, negating Rs
         chan = ps.ChannelParams(tx_power=1e8, noise_bob=1.0, noise_willie=1.0)
-        users = ps.UserPositions(bob=(4.0, 2.0, 0.0), willie=(4.0, -9.0, 0.0))
-        swapped = ps.UserPositions(bob=(4.0, -9.0, 0.0), willie=(4.0, 2.0, 0.0))
-        rs = ps.secrecy_rate(scenario, users, chan).secrecy_rate
-        rs_swapped = ps.secrecy_rate(scenario, swapped, chan).secrecy_rate
+        rs = secrecy(scenario, chan, (4.0, 2.0), (4.0, -9.0))
+        rs_swapped = secrecy(scenario, chan, (4.0, -9.0), (4.0, 2.0))
         assert rs_swapped == pytest.approx(-rs, rel=1e-14)
+
+    def test_kernel_vectorized_matches_scalar(self, scenario):
+        # the MC evaluates whole position arrays; each element equals the scalar call
+        rng = np.random.default_rng(11)
+        x1, x2, y1, y2 = rng.uniform(-12.5, 12.5, (4, 64))
+        chan = chan_at(1e6)
+        for rate in (ps.pa_secrecy_rate, ps.fa_secrecy_rate):
+            vec = rate(scenario, chan, x1, x2, y1, y2)
+            assert vec.shape == (64,)
+            assert all(vec[i] == rate(scenario, chan, x1[i], x2[i], y1[i], y2[i])
+                       for i in range(64))

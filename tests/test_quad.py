@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pinchsec as ps
+from pinchsec import bounds, quad
 from conftest import chan_at
 
 
@@ -60,54 +61,54 @@ class TestIntegrate:
         # computes the semicircle integral: the weight-function compensation
         # turns sqrt(1 - t^2) into (1 - t^2) at the call site
         rule = ps.make_rule(100)
-        got = ps.integrate(rule, lambda t: 1.0 - t ** 2)
+        got = quad.integrate(rule, lambda t: 1.0 - t ** 2)
         assert got == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_odd_integrand_vanishes(self):
         rule = ps.make_rule(100)
-        got = ps.integrate(rule, lambda t: t * np.sqrt(1.0 - t ** 2))
+        got = quad.integrate(rule, lambda t: t * np.sqrt(1.0 - t ** 2))
         assert abs(got) < 1e-12
 
     def test_semicircle_second_moment(self):
         rule = ps.make_rule(100)
-        got = ps.integrate(rule, lambda t: t ** 2 * (1.0 - t ** 2))
+        got = quad.integrate(rule, lambda t: t ** 2 * (1.0 - t ** 2))
         assert got == pytest.approx(math.pi / 8, abs=1e-10)
 
     def test_plain_unit_integral(self):
         # a compensated constant recovers the plain length of [-1, 1]
         rule = ps.make_rule(1000)
-        got = ps.integrate(rule, lambda t: np.sqrt(1.0 - t ** 2))
+        got = quad.integrate(rule, lambda t: np.sqrt(1.0 - t ** 2))
         assert got == pytest.approx(2.0, abs=1e-5)
 
     def test_scalar_integrand(self):
         rule = ps.make_rule(10)
-        assert ps.integrate(rule, lambda t: 3.0) == pytest.approx(3.0 * math.pi, rel=1e-15)
+        assert quad.integrate(rule, lambda t: 3.0) == pytest.approx(3.0 * math.pi, rel=1e-15)
 
     def test_nan_aborts_naming_node(self):
         rule = ps.make_rule(8)
         with pytest.raises(ValueError, match="node"):
-            ps.integrate(rule, lambda t: np.where(np.abs(t) < 0.5, np.nan, t))
+            quad.integrate(rule, lambda t: np.where(np.abs(t) < 0.5, np.nan, t))
 
     def test_inf_aborts(self):
         rule = ps.make_rule(4)
         with pytest.raises(ValueError, match="node"):
-            ps.integrate(rule, lambda t: np.where(t > 0.0, np.inf, t))
+            quad.integrate(rule, lambda t: np.where(t > 0.0, np.inf, t))
 
 
 class TestPieceMaps:
     def test_bob_piece(self, scenario):
-        piece = ps.bob_piece(scenario.side_length, scenario.waveguide_height)
+        piece = quad.bob_piece(scenario.side_length, scenario.waveguide_height)
         assert (piece.scale, piece.offset) == (625.0 / 8.0, 625.0 / 8.0 + 9.0)
         assert piece.z_range == (9.0, 165.25)
 
     def test_willie_pieces(self, scenario):
-        p1, p2, p3 = ps.willie_pieces(scenario.side_length, scenario.waveguide_height)
+        p1, p2, p3 = quad.willie_pieces(scenario.side_length, scenario.waveguide_height)
         assert (p1.scale, p1.offset) == (625.0 / 8.0, 625.0 / 8.0 + 9.0)
         assert (p2.scale, p2.offset) == (3.0 * 625.0 / 8.0, 5.0 * 625.0 / 8.0 + 9.0)
         assert (p3.scale, p3.offset) == (625.0 / 8.0, 9.0 * 625.0 / 8.0 + 9.0)
 
     def test_pieces_tile_willie_support(self, scenario, zw_dist):
-        pieces = ps.willie_pieces(scenario.side_length, scenario.waveguide_height)
+        pieces = quad.willie_pieces(scenario.side_length, scenario.waveguide_height)
         ranges = [p.z_range for p in pieces]
         assert ranges[0] == (9.0, 165.25)
         assert ranges[1] == (165.25, 634.0)
@@ -115,7 +116,7 @@ class TestPieceMaps:
         assert (ranges[0][0], ranges[2][1]) == zw_dist.support
 
     def test_map_endpoints(self, scenario):
-        piece = ps.bob_piece(scenario.side_length, scenario.waveguide_height)
+        piece = quad.bob_piece(scenario.side_length, scenario.waveguide_height)
         assert float(piece.map(-1.0)) == 9.0
         assert float(piece.map(1.0)) == 165.25
         assert float(piece.map(0.0)) == piece.offset
@@ -129,13 +130,13 @@ class TestTermConvergence:
         # arcsin-branch terms) converge slightly slower
         chan = chan_at(1e8)
         rels = []
-        for coeff in ps.sop_coefficients(scenario, chan):
-            a = ps.sop_term_sums(scenario, chan, target, rule_1000, coeff).as_tuple()
-            b = ps.sop_term_sums(scenario, chan, target, rule_8000, coeff).as_tuple()
+        for coeff in bounds.sop_coefficients(scenario, chan):
+            a = bounds.sop_term_sums(scenario, chan, target, rule_1000, coeff).as_tuple()
+            b = bounds.sop_term_sums(scenario, chan, target, rule_8000, coeff).as_tuple()
             rels.extend(abs(x - y) / abs(y) for x, y in zip(a, b) if y != 0.0)
-        for coeff in ps.esc_coefficients(scenario, chan):
-            a = ps.esc_term_sums(scenario, chan, rule_1000, coeff).as_tuple()
-            b = ps.esc_term_sums(scenario, chan, rule_8000, coeff).as_tuple()
+        for coeff in bounds.esc_coefficients(scenario, chan):
+            a = bounds.esc_term_sums(scenario, chan, rule_1000, coeff).as_tuple()
+            b = bounds.esc_term_sums(scenario, chan, rule_8000, coeff).as_tuple()
             rels.extend(abs(x - y) / abs(y) for x, y in zip(a, b))
         assert len(rels) == 14
         assert max(rels) < 3.5e-6
