@@ -1,9 +1,13 @@
 """Command-line front end: config loading, SNR sweeps, CSV output, checks.
 
-The `sweep` subcommand evaluates the analytical bounds, their high-SNR
-asymptotes and the Monte Carlo estimates (PA and FA) on a dB grid of the
-transmit SNR rho and writes one CSV row per grid point.  Output is data
-only; plotting is left to external tools.
+`run_sweep` evaluates the analytical bounds, their high-SNR asymptotes
+(once per sweep: they do not depend on rho) and, in one Monte Carlo pass
+over the position stream, the PA and FA estimates on a dB grid of the
+transmit SNR rho.  The `sweep` subcommand writes its records as CSV, one
+row per grid point; `sop` and `esc` print column selections of the same
+records; `mc-only` prints the Monte Carlo engine's output directly, which
+also allows unequal noise levels.  `workers` sizes the engine's chunk
+pool.  Output is data only; plotting is left to external tools.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +26,9 @@ from .bounds import (_bob_sum, _distributions, _willie_sums, esc_asymptotic, esc
                      sop_asymptotic, sop_bounds)
 from .diststats import ZbDistribution, ZwDistribution, cdf_pdf_fd_gap, ks_statistic
 from .model import ChannelParams, Scenario, SecrecyTarget
-from .montecarlo import McConfig, mc_esc_fa, mc_esc_pa, mc_sop_fa, mc_sop_pa
+from .montecarlo import McConfig, _mc_sweep
+# unused here: bench/tracer.py patches these names, bench/smoke.py expects all of them
+from .montecarlo import mc_esc_fa, mc_esc_pa, mc_sop_fa, mc_sop_pa  # noqa: F401
 from .quad import make_rule
 
 
@@ -201,40 +207,39 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(_read_config(path))
 
 
-def _sweep_point(cfg: RunConfig, rule, snr_db: float) -> SweepRecord:
-    chan = cfg.channel_at_snr_db(snr_db)
-    sop = sop_bounds(cfg.scenario, chan, cfg.target, rule)
-    sop_asym = sop_asymptotic(cfg.scenario, chan, cfg.target, rule)
-    esc = esc_bounds(cfg.scenario, chan, rule)
-    esc_asym = esc_asymptotic(cfg.scenario, chan, rule)
-    sop_mc = mc_sop_pa(cfg.scenario, chan, cfg.target, cfg.mc)
-    esc_mc = mc_esc_pa(cfg.scenario, chan, cfg.mc)
-    fa_sop = mc_sop_fa(cfg.scenario, chan, cfg.target, cfg.mc)
-    fa_esc = mc_esc_fa(cfg.scenario, chan, cfg.mc)
-    record = SweepRecord(snr_db=snr_db,
-                         sop_lb=sop.lower, sop_ub=sop.upper,
-                         sop_asym_lb=sop_asym.lower, sop_asym_ub=sop_asym.upper,
-                         sop_mc=sop_mc.mean, sop_mc_se=sop_mc.std_error,
-                         esc_lb=esc.lower, esc_ub=esc.upper,
-                         esc_asym_lb=esc_asym.lower, esc_asym_ub=esc_asym.upper,
-                         esc_mc=esc_mc.mean, esc_mc_se=esc_mc.std_error,
-                         fa_sop_mc=fa_sop.mean, fa_esc_mc=fa_esc.mean)
-    for name, value in dataclasses.asdict(record).items():
-        if not math.isfinite(value):
-            raise CliError(f"non-finite {name} at snr_db = {snr_db}")
-    return record
-
-
 def run_sweep(cfg: RunConfig) -> list[SweepRecord]:
-    """One SweepRecord per grid point, in grid order."""
+    """One SweepRecord per grid point, in grid order.
+
+    All bounds come before the Monte Carlo pass, so a config the bounds
+    reject fails before any trial is drawn.
+    """
     if cfg.noise_bob != cfg.noise_willie:
-        raise ConfigError("sweep needs noise_bob_var == noise_willie_var; "
+        raise ConfigError("the bounds need noise_bob_var == noise_willie_var; "
                           "use mc-only for distinct noise levels")
     rule = make_rule(cfg.quadrature_n)
-    if cfg.workers <= 1:
-        return [_sweep_point(cfg, rule, s) for s in cfg.snr_db_grid]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(lambda s: _sweep_point(cfg, rule, s), cfg.snr_db_grid))
+    chans = [cfg.channel_at_snr_db(s) for s in cfg.snr_db_grid]
+    # the asymptotes depend on the channel only through attenuation_span
+    sop_asym = sop_asymptotic(cfg.scenario, chans[0], cfg.target, rule)
+    esc_asym = esc_asymptotic(cfg.scenario, chans[0], rule)
+    brackets = [(sop_bounds(cfg.scenario, chan, cfg.target, rule),
+                 esc_bounds(cfg.scenario, chan, rule)) for chan in chans]
+    estimates = _mc_sweep(cfg.scenario, chans, cfg.target, cfg.mc, cfg.workers)
+    records = []
+    for snr_db, (sop, esc), (sop_mc, esc_mc, fa_sop, fa_esc) in zip(
+            cfg.snr_db_grid, brackets, estimates):
+        record = SweepRecord(snr_db=snr_db,
+                             sop_lb=sop.lower, sop_ub=sop.upper,
+                             sop_asym_lb=sop_asym.lower, sop_asym_ub=sop_asym.upper,
+                             sop_mc=sop_mc.mean, sop_mc_se=sop_mc.std_error,
+                             esc_lb=esc.lower, esc_ub=esc.upper,
+                             esc_asym_lb=esc_asym.lower, esc_asym_ub=esc_asym.upper,
+                             esc_mc=esc_mc.mean, esc_mc_se=esc_mc.std_error,
+                             fa_sop_mc=fa_sop.mean, fa_esc_mc=fa_esc.mean)
+        for name, value in dataclasses.asdict(record).items():
+            if not math.isfinite(value):
+                raise CliError(f"non-finite {name} at snr_db = {snr_db}")
+        records.append(record)
+    return records
 
 
 def csv_lines(records) -> list[str]:
@@ -373,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated dB grid, e.g. 0,10,20")
     common.add_argument("--alpha", dest="attenuation_alpha", type=float,
                         help="attenuation in nepers/m")
-    common.add_argument("--workers", type=int, help="concurrent grid workers")
+    common.add_argument("--workers", type=int, help="Monte Carlo chunk workers")
     for name, help_text in (
             ("sweep", "bounds + asymptotes + Monte Carlo over the grid, to CSV"),
             ("sop", "outage bounds and Monte Carlo per grid point"),
@@ -405,51 +410,45 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_single_metric(cfg: RunConfig, want_sop: bool) -> int:
-    if cfg.noise_bob != cfg.noise_willie:
-        raise ConfigError("analytical bounds need equal noise variances")
-    rule = make_rule(cfg.quadrature_n)
-    for snr in cfg.snr_db_grid:
-        chan = cfg.channel_at_snr_db(snr)
-        if want_sop:
-            pair = sop_bounds(cfg.scenario, chan, cfg.target, rule)
-            asym = sop_asymptotic(cfg.scenario, chan, cfg.target, rule)
-            est = mc_sop_pa(cfg.scenario, chan, cfg.target, cfg.mc, workers=cfg.workers)
-            label = "sop"
-        else:
-            pair = esc_bounds(cfg.scenario, chan, rule)
-            asym = esc_asymptotic(cfg.scenario, chan, rule)
-            est = mc_esc_pa(cfg.scenario, chan, cfg.mc, workers=cfg.workers)
-            label = "esc"
-        print(f"snr_db {snr:g}: {label} in [{pair.lower:.12g}, {pair.upper:.12g}], "
-              f"asymptote [{asym.lower:.12g}, {asym.upper:.12g}], "
-              f"mc {est.mean:.12g} +/- {est.std_error:.3g}")
+def _cmd_metric(cfg: RunConfig, label: str) -> int:
+    """The `label` (sop or esc) columns of the sweep, one line per grid point."""
+    for r in run_sweep(cfg):
+        lb, ub, asym_lb, asym_ub, mc, se = (getattr(r, f"{label}_{col}") for col in
+                                            ("lb", "ub", "asym_lb", "asym_ub", "mc", "mc_se"))
+        print(f"snr_db {r.snr_db:g}: {label} in [{lb:.12g}, {ub:.12g}], "
+              f"asymptote [{asym_lb:.12g}, {asym_ub:.12g}], mc {mc:.12g} +/- {se:.3g}")
     return 0
 
 
 def _cmd_mc_only(cfg: RunConfig) -> int:
-    for snr in cfg.snr_db_grid:
-        chan = cfg.channel_at_snr_db(snr)
-        sop = mc_sop_pa(cfg.scenario, chan, cfg.target, cfg.mc, workers=cfg.workers)
-        esc = mc_esc_pa(cfg.scenario, chan, cfg.mc, workers=cfg.workers)
-        fa_sop = mc_sop_fa(cfg.scenario, chan, cfg.target, cfg.mc, workers=cfg.workers)
-        fa_esc = mc_esc_fa(cfg.scenario, chan, cfg.mc, workers=cfg.workers)
+    chans = [cfg.channel_at_snr_db(s) for s in cfg.snr_db_grid]
+    estimates = _mc_sweep(cfg.scenario, chans, cfg.target, cfg.mc, cfg.workers)
+    for snr, (sop, esc, fa_sop, fa_esc) in zip(cfg.snr_db_grid, estimates):
         print(f"snr_db {snr:g}: pa_sop {sop.mean:.12g} +/- {sop.std_error:.3g}, "
               f"pa_esc {esc.mean:.12g} +/- {esc.std_error:.3g}, "
               f"fa_sop {fa_sop.mean:.12g}, fa_esc {fa_esc.mean:.12g}")
     return 0
 
 
+def _glue_snr_list(argv: list[str]) -> list[str]:
+    """`--snr-db -10,0` as `--snr-db=-10,0`: argparse reads -10,0 as a flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--snr-db" and re.match(r"-\.?\d", arg):
+            out[-1] = f"--snr-db={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_glue_snr_list(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _config_from_args(args)
         if args.command == "sweep":
             return _cmd_sweep(cfg)
-        if args.command == "sop":
-            return _cmd_single_metric(cfg, want_sop=True)
-        if args.command == "esc":
-            return _cmd_single_metric(cfg, want_sop=False)
+        if args.command in ("sop", "esc"):
+            return _cmd_metric(cfg, args.command)
         if args.command == "mc-only":
             return _cmd_mc_only(cfg)
         if args.command == "validate-stats":

@@ -5,8 +5,10 @@ exp(-2*alpha*(x1 + D/2)) for the sampled Bob position.  Trials are split
 into fixed-size chunks; chunk k draws from a child stream spawned from
 (seed, k) and partial results are reduced in chunk order, so estimates
 are bit-identical for a given (seed, trials, chunk_size) at any worker
-count.  All four estimators consume the identical position stream, which
-makes paired PA-vs-FA comparisons common-random-number comparisons.
+count.  The positions depend neither on rho nor on the estimator, so
+`_mc_sweep` draws each chunk once and evaluates all four estimators at
+every grid point from it (paired PA-vs-FA comparisons are thus common
+random numbers); the public `mc_*` functions are its single-channel views.
 """
 
 from __future__ import annotations
@@ -85,50 +87,51 @@ def _map_chunks(fn, cfg: McConfig, workers: int) -> list:
         return list(pool.map(fn, ks))
 
 
-def _outage_estimate(rates_of, scenario, chan, target, cfg, workers) -> McEstimate:
-    def count(k):
-        rs = rates_of(scenario, chan, *_chunk_positions(scenario, cfg, k))
-        return int(np.sum(rs < target.rate))
+def _mc_sweep(scenario: Scenario, chans, target: SecrecyTarget, cfg: McConfig,
+              workers: int = 1) -> list[tuple[McEstimate, McEstimate, McEstimate, McEstimate]]:
+    """(pa_sop, pa_esc, fa_sop, fa_esc) at every channel, from one pass over the chunks.
 
-    total = sum(_map_chunks(count, cfg, workers))
-    p = total / cfg.trials
-    se = math.sqrt(p * (1.0 - p) / cfg.trials)
-    return McEstimate(mean=p, std_error=se, trials=cfg.trials)
+    Each chunk's positions are drawn once and reduced, per channel and
+    system, to an outage count, a rate sum and a squared-rate sum; those
+    scalars are added up in fixed chunk order.
+    """
+    def chunk_sums(k):
+        positions = _chunk_positions(scenario, cfg, k)
+        return [(int(np.sum(rs < target.rate)), float(np.sum(rs)), float(np.sum(rs * rs)))
+                for chan in chans for rs in (pa_secrecy_rate(scenario, chan, *positions),
+                                             fa_secrecy_rate(scenario, chan, *positions))]
 
-
-def _mean_estimate(rates_of, scenario, chan, cfg, workers) -> McEstimate:
-    def sums(k):
-        rs = rates_of(scenario, chan, *_chunk_positions(scenario, cfg, k))
-        return float(np.sum(rs)), float(np.sum(rs * rs))
-
-    s = s2 = 0.0
-    for a, b in _map_chunks(sums, cfg, workers):  # fixed chunk order
-        s += a
-        s2 += b
+    totals = [(0, 0.0, 0.0)] * (2 * len(chans))
+    for part in _map_chunks(chunk_sums, cfg, workers):  # fixed chunk order
+        totals = [(c + dc, s + ds, s2 + ds2) for (c, s, s2), (dc, ds, ds2) in zip(totals, part)]
     n = cfg.trials
-    mean = s / n
-    var = max((s2 - s * s / n) / (n - 1), 0.0)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n), trials=n)
+    estimates = []
+    for count, s, s2 in totals:
+        p = count / n
+        var = max((s2 - s * s / n) / (n - 1), 0.0)
+        estimates += [McEstimate(mean=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n),
+                      McEstimate(mean=s / n, std_error=math.sqrt(var / n), trials=n)]
+    return [tuple(estimates[i:i + 4]) for i in range(0, len(estimates), 4)]
 
 
 def mc_sop_pa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Fraction of placements whose exact secrecy rate falls below the target."""
-    return _outage_estimate(pa_secrecy_rate, scenario, chan, target, cfg, workers)
+    return _mc_sweep(scenario, [chan], target, cfg, workers)[0][0]
 
 
 def mc_esc_pa(scenario: Scenario, chan: ChannelParams,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Sample mean of the exact secrecy rate over random placements."""
-    return _mean_estimate(pa_secrecy_rate, scenario, chan, cfg, workers)
+    return _mc_sweep(scenario, [chan], SecrecyTarget(), cfg, workers)[0][1]
 
 
 def mc_sop_fa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Outage of the fixed-antenna baseline on the same position stream."""
-    return _outage_estimate(fa_secrecy_rate, scenario, chan, target, cfg, workers)
+    return _mc_sweep(scenario, [chan], target, cfg, workers)[0][2]
 
 
 def mc_esc_fa(scenario: Scenario, chan: ChannelParams,
               cfg: McConfig, workers: int = 1) -> McEstimate:
-    return _mean_estimate(fa_secrecy_rate, scenario, chan, cfg, workers)
+    return _mc_sweep(scenario, [chan], SecrecyTarget(), cfg, workers)[0][3]

@@ -81,18 +81,9 @@ class PieceMap:
     scale: float
     offset: float
 
-    def map(self, t):
-        return self.scale * np.asarray(t, dtype=float) + self.offset
-
     @property
     def z_range(self) -> tuple[float, float]:
         return (self.offset - self.scale, self.offset + self.scale)
-
-
-def bob_piece(side_length: float, height: float) -> PieceMap:
-    """Single piece covering the Zb support [d^2, d^2 + D^2/4]."""
-    D2 = side_length ** 2
-    return PieceMap(scale=D2 / 8.0, offset=D2 / 8.0 + height ** 2)
 
 
 def willie_pieces(side_length: float, height: float) -> tuple[PieceMap, PieceMap, PieceMap]:

@@ -119,8 +119,7 @@ def esc_term_oracles(scenario, chan, coeff):
     zb = ps.ZbDistribution(scenario.side_length, scenario.waveguide_height)
     zw = ps.ZwDistribution(scenario.side_length, scenario.waveguide_height)
     eta_rho = chan.eta * chan.rho
-    piece = quad.bob_piece(scenario.side_length, scenario.waveguide_height)
-    lo, hi = piece.z_range
+    lo, hi = zb.support
     bob = _quad(lambda z: math.log2(1.0 + eta_rho * coeff.bob_factor / z) * float(zb.pdf(z)),
                 lo, hi)
     out = [bob]
@@ -140,8 +139,7 @@ def log2_moment_oracles(scenario):
     """(bob, piece1, piece2, piece3) log2 distance moments, adaptively in z."""
     zb = ps.ZbDistribution(scenario.side_length, scenario.waveguide_height)
     zw = ps.ZwDistribution(scenario.side_length, scenario.waveguide_height)
-    piece = quad.bob_piece(scenario.side_length, scenario.waveguide_height)
-    lo, hi = piece.z_range
+    lo, hi = zb.support
     out = [_quad(lambda z: math.log2(z) * float(zb.pdf(z)), lo, hi)]
     branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
     for piece, branch in zip(quad.willie_pieces(scenario.side_length, scenario.waveguide_height),

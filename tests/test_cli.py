@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pinchsec as ps
-from pinchsec import cli
+from pinchsec import cli, montecarlo
 
 DATA_DIR = Path(__file__).parent / "data"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -150,6 +150,33 @@ class TestRunSweep:
         assert len({r.sop_asym_ub for r in records}) == 1
         assert len({r.esc_asym_ub for r in records}) == 1
 
+    def test_one_mc_pass_and_one_asymptote_per_sweep(self, monkeypatch):
+        calls = {"draws": 0, "sop_asym": 0, "esc_asym": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "_draw_positions",
+                            counted("draws", montecarlo._draw_positions))
+        monkeypatch.setattr(cli, "sop_asymptotic", counted("sop_asym", cli.sop_asymptotic))
+        monkeypatch.setattr(cli, "esc_asymptotic", counted("esc_asym", cli.esc_asymptotic))
+        cfg = cli.config_from_dict(fast_dict(mc_chunk_size=512))
+        records = cli.run_sweep(cfg)
+        assert calls == {"draws": cfg.mc.n_chunks, "sop_asym": 1, "esc_asym": 1}
+        assert len(records) == 3
+
+    def test_bound_rejection_precedes_mc(self, monkeypatch):
+        # alpha * D this large underflows the worst-case attenuation factor
+        def no_draws(*args):
+            raise AssertionError("positions drawn for a config the bounds reject")
+
+        monkeypatch.setattr(montecarlo, "_draw_positions", no_draws)
+        with pytest.raises(ValueError, match="attenuation factors"):
+            cli.run_sweep(cli.config_from_dict(fast_dict(attenuation_alpha=20.0)))
+
     def test_zero_attenuation_collapses_columns(self):
         cfg = cli.config_from_dict(fast_dict(attenuation_alpha=0.0))
         for r in cli.run_sweep(cfg):
@@ -282,10 +309,14 @@ class TestMain:
         assert len(lines) == 2
 
     def test_sop_subcommand(self, capsys):
-        rc = cli.main(["sop", "--snr-db", "40", "--trials", "500", "--quad-n", "200"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "snr_db 40" in out and "sop in [" in out and "+/-" in out
+        outs = []
+        for workers in ("1", "2"):
+            rc = cli.main(["sop", "--snr-db", "40,45", "--trials", "5000", "--quad-n", "200",
+                           "--workers", workers])
+            assert rc == 0
+            outs.append(capsys.readouterr().out)
+        assert "snr_db 40" in outs[0] and "sop in [" in outs[0] and "+/-" in outs[0]
+        assert outs[0] == outs[1]
 
     def test_esc_subcommand(self, capsys):
         rc = cli.main(["esc", "--snr-db", "40", "--trials", "500", "--quad-n", "200"])
@@ -294,11 +325,14 @@ class TestMain:
 
     def test_mc_only_allows_unequal_noises(self, tmp_path, capsys):
         path = write_json(tmp_path, "m.json",
-                          {"noise_willie_var": 4.0, "snr_db_grid": [30.0],
-                           "mc_trials": 500})
-        rc = cli.main(["mc-only", "--config", path])
-        assert rc == 0
-        assert "pa_sop" in capsys.readouterr().out
+                          {"noise_willie_var": 4.0, "snr_db_grid": [30.0, 45.0],
+                           "mc_trials": 5000})
+        outs = []
+        for workers in ("1", "2"):
+            assert cli.main(["mc-only", "--config", path, "--workers", workers]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "pa_sop" in outs[0]
+        assert outs[0] == outs[1]
 
     def test_sop_rejects_unequal_noises(self, tmp_path, capsys):
         path = write_json(tmp_path, "u.json",
@@ -340,6 +374,19 @@ class TestMain:
                 assert cli.main(["sweep", "--snr-db", grid]) == 2, grid
             err = capsys.readouterr().err
             assert "snr_db_grid" in err and "finite" in err, grid
+
+    def test_snr_list_may_start_negative(self, capsys):
+        outs = []
+        for flag in (["--snr-db", "-10,0"], ["--snr-db=-10,0"]):
+            assert cli.main(["sweep", *flag, "--trials", "100", "--quad-n", "10"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert [line.split(",")[0] for line in outs[0].splitlines()[1:]] == ["-10.0", "0.0"]
+        # a flag right after --snr-db is still a missing value
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--snr-db", "--trials", "100"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_bad_workers(self, capsys):
         assert cli.main(["sweep", "--workers", "0", "--snr-db", "0"]) == 2

@@ -12,6 +12,7 @@ import pytest
 
 import pinchsec as ps
 from conftest import chan_at
+from pinchsec import montecarlo
 
 
 def small_cfg(**kw):
@@ -61,6 +62,21 @@ class TestReproducibility:
                    lambda w: ps.mc_esc_fa(scenario, chan, cfg, workers=w)):
             one, three = fn(1), fn(3)
             assert (one.mean, one.std_error) == (three.mean, three.std_error)
+
+    def test_engine_matches_single_channel_views(self, scenario, target):
+        # one pass over a grid that straddles rho* (43.4 dB) gives, at every
+        # point, exactly what the four single-channel estimators give
+        chans = [chan_at(10 ** (db / 10.0)) for db in (35.0, 43.0, 44.0, 50.0)]
+        cfg = small_cfg(trials=3000)
+        views = (lambda c, w: ps.mc_sop_pa(scenario, c, target, cfg, workers=w),
+                 lambda c, w: ps.mc_esc_pa(scenario, c, cfg, workers=w),
+                 lambda c, w: ps.mc_sop_fa(scenario, c, target, cfg, workers=w),
+                 lambda c, w: ps.mc_esc_fa(scenario, c, cfg, workers=w))
+        for workers in (1, 3):
+            grid = montecarlo._mc_sweep(scenario, chans, target, cfg, workers)
+            assert len(grid) == len(chans)
+            for chan, estimates in zip(chans, grid):
+                assert estimates == tuple(view(chan, 1) for view in views)
 
     def test_seed_changes_result(self, scenario, target):
         chan = chan_at(1e8)

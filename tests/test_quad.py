@@ -127,11 +127,6 @@ class TestSmoothRule:
 
 
 class TestPieceMaps:
-    def test_bob_piece(self, scenario):
-        piece = quad.bob_piece(scenario.side_length, scenario.waveguide_height)
-        assert (piece.scale, piece.offset) == (625.0 / 8.0, 625.0 / 8.0 + 9.0)
-        assert piece.z_range == (9.0, 165.25)
-
     def test_willie_pieces(self, scenario):
         p1, p2, p3 = quad.willie_pieces(scenario.side_length, scenario.waveguide_height)
         assert (p1.scale, p1.offset) == (625.0 / 8.0, 625.0 / 8.0 + 9.0)
@@ -145,12 +140,6 @@ class TestPieceMaps:
         assert ranges[1] == (165.25, 634.0)
         assert ranges[2] == (634.0, 790.25)
         assert (ranges[0][0], ranges[2][1]) == zw_dist.support
-
-    def test_map_endpoints(self, scenario):
-        piece = quad.bob_piece(scenario.side_length, scenario.waveguide_height)
-        assert float(piece.map(-1.0)) == 9.0
-        assert float(piece.map(1.0)) == 165.25
-        assert float(piece.map(0.0)) == piece.offset
 
 
 class TestTermConvergence:
