@@ -1,18 +1,22 @@
 """Analytical secrecy-outage and ergodic-secrecy-capacity bounds.
 
 The exact guided power loss exp(-2*alpha*L) varies with Bob's position.
-Replacing it by its best case (factor 1) on one link and its worst case
-(exp(-2*alpha*D)) on the other yields stochastically ordered systems, so
-each metric gets a closed-form upper and lower bound expressed through
-the Zb/Zw distance distributions.  The integrals are plain integrals in
-z, evaluated on the endpoint-smoothed Chebyshev-Gauss nodes of
-quad.QuadratureRule.smooth (no compensation factor at the call site).
-The outage integrand F_Zb(threshold(z)) has kinks where the threshold
-reaches an end of Zb's support; each Zw piece is split there, and
-sub-pieces on which outage is certain are skipped.  The Zb density's
-1/sqrt pole at d^2 is removed by integrating over Bob's offset y instead
-of z.  At n nodes per sub-piece the error falls as n^-4 (about 1e-12
-relative at the default n = 1000).
+Replacing it by a constant on each link, its best case 1 on one and its
+worst case span = exp(-2*alpha*D) on the other, yields stochastically
+ordered systems, so each metric gets a closed-form upper and lower bound
+expressed through the Zb/Zw distance distributions.  A bound direction
+is the plain pair (bob_factor, willie_factor): for the outage the upper
+bound is (span, 1) and the lower (1, span); the capacity uses the reverse
+pairs.  A span that underflows to 0 (alpha*D beyond about 372) is valid.
+
+The term sums are plain integrals in z on the endpoint-smoothed rule of
+quad.py, returned per piece: [j, k, l] over the three Zw density pieces,
+preceded by the Zb term where there is one.  The outage integrand
+F_Zb(threshold(z)) has kinks where the threshold reaches an end of Zb's
+support; each Zw piece is split there, and sub-pieces on which outage is
+certain are skipped.  The Zb density's 1/sqrt pole at d^2 is removed by
+integrating over Bob's offset y instead of z.  At n nodes per sub-piece
+the error falls as n^-4 (about 1e-12 relative at the default n = 1000).
 
 Both metrics saturate at high SNR (the same loss and geometry face Bob
 and Willie), so the diversity order and high-SNR slope are zero; the
@@ -29,25 +33,9 @@ import numpy as np
 
 from .diststats import ZbDistribution, ZwDistribution
 from .model import ChannelParams, Scenario, SecrecyTarget
-from .quad import QuadratureRule, integrate, willie_pieces
+from .quad import QuadratureRule, integrate
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class BoundCoefficients:
-    """Constant attenuation factors substituted for the exact guided loss.
-
-    bob_factor scales Bob's received power, willie_factor Willie's.  The
-    four bound directions use (exp(-2 alpha D), 1) or (1, exp(-2 alpha D)).
-    """
-
-    bob_factor: float
-    willie_factor: float
-
-    def __post_init__(self):
-        if not (0 < self.bob_factor <= 1 and 0 < self.willie_factor <= 1):
-            raise ValueError("attenuation factors must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -60,58 +48,28 @@ class BoundPair:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class TermSums:
-    """Quadrature sums of the per-piece integrands of one bound direction."""
-
-    willie_piece1: float = 0.0
-    willie_piece2: float = 0.0
-    willie_piece3: float = 0.0
-    bob: float = 0.0
-
-    @property
-    def willie_total(self) -> float:
-        return self.willie_piece1 + self.willie_piece2 + self.willie_piece3
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.willie_piece1, self.willie_piece2, self.willie_piece3, self.bob)
-
-
 def attenuation_span(scenario: Scenario, chan: ChannelParams) -> float:
-    """Worst-case guided power loss exp(-2 * alpha * D)."""
+    """Worst-case guided power loss exp(-2 * alpha * D); 0 once it underflows."""
     return math.exp(-2.0 * chan.attenuation * scenario.side_length)
 
 
-def sop_coefficients(scenario: Scenario, chan: ChannelParams) -> tuple[BoundCoefficients, BoundCoefficients]:
-    """(upper-bound pair, lower-bound pair) for the outage probability."""
-    span = attenuation_span(scenario, chan)
-    return (BoundCoefficients(bob_factor=span, willie_factor=1.0),
-            BoundCoefficients(bob_factor=1.0, willie_factor=span))
-
-
-def esc_coefficients(scenario: Scenario, chan: ChannelParams) -> tuple[BoundCoefficients, BoundCoefficients]:
-    """(upper-bound pair, lower-bound pair) for the ergodic secrecy capacity."""
-    span = attenuation_span(scenario, chan)
-    return (BoundCoefficients(bob_factor=1.0, willie_factor=span),
-            BoundCoefficients(bob_factor=span, willie_factor=1.0))
-
-
-def sop_threshold(z_w, coeff: BoundCoefficients, chan: ChannelParams,
+def sop_threshold(z_w, bob_factor: float, willie_factor: float, chan: ChannelParams,
                   target: SecrecyTarget):
     """Largest Zb that still avoids secrecy outage, given Willie at z_w.
 
-    threshold = eta*rho*A / (4^Rbar - 1 + 4^Rbar * eta*rho*B / z_w).
-    A nonpositive denominator (degenerate zero-target limits) maps to
-    +inf, meaning no Zb causes outage.
+    threshold = eta*rho*A / (4^Rbar - 1 + 4^Rbar * eta*rho*B / z_w), with
+    A = bob_factor and B = willie_factor.  A nonpositive denominator
+    (degenerate zero-target limits) maps to +inf, meaning no Zb causes
+    outage.
     """
     z = np.asarray(z_w, dtype=float)
     if np.any(z <= 0):
         raise ValueError("z_w must be positive")
     eta_rho = chan.eta * chan.rho
     fr = target.threshold
-    denom = (fr - 1.0) + fr * eta_rho * coeff.willie_factor / z
+    denom = (fr - 1.0) + fr * eta_rho * willie_factor / z
     safe = np.where(denom > 0, denom, 1.0)
-    return np.where(denom > 0, eta_rho * coeff.bob_factor / safe, np.inf)
+    return np.where(denom > 0, eta_rho * bob_factor / safe, np.inf)
 
 
 def _distributions(scenario: Scenario) -> tuple[ZbDistribution, ZwDistribution]:
@@ -120,8 +78,8 @@ def _distributions(scenario: Scenario) -> tuple[ZbDistribution, ZwDistribution]:
 
 
 def _piece_sum(rule: QuadratureRule, lo: float, width: float, f) -> float:
-    """Plain integral of f over [lo, lo + width] on the rule's endpoint-smoothed nodes."""
-    return width * integrate(rule.smooth, lambda x: f(lo + width * x))
+    """Plain integral of f over [lo, lo + width]."""
+    return width * integrate(rule, lambda x: f(lo + width * x))
 
 
 def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_z,
@@ -132,14 +90,12 @@ def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_z,
     sub-piece integrand is smooth up to corners at its ends.  A sub-piece
     (lo, hi) for which vanishes(lo, hi) holds adds nothing.  Cuts are kept
     as offsets from the piece start, so the widths add up to the exact
-    piece width 2 * scale even where d^2 dwarfs D^2.
+    piece width even where d^2 dwarfs D^2.
     """
     _, zw = _distributions(scenario)
-    pieces = willie_pieces(scenario.side_length, scenario.waveguide_height)
     branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
     sums = []
-    for piece, branch in zip(pieces, branches):
-        start, width = piece.offset - piece.scale, 2.0 * piece.scale
+    for (start, width), branch in zip(zw.pieces, branches):
         cuts = [0.0, *(k - start for k in kinks if 0.0 < k - start < width), width]
         total = 0.0
         for a, b in zip(cuts, cuts[1:]):
@@ -170,7 +126,7 @@ def _bob_sum(scenario: Scenario, rule: QuadratureRule, value_of_z) -> float:
         z = np.clip(lo + (y_max * x) ** 2, z_min, hi)
         return value_of_z(z) * zb.pdf(z) * (2.0 * np.sqrt(z - lo))
 
-    return y_max * integrate(rule.smooth, g)
+    return y_max * integrate(rule, g)
 
 
 def _outage_kinks(zb: ZbDistribution, a: float, b: float, c: float) -> list[float]:
@@ -185,66 +141,66 @@ def _outage_kinks(zb: ZbDistribution, a: float, b: float, c: float) -> list[floa
 
 
 def _no_outage_sums(scenario: Scenario, rule: QuadratureRule, threshold,
-                    kinks: list[float]) -> TermSums:
-    """F_Zb(threshold(z)) integrated over the Zw pieces, split at the kinks.
+                    kinks: list[float]) -> list[float]:
+    """[j, k, l]: F_Zb(threshold(z)) over the Zw pieces, split at the kinks.
 
     Between two kinks the threshold stays on one side of d^2, so a sub-piece
     whose midpoint threshold is <= d^2 has F_Zb = 0 throughout and is skipped.
     """
     zb, _ = _distributions(scenario)
     d2 = zb.support[0]
-    j, k, l = _willie_sums(scenario, rule, lambda z: zb.cdf(threshold(z)), kinks,
-                           vanishes=lambda lo, hi: threshold(0.5 * (lo + hi)) <= d2)
-    return TermSums(willie_piece1=j, willie_piece2=k, willie_piece3=l)
+    return _willie_sums(scenario, rule, lambda z: zb.cdf(threshold(z)), kinks,
+                        vanishes=lambda lo, hi: threshold(0.5 * (lo + hi)) <= d2)
 
 
 def sop_term_sums(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
-                  rule: QuadratureRule, coeff: BoundCoefficients) -> TermSums:
-    """No-outage mass F_Zb(threshold(z)) integrated over the Zw pieces."""
+                  rule: QuadratureRule, bob_factor: float,
+                  willie_factor: float) -> list[float]:
+    """[j, k, l]: no-outage mass F_Zb(threshold(z)) over the Zw pieces."""
     zb, _ = _distributions(scenario)
     eta_rho = chan.eta * chan.rho
     fr = target.threshold
-    kinks = _outage_kinks(zb, eta_rho * coeff.bob_factor, fr - 1.0,
-                          fr * eta_rho * coeff.willie_factor)
-    return _no_outage_sums(scenario, rule,
-                           lambda z: sop_threshold(z, coeff, chan, target), kinks)
+    kinks = _outage_kinks(zb, eta_rho * bob_factor, fr - 1.0, fr * eta_rho * willie_factor)
+    return _no_outage_sums(
+        scenario, rule,
+        lambda z: sop_threshold(z, bob_factor, willie_factor, chan, target), kinks)
 
 
 def sop_asymptotic_term_sums(scenario: Scenario, target: SecrecyTarget,
-                             rule: QuadratureRule, coeff: BoundCoefficients) -> TermSums:
-    """High-SNR limit: the threshold collapses to z * A / (4^Rbar * B)."""
+                             rule: QuadratureRule, bob_factor: float,
+                             willie_factor: float) -> list[float]:
+    """High-SNR limit: the threshold collapses to z * A / (4^Rbar * B).
+
+    With B = 0 Willie hears nothing and the threshold is +inf (no outage).
+    """
     zb, _ = _distributions(scenario)
     fr = target.threshold
-    factor = coeff.bob_factor / (fr * coeff.willie_factor)
-    kinks = _outage_kinks(zb, coeff.bob_factor, 0.0, fr * coeff.willie_factor)
+    factor = bob_factor / (fr * willie_factor) if willie_factor > 0 else math.inf
+    kinks = _outage_kinks(zb, bob_factor, 0.0, fr * willie_factor)
     return _no_outage_sums(scenario, rule, lambda z: z * factor, kinks)
 
 
-def esc_term_sums(scenario: Scenario, chan: ChannelParams,
-                  rule: QuadratureRule, coeff: BoundCoefficients) -> TermSums:
-    """Rate integrands for one ESC bound direction.
+def esc_term_sums(scenario: Scenario, chan: ChannelParams, rule: QuadratureRule,
+                  bob_factor: float, willie_factor: float) -> list[float]:
+    """[bob, j, k, l]: rate integrands for one ESC bound direction.
 
     bob: log2(1 + eta*rho*A/z) against the Zb density;
-    willie pieces: log2(1 + eta*rho*B/z) against the Zw branches.
+    j, k, l: log2(1 + eta*rho*B/z) against the Zw branches.
     """
     eta_rho = chan.eta * chan.rho
 
     def bob_rate(z):
-        return np.log2(1.0 + eta_rho * coeff.bob_factor / z)
+        return np.log2(1.0 + eta_rho * bob_factor / z)
 
     def willie_rate(z):
-        return np.log2(1.0 + eta_rho * coeff.willie_factor / z)
+        return np.log2(1.0 + eta_rho * willie_factor / z)
 
-    c = _bob_sum(scenario, rule, bob_rate)
-    j, k, l = _willie_sums(scenario, rule, willie_rate)
-    return TermSums(willie_piece1=j, willie_piece2=k, willie_piece3=l, bob=c)
+    return [_bob_sum(scenario, rule, bob_rate), *_willie_sums(scenario, rule, willie_rate)]
 
 
-def log2_moment_sums(scenario: Scenario, rule: QuadratureRule) -> TermSums:
-    """E[log2 Zb] (bob) and the per-piece parts of E[log2 Zw] (willie_*)."""
-    c = _bob_sum(scenario, rule, np.log2)
-    j, k, l = _willie_sums(scenario, rule, np.log2)
-    return TermSums(willie_piece1=j, willie_piece2=k, willie_piece3=l, bob=c)
+def log2_moment_sums(scenario: Scenario, rule: QuadratureRule) -> list[float]:
+    """[bob, j, k, l]: E[log2 Zb] and the per-piece parts of E[log2 Zw]."""
+    return [_bob_sum(scenario, rule, np.log2), *_willie_sums(scenario, rule, np.log2)]
 
 
 def _clamp_probability(value: float, label: str) -> float:
@@ -254,34 +210,40 @@ def _clamp_probability(value: float, label: str) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _sop_pair(term_sums, span: float, label: str) -> BoundPair:
+    """1 - (j + k + l) in the upper (span, 1) and the lower (1, span) direction."""
+    upper, lower = (1.0 - (j + k + l) for j, k, l in (term_sums(span, 1.0),
+                                                      term_sums(1.0, span)))
+    return BoundPair(lower=_clamp_probability(lower, f"{label} lower bound"),
+                     upper=_clamp_probability(upper, f"{label} upper bound"))
+
+
 def sop_bounds(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
                rule: QuadratureRule) -> BoundPair:
     """Secrecy outage probability bracket at the channel's rho."""
-    up_coeff, lo_coeff = sop_coefficients(scenario, chan)
-    upper = 1.0 - sop_term_sums(scenario, chan, target, rule, up_coeff).willie_total
-    lower = 1.0 - sop_term_sums(scenario, chan, target, rule, lo_coeff).willie_total
-    return BoundPair(lower=_clamp_probability(lower, "sop lower bound"),
-                     upper=_clamp_probability(upper, "sop upper bound"))
+    return _sop_pair(lambda b, w: sop_term_sums(scenario, chan, target, rule, b, w),
+                     attenuation_span(scenario, chan), "sop")
 
 
 def sop_asymptotic(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
                    rule: QuadratureRule) -> BoundPair:
     """High-SNR saturation levels of the SOP bracket; independent of rho."""
-    up_coeff, lo_coeff = sop_coefficients(scenario, chan)
-    upper = 1.0 - sop_asymptotic_term_sums(scenario, target, rule, up_coeff).willie_total
-    lower = 1.0 - sop_asymptotic_term_sums(scenario, target, rule, lo_coeff).willie_total
-    return BoundPair(lower=_clamp_probability(lower, "sop asymptotic lower bound"),
-                     upper=_clamp_probability(upper, "sop asymptotic upper bound"))
+    return _sop_pair(lambda b, w: sop_asymptotic_term_sums(scenario, target, rule, b, w),
+                     attenuation_span(scenario, chan), "sop asymptotic")
 
 
 def esc_bounds(scenario: Scenario, chan: ChannelParams,
                rule: QuadratureRule) -> BoundPair:
-    """Ergodic secrecy capacity bracket; the 1/2 pre-log is applied here."""
-    up_coeff, lo_coeff = esc_coefficients(scenario, chan)
-    up = esc_term_sums(scenario, chan, rule, up_coeff)
-    lo = esc_term_sums(scenario, chan, rule, lo_coeff)
-    return BoundPair(lower=0.5 * (lo.bob - lo.willie_total),
-                     upper=0.5 * (up.bob - up.willie_total))
+    """Ergodic secrecy capacity bracket; the 1/2 pre-log is applied here.
+
+    0.5 * (bob - (j + k + l)) in the upper (1, span) and the lower
+    (span, 1) direction.
+    """
+    span = attenuation_span(scenario, chan)
+    upper, lower = (0.5 * (c - (j + k + l)) for c, j, k, l in (
+        esc_term_sums(scenario, chan, rule, 1.0, span),
+        esc_term_sums(scenario, chan, rule, span, 1.0)))
+    return BoundPair(lower=lower, upper=upper)
 
 
 def esc_asymptotic(scenario: Scenario, chan: ChannelParams,
@@ -289,12 +251,13 @@ def esc_asymptotic(scenario: Scenario, chan: ChannelParams,
     """High-SNR ESC levels from the log2 distance moments.
 
     upper/lower = (1/2) * (E[log2 Zw] - E[log2 Zb] -/+ log2(exp(-2 alpha D))).
-    The log of the span is negative, so "minus" is the upper side.
+    The log of the span is negative, so "minus" is the upper side; it is
+    taken in the log domain, -2 alpha D / ln 2, so it stays finite where
+    the span itself underflows to 0.
     """
-    span = attenuation_span(scenario, chan)
-    ms = log2_moment_sums(scenario, rule)
-    gap = ms.willie_total - ms.bob
-    log_span = math.log2(span)
+    c, j, k, l = log2_moment_sums(scenario, rule)
+    gap = (j + k + l) - c
+    log_span = -2.0 * chan.attenuation * scenario.side_length / math.log(2.0)
     return BoundPair(lower=0.5 * (gap + log_span),
                      upper=0.5 * (gap - log_span))
 

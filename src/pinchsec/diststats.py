@@ -4,7 +4,9 @@ With users dropped uniformly on the room floor and the radiator pinned at
 Bob's x coordinate, the squared distance to Bob is Zb = y1^2 + d^2 and the
 squared distance to Willie is Zw = (x1 - x2)^2 + y2^2 + d^2.  Both admit
 closed-form piecewise PDFs/CDFs, implemented here together with exact
-geometric samplers and goodness-of-fit utilities.
+geometric samplers and goodness-of-fit utilities.  ZwDistribution also
+owns the layout of its three density pieces (`pieces`), over which the
+bounds integrate branch by branch.
 """
 
 from __future__ import annotations
@@ -94,6 +96,17 @@ class ZwDistribution:
         d2 = self.height ** 2
         D2 = self.side_length ** 2
         return (d2, d2 + 0.25 * D2, d2 + D2, d2 + 1.25 * D2)
+
+    @property
+    def pieces(self) -> tuple[tuple[float, float], ...]:
+        """(start, width) of the piece of each density branch, in branch order.
+
+        The widths D^2/4, 3 D^2/4 and D^2/4 are exact, so they add up to the
+        support width even where d^2 dwarfs D^2.
+        """
+        b0, b1, b2, _ = self.breakpoints
+        D2 = self.side_length ** 2
+        return ((b0, 0.25 * D2), (b1, 0.75 * D2), (b2, 0.25 * D2))
 
     # -- per-piece densities (no support masking; trig arguments clamped
     #    so breakpoint evaluations sitting on domain edges stay finite) --

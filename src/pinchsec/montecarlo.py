@@ -6,9 +6,10 @@ into fixed-size chunks; chunk k draws from a child stream spawned from
 (seed, k) and partial results are reduced in chunk order, so estimates
 are bit-identical for a given (seed, trials, chunk_size) at any worker
 count.  The positions depend neither on rho nor on the estimator, so
-`_mc_sweep` draws each chunk once and evaluates all four estimators at
-every grid point from it (paired PA-vs-FA comparisons are thus common
-random numbers); the public `mc_*` functions are its single-channel views.
+`_mc_sweep` draws each chunk once and evaluates the outage and the mean
+of each requested rate kernel (PA, FA or both) at every grid point from
+it (paired PA-vs-FA comparisons are thus common random numbers); the
+public `mc_*` functions are its single-channel, single-kernel views.
 """
 
 from __future__ import annotations
@@ -88,20 +89,22 @@ def _map_chunks(fn, cfg: McConfig, workers: int) -> list:
 
 
 def _mc_sweep(scenario: Scenario, chans, target: SecrecyTarget, cfg: McConfig,
-              workers: int = 1) -> list[tuple[McEstimate, McEstimate, McEstimate, McEstimate]]:
-    """(pa_sop, pa_esc, fa_sop, fa_esc) at every channel, from one pass over the chunks.
+              workers: int = 1, kernels=(pa_secrecy_rate, fa_secrecy_rate)
+              ) -> list[tuple[McEstimate, ...]]:
+    """(sop, esc) of each kernel, in kernel order, at every channel, from one pass.
 
-    Each chunk's positions are drawn once and reduced, per channel and
-    system, to an outage count, a rate sum and a squared-rate sum; those
-    scalars are added up in fixed chunk order.
+    With the default kernels a channel's tuple is (pa_sop, pa_esc, fa_sop,
+    fa_esc).  Each chunk's positions are drawn once and reduced, per
+    channel and kernel, to an outage count, a rate sum and a squared-rate
+    sum; those scalars are added up in fixed chunk order.
     """
     def chunk_sums(k):
         positions = _chunk_positions(scenario, cfg, k)
         return [(int(np.sum(rs < target.rate)), float(np.sum(rs)), float(np.sum(rs * rs)))
-                for chan in chans for rs in (pa_secrecy_rate(scenario, chan, *positions),
-                                             fa_secrecy_rate(scenario, chan, *positions))]
+                for chan in chans
+                for rs in (kernel(scenario, chan, *positions) for kernel in kernels)]
 
-    totals = [(0, 0.0, 0.0)] * (2 * len(chans))
+    totals = [(0, 0.0, 0.0)] * (len(kernels) * len(chans))
     for part in _map_chunks(chunk_sums, cfg, workers):  # fixed chunk order
         totals = [(c + dc, s + ds, s2 + ds2) for (c, s, s2), (dc, ds, ds2) in zip(totals, part)]
     n = cfg.trials
@@ -111,27 +114,28 @@ def _mc_sweep(scenario: Scenario, chans, target: SecrecyTarget, cfg: McConfig,
         var = max((s2 - s * s / n) / (n - 1), 0.0)
         estimates += [McEstimate(mean=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n),
                       McEstimate(mean=s / n, std_error=math.sqrt(var / n), trials=n)]
-    return [tuple(estimates[i:i + 4]) for i in range(0, len(estimates), 4)]
+    width = 2 * len(kernels)
+    return [tuple(estimates[i:i + width]) for i in range(0, len(estimates), width)]
 
 
 def mc_sop_pa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Fraction of placements whose exact secrecy rate falls below the target."""
-    return _mc_sweep(scenario, [chan], target, cfg, workers)[0][0]
+    return _mc_sweep(scenario, [chan], target, cfg, workers, (pa_secrecy_rate,))[0][0]
 
 
 def mc_esc_pa(scenario: Scenario, chan: ChannelParams,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Sample mean of the exact secrecy rate over random placements."""
-    return _mc_sweep(scenario, [chan], SecrecyTarget(), cfg, workers)[0][1]
+    return _mc_sweep(scenario, [chan], SecrecyTarget(), cfg, workers, (pa_secrecy_rate,))[0][1]
 
 
 def mc_sop_fa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Outage of the fixed-antenna baseline on the same position stream."""
-    return _mc_sweep(scenario, [chan], target, cfg, workers)[0][2]
+    return _mc_sweep(scenario, [chan], target, cfg, workers, (fa_secrecy_rate,))[0][0]
 
 
 def mc_esc_fa(scenario: Scenario, chan: ChannelParams,
               cfg: McConfig, workers: int = 1) -> McEstimate:
-    return _mc_sweep(scenario, [chan], SecrecyTarget(), cfg, workers)[0][3]
+    return _mc_sweep(scenario, [chan], SecrecyTarget(), cfg, workers, (fa_secrecy_rate,))[0][1]

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 import pinchsec as ps
-from pinchsec import bounds, quad
+from pinchsec import bounds
 
 SNR_GRID_DB = tuple(float(s) for s in range(-10, 55, 5))
 
@@ -52,11 +52,21 @@ def chan_at_fixture():
     return chan_at
 
 
+def sop_directions(scenario, chan):
+    """(upper, lower) (bob_factor, willie_factor) pairs of the outage bounds.
+
+    The capacity bounds use the same two pairs in reverse order.
+    """
+    span = bounds.attenuation_span(scenario, chan)
+    return ((span, 1.0), (1.0, span))
+
+
 # ---------------------------------------------------------------------------
 # adaptive-quadrature oracles, evaluated in z coordinates
 
 
-def _threshold_kinks(scenario, chan, target, coeff, lo, hi, asymptotic):
+def _threshold_kinks(scenario, chan, target, bob_factor, willie_factor, lo, hi,
+                     asymptotic):
     """z values where the no-outage CDF saturates at 0 or 1 inside (lo, hi).
 
     The outage threshold crosses a Zb support endpoint S where
@@ -69,13 +79,13 @@ def _threshold_kinks(scenario, chan, target, coeff, lo, hi, asymptotic):
     points = []
     for s in ends:
         if asymptotic:
-            z = s * fr * coeff.willie_factor / coeff.bob_factor
+            z = s * fr * willie_factor / bob_factor
         else:
             eta_rho = chan.eta * chan.rho
-            denom = eta_rho * coeff.bob_factor / s - fr + 1.0
+            denom = eta_rho * bob_factor / s - fr + 1.0
             if denom <= 0:
                 continue
-            z = fr * eta_rho * coeff.willie_factor / denom
+            z = fr * eta_rho * willie_factor / denom
         if lo < z < hi:
             points.append(z)
     return sorted(points)
@@ -87,25 +97,25 @@ def _quad(f, lo, hi, points=None):
     return value
 
 
-def sop_term_oracles(scenario, chan, target, coeff, asymptotic=False):
+def sop_term_oracles(scenario, chan, target, bob_factor, willie_factor, asymptotic=False):
     """The three Zw-piece no-outage integrals, adaptively in z."""
     zb = ps.ZbDistribution(scenario.side_length, scenario.waveguide_height)
     zw = ps.ZwDistribution(scenario.side_length, scenario.waveguide_height)
-    pieces = quad.willie_pieces(scenario.side_length, scenario.waveguide_height)
     branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
     if asymptotic:
-        factor = coeff.bob_factor / (target.threshold * coeff.willie_factor)
+        factor = bob_factor / (target.threshold * willie_factor)
 
         def thr(z):
             return z * factor
     else:
         def thr(z):
-            return float(bounds.sop_threshold(z, coeff, chan, target))
+            return float(bounds.sop_threshold(z, bob_factor, willie_factor, chan, target))
 
     out = []
-    for piece, branch in zip(pieces, branches):
-        lo, hi = piece.z_range
-        kinks = _threshold_kinks(scenario, chan, target, coeff, lo, hi, asymptotic)
+    for (lo, width), branch in zip(zw.pieces, branches):
+        hi = lo + width
+        kinks = _threshold_kinks(scenario, chan, target, bob_factor, willie_factor, lo, hi,
+                                 asymptotic)
 
         def f(z, branch=branch):
             return float(zb.cdf(thr(z))) * float(branch(z))
@@ -114,24 +124,22 @@ def sop_term_oracles(scenario, chan, target, coeff, asymptotic=False):
     return out
 
 
-def esc_term_oracles(scenario, chan, coeff):
+def esc_term_oracles(scenario, chan, bob_factor, willie_factor):
     """(bob, piece1, piece2, piece3) rate integrals, adaptively in z."""
     zb = ps.ZbDistribution(scenario.side_length, scenario.waveguide_height)
     zw = ps.ZwDistribution(scenario.side_length, scenario.waveguide_height)
     eta_rho = chan.eta * chan.rho
     lo, hi = zb.support
-    bob = _quad(lambda z: math.log2(1.0 + eta_rho * coeff.bob_factor / z) * float(zb.pdf(z)),
+    bob = _quad(lambda z: math.log2(1.0 + eta_rho * bob_factor / z) * float(zb.pdf(z)),
                 lo, hi)
     out = [bob]
     branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
-    for piece, branch in zip(quad.willie_pieces(scenario.side_length, scenario.waveguide_height),
-                             branches):
-        lo, hi = piece.z_range
+    for (lo, width), branch in zip(zw.pieces, branches):
 
         def f(z, branch=branch):
-            return math.log2(1.0 + eta_rho * coeff.willie_factor / z) * float(branch(z))
+            return math.log2(1.0 + eta_rho * willie_factor / z) * float(branch(z))
 
-        out.append(_quad(f, lo, hi))
+        out.append(_quad(f, lo, lo + width))
     return out
 
 
@@ -142,14 +150,12 @@ def log2_moment_oracles(scenario):
     lo, hi = zb.support
     out = [_quad(lambda z: math.log2(z) * float(zb.pdf(z)), lo, hi)]
     branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
-    for piece, branch in zip(quad.willie_pieces(scenario.side_length, scenario.waveguide_height),
-                             branches):
-        lo, hi = piece.z_range
+    for (lo, width), branch in zip(zw.pieces, branches):
 
         def f(z, branch=branch):
             return math.log2(z) * float(branch(z))
 
-        out.append(_quad(f, lo, hi))
+        out.append(_quad(f, lo, lo + width))
     return out
 
 

@@ -19,7 +19,7 @@ import pytest
 import pinchsec as ps
 from pinchsec import bounds, cli
 from conftest import (SNR_GRID_DB, chan_at, esc_term_oracles, pdf_mass_oracle,
-                      sop_term_oracles)
+                      sop_directions, sop_term_oracles)
 
 
 def _rel(a, b):
@@ -246,19 +246,17 @@ def test_criterion_7_quadrature_fidelity(scenario, target, rule_1000, rule_8000)
     chan = chan_at(1e8)
     rows = []  # (term name, refinement rel diff, oracle rel diff)
 
-    for direction, coeff in zip(("upper", "lower"), bounds.sop_coefficients(scenario, chan)):
-        fine = bounds.sop_term_sums(scenario, chan, target, rule_8000, coeff).as_tuple()[:3]
-        coarse = bounds.sop_term_sums(scenario, chan, target, rule_1000, coeff).as_tuple()[:3]
-        oracle = sop_term_oracles(scenario, chan, target, coeff)
+    for direction, factors in zip(("upper", "lower"), sop_directions(scenario, chan)):
+        fine = bounds.sop_term_sums(scenario, chan, target, rule_8000, *factors)
+        coarse = bounds.sop_term_sums(scenario, chan, target, rule_1000, *factors)
+        oracle = sop_term_oracles(scenario, chan, target, *factors)
         for name, c, f, o in zip("jkl", coarse, fine, oracle):
             rows.append((f"sop_{direction}_{name}", _rel(c, f), _rel(c, o)))
 
-    for direction, coeff in zip(("upper", "lower"), bounds.esc_coefficients(scenario, chan)):
-        sums_f = bounds.esc_term_sums(scenario, chan, rule_8000, coeff)
-        sums_c = bounds.esc_term_sums(scenario, chan, rule_1000, coeff)
-        fine = (sums_f.bob,) + sums_f.as_tuple()[:3]
-        coarse = (sums_c.bob,) + sums_c.as_tuple()[:3]
-        oracle = esc_term_oracles(scenario, chan, coeff)
+    for direction, factors in zip(("upper", "lower"), sop_directions(scenario, chan)[::-1]):
+        fine = bounds.esc_term_sums(scenario, chan, rule_8000, *factors)
+        coarse = bounds.esc_term_sums(scenario, chan, rule_1000, *factors)
+        oracle = esc_term_oracles(scenario, chan, *factors)
         for name, c, f, o in zip("cjkl", coarse, fine, oracle):
             rows.append((f"esc_{direction}_{name}", _rel(c, f), _rel(c, o)))
 

@@ -1,5 +1,7 @@
-"""The package's import surface matches what the README documents."""
+"""The package's import surface matches what the README documents, and the
+benchmark tracer finds every name it patches."""
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -23,3 +25,19 @@ def test_all_names_resolve():
 
 def test_all_matches_readme():
     assert set(pinchsec.__all__) == readme_library_names()
+
+
+def test_tracer_patch_points_resolve():
+    # the benchmark's tracer wraps callees where pinchsec looks them up; a
+    # refactor that unbinds one would silently zero its per-layer metrics
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+    assert pinchsec.bounds.integrate is pinchsec.quad.integrate

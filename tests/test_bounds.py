@@ -16,7 +16,7 @@ import pytest
 import pinchsec as ps
 from pinchsec import bounds
 from conftest import (SNR_GRID_DB, chan_at, esc_term_oracles,
-                      log2_moment_oracles, sop_term_oracles)
+                      log2_moment_oracles, sop_directions, sop_term_oracles)
 
 SPAN = math.exp(-0.5)  # exp(-2 * 0.01 * 25)
 
@@ -27,74 +27,93 @@ class TestCoefficients:
             0.6065306597126334, rel=1e-15)
         assert bounds.attenuation_span(scenario, chan_at(1e8, alpha=0.0)) == 1.0
 
-    def test_sop_pairs(self, scenario):
-        up, lo = bounds.sop_coefficients(scenario, chan_at(1e8))
-        assert (up.bob_factor, up.willie_factor) == (SPAN, 1.0)
-        assert (lo.bob_factor, lo.willie_factor) == (1.0, SPAN)
+    def test_sop_pairs(self, scenario, target, rule_1000, monkeypatch):
+        # (bob_factor, willie_factor) of the upper, then the lower direction
+        seen = []
+        term_sums = bounds.sop_term_sums
+        monkeypatch.setattr(bounds, "sop_term_sums",
+                            lambda *a: seen.append(a[-2:]) or term_sums(*a))
+        ps.sop_bounds(scenario, chan_at(1e8), target, rule_1000)
+        assert seen == [(SPAN, 1.0), (1.0, SPAN)]
+        assert sop_directions(scenario, chan_at(1e8)) == tuple(seen)
 
-    def test_esc_pairs(self, scenario):
-        up, lo = bounds.esc_coefficients(scenario, chan_at(1e8))
-        assert (up.bob_factor, up.willie_factor) == (1.0, SPAN)
-        assert (lo.bob_factor, lo.willie_factor) == (SPAN, 1.0)
+    def test_esc_pairs(self, scenario, rule_1000, monkeypatch):
+        seen = []
+        term_sums = bounds.esc_term_sums
+        monkeypatch.setattr(bounds, "esc_term_sums",
+                            lambda *a: seen.append(a[-2:]) or term_sums(*a))
+        ps.esc_bounds(scenario, chan_at(1e8), rule_1000)
+        assert seen == [(1.0, SPAN), (SPAN, 1.0)]
 
-    def test_factor_validation(self):
-        with pytest.raises(ValueError):
-            bounds.BoundCoefficients(bob_factor=0.0, willie_factor=1.0)
-        with pytest.raises(ValueError):
-            bounds.BoundCoefficients(bob_factor=1.0, willie_factor=1.5)
+    def test_underflowed_span_is_valid(self, scenario, target, rule_1000):
+        # alpha * D = 500: exp(-1000) is 0.0, yet the model is well defined
+        chan = chan_at(1e8, alpha=20.0)
+        assert bounds.attenuation_span(scenario, chan) == 0.0
+        for pair in (ps.sop_bounds(scenario, chan, target, rule_1000),
+                     ps.sop_asymptotic(scenario, chan, target, rule_1000),
+                     ps.esc_bounds(scenario, chan, rule_1000),
+                     ps.esc_asymptotic(scenario, chan, rule_1000)):
+            assert math.isfinite(pair.lower) and math.isfinite(pair.upper)
+            assert pair.lower <= pair.upper
+        # a deaf Willie (factor 0) leaves no high-SNR outage threshold
+        assert ps.sop_asymptotic(scenario, chan, target, rule_1000).upper == 1.0
+        sums = bounds.sop_asymptotic_term_sums(scenario, target, rule_1000, 1.0, 0.0)
+        assert sum(sums) == pytest.approx(1.0, abs=1e-11)
+        # log2 of the span in the log domain: -2 alpha D / ln 2
+        assert ps.esc_asymptotic(scenario, chan, rule_1000).width == pytest.approx(
+            1000.0 / math.log(2.0), rel=1e-12)
 
 
 class TestSopThreshold:
     def test_reference_values(self, scenario, target):
         chan = chan_at(1e8)
-        up, lo = bounds.sop_coefficients(scenario, chan)
+        up, lo = sop_directions(scenario, chan)
         z = 165.25
         fr = 4.0 ** 0.01
-        for coeff, frozen in ((up, 98.4557479348137), (lo, 266.94101014423063)):
-            want = (chan.eta * 1e8 * coeff.bob_factor
-                    / (fr - 1.0 + fr * chan.eta * 1e8 * coeff.willie_factor / z))
-            got = float(bounds.sop_threshold(z, coeff, chan, target))
+        for (bob, willie), frozen in ((up, 98.4557479348137), (lo, 266.94101014423063)):
+            want = (chan.eta * 1e8 * bob
+                    / (fr - 1.0 + fr * chan.eta * 1e8 * willie / z))
+            got = float(bounds.sop_threshold(z, bob, willie, chan, target))
             assert got == pytest.approx(want, rel=1e-15)
             assert got == pytest.approx(frozen, rel=1e-13)
 
     def test_vectorized(self, scenario, target):
         chan = chan_at(1e8)
-        up, _ = bounds.sop_coefficients(scenario, chan)
+        up, _ = sop_directions(scenario, chan)
         z = np.array([9.0, 100.0, 790.25])
-        thr = bounds.sop_threshold(z, up, chan, target)
+        thr = bounds.sop_threshold(z, *up, chan, target)
         assert thr.shape == (3,)
         assert np.all(np.diff(thr) > 0)  # farther Willie, looser threshold
 
     def test_zero_attenuation_pairs_coincide(self, scenario, target):
         chan = chan_at(1e8, alpha=0.0)
-        up, lo = bounds.sop_coefficients(scenario, chan)
+        up, lo = sop_directions(scenario, chan)
         z = np.linspace(9.0, 790.25, 50)
-        np.testing.assert_array_equal(bounds.sop_threshold(z, up, chan, target),
-                                      bounds.sop_threshold(z, lo, chan, target))
+        np.testing.assert_array_equal(bounds.sop_threshold(z, *up, chan, target),
+                                      bounds.sop_threshold(z, *lo, chan, target))
 
     def test_high_snr_scaling(self, scenario, target):
         chan = chan_at(1e18)
-        up, lo = bounds.sop_coefficients(scenario, chan)
         fr = 4.0 ** 0.01
-        for coeff in (up, lo):
+        for bob, willie in sop_directions(scenario, chan):
             for z in (9.0, 165.25, 790.25):
-                want = z * coeff.bob_factor / (fr * coeff.willie_factor)
-                assert float(bounds.sop_threshold(z, coeff, chan, target)) == pytest.approx(
+                want = z * bob / (fr * willie)
+                assert float(bounds.sop_threshold(z, bob, willie, chan, target)) == pytest.approx(
                     want, rel=1e-10)
 
     def test_rejects_nonpositive_z(self, scenario, target):
         chan = chan_at(1e8)
-        up, _ = bounds.sop_coefficients(scenario, chan)
+        up, _ = sop_directions(scenario, chan)
         with pytest.raises(ValueError):
-            bounds.sop_threshold(0.0, up, chan, target)
+            bounds.sop_threshold(0.0, *up, chan, target)
         with pytest.raises(ValueError):
-            bounds.sop_threshold(np.array([10.0, -1.0]), up, chan, target)
+            bounds.sop_threshold(np.array([10.0, -1.0]), *up, chan, target)
 
     def test_degenerate_denominator_gives_inf(self, scenario):
         # zero target rate with an infinitely distant Willie: no outage
         chan = chan_at(1e8)
-        up, _ = bounds.sop_coefficients(scenario, chan)
-        got = bounds.sop_threshold(np.inf, up, chan, ps.SecrecyTarget(rate=0.0))
+        up, _ = sop_directions(scenario, chan)
+        got = bounds.sop_threshold(np.inf, *up, chan, ps.SecrecyTarget(rate=0.0))
         assert float(got) == np.inf
 
 
@@ -103,14 +122,13 @@ class TestOutageKinks:
         chan = chan_at(1e8)
         fr = target.threshold
         eta_rho = chan.eta * chan.rho
-        for coeff in bounds.sop_coefficients(scenario, chan):
-            finite = bounds._outage_kinks(zb_dist, eta_rho * coeff.bob_factor, fr - 1.0,
-                                          fr * eta_rho * coeff.willie_factor)
-            asym = bounds._outage_kinks(zb_dist, coeff.bob_factor, 0.0,
-                                        fr * coeff.willie_factor)
+        for bob, willie in sop_directions(scenario, chan):
+            finite = bounds._outage_kinks(zb_dist, eta_rho * bob, fr - 1.0,
+                                          fr * eta_rho * willie)
+            asym = bounds._outage_kinks(zb_dist, bob, 0.0, fr * willie)
             assert len(finite) == 2 and len(asym) == 2
-            thr_finite = bounds.sop_threshold(np.array(finite), coeff, chan, target)
-            thr_asym = np.array(asym) * coeff.bob_factor / (fr * coeff.willie_factor)
+            thr_finite = bounds.sop_threshold(np.array(finite), bob, willie, chan, target)
+            thr_asym = np.array(asym) * bob / (fr * willie)
             np.testing.assert_allclose(thr_finite, zb_dist.support, rtol=1e-12)
             np.testing.assert_allclose(thr_asym, zb_dist.support, rtol=1e-12)
 
@@ -127,9 +145,9 @@ class TestOutageKinks:
         monkeypatch.setattr(bounds, "integrate",
                             lambda rule, g: calls.append(rule) or integrate(rule, g))
         chan = chan_at(1e4)
-        for coeff in bounds.sop_coefficients(scenario, chan):
-            sums = bounds.sop_term_sums(scenario, chan, target, rule_1000, coeff)
-            assert sums.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        for direction in sop_directions(scenario, chan):
+            sums = bounds.sop_term_sums(scenario, chan, target, rule_1000, *direction)
+            assert sums == [0.0, 0.0, 0.0]
         assert calls == []
         pair = ps.sop_bounds(scenario, chan, target, rule_1000)
         assert (pair.lower, pair.upper) == (1.0, 1.0)
@@ -139,7 +157,7 @@ class TestSopBounds:
     def test_reference_point(self, scenario, target, rule_1000):
         pair = ps.sop_bounds(scenario, chan_at(1e8), target, rule_1000)
         # 1 - sum(sop_term_oracles(...)) for the lower and the upper
-        # coefficient pair of sop_coefficients
+        # direction of sop_directions
         assert pair.lower == pytest.approx(0.12810884315380378, rel=1e-10)
         assert pair.upper == pytest.approx(0.3579206851684762, rel=1e-10)
 
@@ -171,24 +189,23 @@ class TestSopBounds:
 
     def test_term_sums_reference(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
-        up, lo = bounds.sop_coefficients(scenario, chan)
-        got_up = bounds.sop_term_sums(scenario, chan, target, rule_8000, up)
-        got_lo = bounds.sop_term_sums(scenario, chan, target, rule_8000, lo)
-        # sop_term_oracles(scenario, chan, target, coeff) for each pair
+        up, lo = sop_directions(scenario, chan)
+        got_up = bounds.sop_term_sums(scenario, chan, target, rule_8000, *up)
+        got_lo = bounds.sop_term_sums(scenario, chan, target, rule_8000, *lo)
+        # sop_term_oracles(scenario, chan, target, *direction) for each direction
         np.testing.assert_allclose(
-            got_up.as_tuple()[:3],
+            got_up,
             [0.2884738515657313, 0.3501617515801622, 0.003443711685630247], rtol=1e-10)
         np.testing.assert_allclose(
-            got_lo.as_tuple()[:3],
+            got_lo,
             [0.49062265357697776, 0.3778247915835881, 0.003443711685630247], rtol=1e-10)
-        assert got_up.bob == 0.0 and got_lo.bob == 0.0
 
     def test_term_sums_against_adaptive_oracle(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
-        for coeff in bounds.sop_coefficients(scenario, chan):
-            got = bounds.sop_term_sums(scenario, chan, target, rule_8000, coeff)
-            want = sop_term_oracles(scenario, chan, target, coeff)
-            np.testing.assert_allclose(got.as_tuple()[:3], want, rtol=1e-7)
+        for direction in sop_directions(scenario, chan):
+            got = bounds.sop_term_sums(scenario, chan, target, rule_8000, *direction)
+            want = sop_term_oracles(scenario, chan, target, *direction)
+            np.testing.assert_allclose(got, want, rtol=1e-7)
 
 
 class TestSopAsymptotic:
@@ -196,7 +213,7 @@ class TestSopAsymptotic:
         chan = chan_at(1e8)
         pair = ps.sop_asymptotic(scenario, chan, target, rule_1000)
         # 1 - sum(sop_term_oracles(..., asymptotic=True)) for the lower and
-        # the upper coefficient pair of sop_coefficients
+        # the upper direction of sop_directions
         assert pair.lower == pytest.approx(0.1277505911592247, rel=1e-10)
         assert pair.upper == pytest.approx(0.3570016314035447, rel=1e-10)
 
@@ -218,17 +235,17 @@ class TestSopAsymptotic:
 
     def test_oracle_agreement(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
-        for coeff in bounds.sop_coefficients(scenario, chan):
-            got = bounds.sop_asymptotic_term_sums(scenario, target, rule_8000, coeff)
-            want = sop_term_oracles(scenario, chan, target, coeff, asymptotic=True)
-            np.testing.assert_allclose(got.as_tuple()[:3], want, rtol=1e-7)
+        for direction in sop_directions(scenario, chan):
+            got = bounds.sop_asymptotic_term_sums(scenario, target, rule_8000, *direction)
+            want = sop_term_oracles(scenario, chan, target, *direction, asymptotic=True)
+            np.testing.assert_allclose(got, want, rtol=1e-7)
 
 
 class TestEscBounds:
     def test_reference_point(self, scenario, rule_1000):
         pair = ps.esc_bounds(scenario, chan_at(1e8), rule_1000)
         # (bob - piece1 - piece2 - piece3) / 2 of esc_term_oracles(...) for
-        # the lower and the upper coefficient pair of esc_coefficients
+        # the lower and the upper direction (sop_directions reversed)
         assert pair.lower == pytest.approx(0.30282340510406547, rel=1e-10)
         assert pair.upper == pytest.approx(0.8952325224923363, rel=1e-10)
 
@@ -252,25 +269,25 @@ class TestEscBounds:
 
     def test_term_sums_reference(self, scenario, rule_8000):
         chan = chan_at(1e8)
-        up, lo = bounds.esc_coefficients(scenario, chan)
-        got_up = bounds.esc_term_sums(scenario, chan, rule_8000, up)
-        got_lo = bounds.esc_term_sums(scenario, chan, rule_8000, lo)
-        # esc_term_oracles(scenario, chan, coeff) for each pair
+        lo, up = sop_directions(scenario, chan)
+        got_up = bounds.esc_term_sums(scenario, chan, rule_8000, *up)
+        got_lo = bounds.esc_term_sums(scenario, chan, rule_8000, *lo)
+        # esc_term_oracles(scenario, chan, *direction) for each direction
         np.testing.assert_allclose(
-            (got_up.bob,) + got_up.as_tuple()[:3],
+            got_up,
             [3.888118980972693, 1.6464170954142006, 0.4491709079623515,
              0.0020659326114681824], rtol=1e-10)
         np.testing.assert_allclose(
-            (got_lo.bob,) + got_lo.as_tuple()[:3],
+            got_lo,
             [3.2494428320837816, 2.0248328335930883, 0.615906717549532,
              0.00305647073303006], rtol=1e-10)
 
     def test_term_sums_against_adaptive_oracle(self, scenario, rule_8000):
         chan = chan_at(1e8)
-        for coeff in bounds.esc_coefficients(scenario, chan):
-            got = bounds.esc_term_sums(scenario, chan, rule_8000, coeff)
-            want = esc_term_oracles(scenario, chan, coeff)
-            np.testing.assert_allclose((got.bob,) + got.as_tuple()[:3], want, rtol=1e-7)
+        for direction in sop_directions(scenario, chan)[::-1]:
+            got = bounds.esc_term_sums(scenario, chan, rule_8000, *direction)
+            want = esc_term_oracles(scenario, chan, *direction)
+            np.testing.assert_allclose(got, want, rtol=1e-7)
 
 
 class TestEscAsymptotic:
@@ -303,10 +320,10 @@ class TestEscAsymptotic:
         assert abs(finite.upper - asym.upper) < 1e-2
 
     def test_moment_sums_against_oracle(self, scenario, rule_1000):
-        got = bounds.log2_moment_sums(scenario, rule_1000)
+        bob, j, k, l = bounds.log2_moment_sums(scenario, rule_1000)
         want_bob, want_j, want_k, want_l = log2_moment_oracles(scenario)
-        assert got.bob == pytest.approx(want_bob, rel=1e-6)
-        assert got.willie_total == pytest.approx(want_j + want_k + want_l, rel=1e-6)
+        assert bob == pytest.approx(want_bob, rel=1e-6)
+        assert j + k + l == pytest.approx(want_j + want_k + want_l, rel=1e-6)
 
 
 class TestHighSnrEstimators:

@@ -169,13 +169,31 @@ class TestRunSweep:
         assert len(records) == 3
 
     def test_bound_rejection_precedes_mc(self, monkeypatch):
-        # alpha * D this large underflows the worst-case attenuation factor
         def no_draws(*args):
             raise AssertionError("positions drawn for a config the bounds reject")
 
+        def rejecting_bounds(*args):
+            raise ValueError("bounds reject this config")
+
         monkeypatch.setattr(montecarlo, "_draw_positions", no_draws)
-        with pytest.raises(ValueError, match="attenuation factors"):
-            cli.run_sweep(cli.config_from_dict(fast_dict(attenuation_alpha=20.0)))
+        monkeypatch.setattr(cli, "sop_bounds", rejecting_bounds)
+        with pytest.raises(ValueError, match="bounds reject"):
+            cli.run_sweep(cli.config_from_dict(fast_dict()))
+
+    @pytest.mark.parametrize("extra", [{"attenuation_alpha": 20.0},
+                                       {"side_length_D": 1e6}])
+    def test_underflowed_span_sweeps(self, extra):
+        # alpha * D >= 500 underflows exp(-2 alpha D) to 0.0; the model,
+        # and with it every bracket, stays well defined
+        records = cli.run_sweep(cli.config_from_dict(fast_dict(
+            snr_db_grid=[0.0, 40.0, 80.0], **extra)))
+        assert len(records) == 3
+        for r in records:
+            assert all(math.isfinite(v) for v in dataclasses.astuple(r))
+            assert r.sop_lb <= r.sop_ub and r.sop_asym_lb <= r.sop_asym_ub
+            assert r.esc_lb <= r.esc_ub and r.esc_asym_lb <= r.esc_asym_ub
+            assert r.sop_lb - 3.0 * r.sop_mc_se <= r.sop_mc <= r.sop_ub + 3.0 * r.sop_mc_se
+            assert r.esc_lb - 3.0 * r.esc_mc_se <= r.esc_mc <= r.esc_ub + 3.0 * r.esc_mc_se
 
     def test_zero_attenuation_collapses_columns(self):
         cfg = cli.config_from_dict(fast_dict(attenuation_alpha=0.0))

@@ -83,6 +83,11 @@ class TestZwDistribution:
         assert zw_dist.breakpoints == (9.0, 165.25, 634.0, 790.25)
         assert zw_dist.support == (9.0, 790.25)
 
+    def test_pieces_tile_support(self, zw_dist):
+        # (start, width) per density branch; exact widths D^2/4, 3 D^2/4, D^2/4
+        assert zw_dist.pieces == ((9.0, 156.25), (165.25, 468.75), (634.0, 156.25))
+        assert [lo + w for lo, w in zw_dist.pieces] == list(zw_dist.breakpoints[1:])
+
     def test_pdf_first_branch_value(self, zw_dist):
         # pi/D^2 - 2 sqrt(u)/D^3 with u = z - d^2
         z = 9.0 + 625.0 / 8.0

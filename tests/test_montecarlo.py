@@ -78,6 +78,16 @@ class TestReproducibility:
             for chan, estimates in zip(chans, grid):
                 assert estimates == tuple(view(chan, 1) for view in views)
 
+    def test_views_evaluate_only_their_kernel(self, scenario, target, monkeypatch):
+        # each PA secrecy rate is two link rates; the FA kernel is not run
+        calls = []
+        los_rate = montecarlo.los_rate
+        monkeypatch.setattr(montecarlo, "los_rate",
+                            lambda *args: calls.append(1) or los_rate(*args))
+        cfg = small_cfg()
+        ps.mc_sop_pa(scenario, chan_at(1e4), target, cfg)
+        assert len(calls) == 2 * cfg.n_chunks
+
     def test_seed_changes_result(self, scenario, target):
         chan = chan_at(1e8)
         a = ps.mc_sop_pa(scenario, chan, target, small_cfg(seed=1))
