@@ -9,14 +9,16 @@ is the plain pair (bob_factor, willie_factor): for the outage the upper
 bound is (span, 1) and the lower (1, span); the capacity uses the reverse
 pairs.  A span that underflows to 0 (alpha*D beyond about 372) is valid.
 
-The term sums are plain integrals in z on the endpoint-smoothed rule of
-quad.py, returned per piece: [j, k, l] over the three Zw density pieces,
-preceded by the Zb term where there is one.  The outage integrand
-F_Zb(threshold(z)) has kinks where the threshold reaches an end of Zb's
-support; each Zw piece is split there, and sub-pieces on which outage is
-certain are skipped.  The Zb density's 1/sqrt pole at d^2 is removed by
-integrating over Bob's offset y instead of z.  At n nodes per sub-piece
-the error falls as n^-4 (about 1e-12 relative at the default n = 1000).
+The term sums are plain integrals over the distance offsets u = z - d^2
+of diststats.py, on the endpoint-smoothed rule of quad.py, returned per
+piece: [j, k, l] over the three Zw density pieces, preceded by the Zb term
+where there is one.  d^2 enters only where a rate or the outage threshold
+is formed from z = d^2 + u.  The outage integrand F_Zb(threshold(u)) has
+kinks where the threshold reaches an end of Zb's support; each Zw piece is
+split there, and sub-pieces on which outage is certain are skipped.  The
+Zb density's 1/sqrt pole at u = 0 is removed by integrating over Bob's
+offset y = sqrt(u) instead.  At n nodes per sub-piece the error falls as
+n^-4 (about 1e-12 relative at the default n = 1000).
 
 Both metrics saturate at high SNR (the same loss and geometry face Bob
 and Willie), so the diversity order and high-SNR slope are zero; the
@@ -73,8 +75,7 @@ def sop_threshold(z_w, bob_factor: float, willie_factor: float, chan: ChannelPar
 
 
 def _distributions(scenario: Scenario) -> tuple[ZbDistribution, ZwDistribution]:
-    return (ZbDistribution(scenario.side_length, scenario.waveguide_height),
-            ZwDistribution(scenario.side_length, scenario.waveguide_height))
+    return ZbDistribution(scenario.side_length), ZwDistribution(scenario.side_length)
 
 
 def _piece_sum(rule: QuadratureRule, lo: float, width: float, f) -> float:
@@ -82,88 +83,84 @@ def _piece_sum(rule: QuadratureRule, lo: float, width: float, f) -> float:
     return width * integrate(rule, lambda x: f(lo + width * x))
 
 
-def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_z,
+def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_u,
                  kinks=(), vanishes=None) -> list[float]:
-    """Integrate value_of_z(z) against each Zw density branch over its piece.
+    """Integrate value_of_u(u) against each Zw density branch over its piece.
 
-    Each piece is split at the sorted `kinks` inside it, so that every
-    sub-piece integrand is smooth up to corners at its ends.  A sub-piece
-    (lo, hi) for which vanishes(lo, hi) holds adds nothing.  Cuts are kept
-    as offsets from the piece start, so the widths add up to the exact
-    piece width even where d^2 dwarfs D^2.
+    Each piece is split at the sorted offsets `kinks` inside it, so that
+    every sub-piece integrand is smooth up to corners at its ends.  A
+    sub-piece (lo, hi) for which vanishes(lo, hi) holds adds nothing.
     """
     _, zw = _distributions(scenario)
     branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
     sums = []
     for (start, width), branch in zip(zw.pieces, branches):
-        cuts = [0.0, *(k - start for k in kinks if 0.0 < k - start < width), width]
+        cuts = [start, *(k for k in kinks if start < k < start + width), start + width]
         total = 0.0
         for a, b in zip(cuts, cuts[1:]):
-            if vanishes is None or not vanishes(start + a, start + b):
-                total += _piece_sum(rule, start + a, b - a,
-                                    lambda z, branch=branch: value_of_z(z) * branch(z))
+            if vanishes is None or not vanishes(a, b):
+                total += _piece_sum(rule, a, b - a,
+                                    lambda u, branch=branch: value_of_u(u) * branch(u))
         sums.append(total)
     return sums
 
 
-def _bob_sum(scenario: Scenario, rule: QuadratureRule, value_of_z) -> float:
-    """Integrate value_of_z(z) against the Zb density, over Bob's offset y.
+def _bob_sum(scenario: Scenario, rule: QuadratureRule, value_of_u) -> float:
+    """Integrate value_of_u(u) against the Zb density, over Bob's offset y.
 
-    z = d^2 + y^2 with y in [0, D/2] turns pdf(z) dz into (2/D) dy, which
-    cancels the density's 1/sqrt(z - d^2) pole.  The density is still
-    evaluated, so a normalization check of it stays a check.  Near the pole
-    y^2 falls below the spacing of floats at d^2, so every node is moved to
-    a float above d^2 and dz/dy = 2y is taken as 2 sqrt(z - d^2) of z as
-    represented; pdf's floor sentinel is never reached and the product
-    pdf(z) * dz/dy stays 2/D at every node.
+    u = y^2 with y in [0, D/2] turns pdf(u) du into (2/D) dy, which cancels
+    the density's 1/sqrt(u) pole.  The density is still evaluated, so a
+    normalization check of it stays a check.
     """
     zb, _ = _distributions(scenario)
-    lo, hi = zb.support
     y_max = 0.5 * scenario.side_length
-    z_min = np.nextafter(lo, hi)
 
     def g(x):
-        z = np.clip(lo + (y_max * x) ** 2, z_min, hi)
-        return value_of_z(z) * zb.pdf(z) * (2.0 * np.sqrt(z - lo))
+        y = y_max * x
+        return value_of_u(y * y) * zb.pdf(y * y) * (2.0 * y)
 
     return y_max * integrate(rule, g)
 
 
-def _outage_kinks(zb: ZbDistribution, a: float, b: float, c: float) -> list[float]:
-    """Sorted z at which the threshold a / (b + c/z) reaches an end of Zb's support.
+def _outage_kinks(scenario: Scenario, a: float, b: float, c: float) -> list[float]:
+    """Sorted u at which the threshold a / (b + c/(d^2 + u)) - d^2 reaches an
+    end of Zb's support.
 
-    There F_Zb(threshold(z)) saturates at 0 or 1.  Both threshold forms fit
+    There F_Zb(threshold) saturates at 0 or 1.  Both threshold forms fit
     the pattern: at finite rho a = eta*rho*A, b = 4^Rbar - 1 and
     c = 4^Rbar*eta*rho*B; in the high-SNR limit a = A, b = 0, c = 4^Rbar*B.
-    The threshold increases with z, so an end S is reached only if a/S > b.
+    The threshold increases with u, so an end S is reached only if
+    a/(d^2 + S) > b.
     """
-    return sorted(c / (a / s - b) for s in zb.support if a / s > b)
+    zb, _ = _distributions(scenario)
+    d2 = scenario.waveguide_height ** 2
+    return sorted(c / (a / (d2 + s) - b) - d2 for s in zb.support if a / (d2 + s) > b)
 
 
 def _no_outage_sums(scenario: Scenario, rule: QuadratureRule, threshold,
                     kinks: list[float]) -> list[float]:
-    """[j, k, l]: F_Zb(threshold(z)) over the Zw pieces, split at the kinks.
+    """[j, k, l]: F_Zb(threshold(u)) over the Zw pieces, split at the kinks.
 
-    Between two kinks the threshold stays on one side of d^2, so a sub-piece
-    whose midpoint threshold is <= d^2 has F_Zb = 0 throughout and is skipped.
+    Between two kinks the threshold stays on one side of 0, so a sub-piece
+    whose midpoint threshold is <= 0 has F_Zb = 0 throughout and is skipped.
     """
     zb, _ = _distributions(scenario)
-    d2 = zb.support[0]
-    return _willie_sums(scenario, rule, lambda z: zb.cdf(threshold(z)), kinks,
-                        vanishes=lambda lo, hi: threshold(0.5 * (lo + hi)) <= d2)
+    return _willie_sums(scenario, rule, lambda u: zb.cdf(threshold(u)), kinks,
+                        vanishes=lambda lo, hi: threshold(0.5 * (lo + hi)) <= 0.0)
 
 
 def sop_term_sums(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
                   rule: QuadratureRule, bob_factor: float,
                   willie_factor: float) -> list[float]:
-    """[j, k, l]: no-outage mass F_Zb(threshold(z)) over the Zw pieces."""
-    zb, _ = _distributions(scenario)
+    """[j, k, l]: no-outage mass F_Zb(threshold) over the Zw pieces."""
+    d2 = scenario.waveguide_height ** 2
     eta_rho = chan.eta * chan.rho
     fr = target.threshold
-    kinks = _outage_kinks(zb, eta_rho * bob_factor, fr - 1.0, fr * eta_rho * willie_factor)
+    kinks = _outage_kinks(scenario, eta_rho * bob_factor, fr - 1.0,
+                          fr * eta_rho * willie_factor)
     return _no_outage_sums(
         scenario, rule,
-        lambda z: sop_threshold(z, bob_factor, willie_factor, chan, target), kinks)
+        lambda u: sop_threshold(d2 + u, bob_factor, willie_factor, chan, target) - d2, kinks)
 
 
 def sop_asymptotic_term_sums(scenario: Scenario, target: SecrecyTarget,
@@ -173,34 +170,40 @@ def sop_asymptotic_term_sums(scenario: Scenario, target: SecrecyTarget,
 
     With B = 0 Willie hears nothing and the threshold is +inf (no outage).
     """
-    zb, _ = _distributions(scenario)
+    d2 = scenario.waveguide_height ** 2
     fr = target.threshold
     factor = bob_factor / (fr * willie_factor) if willie_factor > 0 else math.inf
-    kinks = _outage_kinks(zb, bob_factor, 0.0, fr * willie_factor)
-    return _no_outage_sums(scenario, rule, lambda z: z * factor, kinks)
+    kinks = _outage_kinks(scenario, bob_factor, 0.0, fr * willie_factor)
+    return _no_outage_sums(scenario, rule, lambda u: (d2 + u) * factor - d2, kinks)
 
 
 def esc_term_sums(scenario: Scenario, chan: ChannelParams, rule: QuadratureRule,
                   bob_factor: float, willie_factor: float) -> list[float]:
     """[bob, j, k, l]: rate integrands for one ESC bound direction.
 
-    bob: log2(1 + eta*rho*A/z) against the Zb density;
-    j, k, l: log2(1 + eta*rho*B/z) against the Zw branches.
+    bob: log2(1 + eta*rho*A/(d^2 + u)) against the Zb density;
+    j, k, l: log2(1 + eta*rho*B/(d^2 + u)) against the Zw branches.
     """
+    d2 = scenario.waveguide_height ** 2
     eta_rho = chan.eta * chan.rho
 
-    def bob_rate(z):
-        return np.log2(1.0 + eta_rho * bob_factor / z)
+    def bob_rate(u):
+        return np.log2(1.0 + eta_rho * bob_factor / (d2 + u))
 
-    def willie_rate(z):
-        return np.log2(1.0 + eta_rho * willie_factor / z)
+    def willie_rate(u):
+        return np.log2(1.0 + eta_rho * willie_factor / (d2 + u))
 
     return [_bob_sum(scenario, rule, bob_rate), *_willie_sums(scenario, rule, willie_rate)]
 
 
 def log2_moment_sums(scenario: Scenario, rule: QuadratureRule) -> list[float]:
     """[bob, j, k, l]: E[log2 Zb] and the per-piece parts of E[log2 Zw]."""
-    return [_bob_sum(scenario, rule, np.log2), *_willie_sums(scenario, rule, np.log2)]
+    d2 = scenario.waveguide_height ** 2
+
+    def log2_z(u):
+        return np.log2(d2 + u)
+
+    return [_bob_sum(scenario, rule, log2_z), *_willie_sums(scenario, rule, log2_z)]
 
 
 def _clamp_probability(value: float, label: str) -> float:

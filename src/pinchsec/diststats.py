@@ -1,8 +1,12 @@
-"""Distributions of the squared radiator-to-user distances.
+"""Distributions of the squared radiator-to-user distances, as offsets from d^2.
 
 With users dropped uniformly on the room floor and the radiator pinned at
-Bob's x coordinate, the squared distance to Bob is Zb = y1^2 + d^2 and the
-squared distance to Willie is Zw = (x1 - x2)^2 + y2^2 + d^2.  Both admit
+Bob's x coordinate, the squared distance to Bob is Zb = d^2 + y1^2 and the
+squared distance to Willie is Zw = d^2 + (x1 - x2)^2 + y2^2.  Only the
+offsets u = Z - d^2 are random, and they depend on the side length D
+alone, so both classes describe u: every pdf, cdf, quantile, support,
+breakpoint and sample here is in u, on [0, D^2/4] for Bob and [0, 5 D^2/4]
+for Willie.  Callers add d^2 where they form a distance.  Both admit
 closed-form piecewise PDFs/CDFs, implemented here together with exact
 geometric samplers and goodness-of-fit utilities.  ZwDistribution also
 owns the layout of its three density pieces (`pieces`), over which the
@@ -15,170 +19,136 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Floor for z - d^2 so the Zb density stays finite at the support start.
-# Quadrature nodes and test grids never evaluate there; the returned
-# sentinel is merely a large finite stand-in for the integrable pole.
-_U_FLOOR = 1e-300
-
-
 @dataclass(frozen=True)
 class ZbDistribution:
-    """Squared distance to Bob: support [d^2, d^2 + D^2/4].
+    """Offset of the squared distance to Bob: u = Zb - d^2 = y1^2 on [0, D^2/4].
 
-    pdf(z) = 1 / (D * sqrt(z - d^2)) inside the support, 0 outside;
-    cdf(z) = (2/D) * sqrt(z - d^2), clamped to [0, 1].
+    pdf(u) = 1 / (D * sqrt(u)) inside the support (+inf at the integrable
+    pole u = 0), 0 outside; cdf(u) = (2/D) * sqrt(u), clamped to [0, 1].
     """
 
     side_length: float = 25.0
-    height: float = 3.0
 
     def __post_init__(self):
-        if not (self.side_length > 0 and self.height > 0):
-            raise ValueError("side_length and height must be > 0")
+        if not (self.side_length > 0):
+            raise ValueError("side_length must be > 0")
 
     @property
     def support(self) -> tuple[float, float]:
-        d2 = self.height ** 2
-        return (d2, d2 + self.side_length ** 2 / 4.0)
+        return (0.0, self.side_length ** 2 / 4.0)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return self.support
 
-    def pdf(self, z):
-        z = np.asarray(z, dtype=float)
+    def pdf(self, u):
+        u = np.asarray(u, dtype=float)
         lo, hi = self.support
-        u = np.maximum(z - lo, _U_FLOOR)
-        inside = (z >= lo) & (z <= hi)
-        return np.where(inside, 1.0 / (self.side_length * np.sqrt(u)), 0.0)
+        return np.piecewise(u, [(u >= lo) & (u <= hi)],
+                            [lambda v: 1.0 / (self.side_length * np.sqrt(v))])
 
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        lo, hi = self.support
-        u = np.clip(z - lo, 0.0, hi - lo)
+    def cdf(self, u):
+        u = np.clip(np.asarray(u, dtype=float), *self.support)
         return (2.0 / self.side_length) * np.sqrt(u)
 
     def quantile(self, q):
         q = np.asarray(q, dtype=float)
         if np.any((q < 0) | (q > 1)):
             raise ValueError("quantile argument must lie in [0, 1]")
-        return self.height ** 2 + (self.side_length * q / 2.0) ** 2
+        return (self.side_length * q / 2.0) ** 2
 
     def sample(self, rng: np.random.Generator, n: int):
         """n exact draws via the underlying uniform placement."""
         x1, x2, y1, y2 = _draw_positions(rng, self.side_length, n)
-        return y1 ** 2 + self.height ** 2
+        return y1 ** 2
 
 
 @dataclass(frozen=True)
 class ZwDistribution:
-    """Squared distance to Willie: support [d^2, d^2 + 5 D^2/4].
+    """Offset of the squared distance to Willie: u = (x1 - x2)^2 + y2^2 on [0, 5 D^2/4].
 
-    Three pieces in zeta = z - d^2 with breakpoints at D^2/4 and D^2.
-    The first piece comes from the triangular density of x1 - x2 folded
-    with y2^2; the upper pieces pick up circular-segment corrections.
+    Three pieces with breakpoints at D^2/4 and D^2.  The first piece comes
+    from the triangular density of x1 - x2 folded with y2^2; the upper
+    pieces pick up circular-segment corrections.  Each branch function is
+    the density or CDF on its own piece only; pdf and cdf evaluate every
+    branch on its piece alone.
     """
 
     side_length: float = 25.0
-    height: float = 3.0
 
     def __post_init__(self):
-        if not (self.side_length > 0 and self.height > 0):
-            raise ValueError("side_length and height must be > 0")
+        if not (self.side_length > 0):
+            raise ValueError("side_length must be > 0")
 
     @property
     def support(self) -> tuple[float, float]:
-        d2 = self.height ** 2
-        return (d2, d2 + 1.25 * self.side_length ** 2)
+        return (0.0, 1.25 * self.side_length ** 2)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
-        d2 = self.height ** 2
         D2 = self.side_length ** 2
-        return (d2, d2 + 0.25 * D2, d2 + D2, d2 + 1.25 * D2)
+        return (0.0, 0.25 * D2, D2, 1.25 * D2)
 
     @property
     def pieces(self) -> tuple[tuple[float, float], ...]:
-        """(start, width) of the piece of each density branch, in branch order.
-
-        The widths D^2/4, 3 D^2/4 and D^2/4 are exact, so they add up to the
-        support width even where d^2 dwarfs D^2.
-        """
+        """(start, width) of the piece of each density branch, in branch order."""
         b0, b1, b2, _ = self.breakpoints
         D2 = self.side_length ** 2
         return ((b0, 0.25 * D2), (b1, 0.75 * D2), (b2, 0.25 * D2))
 
-    # -- per-piece densities (no support masking; trig arguments clamped
-    #    so breakpoint evaluations sitting on domain edges stay finite) --
+    def _masks(self, u):
+        b0, b1, b2, b3 = self.breakpoints
+        return [(u >= b0) & (u < b1), (u >= b1) & (u < b2), (u >= b2) & (u <= b3)]
 
-    def pdf_piece1(self, z):
+    # -- per-piece densities; the arcsin argument at D^2/4 may round above 1 --
+
+    def pdf_piece1(self, u):
         D = self.side_length
-        u = np.maximum(np.asarray(z, dtype=float) - self.height ** 2, 0.0)
         return np.pi / D ** 2 - 2.0 * np.sqrt(u) / D ** 3
 
-    def pdf_piece2(self, z):
+    def pdf_piece2(self, u):
         D = self.side_length
-        u = np.maximum(np.asarray(z, dtype=float) - self.height ** 2, _U_FLOOR)
-        a = np.clip(D / (2.0 * np.sqrt(u)), -1.0, 1.0)
+        a = np.minimum(D / (2.0 * np.sqrt(u)), 1.0)
         return (2.0 / D ** 2) * np.arcsin(a) - 1.0 / D ** 2
 
-    def pdf_piece3(self, z):
+    def pdf_piece3(self, u):
         D = self.side_length
-        u = np.maximum(np.asarray(z, dtype=float) - self.height ** 2, _U_FLOOR)
-        a1 = np.clip(D / (2.0 * np.sqrt(u)), -1.0, 1.0)
-        a2 = np.clip(np.sqrt(np.maximum(1.0 - D ** 2 / u, 0.0)), -1.0, 1.0)
-        return ((2.0 / D ** 2) * (np.arcsin(a1) - np.arcsin(a2))
+        return ((2.0 / D ** 2) * (np.arcsin(D / (2.0 * np.sqrt(u)))
+                                  - np.arcsin(np.sqrt(1.0 - D ** 2 / u)))
                 - 1.0 / D ** 2
-                + (2.0 / D ** 3) * np.sqrt(np.maximum(u - D ** 2, 0.0)))
+                + (2.0 / D ** 3) * np.sqrt(u - D ** 2))
 
-    def pdf(self, z):
-        z = np.asarray(z, dtype=float)
-        b0, b1, b2, b3 = self.breakpoints
-        out = np.zeros(np.broadcast(z).shape)
-        m1 = (z >= b0) & (z < b1)
-        m2 = (z >= b1) & (z < b2)
-        m3 = (z >= b2) & (z <= b3)
-        out = np.where(m1, self.pdf_piece1(z), out)
-        out = np.where(m2, self.pdf_piece2(z), out)
-        out = np.where(m3, self.pdf_piece3(z), out)
-        return out
+    def pdf(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.piecewise(u, self._masks(u),
+                            [self.pdf_piece1, self.pdf_piece2, self.pdf_piece3])
 
     # -- per-piece CDFs --
 
-    def cdf_piece1(self, z):
+    def cdf_piece1(self, u):
         D = self.side_length
-        u = np.maximum(np.asarray(z, dtype=float) - self.height ** 2, 0.0)
         return np.pi * u / D ** 2 - (4.0 / 3.0) * u ** 1.5 / D ** 3
 
-    def cdf_piece2(self, z):
+    def cdf_piece2(self, u):
         D = self.side_length
-        u = np.maximum(np.asarray(z, dtype=float) - self.height ** 2, _U_FLOOR)
-        a = np.clip(D / (2.0 * np.sqrt(u)), -1.0, 1.0)
-        return (np.sqrt(np.maximum(u - D ** 2 / 4.0, 0.0)) / D
+        a = np.minimum(D / (2.0 * np.sqrt(u)), 1.0)
+        return (np.sqrt(u - D ** 2 / 4.0) / D
                 + (2.0 * u / D ** 2) * np.arcsin(a)
                 - u / D ** 2 + 1.0 / 12.0)
 
-    def cdf_piece3(self, z):
+    def cdf_piece3(self, u):
         D = self.side_length
-        u = np.maximum(np.asarray(z, dtype=float) - self.height ** 2, _U_FLOOR)
-        r = np.sqrt(np.maximum(u - D ** 2 / 4.0, _U_FLOOR))
-        s = np.sqrt(np.maximum(u - D ** 2, 0.0))
+        r = np.sqrt(u - D ** 2 / 4.0)
+        s = np.sqrt(u - D ** 2)
         return (r / D
                 + (2.0 * u / D ** 2) * (np.arctan(D / (2.0 * r)) - np.arctan(s / D))
                 - u / D ** 2 + 1.0 / 12.0
                 + (2.0 / (3.0 * D ** 3)) * s * (2.0 * u + D ** 2))
 
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        b0, b1, b2, b3 = self.breakpoints
-        out = np.zeros(np.broadcast(z).shape)
-        m1 = (z >= b0) & (z < b1)
-        m2 = (z >= b1) & (z < b2)
-        m3 = (z >= b2) & (z < b3)
-        out = np.where(m1, self.cdf_piece1(z), out)
-        out = np.where(m2, self.cdf_piece2(z), out)
-        out = np.where(m3, self.cdf_piece3(z), out)
-        return np.where(z >= b3, 1.0, out)
+    def cdf(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.piecewise(u, [*self._masks(u), u >= self.support[1]],
+                            [self.cdf_piece1, self.cdf_piece2, self.cdf_piece3, 1.0])
 
     def quantile(self, q):
         """Inverse CDF by bisection (the CDF is strictly increasing)."""
@@ -197,7 +167,7 @@ class ZwDistribution:
 
     def sample(self, rng: np.random.Generator, n: int):
         x1, x2, y1, y2 = _draw_positions(rng, self.side_length, n)
-        return (x1 - x2) ** 2 + y2 ** 2 + self.height ** 2
+        return (x1 - x2) ** 2 + y2 ** 2
 
 
 def _draw_positions(rng, side_length, n):
@@ -242,12 +212,12 @@ def cdf_pdf_fd_gap(dist, n_points: int = 1000) -> float:
     qlo = float(dist.cdf(lo + w))
     qhi = float(dist.cdf(hi - w))
     q = qlo + (np.arange(n_points) + 0.5) / n_points * (qhi - qlo)
-    z = np.asarray(dist.quantile(q), dtype=float)
+    u = np.asarray(dist.quantile(q), dtype=float)
     for b in brk:
-        inside = np.abs(z - b) <= w
-        z = np.where(inside, b + np.where(z >= b, 1.0001 * w, -1.0001 * w), z)
-    gap = np.min(np.abs(z[:, None] - brk[None, :]), axis=1)
+        inside = np.abs(u - b) <= w
+        u = np.where(inside, b + np.where(u >= b, 1.0001 * w, -1.0001 * w), u)
+    gap = np.min(np.abs(u[:, None] - brk[None, :]), axis=1)
     h = 2e-3 * gap
-    fd = (dist.cdf(z + h) - dist.cdf(z - h)) / (2.0 * h)
-    f = np.asarray(dist.pdf(z), dtype=float)
+    fd = (dist.cdf(u + h) - dist.cdf(u - h)) / (2.0 * h)
+    f = np.asarray(dist.pdf(u), dtype=float)
     return float(np.max(np.abs(fd - f) / f))

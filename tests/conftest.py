@@ -62,7 +62,8 @@ def sop_directions(scenario, chan):
 
 
 # ---------------------------------------------------------------------------
-# adaptive-quadrature oracles, evaluated in z coordinates
+# adaptive-quadrature oracles, evaluated in z coordinates; the distributions
+# take offsets u = z - d^2, formed only at the density or CDF call
 
 
 def _threshold_kinks(scenario, chan, target, bob_factor, willie_factor, lo, hi,
@@ -99,8 +100,9 @@ def _quad(f, lo, hi, points=None):
 
 def sop_term_oracles(scenario, chan, target, bob_factor, willie_factor, asymptotic=False):
     """The three Zw-piece no-outage integrals, adaptively in z."""
-    zb = ps.ZbDistribution(scenario.side_length, scenario.waveguide_height)
-    zw = ps.ZwDistribution(scenario.side_length, scenario.waveguide_height)
+    d2 = scenario.waveguide_height ** 2
+    zb = ps.ZbDistribution(scenario.side_length)
+    zw = ps.ZwDistribution(scenario.side_length)
     branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
     if asymptotic:
         factor = bob_factor / (target.threshold * willie_factor)
@@ -112,13 +114,13 @@ def sop_term_oracles(scenario, chan, target, bob_factor, willie_factor, asymptot
             return float(bounds.sop_threshold(z, bob_factor, willie_factor, chan, target))
 
     out = []
-    for (lo, width), branch in zip(zw.pieces, branches):
-        hi = lo + width
+    for (start, width), branch in zip(zw.pieces, branches):
+        lo, hi = d2 + start, d2 + start + width
         kinks = _threshold_kinks(scenario, chan, target, bob_factor, willie_factor, lo, hi,
                                  asymptotic)
 
         def f(z, branch=branch):
-            return float(zb.cdf(thr(z))) * float(branch(z))
+            return float(zb.cdf(thr(z) - d2)) * float(branch(z - d2))
 
         out.append(_quad(f, lo, hi, points=kinks))
     return out
@@ -126,36 +128,38 @@ def sop_term_oracles(scenario, chan, target, bob_factor, willie_factor, asymptot
 
 def esc_term_oracles(scenario, chan, bob_factor, willie_factor):
     """(bob, piece1, piece2, piece3) rate integrals, adaptively in z."""
-    zb = ps.ZbDistribution(scenario.side_length, scenario.waveguide_height)
-    zw = ps.ZwDistribution(scenario.side_length, scenario.waveguide_height)
+    d2 = scenario.waveguide_height ** 2
+    zb = ps.ZbDistribution(scenario.side_length)
+    zw = ps.ZwDistribution(scenario.side_length)
     eta_rho = chan.eta * chan.rho
     lo, hi = zb.support
-    bob = _quad(lambda z: math.log2(1.0 + eta_rho * bob_factor / z) * float(zb.pdf(z)),
-                lo, hi)
+    bob = _quad(lambda z: math.log2(1.0 + eta_rho * bob_factor / z) * float(zb.pdf(z - d2)),
+                d2 + lo, d2 + hi)
     out = [bob]
     branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
-    for (lo, width), branch in zip(zw.pieces, branches):
+    for (start, width), branch in zip(zw.pieces, branches):
 
         def f(z, branch=branch):
-            return math.log2(1.0 + eta_rho * willie_factor / z) * float(branch(z))
+            return math.log2(1.0 + eta_rho * willie_factor / z) * float(branch(z - d2))
 
-        out.append(_quad(f, lo, lo + width))
+        out.append(_quad(f, d2 + start, d2 + start + width))
     return out
 
 
 def log2_moment_oracles(scenario):
     """(bob, piece1, piece2, piece3) log2 distance moments, adaptively in z."""
-    zb = ps.ZbDistribution(scenario.side_length, scenario.waveguide_height)
-    zw = ps.ZwDistribution(scenario.side_length, scenario.waveguide_height)
+    d2 = scenario.waveguide_height ** 2
+    zb = ps.ZbDistribution(scenario.side_length)
+    zw = ps.ZwDistribution(scenario.side_length)
     lo, hi = zb.support
-    out = [_quad(lambda z: math.log2(z) * float(zb.pdf(z)), lo, hi)]
+    out = [_quad(lambda z: math.log2(z) * float(zb.pdf(z - d2)), d2 + lo, d2 + hi)]
     branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
-    for (lo, width), branch in zip(zw.pieces, branches):
+    for (start, width), branch in zip(zw.pieces, branches):
 
         def f(z, branch=branch):
-            return math.log2(z) * float(branch(z))
+            return math.log2(z) * float(branch(z - d2))
 
-        out.append(_quad(f, lo, lo + width))
+        out.append(_quad(f, d2 + start, d2 + start + width))
     return out
 
 

@@ -119,25 +119,26 @@ class TestSopThreshold:
 
 class TestOutageKinks:
     def test_kinks_are_saturation_points(self, scenario, target, zb_dist):
+        # kinks are offsets u = z - d^2; thresholds are formed at z = 9 + u
         chan = chan_at(1e8)
         fr = target.threshold
         eta_rho = chan.eta * chan.rho
         for bob, willie in sop_directions(scenario, chan):
-            finite = bounds._outage_kinks(zb_dist, eta_rho * bob, fr - 1.0,
+            finite = bounds._outage_kinks(scenario, eta_rho * bob, fr - 1.0,
                                           fr * eta_rho * willie)
-            asym = bounds._outage_kinks(zb_dist, bob, 0.0, fr * willie)
+            asym = bounds._outage_kinks(scenario, bob, 0.0, fr * willie)
             assert len(finite) == 2 and len(asym) == 2
-            thr_finite = bounds.sop_threshold(np.array(finite), bob, willie, chan, target)
-            thr_asym = np.array(asym) * bob / (fr * willie)
-            np.testing.assert_allclose(thr_finite, zb_dist.support, rtol=1e-12)
-            np.testing.assert_allclose(thr_asym, zb_dist.support, rtol=1e-12)
+            thr_finite = bounds.sop_threshold(9.0 + np.array(finite), bob, willie, chan, target)
+            thr_asym = (9.0 + np.array(asym)) * bob / (fr * willie)
+            np.testing.assert_allclose(thr_finite, 9.0 + np.array(zb_dist.support), rtol=1e-12)
+            np.testing.assert_allclose(thr_asym, 9.0 + np.array(zb_dist.support), rtol=1e-12)
 
-    def test_no_kink_when_threshold_stays_below_support(self, scenario, target, zb_dist):
+    def test_no_kink_when_threshold_stays_below_support(self, scenario, target):
         # below rho* = (4^Rbar - 1) d^2 / eta even the best threshold misses d^2
         chan = chan_at(1e4)
         fr = target.threshold
         eta_rho = chan.eta * chan.rho
-        assert bounds._outage_kinks(zb_dist, eta_rho, fr - 1.0, fr * eta_rho) == []
+        assert bounds._outage_kinks(scenario, eta_rho, fr - 1.0, fr * eta_rho) == []
 
     def test_certain_outage_skips_quadrature(self, scenario, target, rule_1000, monkeypatch):
         calls = []

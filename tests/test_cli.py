@@ -282,7 +282,7 @@ class TestValidateStats:
 
     def test_mismatched_sampler_fails_ks(self):
         report = cli.validate_stats(cli.config_from_dict({}), ks_samples=20000,
-                                    sample_zb_dist=ps.ZbDistribution(26.0, 3.0))
+                                    sample_zb_dist=ps.ZbDistribution(26.0))
         assert not report.passed
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == ["KS statistic Zb sampler"]
@@ -300,8 +300,8 @@ class TestValidateStats:
         assert "pdf_zb normalization residual" in failing
 
     def test_normalization_near_the_pole(self):
-        # with d^2 = 900 the squared offsets of the nodes nearest the Zb pole
-        # fall below the float spacing at d^2; no node may hit pdf's sentinel
+        # the densities see only offsets from d^2, so d^2 = 900 >> D^2 costs
+        # no resolution near the Zb pole
         cfg = cli.config_from_dict({"side_length_D": 1.0, "waveguide_height_d": 30.0})
         report = cli.validate_stats(cfg, ks_samples=20000)
         residuals = {c.name: c.value for c in report.checks if "normalization" in c.name}
