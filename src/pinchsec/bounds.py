@@ -182,16 +182,18 @@ def esc_term_sums(scenario: Scenario, chan: ChannelParams, rule: QuadratureRule,
     """[bob, j, k, l]: rate integrands for one ESC bound direction.
 
     bob: log2(1 + eta*rho*A/(d^2 + u)) against the Zb density;
-    j, k, l: log2(1 + eta*rho*B/(d^2 + u)) against the Zw branches.
+    j, k, l: log2(1 + eta*rho*B/(d^2 + u)) against the Zw branches; both
+    formed with log1p, which keeps the digits of an SNR far below 1.
     """
     d2 = scenario.waveguide_height ** 2
     eta_rho = chan.eta * chan.rho
+    ln2 = math.log(2.0)
 
     def bob_rate(u):
-        return np.log2(1.0 + eta_rho * bob_factor / (d2 + u))
+        return np.log1p(eta_rho * bob_factor / (d2 + u)) / ln2
 
     def willie_rate(u):
-        return np.log2(1.0 + eta_rho * willie_factor / (d2 + u))
+        return np.log1p(eta_rho * willie_factor / (d2 + u)) / ln2
 
     return [_bob_sum(scenario, rule, bob_rate), *_willie_sums(scenario, rule, willie_rate)]
 

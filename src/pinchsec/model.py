@@ -9,7 +9,9 @@ power.  An eavesdropper (Willie) overhears the same radiator.  The fixed
 antenna (FA) baseline radiates from [0, 0, d] with no guided travel.
 
 All rates are spectral efficiencies in bits/s/Hz under a deterministic
-line-of-sight law: rate = (1/2) * log2(1 + eta * P / (dist^2 * sigma^2)).
+line-of-sight law: rate = (1/2) * log2(1 + eta * P / (dist^2 * sigma^2)),
+formed as log1p(snr) / (2 ln 2) so that an SNR far below 1 keeps its
+digits instead of rounding 1 + snr to 1.
 The secrecy rates of both placements, built on los_rate, are
 montecarlo.pa_secrecy_rate and montecarlo.fa_secrecy_rate.
 """
@@ -100,4 +102,4 @@ def los_rate(dist_sq, chan: ChannelParams, noise_var: float, guided_len=0.0):
         raise ValueError("dist_sq must be positive")
     loss = np.exp(-2.0 * chan.attenuation * np.asarray(guided_len, dtype=float))
     snr = chan.eta * chan.tx_power * loss / (dist_sq * noise_var)
-    return 0.5 * np.log2(1.0 + snr)
+    return np.log1p(snr) * (0.5 / math.log(2.0))
