@@ -89,6 +89,8 @@ class TestConfigFromDict:
             cli.config_from_dict({"mc_seed": 1.5})
         with pytest.raises(cli.ConfigError, match="quadrature_n"):
             cli.config_from_dict({"quadrature_n": 0})
+        with pytest.raises(cli.ConfigError, match="quadrature_n"):
+            cli.config_from_dict({"quadrature_n": 99})
         with pytest.raises(cli.ConfigError, match="output_path"):
             cli.config_from_dict({"output_path": 7})
 
@@ -374,11 +376,16 @@ class TestMain:
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = write_json(tmp_path, "bad.json", {"side_length_D": -1})
+        few_nodes = write_json(tmp_path, "few.json", {"quadrature_n": 99})
         # flags go through the same validator as the file, so errors name the key
         cases = ((["sweep", "--config", path], "side_length_D"),
+                 (["sweep", "--config", few_nodes], "quadrature_n"),
                  (["sweep", "--alpha", "nan"], "attenuation_alpha"),
                  (["sweep", "--trials", "50"], "mc_trials"),
-                 (["mc-only", "--quad-n", "0"], "quadrature_n"))
+                 (["mc-only", "--quad-n", "0"], "quadrature_n"),
+                 # two nodes gave a wrong SOP asymptote with exit 0
+                 (["sop", "--quad-n", "2", "--snr-db=20,40", "--trials", "1000"],
+                  "quadrature_n"))
         for argv, key in cases:
             assert cli.main(argv) == 2, argv
             assert key in capsys.readouterr().err, argv
@@ -396,7 +403,7 @@ class TestMain:
     def test_snr_list_may_start_negative(self, capsys):
         outs = []
         for flag in (["--snr-db", "-10,0"], ["--snr-db=-10,0"]):
-            assert cli.main(["sweep", *flag, "--trials", "100", "--quad-n", "10"]) == 0
+            assert cli.main(["sweep", *flag, "--trials", "100", "--quad-n", "100"]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert [line.split(",")[0] for line in outs[0].splitlines()[1:]] == ["-10.0", "0.0"]
@@ -414,7 +421,7 @@ class TestMain:
         # importing the package must not import cli, or runpy warns under -m
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "pinchsec.cli", "sweep",
-             "--snr-db", "0", "--trials", "100", "--quad-n", "10"],
+             "--snr-db", "0", "--trials", "100", "--quad-n", "100"],
             capture_output=True, text=True, timeout=120,
             env={"PATH": "", "PYTHONPATH": str(SRC_DIR), "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0, proc.stderr
