@@ -13,12 +13,14 @@ The term sums are plain integrals over the distance offsets u = z - d^2
 of diststats.py, on the endpoint-smoothed rule of quad.py, returned per
 piece: [j, k, l] over the three Zw density pieces, preceded by the Zb term
 where there is one.  d^2 enters only where a rate or the outage threshold
-is formed from z = d^2 + u.  The outage integrand F_Zb(threshold(u)) has
-kinks where the threshold reaches an end of Zb's support; each Zw piece is
-split there, and sub-pieces on which outage is certain are skipped.  The
-Zb density's 1/sqrt pole at u = 0 is removed by integrating over Bob's
-offset y = sqrt(u) instead.  At n nodes per sub-piece the error falls as
-n^-4 (about 1e-12 relative at the default n = 1000).
+is formed from z = d^2 + u; the capacity terms integrate each rate as an
+offset from its value at u = 0, which keeps digits where d^2 dwarfs D^2.
+The outage integrand F_Zb(threshold(u)) has kinks where the threshold
+reaches an end of Zb's support; each Zw piece is split there, and
+sub-pieces on which outage is certain are skipped.  The Zb density's
+1/sqrt pole at u = 0 is removed by integrating over Bob's offset
+y = sqrt(u) instead.  At n nodes per sub-piece the error falls as n^-4
+(about 1e-12 relative at the default n = 1000).
 
 Both metrics saturate at high SNR (the same loss and geometry face Bob
 and Willie), so the diversity order and high-SNR slope are zero; the
@@ -27,6 +29,7 @@ finite-difference estimators let callers confirm that numerically.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -74,10 +77,6 @@ def sop_threshold(z_w, bob_factor: float, willie_factor: float, chan: ChannelPar
     return np.where(denom > 0, eta_rho * bob_factor / safe, np.inf)
 
 
-def _distributions(scenario: Scenario) -> tuple[ZbDistribution, ZwDistribution]:
-    return ZbDistribution(scenario.side_length), ZwDistribution(scenario.side_length)
-
-
 def _piece_sum(rule: QuadratureRule, lo: float, width: float, f) -> float:
     """Plain integral of f over [lo, lo + width]."""
     return width * integrate(rule, lambda x: f(lo + width * x))
@@ -89,12 +88,11 @@ def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_u,
 
     Each piece is split at the sorted offsets `kinks` inside it, so that
     every sub-piece integrand is smooth up to corners at its ends.  A
-    sub-piece (lo, hi) for which vanishes(lo, hi) holds adds nothing.
+    sub-piece (a, b) for which vanishes(a, b) holds adds nothing.
     """
-    _, zw = _distributions(scenario)
-    branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
+    zw = ZwDistribution(scenario.side_length)
     sums = []
-    for (start, width), branch in zip(zw.pieces, branches):
+    for (start, width), branch in zip(zw.pieces, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)):
         cuts = [start, *(k for k in kinks if start < k < start + width), start + width]
         total = 0.0
         for a, b in zip(cuts, cuts[1:]):
@@ -112,7 +110,7 @@ def _bob_sum(scenario: Scenario, rule: QuadratureRule, value_of_u) -> float:
     the density's 1/sqrt(u) pole.  The density is still evaluated, so a
     normalization check of it stays a check.
     """
-    zb, _ = _distributions(scenario)
+    zb = ZbDistribution(scenario.side_length)
     y_max = 0.5 * scenario.side_length
 
     def g(x):
@@ -132,7 +130,7 @@ def _outage_kinks(scenario: Scenario, a: float, b: float, c: float) -> list[floa
     The threshold increases with u, so an end S is reached only if
     a/(d^2 + S) > b.
     """
-    zb, _ = _distributions(scenario)
+    zb = ZbDistribution(scenario.side_length)
     d2 = scenario.waveguide_height ** 2
     return sorted(c / (a / (d2 + s) - b) - d2 for s in zb.support if a / (d2 + s) > b)
 
@@ -144,7 +142,7 @@ def _no_outage_sums(scenario: Scenario, rule: QuadratureRule, threshold,
     Between two kinks the threshold stays on one side of 0, so a sub-piece
     whose midpoint threshold is <= 0 has F_Zb = 0 throughout and is skipped.
     """
-    zb, _ = _distributions(scenario)
+    zb = ZbDistribution(scenario.side_length)
     return _willie_sums(scenario, rule, lambda u: zb.cdf(threshold(u)), kinks,
                         vanishes=lambda lo, hi: threshold(0.5 * (lo + hi)) <= 0.0)
 
@@ -179,33 +177,25 @@ def sop_asymptotic_term_sums(scenario: Scenario, target: SecrecyTarget,
 
 def esc_term_sums(scenario: Scenario, chan: ChannelParams, rule: QuadratureRule,
                   bob_factor: float, willie_factor: float) -> list[float]:
-    """[bob, j, k, l]: rate integrands for one ESC bound direction.
+    """[bob, j, k, l]: rate offsets from the rate at u = 0, one ESC bound direction.
 
-    bob: log2(1 + eta*rho*A/(d^2 + u)) against the Zb density;
-    j, k, l: log2(1 + eta*rho*B/(d^2 + u)) against the Zw branches; both
-    formed with log1p, which keeps the digits of an SNR far below 1.
+    bob: log2(1 + g*A/(d^2 + u)) - log2(1 + g*A/d^2) against the Zb density,
+    j, k, l: the same with B against the Zw branches, where g = eta*rho.
+    The offset keeps its digits where u << d^2: below g = d^2 it is
+    log1p(-s * u/(d^2 + u)) with s = g/(d^2 + g) < 1/2, above it the
+    difference log1p(u/(d^2 + g)) - log1p(u/d^2) of terms a factor 2 apart.
     """
     d2 = scenario.waveguide_height ** 2
-    eta_rho = chan.eta * chan.rho
     ln2 = math.log(2.0)
 
-    def bob_rate(u):
-        return np.log1p(eta_rho * bob_factor / (d2 + u)) / ln2
+    def rate_offset(factor):
+        g = chan.eta * chan.rho * factor
+        if g < d2:
+            return lambda u: np.log1p(-(g / (d2 + g)) * (u / (d2 + u))) / ln2
+        return lambda u: (np.log1p(u / (d2 + g)) - np.log1p(u / d2)) / ln2
 
-    def willie_rate(u):
-        return np.log1p(eta_rho * willie_factor / (d2 + u)) / ln2
-
-    return [_bob_sum(scenario, rule, bob_rate), *_willie_sums(scenario, rule, willie_rate)]
-
-
-def log2_moment_sums(scenario: Scenario, rule: QuadratureRule) -> list[float]:
-    """[bob, j, k, l]: E[log2 Zb] and the per-piece parts of E[log2 Zw]."""
-    d2 = scenario.waveguide_height ** 2
-
-    def log2_z(u):
-        return np.log2(d2 + u)
-
-    return [_bob_sum(scenario, rule, log2_z), *_willie_sums(scenario, rule, log2_z)]
+    return [_bob_sum(scenario, rule, rate_offset(bob_factor)),
+            *_willie_sums(scenario, rule, rate_offset(willie_factor))]
 
 
 def _clamp_probability(value: float, label: str) -> float:
@@ -241,27 +231,34 @@ def esc_bounds(scenario: Scenario, chan: ChannelParams,
                rule: QuadratureRule) -> BoundPair:
     """Ergodic secrecy capacity bracket; the 1/2 pre-log is applied here.
 
-    0.5 * (bob - (j + k + l)) in the upper (1, span) and the lower
-    (span, 1) direction.
+    0.5 * (r(A) - r(B) + bob - (j + k + l)) in the upper (1, span) and the
+    lower (span, 1) direction, where r(F) = log2(1 + eta*rho*F/d^2) is the
+    rate at distance d that esc_term_sums measures its offsets from.  At
+    alpha = 0 the r terms cancel exactly.
     """
     span = attenuation_span(scenario, chan)
-    upper, lower = (0.5 * (c - (j + k + l)) for c, j, k, l in (
-        esc_term_sums(scenario, chan, rule, 1.0, span),
-        esc_term_sums(scenario, chan, rule, span, 1.0)))
-    return BoundPair(lower=lower, upper=upper)
+    d2 = scenario.waveguide_height ** 2
+
+    def esc(bob_factor, willie_factor):
+        c, j, k, l = esc_term_sums(scenario, chan, rule, bob_factor, willie_factor)
+        peak = (math.log1p(chan.eta * chan.rho * bob_factor / d2)
+                - math.log1p(chan.eta * chan.rho * willie_factor / d2)) / math.log(2.0)
+        return 0.5 * (peak + c - (j + k + l))
+
+    return BoundPair(upper=esc(1.0, span), lower=esc(span, 1.0))
 
 
 def esc_asymptotic(scenario: Scenario, chan: ChannelParams,
                    rule: QuadratureRule) -> BoundPair:
-    """High-SNR ESC levels from the log2 distance moments.
+    """High-SNR ESC levels, the limit rho -> inf of esc_bounds.
 
-    upper/lower = (1/2) * (E[log2 Zw] - E[log2 Zb] -/+ log2(exp(-2 alpha D))).
-    The log of the span is negative, so "minus" is the upper side; it is
-    taken in the log domain, -2 alpha D / ln 2, so it stays finite where
-    the span itself underflows to 0.
+    Every rate offset tends to -log2(Z/d^2), that of esc_term_sums at
+    infinite power, and r(A) - r(B) to log2(A/B), -/+ log2(span) on the upper/
+    lower side, taken as -2 alpha D / ln 2: finite where the span underflows.
     """
-    c, j, k, l = log2_moment_sums(scenario, rule)
-    gap = (j + k + l) - c
+    c, j, k, l = esc_term_sums(scenario, dataclasses.replace(chan, tx_power=math.inf),
+                               rule, 1.0, 1.0)
+    gap = c - (j + k + l)
     log_span = -2.0 * chan.attenuation * scenario.side_length / math.log(2.0)
     return BoundPair(lower=0.5 * (gap + log_span),
                      upper=0.5 * (gap - log_span))

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (_bob_sum, _distributions, _willie_sums, esc_asymptotic, esc_bounds,
-                     sop_asymptotic, sop_bounds)
+from .bounds import (_bob_sum, _willie_sums, esc_asymptotic, esc_bounds, sop_asymptotic,
+                     sop_bounds)
 from .diststats import ZbDistribution, ZwDistribution, cdf_pdf_fd_gap, ks_statistic
 from .model import ChannelParams, Scenario, SecrecyTarget
 from .montecarlo import McConfig, _mc_sweep
@@ -317,7 +317,7 @@ def validate_stats(cfg: RunConfig, ks_samples: int = 200000,
     """
     if ks_samples < 1:
         raise ValueError("ks_samples must be >= 1")
-    zb, zw = _distributions(cfg.scenario)
+    zb, zw = ZbDistribution(cfg.scenario.side_length), ZwDistribution(cfg.scenario.side_length)
     rule = make_rule(_NORMALIZATION_NODES)
     res_b = abs(_bob_sum(cfg.scenario, rule, np.ones_like) - 1.0)
     res_w = abs(sum(_willie_sums(cfg.scenario, rule, np.ones_like)) - 1.0)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+
 @dataclass(frozen=True)
 class ZbDistribution:
     """Offset of the squared distance to Bob: u = Zb - d^2 = y1^2 on [0, D^2/4].

@@ -10,8 +10,7 @@ antenna (FA) baseline radiates from [0, 0, d] with no guided travel.
 
 All rates are spectral efficiencies in bits/s/Hz under a deterministic
 line-of-sight law: rate = (1/2) * log2(1 + eta * P / (dist^2 * sigma^2)),
-formed as log1p(snr) / (2 ln 2) so that an SNR far below 1 keeps its
-digits instead of rounding 1 + snr to 1.
+formed as log1p(snr) / (2 ln 2), which keeps the digits of an SNR << 1.
 The secrecy rates of both placements, built on los_rate, are
 montecarlo.pa_secrecy_rate and montecarlo.fa_secrecy_rate.
 """

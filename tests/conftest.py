@@ -61,6 +61,40 @@ def sop_directions(scenario, chan):
     return ((span, 1.0), (1.0, span))
 
 
+def _add_values_at_height(scenario, sums, bob_at_0, willie_at_0):
+    """Per-piece integrals of f from those of f(u) - f(0): add f(0) times each mass."""
+    zw = ps.ZwDistribution(scenario.side_length)
+    _, b1, b2, _ = zw.breakpoints
+    cdf1, cdf2 = float(zw.cdf_piece1(b1)), float(zw.cdf_piece2(b2))
+    bob, *pieces = sums
+    return [bob + bob_at_0, *(p + willie_at_0 * m
+                              for p, m in zip(pieces, (cdf1, cdf2 - cdf1, 1.0 - cdf2)))]
+
+
+def esc_term_values(scenario, chan, rule, bob_factor, willie_factor):
+    """bounds.esc_term_sums as absolute rate integrals, comparable to esc_term_oracles.
+
+    The program integrates each rate as an offset from its value at
+    distance d; the oracles integrate the rate itself.
+    """
+    sums = bounds.esc_term_sums(scenario, chan, rule, bob_factor, willie_factor)
+    d2 = scenario.waveguide_height ** 2
+    eta_rho = chan.eta * chan.rho
+    return _add_values_at_height(scenario, sums, math.log2(1.0 + eta_rho * bob_factor / d2),
+                                 math.log2(1.0 + eta_rho * willie_factor / d2))
+
+
+def log2_moment_values(scenario, rule):
+    """Moments of log2 Z from the rate offsets at infinite power, -log2(Z/d^2).
+
+    Comparable to log2_moment_oracles.
+    """
+    chan = ps.ChannelParams(tx_power=math.inf)
+    sums = [-s for s in bounds.esc_term_sums(scenario, chan, rule, 1.0, 1.0)]
+    log2_d2 = math.log2(scenario.waveguide_height ** 2)
+    return _add_values_at_height(scenario, sums, log2_d2, log2_d2)
+
+
 # ---------------------------------------------------------------------------
 # adaptive-quadrature oracles, evaluated in z coordinates; the distributions
 # take offsets u = z - d^2, formed only at the density or CDF call

@@ -18,8 +18,8 @@ import pytest
 
 import pinchsec as ps
 from pinchsec import bounds, cli
-from conftest import (SNR_GRID_DB, chan_at, esc_term_oracles, pdf_mass_oracle,
-                      sop_directions, sop_term_oracles)
+from conftest import (SNR_GRID_DB, chan_at, esc_term_oracles, esc_term_values,
+                      pdf_mass_oracle, sop_directions, sop_term_oracles)
 
 
 def _rel(a, b):
@@ -254,8 +254,8 @@ def test_criterion_7_quadrature_fidelity(scenario, target, rule_1000, rule_8000)
             rows.append((f"sop_{direction}_{name}", _rel(c, f), _rel(c, o)))
 
     for direction, factors in zip(("upper", "lower"), sop_directions(scenario, chan)[::-1]):
-        fine = bounds.esc_term_sums(scenario, chan, rule_8000, *factors)
-        coarse = bounds.esc_term_sums(scenario, chan, rule_1000, *factors)
+        fine = esc_term_values(scenario, chan, rule_8000, *factors)
+        coarse = esc_term_values(scenario, chan, rule_1000, *factors)
         oracle = esc_term_oracles(scenario, chan, *factors)
         for name, c, f, o in zip("cjkl", coarse, fine, oracle):
             rows.append((f"esc_{direction}_{name}", _rel(c, f), _rel(c, o)))

@@ -15,8 +15,9 @@ import pytest
 
 import pinchsec as ps
 from pinchsec import bounds
-from conftest import (SNR_GRID_DB, chan_at, esc_term_oracles,
-                      log2_moment_oracles, sop_directions, sop_term_oracles)
+from conftest import (SNR_GRID_DB, chan_at, esc_term_oracles, esc_term_values,
+                      log2_moment_oracles, log2_moment_values, sop_directions,
+                      sop_term_oracles)
 
 SPAN = math.exp(-0.5)  # exp(-2 * 0.01 * 25)
 
@@ -271,8 +272,8 @@ class TestEscBounds:
     def test_term_sums_reference(self, scenario, rule_8000):
         chan = chan_at(1e8)
         lo, up = sop_directions(scenario, chan)
-        got_up = bounds.esc_term_sums(scenario, chan, rule_8000, *up)
-        got_lo = bounds.esc_term_sums(scenario, chan, rule_8000, *lo)
+        got_up = esc_term_values(scenario, chan, rule_8000, *up)
+        got_lo = esc_term_values(scenario, chan, rule_8000, *lo)
         # esc_term_oracles(scenario, chan, *direction) for each direction
         np.testing.assert_allclose(
             got_up,
@@ -286,7 +287,7 @@ class TestEscBounds:
     def test_term_sums_against_adaptive_oracle(self, scenario, rule_8000):
         chan = chan_at(1e8)
         for direction in sop_directions(scenario, chan)[::-1]:
-            got = bounds.esc_term_sums(scenario, chan, rule_8000, *direction)
+            got = esc_term_values(scenario, chan, rule_8000, *direction)
             want = esc_term_oracles(scenario, chan, *direction)
             np.testing.assert_allclose(got, want, rtol=1e-7)
 
@@ -321,7 +322,7 @@ class TestEscAsymptotic:
         assert abs(finite.upper - asym.upper) < 1e-2
 
     def test_moment_sums_against_oracle(self, scenario, rule_1000):
-        bob, j, k, l = bounds.log2_moment_sums(scenario, rule_1000)
+        bob, j, k, l = log2_moment_values(scenario, rule_1000)
         want_bob, want_j, want_k, want_l = log2_moment_oracles(scenario)
         assert bob == pytest.approx(want_bob, rel=1e-6)
         assert j + k + l == pytest.approx(want_j + want_k + want_l, rel=1e-6)
