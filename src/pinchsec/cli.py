@@ -160,7 +160,7 @@ def config_from_dict(data: dict) -> RunConfig:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("snr_db_grid: values must be strictly increasing")
 
-    # below 100 nodes per interval the bounds err by more than 1e-6 (1.8 at n = 2)
+    # below 100 nodes per interval the bounds err by more than 1e-6 (1.4 at n = 2)
     quad_n = _require_int(data, "quadrature_n", 1000, minimum=100)
     trials = _require_int(data, "mc_trials", 50000, minimum=100)
     seed = _require_int(data, "mc_seed", 12345, minimum=0)
