@@ -29,10 +29,9 @@ finite-difference estimators let callers confirm that numerically.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -256,8 +255,7 @@ def esc_asymptotic(scenario: Scenario, chan: ChannelParams,
     infinite power, and r(A) - r(B) to log2(A/B), -/+ log2(span) on the upper/
     lower side, taken as -2 alpha D / ln 2: finite where the span underflows.
     """
-    c, j, k, l = esc_term_sums(scenario, dataclasses.replace(chan, tx_power=math.inf),
-                               rule, 1.0, 1.0)
+    c, j, k, l = esc_term_sums(scenario, replace(chan, tx_power=math.inf), rule, 1.0, 1.0)
     gap = c - (j + k + l)
     log_span = -2.0 * chan.attenuation * scenario.side_length / math.log(2.0)
     return BoundPair(lower=0.5 * (gap + log_span),
