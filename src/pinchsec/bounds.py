@@ -15,16 +15,21 @@ piece: [j, k, l] over the three Zw density pieces, preceded by the Zb term
 where there is one.  d^2 enters only where a rate or the outage threshold
 is formed from z = d^2 + u; the capacity terms integrate each rate as an
 offset from its value at u = 0, which keeps digits where d^2 dwarfs D^2.
-The outage integrand F_Zb(threshold(u)) has kinks where the threshold
-reaches an end of Zb's support; each Zw piece is split there, and
-sub-pieces on which outage is certain are skipped.  The Zb density's
-1/sqrt pole at u = 0 is removed by integrating over Bob's offset
-y = sqrt(u) instead.  At n nodes per sub-piece the error falls as n^-4
-(about 1e-12 relative at the default n = 1000).
+The Zb density's 1/sqrt pole at u = 0 is removed by integrating over
+Bob's offset y = sqrt(u) instead.  At n nodes per sub-piece the error
+falls as n^-4 (about 1e-12 relative at the default n = 1000).
+
+The outage has one threshold: with Willie at z, Zb < a / (b + c/z) with
+a = A, b = (4^Rbar - 1)/(eta*rho), c = 4^Rbar*B for a direction (A, B).
+F_Zb of it is 0 below the offset u_0 where it crosses d^2, so the Zw
+pieces start there, and kinks where it crosses d^2 + D^2/4, so they are
+split there.
 
 Both metrics saturate at high SNR (the same loss and geometry face Bob
-and Willie), so the diversity order and high-SNR slope are zero; the
-finite-difference estimators let callers confirm that numerically.
+and Willie), so the diversity order and high-SNR slope are zero.  The
+saturation levels are the brackets at rho = inf, where b = 0 and each
+rate offset is -log2(Z/d^2); the finite-difference estimators let callers
+confirm the saturation numerically.
 """
 
 from __future__ import annotations
@@ -57,23 +62,36 @@ def attenuation_span(scenario: Scenario, chan: ChannelParams) -> float:
     return math.exp(-2.0 * chan.attenuation * scenario.side_length)
 
 
-def sop_threshold(z_w, bob_factor: float, willie_factor: float, chan: ChannelParams,
-                  target: SecrecyTarget):
-    """Largest Zb that still avoids secrecy outage, given Willie at z_w.
+def _outage_coefficients(chan: ChannelParams, target: SecrecyTarget, bob_factor: float,
+                          willie_factor: float) -> tuple[float, float, float]:
+    """SNR-scaled (a, b, c) of the no-outage threshold a / (b + c/z) on Zb.
 
-    threshold = eta*rho*A / (4^Rbar - 1 + 4^Rbar * eta*rho*B / z_w), with
-    A = bob_factor and B = willie_factor.  A nonpositive denominator
-    (degenerate zero-target limits) maps to +inf, meaning no Zb causes
-    outage.
+    a = A, b = (4^Rbar - 1)/(eta*rho) and c = 4^Rbar*B, with A = bob_factor
+    and B = willie_factor.  b is 0 at rho = inf and at Rbar = 0.  Where
+    eta*rho underflows to 0, b is +inf for Rbar > 0 (outage is certain).
     """
-    z = np.asarray(z_w, dtype=float)
-    if np.any(z <= 0):
-        raise ValueError("z_w must be positive")
-    eta_rho = chan.eta * chan.rho
     fr = target.threshold
-    denom = (fr - 1.0) + fr * eta_rho * willie_factor / z
-    safe = np.where(denom > 0, denom, 1.0)
-    return np.where(denom > 0, eta_rho * bob_factor / safe, np.inf)
+    eta_rho = chan.eta * chan.rho
+    if eta_rho > 0:
+        b = (fr - 1.0) / eta_rho
+    else:
+        b = math.inf if fr > 1.0 else 0.0
+    return bob_factor, b, fr * willie_factor
+
+
+def _threshold_offset(u, d2: float, a: float, b: float, c: float):
+    """Largest Zb offset that still avoids secrecy outage, Willie at offset u.
+
+    The threshold a / (b + c/z) at z = d^2 + u, minus d^2, over one
+    denominator: (d^2*K + u*(a - b*d^2)) / (b*(d^2 + u) + c) with
+    K = a - b*d^2 - c.  K is exactly 0 at Rbar = 0 and equal factors, so no
+    digit of d^2 is lost.  Where b = c = 0 Willie hears nothing and the
+    offset is +inf (no outage).
+    """
+    u = np.asarray(u, dtype=float)
+    if b == 0.0 and c == 0.0:
+        return np.full_like(u, np.inf)
+    return (d2 * (a - b * d2 - c) + u * (a - b * d2)) / (b * (d2 + u) + c)
 
 
 def _piece_sum(rule: QuadratureRule, lo: float, width: float, f) -> float:
@@ -82,22 +100,22 @@ def _piece_sum(rule: QuadratureRule, lo: float, width: float, f) -> float:
 
 
 def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_u,
-                 kinks=(), vanishes=None) -> list[float]:
+                 kinks=(), lower=-math.inf) -> list[float]:
     """Integrate value_of_u(u) against each Zw density branch over its piece.
 
-    Each piece is split at the sorted offsets `kinks` inside it, so that
-    every sub-piece integrand is smooth up to corners at its ends.  A
-    sub-piece (a, b) for which vanishes(a, b) holds adds nothing.
+    value_of_u vanishes below `lower`, so each piece is cut off there.  The
+    rest is split at the offsets `kinks` inside it, so that every sub-piece
+    integrand is smooth up to corners at its ends.
     """
     zw = ZwDistribution(scenario.side_length)
     sums = []
     for (start, width), branch in zip(zw.pieces, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)):
-        cuts = [start, *(k for k in kinks if start < k < start + width), start + width]
+        lo, hi = max(start, lower), start + width
+        cuts = [lo, *(k for k in kinks if lo < k < hi), hi] if lo < hi else []
         total = 0.0
         for a, b in zip(cuts, cuts[1:]):
-            if vanishes is None or not vanishes(a, b):
-                total += _piece_sum(rule, a, b - a,
-                                    lambda u, branch=branch: value_of_u(u) * branch(u))
+            total += _piece_sum(rule, a, b - a,
+                                lambda u, branch=branch: value_of_u(u) * branch(u))
         sums.append(total)
     return sums
 
@@ -120,58 +138,35 @@ def _bob_sum(scenario: Scenario, rule: QuadratureRule, value_of_u) -> float:
 
 
 def _outage_kinks(scenario: Scenario, a: float, b: float, c: float) -> list[float]:
-    """Sorted u at which the threshold a / (b + c/(d^2 + u)) - d^2 reaches an
-    end of Zb's support.
+    """[u_0, u_1]: the offsets u at which _threshold_offset reaches the ends
+    0 and D^2/4 of Zb's support, where F_Zb(threshold) saturates at 0 or 1.
 
-    There F_Zb(threshold) saturates at 0 or 1.  Both threshold forms fit
-    the pattern: at finite rho a = eta*rho*A, b = 4^Rbar - 1 and
-    c = 4^Rbar*eta*rho*B; in the high-SNR limit a = A, b = 0, c = 4^Rbar*B.
-    The threshold increases with u, so an end S is reached only if
-    a/(d^2 + S) > b.
+    u_S = (S*(c + b*d^2) - d^2*K) / (a - b*(d^2 + S)).  The threshold
+    increases with u towards a/b, so it never reaches an end S with
+    a <= b*(d^2 + S); u_S is +inf there.
     """
     zb = ZbDistribution(scenario.side_length)
     d2 = scenario.waveguide_height ** 2
-    return sorted(c / (a / (d2 + s) - b) - d2 for s in zb.support if a / (d2 + s) > b)
-
-
-def _no_outage_sums(scenario: Scenario, rule: QuadratureRule, threshold,
-                    kinks: list[float]) -> list[float]:
-    """[j, k, l]: F_Zb(threshold(u)) over the Zw pieces, split at the kinks.
-
-    Between two kinks the threshold stays on one side of 0, so a sub-piece
-    whose midpoint threshold is <= 0 has F_Zb = 0 throughout and is skipped.
-    """
-    zb = ZbDistribution(scenario.side_length)
-    return _willie_sums(scenario, rule, lambda u: zb.cdf(threshold(u)), kinks,
-                        vanishes=lambda lo, hi: threshold(0.5 * (lo + hi)) <= 0.0)
+    k = a - b * d2 - c
+    return [(s * (c + b * d2) - d2 * k) / (a - b * (d2 + s)) if a > b * (d2 + s) else math.inf
+            for s in zb.support]
 
 
 def sop_term_sums(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
                   rule: QuadratureRule, bob_factor: float,
                   willie_factor: float) -> list[float]:
-    """[j, k, l]: no-outage mass F_Zb(threshold) over the Zw pieces."""
-    d2 = scenario.waveguide_height ** 2
-    eta_rho = chan.eta * chan.rho
-    fr = target.threshold
-    kinks = _outage_kinks(scenario, eta_rho * bob_factor, fr - 1.0,
-                          fr * eta_rho * willie_factor)
-    return _no_outage_sums(
-        scenario, rule,
-        lambda u: sop_threshold(d2 + u, bob_factor, willie_factor, chan, target) - d2, kinks)
+    """[j, k, l]: no-outage mass F_Zb(threshold) over the Zw pieces.
 
-
-def sop_asymptotic_term_sums(scenario: Scenario, target: SecrecyTarget,
-                             rule: QuadratureRule, bob_factor: float,
-                             willie_factor: float) -> list[float]:
-    """High-SNR limit: the threshold collapses to z * A / (4^Rbar * B).
-
-    With B = 0 Willie hears nothing and the threshold is +inf (no outage).
+    rho = inf (tx_power = inf) gives the high-SNR limit.  F_Zb vanishes
+    below u_0, where the threshold crosses Zb's lower end, so the pieces
+    start there; sub-pieces on which outage is certain are never evaluated.
     """
     d2 = scenario.waveguide_height ** 2
-    fr = target.threshold
-    factor = bob_factor / (fr * willie_factor) if willie_factor > 0 else math.inf
-    kinks = _outage_kinks(scenario, bob_factor, 0.0, fr * willie_factor)
-    return _no_outage_sums(scenario, rule, lambda u: (d2 + u) * factor - d2, kinks)
+    zb = ZbDistribution(scenario.side_length)
+    a, b, c = _outage_coefficients(chan, target, bob_factor, willie_factor)
+    u_0, u_1 = _outage_kinks(scenario, a, b, c)
+    return _willie_sums(scenario, rule, lambda u: zb.cdf(_threshold_offset(u, d2, a, b, c)),
+                        kinks=(u_1,), lower=u_0)
 
 
 def esc_term_sums(scenario: Scenario, chan: ChannelParams, rule: QuadratureRule,
@@ -204,26 +199,24 @@ def _clamp_probability(value: float, label: str) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _sop_pair(term_sums, span: float, label: str) -> BoundPair:
-    """1 - (j + k + l) in the upper (span, 1) and the lower (1, span) direction."""
-    upper, lower = (1.0 - (j + k + l) for j, k, l in (term_sums(span, 1.0),
-                                                      term_sums(1.0, span)))
-    return BoundPair(lower=_clamp_probability(lower, f"{label} lower bound"),
-                     upper=_clamp_probability(upper, f"{label} upper bound"))
-
-
 def sop_bounds(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
                rule: QuadratureRule) -> BoundPair:
-    """Secrecy outage probability bracket at the channel's rho."""
-    return _sop_pair(lambda b, w: sop_term_sums(scenario, chan, target, rule, b, w),
-                     attenuation_span(scenario, chan), "sop")
+    """Secrecy outage probability bracket at the channel's rho.
+
+    1 - (j + k + l) in the upper (span, 1) and the lower (1, span) direction.
+    """
+    span = attenuation_span(scenario, chan)
+    upper, lower = (1.0 - (j + k + l) for j, k, l in (
+        sop_term_sums(scenario, chan, target, rule, span, 1.0),
+        sop_term_sums(scenario, chan, target, rule, 1.0, span)))
+    return BoundPair(lower=_clamp_probability(lower, "sop lower bound"),
+                     upper=_clamp_probability(upper, "sop upper bound"))
 
 
 def sop_asymptotic(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
                    rule: QuadratureRule) -> BoundPair:
-    """High-SNR saturation levels of the SOP bracket; independent of rho."""
-    return _sop_pair(lambda b, w: sop_asymptotic_term_sums(scenario, target, rule, b, w),
-                     attenuation_span(scenario, chan), "sop asymptotic")
+    """High-SNR saturation levels of the SOP bracket: sop_bounds at rho = inf."""
+    return sop_bounds(scenario, replace(chan, tx_power=math.inf), target, rule)
 
 
 def esc_bounds(scenario: Scenario, chan: ChannelParams,

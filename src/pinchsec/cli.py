@@ -306,15 +306,8 @@ class StatsReport:
 _NORMALIZATION_NODES = 65536
 
 
-def validate_stats(cfg: RunConfig, ks_samples: int = 200000,
-                   sample_zb_dist: ZbDistribution | None = None,
-                   sample_zw_dist: ZwDistribution | None = None) -> StatsReport:
-    """Self-checks of the distance distributions against their samplers.
-
-    sample_*_dist override which distribution generates the KS samples
-    (the analytical CDFs always come from cfg); they exist so a deliberate
-    mismatch can be demonstrated to fail.
-    """
+def validate_stats(cfg: RunConfig, ks_samples: int = 200000) -> StatsReport:
+    """Self-checks of the distance distributions against their samplers."""
     if ks_samples < 1:
         raise ValueError("ks_samples must be >= 1")
     zb, zw = ZbDistribution(cfg.scenario.side_length), ZwDistribution(cfg.scenario.side_length)
@@ -328,8 +321,8 @@ def validate_stats(cfg: RunConfig, ks_samples: int = 200000,
     cont3 = abs(float(zw.cdf_piece3(b3)) - 1.0)
 
     crit = 1.63 / math.sqrt(ks_samples)
-    draws_b = (sample_zb_dist or zb).sample(np.random.default_rng(cfg.mc.seed), ks_samples)
-    draws_w = (sample_zw_dist or zw).sample(np.random.default_rng(cfg.mc.seed), ks_samples)
+    draws_b = zb.sample(np.random.default_rng(cfg.mc.seed), ks_samples)
+    draws_w = zw.sample(np.random.default_rng(cfg.mc.seed), ks_samples)
     ks_b = ks_statistic(draws_b, zb.cdf)
     ks_w = ks_statistic(draws_w, zw.cdf)
 

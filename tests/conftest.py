@@ -144,8 +144,12 @@ def sop_term_oracles(scenario, chan, target, bob_factor, willie_factor, asymptot
         def thr(z):
             return z * factor
     else:
+        eta_rho = chan.eta * chan.rho
+        fr = target.threshold
+
         def thr(z):
-            return float(bounds.sop_threshold(z, bob_factor, willie_factor, chan, target))
+            denom = fr - 1.0 + fr * eta_rho * willie_factor / z
+            return eta_rho * bob_factor / denom if denom > 0 else math.inf
 
     out = []
     for (start, width), branch in zip(zw.pieces, branches):

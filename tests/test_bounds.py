@@ -58,88 +58,84 @@ class TestCoefficients:
             assert pair.lower <= pair.upper
         # a deaf Willie (factor 0) leaves no high-SNR outage threshold
         assert ps.sop_asymptotic(scenario, chan, target, rule_1000).upper == 1.0
-        sums = bounds.sop_asymptotic_term_sums(scenario, target, rule_1000, 1.0, 0.0)
+        sums = bounds.sop_term_sums(scenario, chan_at(math.inf, alpha=20.0), target, rule_1000,
+                                    1.0, 0.0)
         assert sum(sums) == pytest.approx(1.0, abs=1e-11)
         # log2 of the span in the log domain: -2 alpha D / ln 2
         assert ps.esc_asymptotic(scenario, chan, rule_1000).width == pytest.approx(
             1000.0 / math.log(2.0), rel=1e-12)
 
 
+def threshold_offset(u, chan, target, bob_factor, willie_factor, d2=9.0):
+    coeffs = bounds._outage_coefficients(chan, target, bob_factor, willie_factor)
+    return bounds._threshold_offset(u, d2, *coeffs)
+
+
 class TestSopThreshold:
+    # offsets u = z - d^2 with d^2 = 9; the frozen values are thresholds in z minus 9
     def test_reference_values(self, scenario, target):
         chan = chan_at(1e8)
         up, lo = sop_directions(scenario, chan)
         z = 165.25
         fr = 4.0 ** 0.01
-        for (bob, willie), frozen in ((up, 98.4557479348137), (lo, 266.94101014423063)):
+        for (bob, willie), frozen in ((up, 89.4557479348137), (lo, 257.94101014423063)):
             want = (chan.eta * 1e8 * bob
-                    / (fr - 1.0 + fr * chan.eta * 1e8 * willie / z))
-            got = float(bounds.sop_threshold(z, bob, willie, chan, target))
+                    / (fr - 1.0 + fr * chan.eta * 1e8 * willie / z)) - 9.0
+            got = float(threshold_offset(z - 9.0, chan, target, bob, willie))
             assert got == pytest.approx(want, rel=1e-15)
             assert got == pytest.approx(frozen, rel=1e-13)
 
     def test_vectorized(self, scenario, target):
         chan = chan_at(1e8)
         up, _ = sop_directions(scenario, chan)
-        z = np.array([9.0, 100.0, 790.25])
-        thr = bounds.sop_threshold(z, *up, chan, target)
+        u = np.array([0.0, 91.0, 781.25])
+        thr = threshold_offset(u, chan, target, *up)
         assert thr.shape == (3,)
         assert np.all(np.diff(thr) > 0)  # farther Willie, looser threshold
 
     def test_zero_attenuation_pairs_coincide(self, scenario, target):
         chan = chan_at(1e8, alpha=0.0)
         up, lo = sop_directions(scenario, chan)
-        z = np.linspace(9.0, 790.25, 50)
-        np.testing.assert_array_equal(bounds.sop_threshold(z, *up, chan, target),
-                                      bounds.sop_threshold(z, *lo, chan, target))
+        u = np.linspace(0.0, 781.25, 50)
+        np.testing.assert_array_equal(threshold_offset(u, chan, target, *up),
+                                      threshold_offset(u, chan, target, *lo))
 
     def test_high_snr_scaling(self, scenario, target):
-        chan = chan_at(1e18)
+        # exact at rho = inf: the threshold is z * A / (4^Rbar * B)
+        chan = chan_at(math.inf)
         fr = 4.0 ** 0.01
         for bob, willie in sop_directions(scenario, chan):
             for z in (9.0, 165.25, 790.25):
-                want = z * bob / (fr * willie)
-                assert float(bounds.sop_threshold(z, bob, willie, chan, target)) == pytest.approx(
-                    want, rel=1e-10)
+                want = z * bob / (fr * willie) - 9.0
+                assert float(threshold_offset(z - 9.0, chan, target, bob, willie)) == pytest.approx(
+                    want, rel=1e-13)
 
-    def test_rejects_nonpositive_z(self, scenario, target):
-        chan = chan_at(1e8)
-        up, _ = sop_directions(scenario, chan)
-        with pytest.raises(ValueError):
-            bounds.sop_threshold(0.0, *up, chan, target)
-        with pytest.raises(ValueError):
-            bounds.sop_threshold(np.array([10.0, -1.0]), *up, chan, target)
-
-    def test_degenerate_denominator_gives_inf(self, scenario):
-        # zero target rate with an infinitely distant Willie: no outage
-        chan = chan_at(1e8)
-        up, _ = sop_directions(scenario, chan)
-        got = bounds.sop_threshold(np.inf, *up, chan, ps.SecrecyTarget(rate=0.0))
-        assert float(got) == np.inf
+    def test_degenerate_denominator_gives_inf(self):
+        # zero target rate and a deaf Willie (B = 0): no outage
+        got = threshold_offset(np.array([0.0, 100.0]), chan_at(1e8), ps.SecrecyTarget(rate=0.0),
+                               1.0, 0.0)
+        assert np.all(got == np.inf)
 
 
 class TestOutageKinks:
     def test_kinks_are_saturation_points(self, scenario, target, zb_dist):
-        # kinks are offsets u = z - d^2; thresholds are formed at z = 9 + u
-        chan = chan_at(1e8)
+        # kinks are offsets u = z - d^2; the z-form thresholds are formed at z = 9 + u
         fr = target.threshold
-        eta_rho = chan.eta * chan.rho
-        for bob, willie in sop_directions(scenario, chan):
-            finite = bounds._outage_kinks(scenario, eta_rho * bob, fr - 1.0,
-                                          fr * eta_rho * willie)
-            asym = bounds._outage_kinks(scenario, bob, 0.0, fr * willie)
-            assert len(finite) == 2 and len(asym) == 2
-            thr_finite = bounds.sop_threshold(9.0 + np.array(finite), bob, willie, chan, target)
-            thr_asym = (9.0 + np.array(asym)) * bob / (fr * willie)
-            np.testing.assert_allclose(thr_finite, 9.0 + np.array(zb_dist.support), rtol=1e-12)
-            np.testing.assert_allclose(thr_asym, 9.0 + np.array(zb_dist.support), rtol=1e-12)
+        for chan in (chan_at(1e8), chan_at(math.inf)):
+            eta_rho = chan.eta * chan.rho
+            for bob, willie in sop_directions(scenario, chan):
+                coeffs = bounds._outage_coefficients(chan, target, bob, willie)
+                z = 9.0 + np.array(bounds._outage_kinks(scenario, *coeffs))
+                if math.isinf(eta_rho):
+                    thr = z * bob / (fr * willie)
+                else:
+                    thr = eta_rho * bob / (fr - 1.0 + fr * eta_rho * willie / z)
+                np.testing.assert_allclose(thr, 9.0 + np.array(zb_dist.support), rtol=1e-12)
 
     def test_no_kink_when_threshold_stays_below_support(self, scenario, target):
         # below rho* = (4^Rbar - 1) d^2 / eta even the best threshold misses d^2
-        chan = chan_at(1e4)
-        fr = target.threshold
-        eta_rho = chan.eta * chan.rho
-        assert bounds._outage_kinks(scenario, eta_rho, fr - 1.0, fr * eta_rho) == []
+        coeffs = bounds._outage_coefficients(chan_at(1e4), target, 1.0, 1.0)
+        assert bounds._outage_kinks(scenario, *coeffs) == [math.inf, math.inf]
 
     def test_certain_outage_skips_quadrature(self, scenario, target, rule_1000, monkeypatch):
         calls = []
@@ -209,6 +205,20 @@ class TestSopBounds:
             want = sop_term_oracles(scenario, chan, target, *direction)
             np.testing.assert_allclose(got, want, rtol=1e-7)
 
+    @pytest.mark.parametrize("d", [3.0, 30.0, 3e3, 3e4, 3e6])
+    @pytest.mark.parametrize("rho", [1e-2, 1e4, 1e12])
+    def test_far_waveguide_keeps_digits(self, d, rho, rule_1000):
+        # at Rbar = 0 and alpha = 0 the SOP is P(Zb > Zw) = pi/12 - 1/24 for
+        # every D, d and rho; d >> D must not cancel the threshold offset
+        scenario = ps.Scenario(side_length=1e-3, waveguide_height=d)
+        chan = chan_at(rho, alpha=0.0)
+        target = ps.SecrecyTarget(rate=0.0)
+        exact = math.pi / 12.0 - 1.0 / 24.0
+        for pair in (ps.sop_bounds(scenario, chan, target, rule_1000),
+                     ps.sop_asymptotic(scenario, chan, target, rule_1000)):
+            assert pair.lower == pytest.approx(exact, abs=1e-11)
+            assert pair.upper == pytest.approx(exact, abs=1e-11)
+
 
 class TestSopAsymptotic:
     def test_reference_point(self, scenario, target, rule_1000):
@@ -238,7 +248,8 @@ class TestSopAsymptotic:
     def test_oracle_agreement(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
         for direction in sop_directions(scenario, chan):
-            got = bounds.sop_asymptotic_term_sums(scenario, target, rule_8000, *direction)
+            got = bounds.sop_term_sums(scenario, chan_at(math.inf), target, rule_8000,
+                                       *direction)
             want = sop_term_oracles(scenario, chan, target, *direction, asymptotic=True)
             np.testing.assert_allclose(got, want, rtol=1e-7)
 

@@ -282,9 +282,11 @@ class TestValidateStats:
         assert "PASS" in text and "FAIL" not in text
         assert "normalization" in text and "continuity" in text and "KS" in text
 
-    def test_mismatched_sampler_fails_ks(self):
-        report = cli.validate_stats(cli.config_from_dict({}), ks_samples=20000,
-                                    sample_zb_dist=ps.ZbDistribution(26.0))
+    def test_mismatched_sampler_fails_ks(self, monkeypatch):
+        sample = ps.ZbDistribution.sample
+        monkeypatch.setattr(ps.ZbDistribution, "sample",
+                            lambda self, rng, n: sample(ps.ZbDistribution(26.0), rng, n))
+        report = cli.validate_stats(cli.config_from_dict({}), ks_samples=20000)
         assert not report.passed
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == ["KS statistic Zb sampler"]
@@ -412,6 +414,18 @@ class TestMain:
             cli.main(["sweep", "--snr-db", "--trials", "100"])
         assert exc.value.code == 2
         assert "expected one argument" in capsys.readouterr().err
+
+    def test_underflowed_snr_is_certain_outage(self, capsys):
+        # eta * rho underflows to 0 at -3200 dB; with Rbar > 0 outage is certain
+        assert cli.main(["sop", "--snr-db=-3200,0", "--trials", "100"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("snr_db -3200: sop in [1, 1],"), first
+
+    def test_underflowed_snr_at_zero_rate_keeps_bracket(self):
+        # with Rbar = 0 the SOP bracket does not depend on rho
+        low, high = cli.run_sweep(cli.config_from_dict(fast_dict(
+            snr_db_grid=[-3200.0, 0.0], target_rate_bits=0.0)))
+        assert (low.sop_lb, low.sop_ub) == (high.sop_lb, high.sop_ub)
 
     def test_bad_workers(self, capsys):
         assert cli.main(["sweep", "--workers", "0", "--snr-db", "0"]) == 2
