@@ -11,13 +11,15 @@ pairs.  A span that underflows to 0 (alpha*D beyond about 372) is valid.
 
 The term sums are plain integrals over the distance offsets u = z - d^2
 of diststats.py, on the endpoint-smoothed rule of quad.py, returned per
-piece: [j, k, l] over the three Zw density pieces, preceded by the Zb term
-where there is one.  d^2 enters only where a rate or the outage threshold
-is formed from z = d^2 + u; the capacity terms integrate each rate as an
-offset from its value at u = 0, which keeps digits where d^2 dwarfs D^2.
-The Zb density's 1/sqrt pole at u = 0 is removed by integrating over
-Bob's offset y = sqrt(u) instead.  At n nodes per sub-piece the error
-falls as n^-4 (about 1e-12 relative at the default n = 1000).
+channel and piece: rows [j, k, l] over the three Zw density pieces,
+preceded by the Zb term where there is one.  d^2 enters only where a
+rate or the outage threshold is formed from z = d^2 + u; the capacity
+terms integrate each rate as an offset from its value at u = 0, which
+keeps digits where d^2 dwarfs D^2.  The Zb density's 1/sqrt pole at
+u = 0 is removed by integrating over Bob's offset y = sqrt(u) instead.
+At n nodes per sub-piece the error falls as n^-4 (about 1e-12 relative
+at the default n = 1000).  Rows run in blocks, each summed alone by
+quad.integrate, so a channel's bracket has the same bits in any list.
 
 The outage has one threshold: with Willie at z, Zb < a / (b + c/z) with
 a = A, b = (4^Rbar - 1)/(eta*rho), c = 4^Rbar*B for a direction (A, B).
@@ -79,53 +81,76 @@ def _outage_coefficients(chan: ChannelParams, target: SecrecyTarget, bob_factor:
     return bob_factor, b, fr * willie_factor
 
 
-def _threshold_offset(u, d2: float, a: float, b: float, c: float):
+_BLOCK_ELEMENTS = 16384  # per row block: 16 rows at n = 1000; 64 save ~15% for 4x the memory
+
+
+def _row_blocks(rows, rule: QuadratureRule) -> list:
+    """The row indices `rows` in runs of at most _BLOCK_ELEMENTS // n."""
+    step = max(1, _BLOCK_ELEMENTS // rule.n)
+    return [rows[i:i + step] for i in range(0, len(rows), step)]
+
+
+def _rows(chans, bob_factor, willie_factor):
+    """(chan, bob_factor, willie_factor) per channel; a factor is one number or one per channel."""
+    return zip(chans, *(np.broadcast_to(np.asarray(f, dtype=float), (len(chans),)).tolist()
+                        for f in (bob_factor, willie_factor)))
+
+
+def _threshold_offset(u, d2: float, a, b, c):
     """Largest Zb offset that still avoids secrecy outage, Willie at offset u.
 
     The threshold a / (b + c/z) at z = d^2 + u, minus d^2, over one
     denominator: (d^2*K + u*(a - b*d^2)) / (b*(d^2 + u) + c) with
     K = a - b*d^2 - c.  K is exactly 0 at Rbar = 0 and equal factors, so no
     digit of d^2 is lost.  Where b = c = 0 Willie hears nothing and the
-    offset is +inf (no outage).
+    offset is a*z/0 = +inf (no outage).
     """
     u = np.asarray(u, dtype=float)
-    if b == 0.0 and c == 0.0:
-        return np.full_like(u, np.inf)
-    return (d2 * (a - b * d2 - c) + u * (a - b * d2)) / (b * (d2 + u) + c)
+    with np.errstate(divide="ignore"):
+        return (d2 * (a - b * d2 - c) + u * (a - b * d2)) / (b * (d2 + u) + c)
 
 
-def _piece_sum(rule: QuadratureRule, lo: float, width: float, f) -> float:
-    """Plain integral of f over [lo, lo + width]."""
-    return width * integrate(rule, lambda x: f(lo + width * x))
+def _piece_sum(rule: QuadratureRule, lo, width, f):
+    """Plain integral of f over [lo, lo + width]; vectors lo and width give one per row."""
+    lo_col, width_col = (np.asarray(v, dtype=float)[..., None] for v in (lo, width))
+    return width * integrate(rule, lambda x: f(lo_col + width_col * x))
 
 
-def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_u,
-                 kinks=(), lower=-math.inf) -> list[float]:
-    """Integrate value_of_u(u) against each Zw density branch over its piece.
+def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_u, lower=None,
+                 kink=None) -> list:
+    """Integrate value_of_u against each Zw density branch over its piece.
 
-    value_of_u vanishes below `lower`, so each piece is cut off there.  The
-    rest is split at the offsets `kinks` inside it, so that every sub-piece
-    integrand is smooth up to corners at its ends.
+    Without limits, the rows of value_of_u(u)'s (k, n) block share nodes u.
+    With row vectors `lower` and `kink`, row r's piece starts at lower[r]
+    and is split at kink[r] where that lies inside, so that every sub-piece
+    integrand is smooth up to corners at its ends; value_of_u(u, rows) is
+    evaluated on blocks of the rows where a sub-piece is live, and no other.
     """
     zw = ZwDistribution(scenario.side_length)
     sums = []
     for (start, width), branch in zip(zw.pieces, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)):
-        lo, hi = max(start, lower), start + width
-        cuts = [lo, *(k for k in kinks if lo < k < hi), hi] if lo < hi else []
-        total = 0.0
-        for a, b in zip(cuts, cuts[1:]):
-            total += _piece_sum(rule, a, b - a,
-                                lambda u, branch=branch: value_of_u(u) * branch(u))
+        hi = start + width
+        if lower is None:
+            sums.append(_piece_sum(rule, start, hi - start, lambda u: value_of_u(u) * branch(u)))
+            continue
+        lo = np.maximum(start, lower)
+        inside = (lo < kink) & (kink < hi)
+        total = np.zeros(len(lower))  # sub-piece sums are added to 0 in cut order
+        for a, b, live in ((lo, np.where(inside, kink, hi), lo < hi),
+                           (kink, np.full(len(kink), hi), inside)):
+            for rows in _row_blocks(np.flatnonzero(live), rule):
+                total[rows] += _piece_sum(rule, a[rows], b[rows] - a[rows],
+                                          lambda u: value_of_u(u, rows) * branch(u))
         sums.append(total)
     return sums
 
 
-def _bob_sum(scenario: Scenario, rule: QuadratureRule, value_of_u) -> float:
+def _bob_sum(scenario: Scenario, rule: QuadratureRule, value_of_u):
     """Integrate value_of_u(u) against the Zb density, over Bob's offset y.
 
     u = y^2 with y in [0, D/2] turns pdf(u) du into (2/D) dy, which cancels
     the density's 1/sqrt(u) pole.  The density is still evaluated, so a
-    normalization check of it stays a check.
+    normalization check of it stays a check.  Every row shares the nodes.
     """
     zb = ZbDistribution(scenario.side_length)
     y_max = 0.5 * scenario.side_length
@@ -152,10 +177,9 @@ def _outage_kinks(scenario: Scenario, a: float, b: float, c: float) -> list[floa
             for s in zb.support]
 
 
-def sop_term_sums(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
-                  rule: QuadratureRule, bob_factor: float,
-                  willie_factor: float) -> list[float]:
-    """[j, k, l]: no-outage mass F_Zb(threshold) over the Zw pieces.
+def sop_term_sums(scenario: Scenario, chans, target: SecrecyTarget, rule: QuadratureRule,
+                  bob_factor, willie_factor) -> np.ndarray:
+    """Rows [j, k, l], one per channel: no-outage mass F_Zb(threshold) over the Zw pieces.
 
     rho = inf (tx_power = inf) gives the high-SNR limit.  F_Zb vanishes
     below u_0, where the threshold crosses Zb's lower end, so the pieces
@@ -163,33 +187,47 @@ def sop_term_sums(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget
     """
     d2 = scenario.waveguide_height ** 2
     zb = ZbDistribution(scenario.side_length)
-    a, b, c = _outage_coefficients(chan, target, bob_factor, willie_factor)
-    u_0, u_1 = _outage_kinks(scenario, a, b, c)
-    return _willie_sums(scenario, rule, lambda u: zb.cdf(_threshold_offset(u, d2, a, b, c)),
-                        kinks=(u_1,), lower=u_0)
+    coeffs = [_outage_coefficients(chan, target, bob, willie)
+              for chan, bob, willie in _rows(chans, bob_factor, willie_factor)]
+    u_0, u_1 = np.array([_outage_kinks(scenario, *abc) for abc in coeffs]).reshape(-1, 2).T
+    abc = np.array(coeffs).reshape(-1, 3)
+    return np.column_stack(_willie_sums(
+        scenario, rule, lambda u, rows: zb.cdf(_threshold_offset(u, d2, *abc[rows].T[..., None])),
+        u_0, u_1))
 
 
-def esc_term_sums(scenario: Scenario, chan: ChannelParams, rule: QuadratureRule,
-                  bob_factor: float, willie_factor: float) -> list[float]:
-    """[bob, j, k, l]: rate offsets from the rate at u = 0, one ESC bound direction.
+def esc_term_sums(scenario: Scenario, chans, rule: QuadratureRule, bob_factor,
+                  willie_factor) -> np.ndarray:
+    """Rows [bob, j, k, l], one per channel: rate offsets from the rate at u = 0.
 
     bob: log2(1 + g*A/(d^2 + u)) - log2(1 + g*A/d^2) against the Zb density,
     j, k, l: the same with B against the Zw branches, where g = eta*rho.
     The offset keeps its digits where u << d^2: below g = d^2 it is
     log1p(-s * u/(d^2 + u)) with s = g/(d^2 + g) < 1/2, above it the
     difference log1p(u/(d^2 + g)) - log1p(u/d^2) of terms a factor 2 apart.
+    With no kinks, the rows of a block share their nodes.
     """
     d2 = scenario.waveguide_height ** 2
-    ln2 = math.log(2.0)
+    gains = np.array([(chan.eta * chan.rho * bob, chan.eta * chan.rho * willie)
+                  for chan, bob, willie in _rows(chans, bob_factor, willie_factor)]).reshape(-1, 2)
 
-    def rate_offset(factor):
-        g = chan.eta * chan.rho * factor
-        if g < d2:
-            return lambda u: np.log1p(-(g / (d2 + g)) * (u / (d2 + u))) / ln2
-        return lambda u: (np.log1p(u / (d2 + g)) - np.log1p(u / d2)) / ln2
+    def rate_offset(g):
+        near = g < d2
+        s, far = (g[near] / (d2 + g[near]))[:, None], (d2 + g[~near])[:, None]
 
-    return [_bob_sum(scenario, rule, rate_offset(bob_factor)),
-            *_willie_sums(scenario, rule, rate_offset(willie_factor))]
+        def offset(u):
+            out = np.empty((g.size, u.size))
+            out[near] = np.log1p(-s * (u / (d2 + u))) / math.log(2.0)
+            out[~near] = (np.log1p(u / far) - np.log1p(u / d2)) / math.log(2.0)
+            return out
+        return offset
+
+    sums = np.empty((len(chans), 4))
+    for rows in _row_blocks(np.arange(len(chans)), rule):
+        bob, willie = (rate_offset(gains[rows, i]) for i in (0, 1))
+        sums[rows] = np.column_stack([_bob_sum(scenario, rule, bob),
+                                      *_willie_sums(scenario, rule, willie)])
+    return sums
 
 
 def _clamp_probability(value: float, label: str) -> float:
@@ -199,45 +237,46 @@ def _clamp_probability(value: float, label: str) -> float:
     return min(1.0, max(0.0, value))
 
 
-def sop_bounds(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
-               rule: QuadratureRule) -> BoundPair:
-    """Secrecy outage probability bracket at the channel's rho.
+def sop_bounds(scenario: Scenario, chans, target: SecrecyTarget,
+               rule: QuadratureRule) -> list[BoundPair]:
+    """Secrecy outage probability brackets, one per channel at its rho, in order.
 
     1 - (j + k + l) in the upper (span, 1) and the lower (1, span) direction.
     """
-    span = attenuation_span(scenario, chan)
-    upper, lower = (1.0 - (j + k + l) for j, k, l in (
-        sop_term_sums(scenario, chan, target, rule, span, 1.0),
-        sop_term_sums(scenario, chan, target, rule, 1.0, span)))
-    return BoundPair(lower=_clamp_probability(lower, "sop lower bound"),
-                     upper=_clamp_probability(upper, "sop upper bound"))
+    spans = [attenuation_span(scenario, chan) for chan in chans]
+    upper, lower = ([1.0 - (j + k + l) for j, k, l in
+                     sop_term_sums(scenario, chans, target, rule, *direction).tolist()]
+                    for direction in ((spans, 1.0), (1.0, spans)))
+    return [BoundPair(lower=_clamp_probability(lo, "sop lower bound"),
+                      upper=_clamp_probability(up, "sop upper bound"))
+            for lo, up in zip(lower, upper)]
 
 
 def sop_asymptotic(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
                    rule: QuadratureRule) -> BoundPair:
     """High-SNR saturation levels of the SOP bracket: sop_bounds at rho = inf."""
-    return sop_bounds(scenario, replace(chan, tx_power=math.inf), target, rule)
+    return sop_bounds(scenario, [replace(chan, tx_power=math.inf)], target, rule)[0]
 
 
-def esc_bounds(scenario: Scenario, chan: ChannelParams,
-               rule: QuadratureRule) -> BoundPair:
-    """Ergodic secrecy capacity bracket; the 1/2 pre-log is applied here.
+def esc_bounds(scenario: Scenario, chans, rule: QuadratureRule) -> list[BoundPair]:
+    """Ergodic secrecy capacity brackets, one per channel, in order.
 
     0.5 * (r(A) - r(B) + bob - (j + k + l)) in the upper (1, span) and the
     lower (span, 1) direction, where r(F) = log2(1 + eta*rho*F/d^2) is the
     rate at distance d that esc_term_sums measures its offsets from.  At
     alpha = 0 the r terms cancel exactly.
     """
-    span = attenuation_span(scenario, chan)
+    spans = [attenuation_span(scenario, chan) for chan in chans]
     d2 = scenario.waveguide_height ** 2
 
     def esc(bob_factor, willie_factor):
-        c, j, k, l = esc_term_sums(scenario, chan, rule, bob_factor, willie_factor)
-        peak = (math.log1p(chan.eta * chan.rho * bob_factor / d2)
-                - math.log1p(chan.eta * chan.rho * willie_factor / d2)) / math.log(2.0)
-        return 0.5 * (peak + c - (j + k + l))
+        rows = zip(_rows(chans, bob_factor, willie_factor),
+                   esc_term_sums(scenario, chans, rule, bob_factor, willie_factor).tolist())
+        return [0.5 * ((math.log1p(chan.eta * chan.rho * bob / d2)
+                        - math.log1p(chan.eta * chan.rho * willie / d2)) / math.log(2.0)
+                       + c - (j + k + l)) for (chan, bob, willie), (c, j, k, l) in rows]
 
-    return BoundPair(upper=esc(1.0, span), lower=esc(span, 1.0))
+    return [BoundPair(lower=lo, upper=up) for up, lo in zip(esc(1.0, spans), esc(spans, 1.0))]
 
 
 def esc_asymptotic(scenario: Scenario, chan: ChannelParams,
@@ -248,7 +287,8 @@ def esc_asymptotic(scenario: Scenario, chan: ChannelParams,
     infinite power, and r(A) - r(B) to log2(A/B), -/+ log2(span) on the upper/
     lower side, taken as -2 alpha D / ln 2: finite where the span underflows.
     """
-    c, j, k, l = esc_term_sums(scenario, replace(chan, tx_power=math.inf), rule, 1.0, 1.0)
+    c, j, k, l = esc_term_sums(scenario, [replace(chan, tx_power=math.inf)], rule,
+                               1.0, 1.0)[0].tolist()
     gap = c - (j + k + l)
     log_span = -2.0 * chan.attenuation * scenario.side_length / math.log(2.0)
     return BoundPair(lower=0.5 * (gap + log_span),

@@ -222,12 +222,12 @@ def run_sweep(cfg: RunConfig) -> list[SweepRecord]:
     # the asymptotes depend on the channel only through attenuation_span
     sop_asym = sop_asymptotic(cfg.scenario, chans[0], cfg.target, rule)
     esc_asym = esc_asymptotic(cfg.scenario, chans[0], rule)
-    brackets = [(sop_bounds(cfg.scenario, chan, cfg.target, rule),
-                 esc_bounds(cfg.scenario, chan, rule)) for chan in chans]
+    sops = sop_bounds(cfg.scenario, chans, cfg.target, rule)
+    escs = esc_bounds(cfg.scenario, chans, rule)
     estimates = _mc_sweep(cfg.scenario, chans, cfg.target, cfg.mc, cfg.workers)
     records = []
-    for snr_db, (sop, esc), (sop_mc, esc_mc, fa_sop, fa_esc) in zip(
-            cfg.snr_db_grid, brackets, estimates):
+    for snr_db, sop, esc, (sop_mc, esc_mc, fa_sop, fa_esc) in zip(
+            cfg.snr_db_grid, sops, escs, estimates):
         record = SweepRecord(snr_db=snr_db,
                              sop_lb=sop.lower, sop_ub=sop.upper,
                              sop_asym_lb=sop_asym.lower, sop_asym_ub=sop_asym.upper,
@@ -236,7 +236,7 @@ def run_sweep(cfg: RunConfig) -> list[SweepRecord]:
                              esc_asym_lb=esc_asym.lower, esc_asym_ub=esc_asym.upper,
                              esc_mc=esc_mc.mean, esc_mc_se=esc_mc.std_error,
                              fa_sop_mc=fa_sop.mean, fa_esc_mc=fa_esc.mean)
-        for name, value in dataclasses.asdict(record).items():
+        for name, value in vars(record).items():
             if not math.isfinite(value):
                 raise CliError(f"non-finite {name} at snr_db = {snr_db}")
         records.append(record)

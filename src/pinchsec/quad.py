@@ -46,17 +46,22 @@ def make_rule(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def integrate(rule: QuadratureRule, integrand) -> float:
+def integrate(rule: QuadratureRule, integrand):
     """sum(w_i * f(x_i)), the integral of a vectorized f over [0, 1].
 
-    The summation order is fixed (numpy pairwise over the node array), so
-    results are bit-stable for a given rule regardless of caller threading.
+    f maps the (n,) nodes to n values, or to an (m, n) block of m rows, one
+    integrand each; a block gives the (m,) row sums.  The summation order
+    is fixed (numpy pairwise along the contiguous node axis), so each row
+    sum is bit-identical to the 1-D call on that row, whatever the row
+    count or the caller's threading.
     """
     values = np.asarray(integrand(rule.nodes), dtype=float)
-    values = np.broadcast_to(values, rule.nodes.shape)
+    values = np.broadcast_to(values, np.broadcast_shapes(values.shape, rule.nodes.shape))
     bad = ~np.isfinite(values)
     if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"integrand not finite at node {i} ({rule.nodes[i]!r}: "
-                         f"value {values[i]!r})")
-    return float(np.sum(rule.weights * values))
+        *row, i = np.unravel_index(np.argmax(bad), values.shape)
+        where = f"row {row[0]}, node {i}" if row else f"node {i}"
+        raise ValueError(f"integrand not finite at {where} ({rule.nodes[i]!r}: "
+                         f"value {values[(*row, i)]!r})")
+    sums = np.sum(rule.weights * values, axis=-1)
+    return sums if sums.ndim else float(sums)

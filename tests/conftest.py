@@ -77,7 +77,7 @@ def esc_term_values(scenario, chan, rule, bob_factor, willie_factor):
     The program integrates each rate as an offset from its value at
     distance d; the oracles integrate the rate itself.
     """
-    sums = bounds.esc_term_sums(scenario, chan, rule, bob_factor, willie_factor)
+    sums = bounds.esc_term_sums(scenario, [chan], rule, bob_factor, willie_factor)[0]
     d2 = scenario.waveguide_height ** 2
     eta_rho = chan.eta * chan.rho
     return _add_values_at_height(scenario, sums, math.log2(1.0 + eta_rho * bob_factor / d2),
@@ -90,7 +90,7 @@ def log2_moment_values(scenario, rule):
     Comparable to log2_moment_oracles.
     """
     chan = ps.ChannelParams(tx_power=math.inf)
-    sums = [-s for s in bounds.esc_term_sums(scenario, chan, rule, 1.0, 1.0)]
+    sums = [-s for s in bounds.esc_term_sums(scenario, [chan], rule, 1.0, 1.0)[0]]
     log2_d2 = math.log2(scenario.waveguide_height ** 2)
     return _add_values_at_height(scenario, sums, log2_d2, log2_d2)
 

@@ -9,6 +9,7 @@ combined.  The program's quadrature must match them to 1e-10 relative.
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ from conftest import (SNR_GRID_DB, chan_at, esc_term_oracles, esc_term_values,
 SPAN = math.exp(-0.5)  # exp(-2 * 0.01 * 25)
 
 
+def first_row(factors):
+    """The first channel's value of each direction factor."""
+    return tuple(float(np.ravel(f)[0]) for f in factors)
+
+
 class TestCoefficients:
     def test_span_value(self, scenario):
         assert bounds.attenuation_span(scenario, chan_at(1e8)) == pytest.approx(
@@ -29,12 +35,13 @@ class TestCoefficients:
         assert bounds.attenuation_span(scenario, chan_at(1e8, alpha=0.0)) == 1.0
 
     def test_sop_pairs(self, scenario, target, rule_1000, monkeypatch):
-        # (bob_factor, willie_factor) of the upper, then the lower direction
+        # (bob_factor, willie_factor) of the upper, then the lower direction;
+        # a factor is one number or one per channel
         seen = []
         term_sums = bounds.sop_term_sums
         monkeypatch.setattr(bounds, "sop_term_sums",
-                            lambda *a: seen.append(a[-2:]) or term_sums(*a))
-        ps.sop_bounds(scenario, chan_at(1e8), target, rule_1000)
+                            lambda *a: seen.append(first_row(a[-2:])) or term_sums(*a))
+        ps.sop_bounds(scenario, [chan_at(1e8)], target, rule_1000)
         assert seen == [(SPAN, 1.0), (1.0, SPAN)]
         assert sop_directions(scenario, chan_at(1e8)) == tuple(seen)
 
@@ -42,24 +49,24 @@ class TestCoefficients:
         seen = []
         term_sums = bounds.esc_term_sums
         monkeypatch.setattr(bounds, "esc_term_sums",
-                            lambda *a: seen.append(a[-2:]) or term_sums(*a))
-        ps.esc_bounds(scenario, chan_at(1e8), rule_1000)
+                            lambda *a: seen.append(first_row(a[-2:])) or term_sums(*a))
+        ps.esc_bounds(scenario, [chan_at(1e8)], rule_1000)
         assert seen == [(1.0, SPAN), (SPAN, 1.0)]
 
     def test_underflowed_span_is_valid(self, scenario, target, rule_1000):
         # alpha * D = 500: exp(-1000) is 0.0, yet the model is well defined
         chan = chan_at(1e8, alpha=20.0)
         assert bounds.attenuation_span(scenario, chan) == 0.0
-        for pair in (ps.sop_bounds(scenario, chan, target, rule_1000),
+        for pair in (ps.sop_bounds(scenario, [chan], target, rule_1000)[0],
                      ps.sop_asymptotic(scenario, chan, target, rule_1000),
-                     ps.esc_bounds(scenario, chan, rule_1000),
+                     ps.esc_bounds(scenario, [chan], rule_1000)[0],
                      ps.esc_asymptotic(scenario, chan, rule_1000)):
             assert math.isfinite(pair.lower) and math.isfinite(pair.upper)
             assert pair.lower <= pair.upper
         # a deaf Willie (factor 0) leaves no high-SNR outage threshold
         assert ps.sop_asymptotic(scenario, chan, target, rule_1000).upper == 1.0
-        sums = bounds.sop_term_sums(scenario, chan_at(math.inf, alpha=20.0), target, rule_1000,
-                                    1.0, 0.0)
+        sums = bounds.sop_term_sums(scenario, [chan_at(math.inf, alpha=20.0)], target, rule_1000,
+                                    1.0, 0.0)[0]
         assert sum(sums) == pytest.approx(1.0, abs=1e-11)
         # log2 of the span in the log domain: -2 alpha D / ln 2
         assert ps.esc_asymptotic(scenario, chan, rule_1000).width == pytest.approx(
@@ -144,16 +151,16 @@ class TestOutageKinks:
                             lambda rule, g: calls.append(rule) or integrate(rule, g))
         chan = chan_at(1e4)
         for direction in sop_directions(scenario, chan):
-            sums = bounds.sop_term_sums(scenario, chan, target, rule_1000, *direction)
-            assert sums == [0.0, 0.0, 0.0]
+            sums = bounds.sop_term_sums(scenario, [chan], target, rule_1000, *direction)[0]
+            assert sums.tolist() == [0.0, 0.0, 0.0]
         assert calls == []
-        pair = ps.sop_bounds(scenario, chan, target, rule_1000)
+        pair = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
         assert (pair.lower, pair.upper) == (1.0, 1.0)
 
 
 class TestSopBounds:
     def test_reference_point(self, scenario, target, rule_1000):
-        pair = ps.sop_bounds(scenario, chan_at(1e8), target, rule_1000)
+        pair = ps.sop_bounds(scenario, [chan_at(1e8)], target, rule_1000)[0]
         # 1 - sum(sop_term_oracles(...)) for the lower and the upper
         # direction of sop_directions
         assert pair.lower == pytest.approx(0.12810884315380378, rel=1e-10)
@@ -161,20 +168,20 @@ class TestSopBounds:
 
     def test_ordering_across_grid(self, scenario, target, rule_1000):
         for snr_db in SNR_GRID_DB:
-            pair = ps.sop_bounds(scenario, chan_at(10 ** (snr_db / 10.0)), target, rule_1000)
+            pair = ps.sop_bounds(scenario, [chan_at(10 ** (snr_db / 10.0))], target, rule_1000)[0]
             assert 0.0 <= pair.lower <= pair.upper <= 1.0
 
     def test_zero_attenuation_collapse(self, scenario, target, rule_1000):
-        pair = ps.sop_bounds(scenario, chan_at(1e8, alpha=0.0), target, rule_1000)
+        pair = ps.sop_bounds(scenario, [chan_at(1e8, alpha=0.0)], target, rule_1000)[0]
         assert pair.lower == pair.upper
 
     def test_low_snr_saturates_at_one(self, scenario, target, rule_1000):
-        pair = ps.sop_bounds(scenario, chan_at(1e-12), target, rule_1000)
+        pair = ps.sop_bounds(scenario, [chan_at(1e-12)], target, rule_1000)[0]
         assert pair.lower == 1.0
         assert pair.upper == 1.0
 
     def test_monotone_in_rho(self, scenario, target, rule_1000):
-        vals = [ps.sop_bounds(scenario, chan_at(r), target, rule_1000)
+        vals = [ps.sop_bounds(scenario, [chan_at(r)], target, rule_1000)[0]
                 for r in (1e6, 1e8, 1e10)]
         assert vals[0].upper >= vals[1].upper >= vals[2].upper
         assert vals[0].lower >= vals[1].lower >= vals[2].lower
@@ -182,14 +189,14 @@ class TestSopBounds:
     def test_no_clamping_on_grid(self, scenario, target, rule_1000, caplog):
         with caplog.at_level(logging.WARNING, logger="pinchsec.bounds"):
             for snr_db in SNR_GRID_DB:
-                ps.sop_bounds(scenario, chan_at(10 ** (snr_db / 10.0)), target, rule_1000)
+                ps.sop_bounds(scenario, [chan_at(10 ** (snr_db / 10.0))], target, rule_1000)
         assert not caplog.records
 
     def test_term_sums_reference(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
         up, lo = sop_directions(scenario, chan)
-        got_up = bounds.sop_term_sums(scenario, chan, target, rule_8000, *up)
-        got_lo = bounds.sop_term_sums(scenario, chan, target, rule_8000, *lo)
+        got_up = bounds.sop_term_sums(scenario, [chan], target, rule_8000, *up)[0]
+        got_lo = bounds.sop_term_sums(scenario, [chan], target, rule_8000, *lo)[0]
         # sop_term_oracles(scenario, chan, target, *direction) for each direction
         np.testing.assert_allclose(
             got_up,
@@ -201,7 +208,7 @@ class TestSopBounds:
     def test_term_sums_against_adaptive_oracle(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
         for direction in sop_directions(scenario, chan):
-            got = bounds.sop_term_sums(scenario, chan, target, rule_8000, *direction)
+            got = bounds.sop_term_sums(scenario, [chan], target, rule_8000, *direction)[0]
             want = sop_term_oracles(scenario, chan, target, *direction)
             np.testing.assert_allclose(got, want, rtol=1e-7)
 
@@ -214,7 +221,7 @@ class TestSopBounds:
         chan = chan_at(rho, alpha=0.0)
         target = ps.SecrecyTarget(rate=0.0)
         exact = math.pi / 12.0 - 1.0 / 24.0
-        for pair in (ps.sop_bounds(scenario, chan, target, rule_1000),
+        for pair in (ps.sop_bounds(scenario, [chan], target, rule_1000)[0],
                      ps.sop_asymptotic(scenario, chan, target, rule_1000)):
             assert pair.lower == pytest.approx(exact, abs=1e-11)
             assert pair.upper == pytest.approx(exact, abs=1e-11)
@@ -240,7 +247,7 @@ class TestSopAsymptotic:
 
     def test_finite_snr_approaches_asymptote(self, scenario, target, rule_1000):
         chan = chan_at(1e14)
-        finite = ps.sop_bounds(scenario, chan, target, rule_1000)
+        finite = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
         asym = ps.sop_asymptotic(scenario, chan, target, rule_1000)
         assert abs(finite.lower - asym.lower) < 1e-2
         assert abs(finite.upper - asym.upper) < 1e-2
@@ -248,15 +255,15 @@ class TestSopAsymptotic:
     def test_oracle_agreement(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
         for direction in sop_directions(scenario, chan):
-            got = bounds.sop_term_sums(scenario, chan_at(math.inf), target, rule_8000,
-                                       *direction)
+            got = bounds.sop_term_sums(scenario, [chan_at(math.inf)], target, rule_8000,
+                                       *direction)[0]
             want = sop_term_oracles(scenario, chan, target, *direction, asymptotic=True)
             np.testing.assert_allclose(got, want, rtol=1e-7)
 
 
 class TestEscBounds:
     def test_reference_point(self, scenario, rule_1000):
-        pair = ps.esc_bounds(scenario, chan_at(1e8), rule_1000)
+        pair = ps.esc_bounds(scenario, [chan_at(1e8)], rule_1000)[0]
         # (bob - piece1 - piece2 - piece3) / 2 of esc_term_oracles(...) for
         # the lower and the upper direction (sop_directions reversed)
         assert pair.lower == pytest.approx(0.30282340510406547, rel=1e-10)
@@ -264,19 +271,19 @@ class TestEscBounds:
 
     def test_ordering_across_grid(self, scenario, rule_1000):
         for snr_db in SNR_GRID_DB:
-            pair = ps.esc_bounds(scenario, chan_at(10 ** (snr_db / 10.0)), rule_1000)
+            pair = ps.esc_bounds(scenario, [chan_at(10 ** (snr_db / 10.0))], rule_1000)[0]
             assert pair.lower <= pair.upper
 
     def test_zero_attenuation_collapse(self, scenario, rule_1000):
-        pair = ps.esc_bounds(scenario, chan_at(1e8, alpha=0.0), rule_1000)
+        pair = ps.esc_bounds(scenario, [chan_at(1e8, alpha=0.0)], rule_1000)[0]
         assert pair.lower == pair.upper
 
     def test_low_snr_vanishes(self, scenario, rule_1000):
-        pair = ps.esc_bounds(scenario, chan_at(1e-12), rule_1000)
+        pair = ps.esc_bounds(scenario, [chan_at(1e-12)], rule_1000)[0]
         assert 0.0 <= pair.lower <= pair.upper < 1e-15
 
     def test_monotone_in_rho(self, scenario, rule_1000):
-        vals = [ps.esc_bounds(scenario, chan_at(r), rule_1000) for r in (1e6, 1e8, 1e10)]
+        vals = [ps.esc_bounds(scenario, [chan_at(r)], rule_1000)[0] for r in (1e6, 1e8, 1e10)]
         assert vals[0].upper <= vals[1].upper <= vals[2].upper
         assert vals[0].lower <= vals[1].lower <= vals[2].lower
 
@@ -327,7 +334,7 @@ class TestEscAsymptotic:
 
     def test_finite_snr_approaches_asymptote(self, scenario, rule_1000):
         chan = chan_at(1e14)
-        finite = ps.esc_bounds(scenario, chan, rule_1000)
+        finite = ps.esc_bounds(scenario, [chan], rule_1000)[0]
         asym = ps.esc_asymptotic(scenario, chan, rule_1000)
         assert abs(finite.lower - asym.lower) < 1e-2
         assert abs(finite.upper - asym.upper) < 1e-2
@@ -337,6 +344,49 @@ class TestEscAsymptotic:
         want_bob, want_j, want_k, want_l = log2_moment_oracles(scenario)
         assert bob == pytest.approx(want_bob, rel=1e-6)
         assert j + k + l == pytest.approx(want_j + want_k + want_l, rel=1e-6)
+
+
+# the dense 0.25 dB grid to 80 dB: at n = 1000 it spans 23 blocks of rows
+DENSE_GRID_DB = [-10.0 + 0.25 * k for k in range(361)]
+
+
+class TestChannelLists:
+    @pytest.mark.parametrize("alpha", [0.01, 16.0])  # alpha * D = 400 underflows the span
+    def test_point_alone_equals_point_in_list(self, scenario, target, rule_1000, alpha):
+        # below rho* (43.4 dB) outage is certain and no node is evaluated,
+        # above it the rows are kinked; rho = inf is the asymptote's row
+        chans = [chan_at(10 ** (snr_db / 10.0), alpha=alpha) for snr_db in DENSE_GRID_DB]
+        sop_chans = [*chans, chan_at(math.inf, alpha=alpha)]
+        sop_alone = [ps.sop_bounds(scenario, [chan], target, rule_1000)[0] for chan in sop_chans]
+        esc_alone = [ps.esc_bounds(scenario, [chan], rule_1000)[0] for chan in chans]
+        assert sop_alone[0] == ps.BoundPair(1.0, 1.0) and sop_alone[-1].lower < 1.0
+        for order in (1, -1):  # ascending and descending rho
+            assert (ps.sop_bounds(scenario, sop_chans[::order], target, rule_1000)
+                    == sop_alone[::order])
+            assert ps.esc_bounds(scenario, chans[::order], rule_1000) == esc_alone[::order]
+
+    def test_empty_list(self, scenario, target, rule_1000):
+        assert ps.sop_bounds(scenario, [], target, rule_1000) == []
+        assert ps.esc_bounds(scenario, [], rule_1000) == []
+
+    def test_block_memory_stays_bounded(self, scenario, target, rule_1000):
+        # rows run in blocks of ~16 at n = 1000 (about 0.8 MB for the SOP
+        # and 0.5 MB for the ESC); all 361 rows at once would take ~20 MB
+        chans = [chan_at(10 ** (snr_db / 10.0)) for snr_db in DENSE_GRID_DB]
+        ps.sop_bounds(scenario, chans[:2], target, rule_1000)
+        ps.esc_bounds(scenario, chans[:2], rule_1000)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for bound in (lambda: ps.sop_bounds(scenario, chans, target, rule_1000),
+                          lambda: ps.esc_bounds(scenario, chans, rule_1000)):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                bound()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert sum(peaks) <= 2e6, peaks
 
 
 class TestHighSnrEstimators:
@@ -368,16 +418,16 @@ class TestHighSnrEstimators:
 
     def test_saturating_curves_have_zero_order(self, scenario, target, rule_1000):
         def sop_up(rho):
-            return ps.sop_bounds(scenario, chan_at(rho), target, rule_1000).upper
+            return ps.sop_bounds(scenario, [chan_at(rho)], target, rule_1000)[0].upper
 
         def sop_lo(rho):
-            return ps.sop_bounds(scenario, chan_at(rho), target, rule_1000).lower
+            return ps.sop_bounds(scenario, [chan_at(rho)], target, rule_1000)[0].lower
 
         def esc_up(rho):
-            return ps.esc_bounds(scenario, chan_at(rho), rule_1000).upper
+            return ps.esc_bounds(scenario, [chan_at(rho)], rule_1000)[0].upper
 
         def esc_lo(rho):
-            return ps.esc_bounds(scenario, chan_at(rho), rule_1000).lower
+            return ps.esc_bounds(scenario, [chan_at(rho)], rule_1000)[0].lower
 
         assert abs(ps.diversity_estimate(sop_up, 1e12, 1e14)) < 1e-6
         assert abs(ps.diversity_estimate(sop_lo, 1e12, 1e14)) < 1e-6

@@ -153,7 +153,7 @@ class TestRunSweep:
         assert len({r.esc_asym_ub for r in records}) == 1
 
     def test_one_mc_pass_and_one_asymptote_per_sweep(self, monkeypatch):
-        calls = {"draws": 0, "sop_asym": 0, "esc_asym": 0}
+        calls = {"draws": 0, "sop_asym": 0, "esc_asym": 0, "sop": 0, "esc": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -165,10 +165,26 @@ class TestRunSweep:
                             counted("draws", montecarlo._draw_positions))
         monkeypatch.setattr(cli, "sop_asymptotic", counted("sop_asym", cli.sop_asymptotic))
         monkeypatch.setattr(cli, "esc_asymptotic", counted("esc_asym", cli.esc_asymptotic))
+        # the bounds take the whole grid in one call per metric
+        monkeypatch.setattr(cli, "sop_bounds", counted("sop", cli.sop_bounds))
+        monkeypatch.setattr(cli, "esc_bounds", counted("esc", cli.esc_bounds))
         cfg = cli.config_from_dict(fast_dict(mc_chunk_size=512))
         records = cli.run_sweep(cfg)
-        assert calls == {"draws": cfg.mc.n_chunks, "sop_asym": 1, "esc_asym": 1}
+        assert calls == {"draws": cfg.mc.n_chunks, "sop_asym": 1, "esc_asym": 1,
+                         "sop": 1, "esc": 1}
         assert len(records) == 3
+
+    def test_non_finite_value_names_column_and_point(self, monkeypatch):
+        esc_bounds = cli.esc_bounds
+
+        def nan_at_second_point(*args):
+            pairs = esc_bounds(*args)
+            pairs[1] = dataclasses.replace(pairs[1], upper=math.nan)
+            return pairs
+
+        monkeypatch.setattr(cli, "esc_bounds", nan_at_second_point)
+        with pytest.raises(cli.CliError, match=r"^non-finite esc_ub at snr_db = 10\.0$"):
+            cli.run_sweep(cli.config_from_dict(fast_dict()))
 
     def test_bound_rejection_precedes_mc(self, monkeypatch):
         def no_draws(*args):

@@ -159,12 +159,12 @@ class TestStatisticalBehavior:
     def test_agrees_with_exact_point_when_bounds_collapse(self, scenario, target, rule_1000):
         cfg = ps.McConfig(trials=50000, seed=12345)
         chan = chan_at(10 ** 4.5, alpha=0.0)
-        point = ps.sop_bounds(scenario, chan, target, rule_1000)
+        point = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
         assert point.lower == point.upper
         est = ps.mc_sop_pa(scenario, chan, target, cfg)
         assert abs(est.mean - point.lower) <= 3.0 * est.std_error
         chan2 = chan_at(1e2, alpha=0.0)
-        point2 = ps.esc_bounds(scenario, chan2, rule_1000)
+        point2 = ps.esc_bounds(scenario, [chan2], rule_1000)[0]
         est2 = ps.mc_esc_pa(scenario, chan2, cfg)
         assert abs(est2.mean - point2.lower) <= 3.0 * est2.std_error
 
@@ -202,9 +202,9 @@ class TestBaselineComparison:
         cfg = ps.McConfig(trials=50000, seed=12345)
         for snr_db in (30.0, 45.0):
             chan = chan_at(10 ** (snr_db / 10.0))
-            pair = ps.sop_bounds(scenario, chan, target, rule_1000)
+            pair = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
             est = ps.mc_sop_pa(scenario, chan, target, cfg)
             assert pair.lower - 3.0 * est.std_error <= est.mean <= pair.upper + 3.0 * est.std_error
-            epair = ps.esc_bounds(scenario, chan, rule_1000)
+            epair = ps.esc_bounds(scenario, [chan], rule_1000)[0]
             eest = ps.mc_esc_pa(scenario, chan, cfg)
             assert epair.lower - 3.0 * eest.std_error <= eest.mean <= epair.upper + 3.0 * eest.std_error

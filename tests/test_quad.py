@@ -91,6 +91,33 @@ class TestIntegrate:
         got = quad.integrate(ps.make_rule(200), lambda x: 3.0 * x ** 2)
         assert got == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("n", [100, 1000, 8000, 20000])
+    def test_block_rows_match_single_rows_bit_for_bit(self, n):
+        # an (m, n) integrand gives m row sums, each with the bits of the
+        # 1-D call on that row, whatever the row count or the node count
+        rule = ps.make_rule(n)
+        c = np.random.default_rng(n).uniform(0.5, 2.0, (7, 1))
+        block = quad.integrate(rule, lambda x: np.sqrt(c * x) + np.sin(c + x))
+        assert block.shape == (7,)
+        for r in range(7):
+            alone = quad.integrate(rule, lambda x: np.sqrt(c[r, 0] * x) + np.sin(c[r, 0] + x))
+            assert isinstance(alone, float)
+            assert block[r] == alone
+        one_row = quad.integrate(rule, lambda x: np.sqrt(c[3:4] * x) + np.sin(c[3:4] + x))
+        assert one_row.tolist() == [block[3]]
+
+    def test_block_nan_names_row_and_node(self):
+        rule = ps.make_rule(8)
+        bad_row, bad_node = 2, 5
+
+        def f(x):
+            values = np.tile(x, (4, 1))
+            values[bad_row, bad_node] = np.nan
+            return values
+
+        with pytest.raises(ValueError, match=rf"row {bad_row}, node {bad_node} \(.*value .*nan"):
+            quad.integrate(rule, f)
+
 
 class TestTermConvergence:
     def test_refinement_stability(self, scenario, target, rule_1000, rule_8000):
@@ -102,12 +129,12 @@ class TestTermConvergence:
         chan = chan_at(1e8)
         rels = []
         for direction in sop_directions(scenario, chan):
-            a = bounds.sop_term_sums(scenario, chan, target, rule_1000, *direction)
-            b = bounds.sop_term_sums(scenario, chan, target, rule_8000, *direction)
+            a = bounds.sop_term_sums(scenario, [chan], target, rule_1000, *direction)[0]
+            b = bounds.sop_term_sums(scenario, [chan], target, rule_8000, *direction)[0]
             rels.extend(abs(x - y) / abs(y) for x, y in zip(a, b))
         for direction in sop_directions(scenario, chan)[::-1]:
-            a = bounds.esc_term_sums(scenario, chan, rule_1000, *direction)
-            b = bounds.esc_term_sums(scenario, chan, rule_8000, *direction)
+            a = bounds.esc_term_sums(scenario, [chan], rule_1000, *direction)[0]
+            b = bounds.esc_term_sums(scenario, [chan], rule_8000, *direction)[0]
             rels.extend(abs(x - y) / abs(y) for x, y in zip(a, b))
         assert len(rels) == 14
         assert max(rels) < 1e-6
