@@ -11,8 +11,10 @@ antenna (FA) baseline radiates from [0, 0, d] with no guided travel.
 All rates are spectral efficiencies in bits/s/Hz under a deterministic
 line-of-sight law: rate = (1/2) * log2(1 + eta * P / (dist^2 * sigma^2)),
 formed as log1p(snr) / (2 ln 2), which keeps the digits of an SNR << 1.
-The secrecy rates of both placements, built on los_rate, are
-montecarlo.pa_secrecy_rate and montecarlo.fa_secrecy_rate.
+That one expression, `_link_rate`, is shared by los_rate and by the
+secrecy rates of both placements, montecarlo.pa_secrecy_rate and
+montecarlo.fa_secrecy_rate, which the Monte Carlo evaluates for a block
+of transmit powers at once.
 """
 
 from __future__ import annotations
@@ -100,5 +102,9 @@ def los_rate(dist_sq, chan: ChannelParams, noise_var: float, guided_len=0.0):
     if np.any(dist_sq <= 0.0):
         raise ValueError("dist_sq must be positive")
     loss = np.exp(-2.0 * chan.attenuation * np.asarray(guided_len, dtype=float))
-    snr = chan.eta * chan.tx_power * loss / (dist_sq * noise_var)
-    return np.log1p(snr) * (0.5 / math.log(2.0))
+    return _link_rate(chan.eta * chan.tx_power * loss, dist_sq * noise_var)
+
+
+def _link_rate(signal, noise_power):
+    """(1/2)log2(1 + signal/noise_power); broadcasts like the division."""
+    return np.log1p(signal / noise_power) * (0.5 / math.log(2.0))

@@ -6,10 +6,13 @@ into fixed-size chunks; chunk k draws from a child stream spawned from
 (seed, k) and partial results are reduced in chunk order, so estimates
 are bit-identical for a given (seed, trials, chunk_size) at any worker
 count.  The positions depend neither on rho nor on the estimator, so
-`_mc_sweep` draws each chunk once and evaluates the outage and the mean
-of each requested rate kernel (PA, FA or both) at every grid point from
-it (paired PA-vs-FA comparisons are thus common random numbers); the
-public `mc_*` functions are its single-channel, single-kernel views.
+`_mc_sweep` draws each chunk once and forms each requested kernel's (PA,
+FA or both) rho-free geometry from it once: the guided loss and the two
+noise powers z*sigma^2.  It evaluates the rates of a block of grid points
+at a time, with eta*P as a column, in los_rate's operation order, so each
+estimate has the bits of a one-point-at-a-time evaluation; paired PA-vs-FA
+comparisons are common random numbers.  The public `mc_*` functions are
+its single-channel, single-kernel views.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _BLOCK_ELEMENTS
 from .diststats import _draw_positions
-from .model import ChannelParams, Scenario, SecrecyTarget, los_rate
+# los_rate is imported for bench/tracer.py, which patches pinchsec.montecarlo.los_rate
+from .model import ChannelParams, Scenario, SecrecyTarget, _link_rate, los_rate  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,29 @@ def _chunk_positions(scenario: Scenario, cfg: McConfig, k: int):
     return _draw_positions(rng, scenario.side_length, size)
 
 
+def _pa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
+    """The rho-free part of the PA rates: (guided loss, Bob's and Willie's z*sigma^2)."""
+    d2 = scenario.waveguide_height ** 2
+    loss = np.exp(-2.0 * chan.attenuation * (x1 + scenario.side_length / 2.0))
+    zb = y1 ** 2 + d2
+    zw = (x1 - x2) ** 2 + y2 ** 2 + d2
+    return loss, zb * chan.noise_bob, zw * chan.noise_willie
+
+
+def _fa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
+    """The same for the fixed antenna at (0, 0, d), which has no guided loss."""
+    d2 = scenario.waveguide_height ** 2
+    zb = x1 ** 2 + y1 ** 2 + d2
+    zw = x2 ** 2 + y2 ** 2 + d2
+    return 1.0, zb * chan.noise_bob, zw * chan.noise_willie
+
+
+def _secrecy_rates(gain, loss, noise_b, noise_w):
+    """Rb - Rw at received power gain*loss; gain = eta*P is a number or a (rows, 1) column."""
+    signal = gain * loss
+    return _link_rate(signal, noise_b) - _link_rate(signal, noise_w)
+
+
 def pa_secrecy_rate(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
     """Exact secrecy rate Rb - Rw with the radiator pinned above Bob at (x1, 0, d).
 
@@ -63,21 +91,14 @@ def pa_secrecy_rate(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
     loss of the travel x1 + D/2 from the feed.  Vectorized over positions;
     scalars work too.  The difference may be negative.
     """
-    d2 = scenario.waveguide_height ** 2
-    guided = x1 + scenario.side_length / 2.0
-    zb = y1 ** 2 + d2
-    zw = (x1 - x2) ** 2 + y2 ** 2 + d2
-    return (los_rate(zb, chan, chan.noise_bob, guided)
-            - los_rate(zw, chan, chan.noise_willie, guided))
+    return _secrecy_rates(chan.eta * chan.tx_power,
+                          *_pa_geometry(scenario, chan, x1, x2, y1, y2))
 
 
 def fa_secrecy_rate(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
     """Secrecy rate Rb - Rw from the fixed antenna at (0, 0, d); no guided loss."""
-    d2 = scenario.waveguide_height ** 2
-    zb = x1 ** 2 + y1 ** 2 + d2
-    zw = x2 ** 2 + y2 ** 2 + d2
-    return (los_rate(zb, chan, chan.noise_bob)
-            - los_rate(zw, chan, chan.noise_willie))
+    return _secrecy_rates(chan.eta * chan.tx_power,
+                          *_fa_geometry(scenario, chan, x1, x2, y1, y2))
 
 
 def _map_chunks(fn, cfg: McConfig, workers: int) -> list:
@@ -88,28 +109,50 @@ def _map_chunks(fn, cfg: McConfig, workers: int) -> list:
         return list(pool.map(fn, ks))
 
 
+def _check_rows(chans) -> None:
+    """The engine's rows share the geometry, so they may differ only in tx_power."""
+    for field in ("carrier_freq", "attenuation", "noise_bob", "noise_willie"):
+        if len({getattr(chan, field) for chan in chans}) > 1:
+            raise ValueError(f"the channels differ in {field}; "
+                             "a Monte Carlo sweep may vary only tx_power")
+
+
 def _mc_sweep(scenario: Scenario, chans, target: SecrecyTarget, cfg: McConfig,
-              workers: int = 1, kernels=(pa_secrecy_rate, fa_secrecy_rate)
+              workers: int = 1, kernels=(_pa_geometry, _fa_geometry)
               ) -> list[tuple[McEstimate, ...]]:
     """(sop, esc) of each kernel, in kernel order, at every channel, from one pass.
 
     With the default kernels a channel's tuple is (pa_sop, pa_esc, fa_sop,
-    fa_esc).  Each chunk's positions are drawn once and reduced, per
-    channel and kernel, to an outage count, a rate sum and a squared-rate
-    sum; those scalars are added up in fixed chunk order.
+    fa_esc).  The channels may differ only in tx_power.  Each chunk's
+    positions are drawn once, and each kernel forms its rho-free geometry
+    from them once.  The rates of a block of channels, at most
+    _BLOCK_ELEMENTS rates at once, are then reduced row-wise to an outage
+    count (exact in a float), a rate sum and a squared-rate sum per
+    channel; those are added up in fixed chunk order.
     """
+    if not chans:
+        return []
+    _check_rows(chans)
+    gains = np.array([[chan.eta * chan.tx_power] for chan in chans])
+    step = max(1, _BLOCK_ELEMENTS // min(cfg.chunk_size, cfg.trials))
+
     def chunk_sums(k):
         positions = _chunk_positions(scenario, cfg, k)
-        return [(int(np.sum(rs < target.rate)), float(np.sum(rs)), float(np.sum(rs * rs)))
-                for chan in chans
-                for rs in (kernel(scenario, chan, *positions) for kernel in kernels)]
+        sums = np.empty((len(chans), len(kernels), 3))
+        for j, geometry in enumerate(kernels):
+            loss, noise_b, noise_w = geometry(scenario, chans[0], *positions)
+            for lo in range(0, len(chans), step):
+                rows = slice(lo, lo + step)
+                rs = _secrecy_rates(gains[rows], loss, noise_b, noise_w)
+                sums[rows, j, 0] = np.count_nonzero(rs < target.rate, axis=1)
+                sums[rows, j, 1] = np.sum(rs, axis=1)
+                sums[rows, j, 2] = np.sum(rs * rs, axis=1)
+        return sums
 
-    totals = [(0, 0.0, 0.0)] * (len(kernels) * len(chans))
-    for part in _map_chunks(chunk_sums, cfg, workers):  # fixed chunk order
-        totals = [(c + dc, s + ds, s2 + ds2) for (c, s, s2), (dc, ds, ds2) in zip(totals, part)]
+    totals = sum(_map_chunks(chunk_sums, cfg, workers))  # fixed chunk order
     n = cfg.trials
     estimates = []
-    for count, s, s2 in totals:
+    for count, s, s2 in totals.reshape(-1, 3).tolist():  # channel-major, then kernel
         p = count / n
         var = max((s2 - s * s / n) / (n - 1), 0.0)
         estimates += [McEstimate(mean=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n),
@@ -121,21 +164,21 @@ def _mc_sweep(scenario: Scenario, chans, target: SecrecyTarget, cfg: McConfig,
 def mc_sop_pa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Fraction of placements whose exact secrecy rate falls below the target."""
-    return _mc_sweep(scenario, [chan], target, cfg, workers, (pa_secrecy_rate,))[0][0]
+    return _mc_sweep(scenario, [chan], target, cfg, workers, (_pa_geometry,))[0][0]
 
 
 def mc_esc_pa(scenario: Scenario, chan: ChannelParams,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Sample mean of the exact secrecy rate over random placements."""
-    return _mc_sweep(scenario, [chan], SecrecyTarget(), cfg, workers, (pa_secrecy_rate,))[0][1]
+    return _mc_sweep(scenario, [chan], SecrecyTarget(), cfg, workers, (_pa_geometry,))[0][1]
 
 
 def mc_sop_fa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Outage of the fixed-antenna baseline on the same position stream."""
-    return _mc_sweep(scenario, [chan], target, cfg, workers, (fa_secrecy_rate,))[0][0]
+    return _mc_sweep(scenario, [chan], target, cfg, workers, (_fa_geometry,))[0][0]
 
 
 def mc_esc_fa(scenario: Scenario, chan: ChannelParams,
               cfg: McConfig, workers: int = 1) -> McEstimate:
-    return _mc_sweep(scenario, [chan], SecrecyTarget(), cfg, workers, (fa_secrecy_rate,))[0][1]
+    return _mc_sweep(scenario, [chan], SecrecyTarget(), cfg, workers, (_fa_geometry,))[0][1]

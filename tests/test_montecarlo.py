@@ -5,7 +5,9 @@ is replicated by hand in one test so any change to the draw layout or
 the reduction arithmetic is caught exactly, not statistically.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,14 +81,27 @@ class TestReproducibility:
                 assert estimates == tuple(view(chan, 1) for view in views)
 
     def test_views_evaluate_only_their_kernel(self, scenario, target, monkeypatch):
-        # each PA secrecy rate is two link rates; the FA kernel is not run
-        calls = []
-        los_rate = montecarlo.los_rate
-        monkeypatch.setattr(montecarlo, "los_rate",
-                            lambda *args: calls.append(1) or los_rate(*args))
+        # a view forms its own kernel's geometry once per chunk, and one
+        # block of rates from it; the other kernel is never formed
+        calls = {"_pa_geometry": 0, "_fa_geometry": 0, "_secrecy_rates": 0}
+
+        def counted(name):
+            fn = getattr(montecarlo, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(montecarlo, name, counted(name))
         cfg = small_cfg()
         ps.mc_sop_pa(scenario, chan_at(1e4), target, cfg)
-        assert len(calls) == 2 * cfg.n_chunks
+        assert calls == {"_pa_geometry": cfg.n_chunks, "_fa_geometry": 0,
+                         "_secrecy_rates": cfg.n_chunks}
+        ps.mc_esc_fa(scenario, chan_at(1e4), cfg)
+        assert calls == {"_pa_geometry": cfg.n_chunks, "_fa_geometry": cfg.n_chunks,
+                         "_secrecy_rates": 2 * cfg.n_chunks}
 
     def test_seed_changes_result(self, scenario, target):
         chan = chan_at(1e8)
@@ -122,6 +137,101 @@ class TestReproducibility:
         assert esc.mean == s / 300
         var = max((s2 - s * s / 300) / 299, 0.0)
         assert esc.std_error == math.sqrt(var / 300)
+
+
+def _oracle_pa(scenario, chan, x1, x2, y1, y2):
+    # the per-channel PA kernel: two link rates, each with its own guided loss
+    d2 = scenario.waveguide_height ** 2
+    guided = x1 + scenario.side_length / 2.0
+    return (ps.los_rate(y1 ** 2 + d2, chan, chan.noise_bob, guided)
+            - ps.los_rate((x1 - x2) ** 2 + y2 ** 2 + d2, chan, chan.noise_willie, guided))
+
+
+def _oracle_fa(scenario, chan, x1, x2, y1, y2):
+    d2 = scenario.waveguide_height ** 2
+    return (ps.los_rate(x1 ** 2 + y1 ** 2 + d2, chan, chan.noise_bob)
+            - ps.los_rate(x2 ** 2 + y2 ** 2 + d2, chan, chan.noise_willie))
+
+
+def _oracle_sweep(scenario, chans, target, cfg):
+    """The engine's estimates, one channel and one kernel at a time.
+
+    Every channel evaluates each kernel on the chunk's positions with its
+    own los_rate calls and reduces it with 1-D sums; the sums are added up
+    in chunk order.
+    """
+    totals = {}
+    for k in range(cfg.n_chunks):
+        positions = montecarlo._chunk_positions(scenario, cfg, k)
+        for i, chan in enumerate(chans):
+            for j, kernel in enumerate((_oracle_pa, _oracle_fa)):
+                rs = kernel(scenario, chan, *positions)
+                c, s, s2 = totals.get((i, j), (0, 0.0, 0.0))
+                totals[i, j] = (c + int(np.sum(rs < target.rate)), s + float(np.sum(rs)),
+                                s2 + float(np.sum(rs * rs)))
+    n = cfg.trials
+    grid = []
+    for i in range(len(chans)):
+        row = ()
+        for j in range(2):
+            count, s, s2 = totals[i, j]
+            p = count / n
+            var = max((s2 - s * s / n) / (n - 1), 0.0)
+            row += (ps.McEstimate(mean=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n),
+                    ps.McEstimate(mean=s / n, std_error=math.sqrt(var / n), trials=n))
+        grid.append(row)
+    return grid
+
+
+class TestBatchedEngine:
+    def test_bit_identical_to_per_channel_oracle(self, scenario):
+        # 21 rows at 16 rows per block (chunk 1000), alpha > 0, unequal
+        # noise and a short last chunk; the grid straddles the PA and FA
+        # outage edges so every count and sum is nontrivial
+        target = ps.SecrecyTarget(rate=0.05)
+        chans = [ps.ChannelParams(attenuation=0.05, tx_power=10 ** (db / 10.0),
+                                  noise_bob=2.0, noise_willie=0.5)
+                 for db in np.linspace(20.0, 90.0, 21)]
+        cfg = ps.McConfig(trials=2700, seed=2024, chunk_size=1000)
+        assert len(chans) > montecarlo._BLOCK_ELEMENTS // cfg.chunk_size
+        want = _oracle_sweep(scenario, chans, target, cfg)
+        assert len({est.mean for row in want for est in row}) > 30
+        for workers in (1, 2):
+            assert montecarlo._mc_sweep(scenario, chans, target, cfg, workers) == want
+
+    def test_public_kernels_match_los_rate(self, scenario):
+        chan = ps.ChannelParams(attenuation=0.05, tx_power=1e7, noise_bob=2.0, noise_willie=0.5)
+        positions = montecarlo._chunk_positions(scenario, small_cfg(), 0)
+        for kernel, oracle in ((ps.pa_secrecy_rate, _oracle_pa), (ps.fa_secrecy_rate, _oracle_fa)):
+            assert np.array_equal(kernel(scenario, chan, *positions),
+                                  oracle(scenario, chan, *positions))
+
+    @pytest.mark.parametrize("field, value", [("carrier_freq", 28e9), ("attenuation", 0.02),
+                                              ("noise_bob", 2.0), ("noise_willie", 2.0)])
+    def test_rows_may_vary_only_tx_power(self, scenario, target, field, value):
+        chans = [chan_at(1e4), chan_at(1e6)]
+        montecarlo._mc_sweep(scenario, chans, target, small_cfg())
+        chans.append(dataclasses.replace(chan_at(1e5), **{field: value}))
+        with pytest.raises(ValueError, match=field):
+            montecarlo._mc_sweep(scenario, chans, target, small_cfg())
+
+    def test_empty_grid(self, scenario, target):
+        assert montecarlo._mc_sweep(scenario, [], target, small_cfg()) == []
+
+    def test_block_memory_stays_bounded(self, scenario, target):
+        # rates run in blocks of 4 rows at chunk 4096 (~0.1 MB per array);
+        # all 400 rows at once would take ~13 MB per array
+        chans = [chan_at(10 ** (0.2 * k)) for k in range(400)]
+        cfg = ps.McConfig(trials=4096, seed=5, chunk_size=4096)
+        montecarlo._mc_sweep(scenario, chans[:2], target, cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            montecarlo._mc_sweep(scenario, chans, target, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6, peak
 
 
 class TestDegenerateGeometry:
