@@ -17,15 +17,16 @@ rate or the outage threshold is formed from z = d^2 + u; the capacity
 terms integrate each rate as an offset from its value at u = 0, which
 keeps digits where d^2 dwarfs D^2.  The Zb density's 1/sqrt pole at
 u = 0 is removed by integrating over Bob's offset y = sqrt(u) instead.
-At n nodes per sub-piece the error falls as n^-4 (about 1e-12 relative
+At n nodes per interval the error falls as n^-4 (about 1e-12 relative
 at the default n = 1000).  Rows run in blocks, each summed alone by
 quad.integrate, so a channel's bracket has the same bits in any list.
 
 The outage has one threshold: with Willie at z, Zb < a / (b + c/z) with
 a = A, b = (4^Rbar - 1)/(eta*rho), c = 4^Rbar*B for a direction (A, B).
 F_Zb of it is 0 below the offset u_0 where it crosses d^2, so the Zw
-pieces start there, and kinks where it crosses d^2 + D^2/4, so they are
-split there.
+pieces start there, and 1 beyond the offset u_1 where it crosses
+d^2 + D^2/4, so the quadrature stops there and the mass beyond is a
+closed-form difference of the Zw piece CDFs.
 
 Both metrics saturate at high SNR (the same loss and geometry face Bob
 and Willie), so the diversity order and high-SNR slope are zero.  The
@@ -70,11 +71,12 @@ def _outage_coefficients(chan: ChannelParams, target: SecrecyTarget, bob_factor:
 
     a = A, b = (4^Rbar - 1)/(eta*rho) and c = 4^Rbar*B, with A = bob_factor
     and B = willie_factor.  b is 0 at rho = inf and at Rbar = 0.  Where
-    eta*rho underflows to 0, b is +inf for Rbar > 0 (outage is certain).
+    eta*rho underflows to 0, or 4^Rbar overflows, b is +inf for Rbar > 0
+    (outage is certain).
     """
     fr = target.threshold
     eta_rho = chan.eta * chan.rho
-    if eta_rho > 0:
+    if eta_rho > 0 and fr < math.inf:
         b = (fr - 1.0) / eta_rho
     else:
         b = math.inf if fr > 1.0 else 0.0
@@ -122,25 +124,27 @@ def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_u, lower=Non
 
     Without limits, the rows of value_of_u(u)'s (k, n) block share nodes u.
     With row vectors `lower` and `kink`, row r's piece starts at lower[r]
-    and is split at kink[r] where that lies inside, so that every sub-piece
-    integrand is smooth up to corners at its ends; value_of_u(u, rows) is
-    evaluated on blocks of the rows where a sub-piece is live, and no other.
+    and value_of_u is 1 from kink[r] on: the quadrature runs over
+    [lower, kink] clipped to the piece, whose integrand is smooth up to
+    corners at its ends, on blocks of the rows where that is not empty, and
+    the mass beyond the kink is the branch's closed-form CDF difference.
     """
     zw = ZwDistribution(scenario.side_length)
     sums = []
-    for (start, width), branch in zip(zw.pieces, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)):
+    for (start, width), branch, cdf in zip(zw.pieces, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
+                                           (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3)):
         hi = start + width
         if lower is None:
             sums.append(_piece_sum(rule, start, hi - start, lambda u: value_of_u(u) * branch(u)))
             continue
-        lo = np.maximum(start, lower)
-        inside = (lo < kink) & (kink < hi)
-        total = np.zeros(len(lower))  # sub-piece sums are added to 0 in cut order
-        for a, b, live in ((lo, np.where(inside, kink, hi), lo < hi),
-                           (kink, np.full(len(kink), hi), inside)):
-            for rows in _row_blocks(np.flatnonzero(live), rule):
-                total[rows] += _piece_sum(rule, a[rows], b[rows] - a[rows],
-                                          lambda u: value_of_u(u, rows) * branch(u))
+        lo = np.clip(lower, start, hi)
+        cut = np.clip(kink, lo, hi)
+        total = np.zeros(len(lower))
+        for rows in _row_blocks(np.flatnonzero(lo < cut), rule):
+            total[rows] = _piece_sum(rule, lo[rows], cut[rows] - lo[rows],
+                                     lambda u: value_of_u(u, rows) * branch(u))
+        saturated = cut < hi
+        total[saturated] += cdf(hi) - cdf(cut[saturated])
         sums.append(total)
     return sums
 
@@ -181,9 +185,9 @@ def sop_term_sums(scenario: Scenario, chans, target: SecrecyTarget, rule: Quadra
                   bob_factor, willie_factor) -> np.ndarray:
     """Rows [j, k, l], one per channel: no-outage mass F_Zb(threshold) over the Zw pieces.
 
-    rho = inf (tx_power = inf) gives the high-SNR limit.  F_Zb vanishes
-    below u_0, where the threshold crosses Zb's lower end, so the pieces
-    start there; sub-pieces on which outage is certain are never evaluated.
+    rho = inf (tx_power = inf) gives the high-SNR limit.  F_Zb is 0 below
+    u_0 and 1 beyond u_1, where the threshold crosses Zb's lower and upper
+    end: nodes lie only between them, and the mass beyond u_1 is closed-form.
     """
     d2 = scenario.waveguide_height ** 2
     zb = ZbDistribution(scenario.side_length)

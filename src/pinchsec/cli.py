@@ -66,12 +66,19 @@ class RunConfig:
     output_path: str | None
 
     def channel_at_snr_db(self, snr_db: float) -> ChannelParams:
-        rho = 10.0 ** (snr_db / 10.0)
         return ChannelParams(carrier_freq=self.carrier_freq,
                              attenuation=self.attenuation,
-                             tx_power=rho,
+                             tx_power=_db_to_linear(snr_db),
                              noise_bob=self.noise_bob,
                              noise_willie=self.noise_willie)
+
+
+def _db_to_linear(db: float) -> float:
+    """10^(dB/10); +inf where that overflows (above about 3082 dB)."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 # CSV columns, in emission order
@@ -159,6 +166,10 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("snr_db_grid: entries must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("snr_db_grid: values must be strictly increasing")
+    for v in grid:
+        if not 0.0 < _db_to_linear(v) < math.inf:
+            raise ConfigError(f"snr_db_grid: {v:g} dB is out of range "
+                              "(10^(dB/10) overflows or underflows to 0)")
 
     # below 100 nodes per interval the bounds err by more than 1e-6 (1.4 at n = 2)
     quad_n = _require_int(data, "quadrature_n", 1000, minimum=100)

@@ -89,8 +89,14 @@ class SecrecyTarget:
 
     @property
     def threshold(self) -> float:
-        """4^Rbar, the SNR-ratio threshold implied by the outage event."""
-        return 4.0 ** self.rate
+        """4^Rbar, the SNR-ratio threshold implied by the outage event.
+
+        +inf where 4^Rbar overflows (Rbar >= 512): outage is then certain.
+        """
+        try:
+            return 4.0 ** self.rate
+        except OverflowError:
+            return math.inf
 
 
 def los_rate(dist_sq, chan: ChannelParams, noise_var: float, guided_len=0.0):

@@ -53,6 +53,15 @@ class TestCoefficients:
         ps.esc_bounds(scenario, [chan_at(1e8)], rule_1000)
         assert seen == [(1.0, SPAN), (SPAN, 1.0)]
 
+    def test_overflowed_threshold_is_certain_outage(self, scenario):
+        # 4^600 is +inf: b is +inf at every rho, never inf/inf = nan at rho = inf
+        target = ps.SecrecyTarget(rate=600)
+        for chan in (chan_at(1e8), chan_at(math.inf)):
+            for direction in sop_directions(scenario, chan):
+                a, b, c = bounds._outage_coefficients(chan, target, *direction)
+                assert b == math.inf
+                assert bounds._outage_kinks(scenario, a, b, c) == [math.inf, math.inf]
+
     def test_underflowed_span_is_valid(self, scenario, target, rule_1000):
         # alpha * D = 500: exp(-1000) is 0.0, yet the model is well defined
         chan = chan_at(1e8, alpha=20.0)
@@ -156,6 +165,61 @@ class TestOutageKinks:
         assert calls == []
         pair = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
         assert (pair.lower, pair.upper) == (1.0, 1.0)
+
+    def test_no_node_at_or_beyond_saturation(self, scenario, target, rule_1000, monkeypatch):
+        # past u_1 F_Zb(threshold) is 1: that mass is a CDF difference, not nodes
+        seen = []
+        offset = bounds._threshold_offset
+        monkeypatch.setattr(bounds, "_threshold_offset",
+                            lambda u, *abc: seen.append(np.array(u)) or offset(u, *abc))
+        quarter = scenario.side_length ** 2 / 4.0  # the end of Zw's first piece
+        for chan in (chan_at(1e7), chan_at(1e8), chan_at(math.inf)):
+            for direction in sop_directions(scenario, chan):  # upper, then lower
+                seen.clear()
+                u_0, u_1 = bounds._outage_kinks(
+                    scenario, *bounds._outage_coefficients(chan, target, *direction))
+                bounds.sop_term_sums(scenario, [chan], target, rule_1000, *direction)
+                nodes = np.concatenate([u.ravel() for u in seen])
+                assert np.all((u_0 < nodes) & (nodes < u_1)), (chan.rho, direction)
+            # lower side at rho = inf: u_1 lies in piece 1, so pieces 2 and 3 need no node
+            assert u_1 < quarter
+            assert nodes.size == rule_1000.n and np.all(nodes < u_1)
+
+    def test_saturated_mass_against_oracle(self, rule_1000):
+        # D = 2, d = 1, Rbar = 0, rho = inf, A = 1: u_1 = 2 B - 1 exactly, so the
+        # kink of each row sits below, inside, on the ends of, or past the pieces
+        # [0, 1], [1, 4], [4, 5]; the last row is finite rho with u_1 = +inf
+        scenario = ps.Scenario(side_length=2.0, waveguide_height=1.0)
+        target = ps.SecrecyTarget(rate=0.0)
+        chan = chan_at(math.inf)
+        willie = [0.5, 0.75, 1.0, 1.5, 2.5, 2.75, 3.0, 4.0]
+        kinks = [bounds._outage_kinks(scenario, *bounds._outage_coefficients(chan, target, 1.0, b))[1]
+                 for b in willie]
+        assert kinks == [0.0, 0.5, 1.0, 2.0, 4.0, 4.5, 5.0, 7.0]
+        got = bounds.sop_term_sums(scenario, [chan] * len(willie), target, rule_1000, 1.0,
+                                   np.array(willie))
+        for row, b in zip(got, willie):
+            want = sop_term_oracles(scenario, chan, target, 1.0, b, asymptotic=True)
+            np.testing.assert_allclose(row, want, rtol=0, atol=5e-13, err_msg=f"B = {b}")
+        scenario, target, chan = ps.Scenario(), ps.SecrecyTarget(), chan_at(1e5)
+        direction = (1.0, bounds.attenuation_span(scenario, chan))
+        assert bounds._outage_kinks(
+            scenario, *bounds._outage_coefficients(chan, target, *direction))[1] == math.inf
+        np.testing.assert_allclose(
+            bounds.sop_term_sums(scenario, [chan], target, rule_1000, *direction)[0],
+            sop_term_oracles(scenario, chan, target, *direction), rtol=0, atol=5e-13)
+
+    @pytest.mark.parametrize("rho", [1e7, 1e8, math.inf])
+    def test_bracket_near_oracle(self, scenario, target, rule_1000, rho):
+        # the closed-form saturated mass keeps both sides within 5e-13 of
+        # 1 - sum(sop_term_oracles); integrating it by quadrature read 1.1e-12
+        chan = chan_at(rho)
+        pair = (ps.sop_asymptotic(scenario, chan, target, rule_1000) if math.isinf(rho)
+                else ps.sop_bounds(scenario, [chan], target, rule_1000)[0])
+        for got, direction in zip((pair.upper, pair.lower), sop_directions(scenario, chan)):
+            want = 1.0 - sum(sop_term_oracles(scenario, chan, target, *direction,
+                                              asymptotic=math.isinf(rho)))
+            assert abs(got - want) <= 5e-13, (rho, direction, got - want)
 
 
 class TestSopBounds:

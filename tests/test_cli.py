@@ -271,7 +271,14 @@ class TestCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_default_sweep_matches_golden(self):
-        # The golden file changes only with a CHANGES.md entry saying why.
+        """The default sweep, byte for byte.
+
+        The golden file changes only with a CHANGES.md entry saying why.  A
+        change meant to move its bytes regenerates it, from the repository
+        root, with
+
+            PYTHONPATH=src python3 -m pinchsec.cli sweep > tests/data/default_sweep.csv
+        """
         lines = cli.csv_lines(cli.run_sweep(cli.config_from_dict({})))
         text = "".join(line + "\n" for line in lines)
         assert text.encode("ascii") == (DATA_DIR / "default_sweep.csv").read_bytes()
@@ -430,6 +437,34 @@ class TestMain:
             cli.main(["sweep", "--snr-db", "--trials", "100"])
         assert exc.value.code == 2
         assert "expected one argument" in capsys.readouterr().err
+
+    def test_out_of_range_snr_names_the_grid(self, capsys):
+        # 10^(dB/10) overflows at 3100 dB and is 0.0 at -4000 dB
+        for grid in ("3100", "-4000", "0,3100"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(["sop", f"--snr-db={grid}", "--trials", "100"]) == 2, grid
+            captured = capsys.readouterr()
+            assert captured.out == "", grid
+            assert captured.err.startswith("error: snr_db_grid: "), captured.err
+            assert "out of range" in captured.err and "Traceback" not in captured.err
+        # -3200 dB is 1e-320, subnormal but positive: it still runs
+        assert cli.main(["sop", "--snr-db=-3200", "--trials", "100"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("snr_db -3200: sop in [1, 1],"), captured.out
+
+    @pytest.mark.parametrize("rate", [511, 600])
+    def test_huge_target_rate_is_certain_outage(self, rate, tmp_path, capsys):
+        # 4^Rbar overflows from Rbar = 512 on; either way no placement meets it
+        path = write_json(tmp_path, "rate.json", {"target_rate_bits": rate})
+        assert cli.main(["sop", "--config", path, "--snr-db=-10,50", "--trials", "100"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["snr_db -10", "snr_db 50"]
+        for line in lines:
+            assert line.endswith(": sop in [1, 1], asymptote [1, 1], mc 1 +/- 0"), line
 
     def test_underflowed_snr_is_certain_outage(self, capsys):
         # eta * rho underflows to 0 at -3200 dB; with Rbar > 0 outage is certain

@@ -87,6 +87,8 @@ class TestTypes:
     def test_secrecy_target_threshold(self):
         assert ps.SecrecyTarget(rate=0.01).threshold == 4.0 ** 0.01
         assert ps.SecrecyTarget(rate=0.0).threshold == 1.0
+        assert ps.SecrecyTarget(rate=511).threshold == 2.0 ** 1022
+        assert ps.SecrecyTarget(rate=600).threshold == math.inf  # 4^600 overflows
         with pytest.raises(ValueError):
             ps.SecrecyTarget(rate=-0.1)
 
