@@ -40,15 +40,26 @@ class CliError(RuntimeError):
     pass
 
 
-_DEFAULT_GRID = tuple(float(s) for s in range(-10, 55, 5))
-
-_KNOWN_KEYS = frozenset({
-    "side_length_D", "waveguide_height_d", "carrier_freq_hz",
-    "attenuation_alpha", "noise_bob_var", "noise_willie_var",
-    "target_rate_bits", "target_rate_bps", "bandwidth_hz",
-    "snr_db_grid", "quadrature_n", "mc_trials", "mc_seed",
-    "mc_chunk_size", "workers", "output_path",
-})
+# key: (kind, default, minimum, strict); a strict minimum is exclusive
+_CONFIG_KEYS = {
+    "side_length_D": ("number", 25.0, 0.0, True),
+    "waveguide_height_d": ("number", 3.0, 0.0, True),
+    "carrier_freq_hz": ("number", 10e9, 0.0, True),
+    "attenuation_alpha": ("number", 0.01, 0.0, False),
+    "noise_bob_var": ("number", 1.0, 0.0, True),
+    "noise_willie_var": ("number", 1.0, 0.0, True),
+    "target_rate_bits": ("number", 0.01, 0.0, False),
+    "target_rate_bps": ("number", None, 0.0, False),
+    "bandwidth_hz": ("number", 1e6, 0.0, True),
+    "snr_db_grid": ("grid", tuple(float(s) for s in range(-10, 55, 5)), None, False),
+    # below 100 nodes per interval the bounds err by more than 1e-6 (1.4 at n = 2)
+    "quadrature_n": ("int", 1000, 100, False),
+    "mc_trials": ("int", 50000, 100, False),
+    "mc_seed": ("int", 12345, 0, False),  # McConfig bounds it above, by 2^64
+    "mc_chunk_size": ("int", 4096, 1, False),
+    "workers": ("int", 1, 1, False),
+    "output_path": ("path", None, None, False),
+}
 
 
 @dataclass(frozen=True)
@@ -101,67 +112,15 @@ class SweepRecord:
     fa_esc_mc: float
 
 
-def _require_number(data, key, default, minimum=None, strict=False):
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: value must be finite")
-    if minimum is not None:
-        if strict and not value > minimum:
-            raise ConfigError(f"{key}: must be > {minimum}")
-        if not strict and not value >= minimum:
-            raise ConfigError(f"{key}: must be >= {minimum}")
-    return value
-
-
-def _require_int(data, key, default, minimum):
-    value = data.get(key, default)
-    if isinstance(value, bool):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    if isinstance(value, float):
-        if value != int(value):
-            raise ConfigError(f"{key}: expected an integer, got {value!r}")
-        value = int(value)
-    if not isinstance(value, int):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}")
-    return value
-
-
-def config_from_dict(data: dict) -> RunConfig:
-    """RunConfig from a flat key/value mapping; absent keys take defaults."""
-    unknown = set(data) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key: {sorted(unknown)[0]!r}")
-
-    side = _require_number(data, "side_length_D", 25.0, minimum=0.0, strict=True)
-    height = _require_number(data, "waveguide_height_d", 3.0, minimum=0.0, strict=True)
-    carrier = _require_number(data, "carrier_freq_hz", 10e9, minimum=0.0, strict=True)
-    alpha = _require_number(data, "attenuation_alpha", 0.01, minimum=0.0)
-    noise_b = _require_number(data, "noise_bob_var", 1.0, minimum=0.0, strict=True)
-    noise_w = _require_number(data, "noise_willie_var", 1.0, minimum=0.0, strict=True)
-
-    if "target_rate_bits" in data and "target_rate_bps" in data:
-        raise ConfigError("target_rate_bits and target_rate_bps are mutually exclusive")
-    if "bandwidth_hz" in data and "target_rate_bps" not in data:
-        raise ConfigError("bandwidth_hz requires target_rate_bps")
-    if "target_rate_bps" in data:
-        bps = _require_number(data, "target_rate_bps", None, minimum=0.0)
-        bw = _require_number(data, "bandwidth_hz", 1e6, minimum=0.0, strict=True)
-        rate = bps / bw
-    else:
-        rate = _require_number(data, "target_rate_bits", 0.01, minimum=0.0)
-
-    grid = data.get("snr_db_grid", list(_DEFAULT_GRID))
-    if not isinstance(grid, (list, tuple)) or len(grid) == 0:
+def _grid(value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise ConfigError("snr_db_grid: expected a nonempty list of dB values")
     try:
-        grid = tuple(float(v) for v in grid)
+        grid = tuple(float(v) for v in value)
     except (TypeError, ValueError):
         raise ConfigError("snr_db_grid: entries must be numbers") from None
+    except OverflowError:  # an int beyond float range
+        raise ConfigError("snr_db_grid: entries must be finite") from None
     if not all(math.isfinite(v) for v in grid):
         raise ConfigError("snr_db_grid: entries must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -170,32 +129,62 @@ def config_from_dict(data: dict) -> RunConfig:
         if not 0.0 < _db_to_linear(v) < math.inf:
             raise ConfigError(f"snr_db_grid: {v:g} dB is out of range "
                               "(10^(dB/10) overflows or underflows to 0)")
+    return grid
 
-    # below 100 nodes per interval the bounds err by more than 1e-6 (1.4 at n = 2)
-    quad_n = _require_int(data, "quadrature_n", 1000, minimum=100)
-    trials = _require_int(data, "mc_trials", 50000, minimum=100)
-    seed = _require_int(data, "mc_seed", 12345, minimum=0)
-    chunk = _require_int(data, "mc_chunk_size", 4096, minimum=1)
-    workers = _require_int(data, "workers", 1, minimum=1)
 
-    out = data.get("output_path")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("output_path: expected a string")
+def _value(data: dict, key: str):
+    """data[key], or the key's default, checked against its row of _CONFIG_KEYS."""
+    kind, default, minimum, strict = _CONFIG_KEYS[key]
+    value = data.get(key, default)
+    if kind == "grid":
+        return _grid(value)
+    if kind == "path":
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{key}: expected a string")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected {'an integer' if kind == 'int' else 'a number'}, "
+                          f"got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # inf, nan or an int beyond float range
+        raise ConfigError(f"{key}: value must be finite")
+    if kind == "int" and value != int(value):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    value = int(value) if kind == "int" else float(value)
+    if not (value > minimum if strict else value >= minimum):
+        raise ConfigError(f"{key}: must be {'>' if strict else '>='} {minimum}")
+    return value
 
+
+def config_from_dict(data: dict) -> RunConfig:
+    """RunConfig from a flat key/value mapping; absent keys take defaults."""
+    unknown = data.keys() - _CONFIG_KEYS.keys()
+    if unknown:
+        raise ConfigError(f"unknown config key: {sorted(unknown)[0]!r}")
+    if "target_rate_bits" in data and "target_rate_bps" in data:
+        raise ConfigError("target_rate_bits and target_rate_bps are mutually exclusive")
+    if "bandwidth_hz" in data and "target_rate_bps" not in data:
+        raise ConfigError("bandwidth_hz requires target_rate_bps")
+    if "target_rate_bps" in data:
+        rate = _value(data, "target_rate_bps") / _value(data, "bandwidth_hz")
+    else:
+        rate = _value(data, "target_rate_bits")
+    trials, seed, chunk = (_value(data, k) for k in ("mc_trials", "mc_seed", "mc_chunk_size"))
     try:
-        return RunConfig(scenario=Scenario(side_length=side, waveguide_height=height),
-                         carrier_freq=carrier,
-                         attenuation=alpha,
-                         noise_bob=noise_b,
-                         noise_willie=noise_w,
-                         target=SecrecyTarget(rate=rate),
-                         snr_db_grid=grid,
-                         quadrature_n=quad_n,
-                         mc=McConfig(trials=trials, seed=seed, chunk_size=chunk),
-                         workers=workers,
-                         output_path=out)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        mc = McConfig(trials=trials, seed=seed, chunk_size=chunk)
+    except ValueError as exc:  # the rows leave McConfig only the seed's 64-bit bound
+        raise ConfigError(f"mc_seed: {exc}") from exc
+    return RunConfig(scenario=Scenario(side_length=_value(data, "side_length_D"),
+                                       waveguide_height=_value(data, "waveguide_height_d")),
+                     carrier_freq=_value(data, "carrier_freq_hz"),
+                     attenuation=_value(data, "attenuation_alpha"),
+                     noise_bob=_value(data, "noise_bob_var"),
+                     noise_willie=_value(data, "noise_willie_var"),
+                     target=SecrecyTarget(rate=rate),
+                     snr_db_grid=_value(data, "snr_db_grid"),
+                     quadrature_n=_value(data, "quadrature_n"),
+                     mc=mc,
+                     workers=_value(data, "workers"),
+                     output_path=_value(data, "output_path"))
 
 
 def _read_config(path: str) -> dict:
@@ -296,7 +285,10 @@ class StatsCheck:
     name: str
     value: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.value < self.tolerance
 
 
 @dataclass(frozen=True)
@@ -341,15 +333,15 @@ def validate_stats(cfg: RunConfig, ks_samples: int = 200000) -> StatsReport:
     fd_w = cdf_pdf_fd_gap(zw)
 
     checks = (
-        StatsCheck("pdf_zb normalization residual", res_b, 1e-8, res_b < 1e-8),
-        StatsCheck("pdf_zw normalization residual", res_w, 1e-8, res_w < 1e-8),
-        StatsCheck("cdf_zw continuity at first breakpoint", cont1, 1e-9, cont1 < 1e-9),
-        StatsCheck("cdf_zw continuity at second breakpoint", cont2, 1e-9, cont2 < 1e-9),
-        StatsCheck("cdf_zw closure at support end", cont3, 1e-9, cont3 < 1e-9),
-        StatsCheck("KS statistic Zb sampler", ks_b, crit, ks_b < crit),
-        StatsCheck("KS statistic Zw sampler", ks_w, crit, ks_w < crit),
-        StatsCheck("CDF-PDF consistency Zb", fd_b, 1e-5, fd_b < 1e-5),
-        StatsCheck("CDF-PDF consistency Zw", fd_w, 1e-5, fd_w < 1e-5),
+        StatsCheck("pdf_zb normalization residual", res_b, 1e-8),
+        StatsCheck("pdf_zw normalization residual", res_w, 1e-8),
+        StatsCheck("cdf_zw continuity at first breakpoint", cont1, 1e-9),
+        StatsCheck("cdf_zw continuity at second breakpoint", cont2, 1e-9),
+        StatsCheck("cdf_zw closure at support end", cont3, 1e-9),
+        StatsCheck("KS statistic Zb sampler", ks_b, crit),
+        StatsCheck("KS statistic Zw sampler", ks_w, crit),
+        StatsCheck("CDF-PDF consistency Zb", fd_b, 1e-5),
+        StatsCheck("CDF-PDF consistency Zw", fd_w, 1e-5),
     )
     return StatsReport(checks=checks)
 
@@ -377,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", dest="mc_seed", type=int, help="Monte Carlo seed")
     common.add_argument("--trials", dest="mc_trials", type=int, help="Monte Carlo trials")
     common.add_argument("--quad-n", dest="quadrature_n", type=int,
-                        help="quadrature nodes per integration interval (>= 100)")
+                        help="quadrature nodes per integration interval "
+                             f"(>= {_CONFIG_KEYS['quadrature_n'][2]})")
     common.add_argument("--snr-db", dest="snr_db_grid", metavar="LIST",
                         type=lambda text: text.split(","),
                         help="comma-separated dB grid, e.g. 0,10,20")
@@ -398,7 +391,7 @@ def _config_from_args(args) -> RunConfig:
     """The --config file (or defaults) with every given flag set under its key."""
     data = _read_config(args.config) if args.config else {}
     data.update((key, value) for key, value in vars(args).items()
-                if key in _KNOWN_KEYS and value is not None)
+                if key in _CONFIG_KEYS and value is not None)
     return config_from_dict(data)
 
 
@@ -461,7 +454,7 @@ def main(argv=None) -> int:
             print(report)
             return 0 if report.passed else 1
         raise CliError(f"unhandled command {args.command!r}")
-    except (ConfigError, CliError, ValueError) as exc:
+    except (ConfigError, CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,12 @@
-"""The package's import surface matches what the README documents, and the
-benchmark tracer finds every name it patches."""
+"""The package's import surface and config keys match what the README
+documents, and the benchmark tracer finds every name it patches."""
 
 import importlib.util
 import re
 from pathlib import Path
 
 import pinchsec
+from pinchsec import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,6 +16,16 @@ def readme_library_names():
     section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     bullets = [line for line in section.splitlines() if line.startswith("- ")]
     return {name for line in bullets for name in re.findall(r"`(\w+)`", line)}
+
+
+def readme_config_keys():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\nConfig files are flat JSON", 1)[1].split("\n\n## ", 1)[0]
+    return {m for line in section.splitlines() for m in re.findall(r"^- `(\w+)`", line)}
+
+
+def test_config_keys_match_readme():
+    assert readme_config_keys() == set(cli._CONFIG_KEYS)
 
 
 def test_all_names_resolve():

@@ -1,6 +1,7 @@
 """Config parsing, sweep orchestration, CSV and CLI entry tests."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import subprocess
@@ -77,6 +78,8 @@ class TestConfigFromDict:
             cli.config_from_dict({"snr_db_grid": [0.0, math.inf]})
         with pytest.raises(cli.ConfigError, match="numbers"):
             cli.config_from_dict({"snr_db_grid": ["a", "b"]})
+        with pytest.raises(cli.ConfigError, match="finite"):
+            cli.config_from_dict({"snr_db_grid": [0.0, 10 ** 400]})
 
     def test_numeric_validation(self):
         with pytest.raises(cli.ConfigError, match="attenuation_alpha"):
@@ -93,6 +96,26 @@ class TestConfigFromDict:
             cli.config_from_dict({"quadrature_n": 99})
         with pytest.raises(cli.ConfigError, match="output_path"):
             cli.config_from_dict({"output_path": 7})
+        # non-finite ints, a number beyond float range and a seed beyond 64 bits
+        for key, value in (("quadrature_n", math.inf), ("quadrature_n", math.nan),
+                           ("mc_trials", -math.inf), ("side_length_D", 10 ** 400),
+                           ("mc_seed", 2 ** 64)):
+            with pytest.raises(cli.ConfigError, match=key):
+                cli.config_from_dict({key: value})
+
+    def test_accepts_every_benchmark_workload(self):
+        # the benchmark feeds these dicts to config_from_dict; a row that
+        # rejected one of their keys would fail every benchmark operation
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            for tiny in (False, True):
+                data = workloads.config_for(name, seed=1, tiny=tiny)
+                cfg = cli.config_from_dict(data)
+                assert list(cfg.snr_db_grid) == data["snr_db_grid"], (name, tiny)
+                assert cfg.mc.trials == data["mc_trials"], (name, tiny)
 
     def test_integral_float_accepted(self):
         assert cli.config_from_dict({"mc_trials": 2000.0}).mc.trials == 2000
@@ -393,7 +416,7 @@ class TestMain:
         assert "all checks passed" in capsys.readouterr().out
 
     def test_validate_stats_failure_exit_code(self, capsys, monkeypatch):
-        bad = cli.StatsReport(checks=(cli.StatsCheck("forced", 1.0, 0.5, False),))
+        bad = cli.StatsReport(checks=(cli.StatsCheck("forced", 1.0, 0.5),))
         monkeypatch.setattr(cli, "validate_stats", lambda cfg: bad)
         rc = cli.main(["validate-stats"])
         assert rc == 1
@@ -411,9 +434,22 @@ class TestMain:
                  # two nodes gave a wrong SOP asymptote with exit 0
                  (["sop", "--quad-n", "2", "--snr-db=20,40", "--trials", "1000"],
                   "quadrature_n"))
+        for i, (key, value) in enumerate((("quadrature_n", math.inf),
+                                          ("quadrature_n", math.nan),
+                                          ("side_length_D", 10 ** 400),
+                                          ("mc_seed", 2 ** 64))):
+            cases += ((["sweep", "--config", write_json(tmp_path, f"{i}.json", {key: value})],
+                       key),)
         for argv, key in cases:
             assert cli.main(argv) == 2, argv
             assert key in capsys.readouterr().err, argv
+        # beyond float range in D^3 or 1/fc^2: an error line, not a traceback
+        for key, value in (("side_length_D", 1e153), ("side_length_D", 1e160),
+                           ("carrier_freq_hz", 1e-200)):
+            path = write_json(tmp_path, "x.json", {key: value, "snr_db_grid": [0.0, 10.0],
+                                                   "mc_trials": 100})
+            assert cli.main(["sweep", "--config", path]) == 2, (key, value)
+            assert capsys.readouterr().err.startswith("error: "), (key, value)
 
     def test_bad_snr_list(self, capsys):
         assert cli.main(["sweep", "--snr-db", "5,3"]) == 2
