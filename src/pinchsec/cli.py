@@ -173,18 +173,54 @@ def config_from_dict(data: dict) -> RunConfig:
         mc = McConfig(trials=trials, seed=seed, chunk_size=chunk)
     except ValueError as exc:  # the rows leave McConfig only the seed's 64-bit bound
         raise ConfigError(f"mc_seed: {exc}") from exc
-    return RunConfig(scenario=Scenario(side_length=_value(data, "side_length_D"),
-                                       waveguide_height=_value(data, "waveguide_height_d")),
-                     carrier_freq=_value(data, "carrier_freq_hz"),
-                     attenuation=_value(data, "attenuation_alpha"),
-                     noise_bob=_value(data, "noise_bob_var"),
-                     noise_willie=_value(data, "noise_willie_var"),
-                     target=SecrecyTarget(rate=rate),
-                     snr_db_grid=_value(data, "snr_db_grid"),
-                     quadrature_n=_value(data, "quadrature_n"),
-                     mc=mc,
-                     workers=_value(data, "workers"),
-                     output_path=_value(data, "output_path"))
+    cfg = RunConfig(scenario=Scenario(side_length=_value(data, "side_length_D"),
+                                      waveguide_height=_value(data, "waveguide_height_d")),
+                    carrier_freq=_value(data, "carrier_freq_hz"),
+                    attenuation=_value(data, "attenuation_alpha"),
+                    noise_bob=_value(data, "noise_bob_var"),
+                    noise_willie=_value(data, "noise_willie_var"),
+                    target=SecrecyTarget(rate=rate),
+                    snr_db_grid=_value(data, "snr_db_grid"),
+                    quadrature_n=_value(data, "quadrature_n"),
+                    mc=mc,
+                    workers=_value(data, "workers"),
+                    output_path=_value(data, "output_path"))
+    _check_float_range(cfg)
+    return cfg
+
+
+def _check_float_range(cfg: RunConfig) -> None:
+    """ConfigError naming the key whose value takes the model's arithmetic out of float range.
+
+    The limits are where the model's own largest scale factors overflow:
+    3 D^3 and 2 / D^3 in the Zw CDF and density, Willie's farthest squared
+    distance 5 D^2/4 + d^2 and its noise power, eta = c^2 / (16 pi^2 fc^2)
+    and 1 / eta (eta is 0 once 16 pi^2 fc^2 overflows), and the peak SNR
+    eta * P / (d^2 sigma^2) at the grid's largest P, which the rate kernel
+    forms.
+    """
+    D, d = cfg.scenario.side_length, cfg.scenario.waveguide_height
+    far = lambda: 1.25 * D ** 2 + d ** 2  # noqa: E731
+    top = cfg.channel_at_snr_db(cfg.snr_db_grid[-1])
+    checks = (
+        ("side_length_D", "3 D^3", lambda: 3.0 * D ** 3),
+        ("side_length_D", "2 / D^3", lambda: 2.0 / D ** 3),
+        ("waveguide_height_d", "5 D^2/4 + d^2", far),
+        ("noise_bob_var", "(5 D^2/4 + d^2) sigma^2", lambda: far() * cfg.noise_bob),
+        ("noise_willie_var", "(5 D^2/4 + d^2) sigma^2", lambda: far() * cfg.noise_willie),
+        ("carrier_freq_hz", "eta = c^2/(16 pi^2 fc^2)", lambda: top.eta),
+        ("carrier_freq_hz", "1 / eta", lambda: 1.0 / top.eta),
+        ("snr_db_grid", f"the peak SNR eta*P/(d^2 sigma^2) at {cfg.snr_db_grid[-1]:g} dB "
+                        "(it grows as carrier_freq_hz, waveguide_height_d or a noise "
+                        "variance falls)",
+         lambda: top.eta * top.tx_power / (d ** 2 * min(cfg.noise_bob, cfg.noise_willie))))
+    for key, name, expression in checks:
+        try:
+            in_range = expression() <= sys.float_info.max
+        except (OverflowError, ZeroDivisionError):
+            in_range = False
+        if not in_range:
+            raise ConfigError(f"{key}: {name} leaves the float range")
 
 
 def _read_config(path: str) -> dict:

@@ -111,6 +111,12 @@ def los_rate(dist_sq, chan: ChannelParams, noise_var: float, guided_len=0.0):
     return _link_rate(chan.eta * chan.tx_power * loss, dist_sq * noise_var)
 
 
-def _link_rate(signal, noise_power):
-    """(1/2)log2(1 + signal/noise_power); broadcasts like the division."""
-    return np.log1p(signal / noise_power) * (0.5 / math.log(2.0))
+def _link_rate(signal, noise_power, out=None):
+    """(1/2)log2(1 + signal/noise_power); broadcasts like the division.
+
+    Given `out` (which may be `signal` itself), the divide, log1p and scale
+    all write there, in the allocating call's order and so with its bits.
+    """
+    rate = np.divide(signal, noise_power, out=out)
+    rate = np.log1p(rate, out=out)
+    return np.multiply(rate, 0.5 / math.log(2.0), out=out)

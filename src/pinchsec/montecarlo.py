@@ -11,13 +11,19 @@ FA or both) rho-free geometry from it once: the guided loss and the two
 noise powers z*sigma^2.  It evaluates the rates of a block of grid points
 at a time, with eta*P as a column, in los_rate's operation order, so each
 estimate has the bits of a one-point-at-a-time evaluation; paired PA-vs-FA
-comparisons are common random numbers.  The public `mc_*` functions are
-its single-channel, single-kernel views.
+comparisons are common random numbers.  Each worker thread writes a
+block's rates, outage mask and squared rates into C-contiguous views of
+one workspace, made once per `_mc_sweep` call, by the same operations in
+the same order (divide, log1p, scale, subtract): the bits are unchanged,
+and no block allocates temporaries, which at the default chunk (128 KiB,
+glibc's mmap threshold) were page-faulted afresh every block.  The public
+`mc_*` functions are its single-channel, single-kernel views.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -78,10 +84,18 @@ def _fa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
     return 1.0, zb * chan.noise_bob, zw * chan.noise_willie
 
 
-def _secrecy_rates(gain, loss, noise_b, noise_w):
-    """Rb - Rw at received power gain*loss; gain = eta*P is a number or a (rows, 1) column."""
-    signal = gain * loss
-    return _link_rate(signal, noise_b) - _link_rate(signal, noise_w)
+def _secrecy_rates(gain, loss, noise_b, noise_w, out=None):
+    """Rb - Rw at received power gain*loss; gain = eta*P is a number or a (rows, 1) column.
+
+    Given `out`, a pair (rates, scratch) of arrays of the rates' shape, it
+    allocates nothing: the signal and then Rw go to scratch, Rb and the
+    result to rates, in the allocating call's order and so with its bits.
+    """
+    rates, scratch = (None, None) if out is None else out
+    signal = np.multiply(gain, loss, out=scratch)
+    rate_b = _link_rate(signal, noise_b, rates)
+    rate_w = _link_rate(signal, noise_w, scratch)
+    return np.subtract(rate_b, rate_w, out=rates)
 
 
 def pa_secrecy_rate(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
@@ -134,7 +148,16 @@ def _mc_sweep(scenario: Scenario, chans, target: SecrecyTarget, cfg: McConfig,
         return []
     _check_rows(chans)
     gains = np.array([[chan.eta * chan.tx_power] for chan in chans])
-    step = max(1, _BLOCK_ELEMENTS // min(cfg.chunk_size, cfg.trials))
+    size_max = min(cfg.chunk_size, cfg.trials)
+    step = max(1, _BLOCK_ELEMENTS // size_max)
+    capacity = min(step, len(chans)) * size_max
+    local = threading.local()  # this call's workspace of each worker thread
+
+    def block_views(rows: int, size: int):
+        """(rates, scratch, mask) as C-contiguous (rows, size) views of the workspace."""
+        if not hasattr(local, "buffers"):
+            local.buffers = (np.empty(capacity), np.empty(capacity), np.empty(capacity, bool))
+        return tuple(buf[:rows * size].reshape(rows, size) for buf in local.buffers)
 
     def chunk_sums(k):
         positions = _chunk_positions(scenario, cfg, k)
@@ -143,10 +166,12 @@ def _mc_sweep(scenario: Scenario, chans, target: SecrecyTarget, cfg: McConfig,
             loss, noise_b, noise_w = geometry(scenario, chans[0], *positions)
             for lo in range(0, len(chans), step):
                 rows = slice(lo, lo + step)
-                rs = _secrecy_rates(gains[rows], loss, noise_b, noise_w)
-                sums[rows, j, 0] = np.count_nonzero(rs < target.rate, axis=1)
+                gain = gains[rows]
+                rs, scratch, mask = block_views(len(gain), len(positions[0]))
+                _secrecy_rates(gain, loss, noise_b, noise_w, (rs, scratch))
+                sums[rows, j, 0] = np.count_nonzero(np.less(rs, target.rate, out=mask), axis=1)
                 sums[rows, j, 1] = np.sum(rs, axis=1)
-                sums[rows, j, 2] = np.sum(rs * rs, axis=1)
+                sums[rows, j, 2] = np.sum(np.multiply(rs, rs, out=scratch), axis=1)
         return sums
 
     totals = sum(_map_chunks(chunk_sums, cfg, workers))  # fixed chunk order

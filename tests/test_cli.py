@@ -103,6 +103,21 @@ class TestConfigFromDict:
             with pytest.raises(cli.ConfigError, match=key):
                 cli.config_from_dict({key: value})
 
+    def test_float_range_limits_sit_where_the_model_overflows(self):
+        # each pair straddles the limit: 3 D^3, 5 D^2/4 + d^2 and its noise
+        # power, eta, and the peak SNR eta*P/(d^2 sigma^2) at the top of the grid
+        cases = (("side_length_D", {}, 3.9e102, 4.0e102),
+                 ("side_length_D", {}, 2.3e-103, 2.2e-103),
+                 ("waveguide_height_d", {}, 1.3e154, 1.4e154),
+                 ("noise_bob_var", {"noise_willie_var": 1.0}, 2e305, 3e305),
+                 ("carrier_freq_hz", {"snr_db_grid": [-3000.0]}, 1.0e153, 1.1e153),
+                 ("carrier_freq_hz", {"snr_db_grid": [-3000.0]}, 1.8e-147, 1.7e-147),
+                 ("snr_db_grid", {"carrier_freq_hz": 1e-144}, [0.0, 40.0], [0.0, 60.0]))
+        for key, extra, inside, outside in cases:
+            cli.config_from_dict({key: inside, **extra})
+            with pytest.raises(cli.ConfigError, match=f"^{key}: .*float range"):
+                cli.config_from_dict({key: outside, **extra})
+
     def test_accepts_every_benchmark_workload(self):
         # the benchmark feeds these dicts to config_from_dict; a row that
         # rejected one of their keys would fail every benchmark operation
@@ -443,13 +458,21 @@ class TestMain:
         for argv, key in cases:
             assert cli.main(argv) == 2, argv
             assert key in capsys.readouterr().err, argv
-        # beyond float range in D^3 or 1/fc^2: an error line, not a traceback
-        for key, value in (("side_length_D", 1e153), ("side_length_D", 1e160),
-                           ("carrier_freq_hz", 1e-200)):
-            path = write_json(tmp_path, "x.json", {key: value, "snr_db_grid": [0.0, 10.0],
-                                                   "mc_trials": 100})
-            assert cli.main(["sweep", "--config", path]) == 2, (key, value)
-            assert capsys.readouterr().err.startswith("error: "), (key, value)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("sweep", "side_length_D", 1e153),     # D^3 overflowed in diststats: errno 34
+        ("mc-only", "side_length_D", 1e160),   # overflowed the MC geometry, then exit 0
+        ("sweep", "carrier_freq_hz", 1e-200),  # fc^2 underflowed to 0: division by zero
+    ])
+    def test_model_overflow_names_the_key(self, command, key, value, tmp_path, capsys):
+        # an error line naming the key, not a traceback, errno text or warnings
+        path = write_json(tmp_path, "x.json", {key: value, "snr_db_grid": [0.0, 10.0],
+                                               "mc_trials": 100})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and "float range" in err, err
 
     def test_bad_snr_list(self, capsys):
         assert cli.main(["sweep", "--snr-db", "5,3"]) == 2

@@ -7,7 +7,10 @@ the reduction arithmetic is caught exactly, not statistically.
 
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,16 +187,23 @@ def _oracle_sweep(scenario, chans, target, cfg):
 
 
 class TestBatchedEngine:
-    def test_bit_identical_to_per_channel_oracle(self, scenario):
-        # 21 rows at 16 rows per block (chunk 1000), alpha > 0, unequal
-        # noise and a short last chunk; the grid straddles the PA and FA
-        # outage edges so every count and sum is nontrivial
+    @pytest.mark.parametrize("trials, chunk_size, rows_per_block", [
+        (2700, 1000, 16),    # two full blocks and a short one; a short last chunk
+        (20000, 16384, 1),   # one row per block
+        (150, 4096, 109),    # one chunk shorter than chunk_size; all rows in one block
+    ])
+    def test_bit_identical_to_per_channel_oracle(self, scenario, trials, chunk_size,
+                                                 rows_per_block):
+        # 21 rows, alpha > 0 and unequal noise; the grid straddles the PA
+        # and FA outage edges so every count and sum is nontrivial.  The
+        # engine runs each block in views of its thread's workspace, so
+        # blocks of every shape must reuse it with the bits of the oracle
         target = ps.SecrecyTarget(rate=0.05)
         chans = [ps.ChannelParams(attenuation=0.05, tx_power=10 ** (db / 10.0),
                                   noise_bob=2.0, noise_willie=0.5)
                  for db in np.linspace(20.0, 90.0, 21)]
-        cfg = ps.McConfig(trials=2700, seed=2024, chunk_size=1000)
-        assert len(chans) > montecarlo._BLOCK_ELEMENTS // cfg.chunk_size
+        cfg = ps.McConfig(trials=trials, seed=2024, chunk_size=chunk_size)
+        assert montecarlo._BLOCK_ELEMENTS // min(chunk_size, trials) == rows_per_block
         want = _oracle_sweep(scenario, chans, target, cfg)
         assert len({est.mean for row in want for est in row}) > 30
         for workers in (1, 2):
@@ -217,6 +227,34 @@ class TestBatchedEngine:
 
     def test_empty_grid(self, scenario, target):
         assert montecarlo._mc_sweep(scenario, [], target, small_cfg()) == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads Linux's minor page-fault count")
+    def test_steady_state_sweep_takes_few_page_faults(self):
+        # paper-sweep's shape: 13 rows in blocks of 4 at chunk 4096, so one
+        # block's temporaries would be 128 KiB each, glibc's mmap threshold;
+        # allocated per block, they took ~3000 minor faults per sweep.  A
+        # fresh interpreter, since this process's heap history (other
+        # tests' large frees raise glibc's threshold) would hide them
+        script = "\n".join([
+            "import resource",
+            "import pinchsec as ps",
+            "from pinchsec import montecarlo",
+            "chans = [ps.ChannelParams(tx_power=10 ** (db / 10.0)) for db in range(-10, 55, 5)]",
+            "cfg = ps.McConfig(trials=50000, seed=12345, chunk_size=4096)",
+            "args = (ps.Scenario(), chans, ps.SecrecyTarget(), cfg, 1)",
+            "montecarlo._mc_sweep(*args)",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "montecarlo._mc_sweep(*args)",
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        ])
+        src_dir = Path(montecarlo.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={"PATH": "", "PYTHONPATH": str(src_dir),
+                                                "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 0, proc.stderr
+        faults = int(proc.stdout)
+        assert faults < 500, faults
 
     def test_block_memory_stays_bounded(self, scenario, target):
         # rates run in blocks of 4 rows at chunk 4096 (~0.1 MB per array);
