@@ -15,7 +15,10 @@ channel and piece: rows [j, k, l] over the three Zw density pieces,
 preceded by the Zb term where there is one.  d^2 enters only where a
 rate or the outage threshold is formed from z = d^2 + u; the capacity
 terms integrate each rate as an offset from its value at u = 0, which
-keeps digits where d^2 dwarfs D^2.  The Zb density's 1/sqrt pole at
+keeps digits where d^2 dwarfs D^2.  That offset is one expression,
+-log2(1 + t) with t = g*u/(d^2*(d^2 + g + u)) at gain g, formed from
+non-negative terms joined by one add, so it neither cancels nor
+overflows (_rate_offset).  The Zb density's 1/sqrt pole at
 u = 0 is removed by integrating over Bob's offset y = sqrt(u) instead.
 At n nodes per interval the error falls as n^-4 (about 1e-12 relative
 at the default n = 1000).  Rows run in blocks, each summed alone by
@@ -30,9 +33,9 @@ closed-form difference of the Zw piece CDFs.
 
 Both metrics saturate at high SNR (the same loss and geometry face Bob
 and Willie), so the diversity order and high-SNR slope are zero.  The
-saturation levels are the brackets at rho = inf, where b = 0 and each
-rate offset is -log2(Z/d^2); the finite-difference estimators let callers
-confirm the saturation numerically.
+saturation levels are the brackets at rho = inf, where b = 0, each rate
+offset is -log2(Z/d^2) and r(A) - r(B) is log2(A/B); the finite-difference
+estimators let callers confirm the saturation numerically.
 """
 
 from __future__ import annotations
@@ -200,37 +203,42 @@ def sop_term_sums(scenario: Scenario, chans, target: SecrecyTarget, rule: Quadra
         u_0, u_1))
 
 
+def _rate_offset(gain, d2: float, u):
+    """log2(1 + g/(d^2 + u)) - log2(1 + g/d^2) = -log2(1 + t); g and u broadcast.
+
+    t = g*u/(d^2*(d^2 + g + u)) is taken as w / (d^2/g + v) with w = u/(d^2 + u)
+    and v = d^2/(d^2 + u): non-negative terms, w and v at most 1, joined by
+    one add, so it neither cancels nor overflows.  d^2/g is 0 at g = inf,
+    giving -log2(1 + u/d^2), and +inf where g is 0 or d^2/g overflows, giving 0.
+    """
+    u = np.asarray(u, dtype=float)
+    w, v = u / (d2 + u), d2 / (d2 + u)
+    with np.errstate(divide="ignore", over="ignore"):
+        d2_over_g = d2 / np.asarray(gain, dtype=float)
+    return np.log1p(w / (d2_over_g + v)) / -math.log(2.0)
+
+
 def esc_term_sums(scenario: Scenario, chans, rule: QuadratureRule, bob_factor,
                   willie_factor) -> np.ndarray:
     """Rows [bob, j, k, l], one per channel: rate offsets from the rate at u = 0.
 
-    bob: log2(1 + g*A/(d^2 + u)) - log2(1 + g*A/d^2) against the Zb density,
-    j, k, l: the same with B against the Zw branches, where g = eta*rho.
-    The offset keeps its digits where u << d^2: below g = d^2 it is
-    log1p(-s * u/(d^2 + u)) with s = g/(d^2 + g) < 1/2, above it the
-    difference log1p(u/(d^2 + g)) - log1p(u/d^2) of terms a factor 2 apart.
-    With no kinks, the rows of a block share their nodes.
+    bob: _rate_offset at gain g*A against the Zb density, j, k, l: at g*B
+    against the Zw branches, where g = eta*rho; one log1p per node and row.
+    At rho = inf both gains are +inf whatever the factors, an underflowed
+    span included.  The rows of a block share their nodes, so w and v of
+    _rate_offset are formed once per node.
     """
     d2 = scenario.waveguide_height ** 2
-    gains = np.array([(chan.eta * chan.rho * bob, chan.eta * chan.rho * willie)
-                  for chan, bob, willie in _rows(chans, bob_factor, willie_factor)]).reshape(-1, 2)
-
-    def rate_offset(g):
-        near = g < d2
-        s, far = (g[near] / (d2 + g[near]))[:, None], (d2 + g[~near])[:, None]
-
-        def offset(u):
-            out = np.empty((g.size, u.size))
-            out[near] = np.log1p(-s * (u / (d2 + u))) / math.log(2.0)
-            out[~near] = (np.log1p(u / far) - np.log1p(u / d2)) / math.log(2.0)
-            return out
-        return offset
-
+    scaled = [(chan.eta * chan.rho, bob, willie) for chan, bob, willie in
+              _rows(chans, bob_factor, willie_factor)]
+    gains = np.array([(g * bob, g * willie) if g < math.inf else (g, g)
+                      for g, bob, willie in scaled]).reshape(-1, 2)
     sums = np.empty((len(chans), 4))
     for rows in _row_blocks(np.arange(len(chans)), rule):
-        bob, willie = (rate_offset(gains[rows, i]) for i in (0, 1))
-        sums[rows] = np.column_stack([_bob_sum(scenario, rule, bob),
-                                      *_willie_sums(scenario, rule, willie)])
+        bob, willie = (gains[rows, i][:, None] for i in (0, 1))
+        sums[rows] = np.column_stack([_bob_sum(scenario, rule, lambda u: _rate_offset(bob, d2, u)),
+                                      *_willie_sums(scenario, rule,
+                                                    lambda u: _rate_offset(willie, d2, u))])
     return sums
 
 
@@ -263,40 +271,31 @@ def sop_asymptotic(scenario: Scenario, chan: ChannelParams, target: SecrecyTarge
 
 
 def esc_bounds(scenario: Scenario, chans, rule: QuadratureRule) -> list[BoundPair]:
-    """Ergodic secrecy capacity brackets, one per channel, in order.
+    """Ergodic secrecy capacity brackets, one per channel at its rho, in order.
 
     0.5 * (r(A) - r(B) + bob - (j + k + l)) in the upper (1, span) and the
     lower (span, 1) direction, where r(F) = log2(1 + eta*rho*F/d^2) is the
     rate at distance d that esc_term_sums measures its offsets from.  At
-    alpha = 0 the r terms cancel exactly.
+    alpha = 0 the r terms cancel exactly.  rho = inf (tx_power = inf) gives
+    the high-SNR limit, where r(A) - r(B) is log2(A/B) = -/+ log2(span),
+    taken as 2 alpha D / ln 2: finite where the span underflows.
     """
+    d2, ln2 = scenario.waveguide_height ** 2, math.log(2.0)
     spans = [attenuation_span(scenario, chan) for chan in chans]
-    d2 = scenario.waveguide_height ** 2
-
-    def esc(bob_factor, willie_factor):
-        rows = zip(_rows(chans, bob_factor, willie_factor),
-                   esc_term_sums(scenario, chans, rule, bob_factor, willie_factor).tolist())
-        return [0.5 * ((math.log1p(chan.eta * chan.rho * bob / d2)
-                        - math.log1p(chan.eta * chan.rho * willie / d2)) / math.log(2.0)
-                       + c - (j + k + l)) for (chan, bob, willie), (c, j, k, l) in rows]
-
-    return [BoundPair(lower=lo, upper=up) for up, lo in zip(esc(1.0, spans), esc(spans, 1.0))]
+    # r(1) - r(span), the upper direction's r(A) - r(B)
+    heads = [(math.log1p(g / d2) - math.log1p(g * span / d2)) / ln2 if g < math.inf
+             else 2.0 * chan.attenuation * scenario.side_length / ln2
+             for chan, span, g in zip(chans, spans, (chan.eta * chan.rho for chan in chans))]
+    upper, lower = ([0.5 * (c - (j + k + l) + sign * head) for head, (c, j, k, l) in
+                     zip(heads, esc_term_sums(scenario, chans, rule, *direction).tolist())]
+                    for sign, direction in ((1.0, (1.0, spans)), (-1.0, (spans, 1.0))))
+    return [BoundPair(lower=lo, upper=up) for lo, up in zip(lower, upper)]
 
 
 def esc_asymptotic(scenario: Scenario, chan: ChannelParams,
                    rule: QuadratureRule) -> BoundPair:
-    """High-SNR ESC levels, the limit rho -> inf of esc_bounds.
-
-    Every rate offset tends to -log2(Z/d^2), that of esc_term_sums at
-    infinite power, and r(A) - r(B) to log2(A/B), -/+ log2(span) on the upper/
-    lower side, taken as -2 alpha D / ln 2: finite where the span underflows.
-    """
-    c, j, k, l = esc_term_sums(scenario, [replace(chan, tx_power=math.inf)], rule,
-                               1.0, 1.0)[0].tolist()
-    gap = c - (j + k + l)
-    log_span = -2.0 * chan.attenuation * scenario.side_length / math.log(2.0)
-    return BoundPair(lower=0.5 * (gap + log_span),
-                     upper=0.5 * (gap - log_span))
+    """High-SNR saturation levels of the ESC bracket: esc_bounds at rho = inf."""
+    return esc_bounds(scenario, [replace(chan, tx_power=math.inf)], rule)[0]
 
 
 def diversity_estimate(sop_at, rho1: float, rho2: float) -> float:

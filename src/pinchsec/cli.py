@@ -309,10 +309,10 @@ def read_csv(path: str) -> list[SweepRecord]:
     for line in lines[1:]:
         if line == "":
             continue
-        parts = line.split(",")
-        if len(parts) != len(names):
-            raise CliError(f"malformed CSV row: {line!r}")
-        records.append(SweepRecord(**{n: float(v) for n, v in zip(names, parts)}))
+        try:
+            records.append(SweepRecord(*map(float, line.split(","))))
+        except (TypeError, ValueError):  # a wrong field count or a non-numeric field
+            raise CliError(f"malformed CSV row: {line!r}") from None
     return records
 
 

@@ -325,6 +325,50 @@ class TestSopAsymptotic:
             np.testing.assert_allclose(got, want, rtol=1e-7)
 
 
+# (g, d^2, u, offset): log2(1 + g/(d^2 + u)) - log2(1 + g/d^2) by mpmath at
+# 60 digits, rounded to the nearest float
+RATE_OFFSETS = {
+    "g_below_d2": [
+        (5.7e-07, 9.0, 100.0, -8.382631448684198e-08),
+        (0.001, 9.0, 1e-08, -1.7809071082053327e-13),
+        (2.5e-10, 10000.0, 3000000.0, -3.594755085271459e-14),
+    ],
+    # just above g = d^2 with u >> d^2, where a difference of two log1p
+    # terms loses 8-23 ulp
+    "g_near_d2_u_far": [
+        (1.77e-06, 1.76e-06, 5870000000000.0, -1.004092754633883),
+        (1.5e-08, 1.49e-08, 2240.0, -1.0048331537262825),
+        (0.0747, 0.071, 142000000000.0, -1.0371099476717094),
+        (2.63e-06, 2.54e-06, 360000.0, -1.025335783532229),
+    ],
+    "g_above_d2": [
+        (1e+20, 9.0, 100.0, -3.598259323334614),
+        (57000.0, 9.0, 1e-06, -1.6027413363857894e-07),
+        (1e+300, 1e-300, 780.0, -1006.1857587799583),
+    ],
+    # d^2/g is +inf: exactly 0 (a warning would fail the suite)
+    "g_zero": [
+        (0.0, 9.0, 100.0, 0.0),
+        (0.0, 1e+300, 1e+300, 0.0),
+        (5e-324, 1e+300, 1.0, 0.0),
+    ],
+    # rho = inf: the limit -log2(1 + u/d^2)
+    "g_inf": [
+        (math.inf, 9.0, 100.0, -3.598259323334614),
+        (math.inf, 1e-06, 1000000000000.0, -59.794705707972525),
+        (math.inf, 1e+300, 1.0, -1.4426950408889634e-300),
+    ],
+}
+
+
+class TestRateOffset:
+    @pytest.mark.parametrize("regime", list(RATE_OFFSETS))
+    def test_against_mpmath(self, regime):
+        g, d2, u, want = np.array(RATE_OFFSETS[regime]).T
+        got = [bounds._rate_offset(*row) for row in zip(g, d2, u)]
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
+
+
 class TestEscBounds:
     def test_reference_point(self, scenario, rule_1000):
         pair = ps.esc_bounds(scenario, [chan_at(1e8)], rule_1000)[0]
@@ -415,18 +459,21 @@ DENSE_GRID_DB = [-10.0 + 0.25 * k for k in range(361)]
 
 
 class TestChannelLists:
-    @pytest.mark.parametrize("alpha", [0.01, 16.0])  # alpha * D = 400 underflows the span
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 16.0])  # alpha * D = 400 underflows the span
     def test_point_alone_equals_point_in_list(self, scenario, target, rule_1000, alpha):
         # below rho* (43.4 dB) outage is certain and no node is evaluated,
-        # above it the rows are kinked; rho = inf is the asymptote's row
-        chans = [chan_at(10 ** (snr_db / 10.0), alpha=alpha) for snr_db in DENSE_GRID_DB]
-        sop_chans = [*chans, chan_at(math.inf, alpha=alpha)]
-        sop_alone = [ps.sop_bounds(scenario, [chan], target, rule_1000)[0] for chan in sop_chans]
+        # above it the rows are kinked; rho = inf is the asymptotes' row
+        chans = [*(chan_at(10 ** (snr_db / 10.0), alpha=alpha) for snr_db in DENSE_GRID_DB),
+                 chan_at(math.inf, alpha=alpha)]
+        sop_alone = [ps.sop_bounds(scenario, [chan], target, rule_1000)[0] for chan in chans]
         esc_alone = [ps.esc_bounds(scenario, [chan], rule_1000)[0] for chan in chans]
         assert sop_alone[0] == ps.BoundPair(1.0, 1.0) and sop_alone[-1].lower < 1.0
+        assert all(math.isfinite(pair.lower) and math.isfinite(pair.upper)
+                   for pair in esc_alone)
+        assert ps.sop_asymptotic(scenario, chans[0], target, rule_1000) == sop_alone[-1]
+        assert ps.esc_asymptotic(scenario, chans[0], rule_1000) == esc_alone[-1]
         for order in (1, -1):  # ascending and descending rho
-            assert (ps.sop_bounds(scenario, sop_chans[::order], target, rule_1000)
-                    == sop_alone[::order])
+            assert ps.sop_bounds(scenario, chans[::order], target, rule_1000) == sop_alone[::order]
             assert ps.esc_bounds(scenario, chans[::order], rule_1000) == esc_alone[::order]
 
     def test_empty_list(self, scenario, target, rule_1000):

@@ -31,6 +31,30 @@ def fast_dict(**extra):
     return base
 
 
+def assert_sweep_clean(data):
+    """A small sweep of config `data` runs without a warning and gives finite records.
+
+    It keeps the top of the config's grid, where the model's scales peak,
+    and runs 3 points at 100 trials and 100 nodes: run_sweep where the
+    noises are equal, the Monte Carlo alone where they differ.
+    """
+    cfg = cli.config_from_dict(data)
+    grid = cfg.snr_db_grid
+    small = cli.config_from_dict({**data, "snr_db_grid": [grid[0] - 20.0, grid[0] - 10.0,
+                                                          *grid][-3:],
+                                  "mc_trials": 100, "quadrature_n": 100})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if small.noise_bob == small.noise_willie:
+            values = [v for rec in cli.run_sweep(small) for v in vars(rec).values()]
+        else:
+            chans = [small.channel_at_snr_db(s) for s in small.snr_db_grid]
+            values = [v for row in montecarlo._mc_sweep(small.scenario, chans, small.target,
+                                                        small.mc)
+                      for est in row for v in (est.mean, est.std_error)]
+    assert len(values) >= 3 * 4 and all(math.isfinite(v) for v in values), data
+
+
 class TestConfigFromDict:
     def test_empty_gives_table_defaults(self):
         cfg = cli.config_from_dict({})
@@ -110,11 +134,12 @@ class TestConfigFromDict:
                  ("side_length_D", {}, 2.3e-103, 2.2e-103),
                  ("waveguide_height_d", {}, 1.3e154, 1.4e154),
                  ("noise_bob_var", {"noise_willie_var": 1.0}, 2e305, 3e305),
+                 ("noise_bob_var", {"noise_willie_var": 2e305}, 2e305, 3e305),
                  ("carrier_freq_hz", {"snr_db_grid": [-3000.0]}, 1.0e153, 1.1e153),
                  ("carrier_freq_hz", {"snr_db_grid": [-3000.0]}, 1.8e-147, 1.7e-147),
                  ("snr_db_grid", {"carrier_freq_hz": 1e-144}, [0.0, 40.0], [0.0, 60.0]))
         for key, extra, inside, outside in cases:
-            cli.config_from_dict({key: inside, **extra})
+            assert_sweep_clean({key: inside, **extra})
             with pytest.raises(cli.ConfigError, match=f"^{key}: .*float range"):
                 cli.config_from_dict({key: outside, **extra})
 
@@ -328,10 +353,12 @@ class TestCsv:
             cli.read_csv(str(path))
 
     def test_read_rejects_short_row(self, tmp_path):
+        # a short row, and one of the right length with a non-numeric field
         path = tmp_path / "y.csv"
-        path.write_text(self.HEADER + "\n1.0,2.0\n", encoding="ascii")
-        with pytest.raises(cli.CliError, match="malformed"):
-            cli.read_csv(str(path))
+        for row in ("1.0,2.0", ",".join(["1.0"] * 14 + ["abc"])):
+            path.write_text(self.HEADER + "\n" + row + "\n", encoding="ascii")
+            with pytest.raises(cli.CliError, match="malformed CSV row"):
+                cli.read_csv(str(path))
 
 
 class TestValidateStats:
