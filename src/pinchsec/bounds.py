@@ -15,14 +15,19 @@ channel and piece: rows [j, k, l] over the three Zw density pieces,
 preceded by the Zb term where there is one.  d^2 enters only where a
 rate or the outage threshold is formed from z = d^2 + u; the capacity
 terms integrate each rate as an offset from its value at u = 0, which
-keeps digits where d^2 dwarfs D^2.  That offset is one expression,
--log2(1 + t) with t = g*u/(d^2*(d^2 + g + u)) at gain g, formed from
-non-negative terms joined by one add, so it neither cancels nor
-overflows (_rate_offset).  The Zb density's 1/sqrt pole at
-u = 0 is removed by integrating over Bob's offset y = sqrt(u) instead.
-At n nodes per interval the error falls as n^-4 (about 1e-12 relative
-at the default n = 1000).  Rows run in blocks, each summed alone by
-quad.integrate, so a channel's bracket has the same bits in any list.
+keeps digits where d^2 dwarfs D^2.  At gain g that offset is, in nats,
+ln(1 - s*w) with s = g/(d^2 + g) and w = u/(d^2 + u).  Where s <= 1/2
+(g <= d^2) it is the series -sum_k s^k w^k / k, whose terms all share one
+sign: its term sums are a power series in s over the moments of w^k,
+formed once per call, with a term count of the row's own s.  Elsewhere
+it is one expression, -log2(1 + t) with t = g*u/(d^2*(d^2 + g + u)),
+formed from non-negative terms joined by one add, so it neither cancels
+nor overflows (_rate_offset), one log1p per node.  The Zb density's
+1/sqrt pole at u = 0 is removed by integrating over Bob's offset
+y = sqrt(u) instead.  At n nodes per interval the error falls as n^-4
+(about 1e-12 relative at the default n = 1000).  Rows run in blocks,
+each summed alone by quad.integrate, so a channel's bracket has the same
+bits in any list.
 
 The outage has one threshold: with Willie at z, Zb < a / (b + c/z) with
 a = A, b = (4^Rbar - 1)/(eta*rho), c = 4^Rbar*B for a direction (A, B).
@@ -87,6 +92,7 @@ def _outage_coefficients(chan: ChannelParams, target: SecrecyTarget, bob_factor:
 
 
 _BLOCK_ELEMENTS = 16384  # per row block: 16 rows at n = 1000; 64 save ~15% for 4x the memory
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _row_blocks(rows, rule: QuadratureRule) -> list:
@@ -95,10 +101,10 @@ def _row_blocks(rows, rule: QuadratureRule) -> list:
     return [rows[i:i + step] for i in range(0, len(rows), step)]
 
 
-def _rows(chans, bob_factor, willie_factor):
-    """(chan, bob_factor, willie_factor) per channel; a factor is one number or one per channel."""
-    return zip(chans, *(np.broadcast_to(np.asarray(f, dtype=float), (len(chans),)).tolist()
-                        for f in (bob_factor, willie_factor)))
+def _factors(chans, bob_factor, willie_factor) -> np.ndarray:
+    """Rows (bob_factor, willie_factor) per channel; a factor is one number or one per channel."""
+    return np.column_stack([np.broadcast_to(np.asarray(f, dtype=float), (len(chans),))
+                            for f in (bob_factor, willie_factor)])
 
 
 def _threshold_offset(u, d2: float, a, b, c):
@@ -194,8 +200,8 @@ def sop_term_sums(scenario: Scenario, chans, target: SecrecyTarget, rule: Quadra
     """
     d2 = scenario.waveguide_height ** 2
     zb = ZbDistribution(scenario.side_length)
-    coeffs = [_outage_coefficients(chan, target, bob, willie)
-              for chan, bob, willie in _rows(chans, bob_factor, willie_factor)]
+    coeffs = [_outage_coefficients(chan, target, *pair) for chan, pair in
+              zip(chans, _factors(chans, bob_factor, willie_factor).tolist())]
     u_0, u_1 = np.array([_outage_kinks(scenario, *abc) for abc in coeffs]).reshape(-1, 2).T
     abc = np.array(coeffs).reshape(-1, 3)
     return np.column_stack(_willie_sums(
@@ -206,16 +212,52 @@ def sop_term_sums(scenario: Scenario, chans, target: SecrecyTarget, rule: Quadra
 def _rate_offset(gain, d2: float, u):
     """log2(1 + g/(d^2 + u)) - log2(1 + g/d^2) = -log2(1 + t); g and u broadcast.
 
-    t = g*u/(d^2*(d^2 + g + u)) is taken as w / (d^2/g + v) with w = u/(d^2 + u)
-    and v = d^2/(d^2 + u): non-negative terms, w and v at most 1, joined by
-    one add, so it neither cancels nor overflows.  d^2/g is 0 at g = inf,
-    giving -log2(1 + u/d^2), and +inf where g is 0 or d^2/g overflows, giving 0.
+    t = g*u/(d^2*(d^2 + g + u)) is taken as w / x with w = u/(d^2 + u) and
+    x = d^2/g + v, v = d^2/(d^2 + u): non-negative terms, w and v at most 1,
+    joined by one add, so it neither cancels nor overflows.  d^2/g is 0 at
+    g = inf, giving -log2(1 + u/d^2), and +inf where g is 0 or d^2/g
+    overflows, giving 0.  Where x is below the normal range (u/d^2 near or
+    past it, g far above d^2), ln(1 + t) is taken in logs as
+    log1p(d^2/g) - ln(x), with ln(x) = ln(d^2) - ln(d^2 + u) + log1p((d^2 + u)/g).
     """
     u = np.asarray(u, dtype=float)
     w, v = u / (d2 + u), d2 / (d2 + u)
+    gain = np.asarray(gain, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        d2_over_g = d2 / np.asarray(gain, dtype=float)
-    return np.log1p(w / (d2_over_g + v)) / -math.log(2.0)
+        d2_over_g = d2 / gain
+        offset = np.log1p(w / (d2_over_g + v)) / -math.log(2.0)
+    if np.any(v < _TINY):  # x >= v, so x is normal wherever v is
+        with np.errstate(all="ignore"):
+            log_x = math.log(d2) - np.log(d2 + u) + np.log1p((d2 + u) / gain)
+            offset = np.where(d2_over_g + v < _TINY,
+                              (np.log1p(d2_over_g) - log_x) / -math.log(2.0), offset)
+    return offset
+
+
+def _moments(scenario: Scenario, rule: QuadratureRule, d2: float, k_max: int) -> np.ndarray:
+    """M_k = integral of w^k, w = u/(d^2 + u), for k = 1..k_max: rows [bob, j, k, l].
+
+    Against the Zb density (_bob_sum) and each Zw branch (_willie_sums) on
+    the same rule.  The powers come in blocks of at most _BLOCK_ELEMENTS
+    elements; each block's cumulative product starts from the last power of
+    the block before, so M_k has the same bits at any k_max.
+    """
+    last = [1.0] * 4  # per density piece, in call order: Zb, then the Zw pieces
+    blocks = [np.empty((0, 4))]
+    for ks in _row_blocks(range(k_max), rule):
+
+        def powers(u, pieces=iter(range(4)), count=len(ks)):
+            i, w = next(pieces), u / (d2 + u)
+            p = np.empty((count, w.size))
+            np.multiply(last[i], w, out=p[0])
+            for j in range(1, count):  # row by row: a cumprod along axis 0 is ~3x slower
+                np.multiply(p[j - 1], w, out=p[j])
+            last[i] = p[-1].copy()
+            return p
+
+        blocks.append(np.column_stack([_bob_sum(scenario, rule, powers),
+                                       *_willie_sums(scenario, rule, powers)]))
+    return np.concatenate(blocks)
 
 
 def esc_term_sums(scenario: Scenario, chans, rule: QuadratureRule, bob_factor,
@@ -223,23 +265,45 @@ def esc_term_sums(scenario: Scenario, chans, rule: QuadratureRule, bob_factor,
     """Rows [bob, j, k, l], one per channel: rate offsets from the rate at u = 0.
 
     bob: _rate_offset at gain g*A against the Zb density, j, k, l: at g*B
-    against the Zw branches, where g = eta*rho; one log1p per node and row.
-    At rho = inf both gains are +inf whatever the factors, an underflowed
-    span included.  The rows of a block share their nodes, so w and v of
-    _rate_offset are formed once per node.
+    against the Zw branches, where g = eta*rho.  At rho = inf both gains are
+    +inf whatever the factors, an underflowed span included.  Each distinct
+    (g*A, g*B) row is evaluated once.
+
+    In nats the offset is ln(1 - s*w) = -sum_k s^k w^k / k with
+    s = g/(d^2 + g) and w = u/(d^2 + u) (Abramowitz & Stegun 4.1), so a
+    term sum is -sum_k s^k M_k / k over the moments M_k of _moments, formed
+    once per call.  s, w and the densities are non-negative, so every term
+    has the same sign and the sum does not cancel.  Gains with s <= 1/2
+    (g <= d^2) take the series with K = ceil(53 / -log2(s)) + 1 terms for
+    their own s (54 at s = 1/2; w < 1, so the tail is below 2^-53 of the
+    sum), by Horner's rule with the sum held at 0 past K, so a row's bits
+    depend on its gains alone.  Gains with s > 1/2, rho = inf among them,
+    take the quadrature of _rate_offset, one log1p per node and row.
     """
     d2 = scenario.waveguide_height ** 2
-    scaled = [(chan.eta * chan.rho, bob, willie) for chan, bob, willie in
-              _rows(chans, bob_factor, willie_factor)]
-    gains = np.array([(g * bob, g * willie) if g < math.inf else (g, g)
-                      for g, bob, willie in scaled]).reshape(-1, 2)
-    sums = np.empty((len(chans), 4))
-    for rows in _row_blocks(np.arange(len(chans)), rule):
-        bob, willie = (gains[rows, i][:, None] for i in (0, 1))
-        sums[rows] = np.column_stack([_bob_sum(scenario, rule, lambda u: _rate_offset(bob, d2, u)),
-                                      *_willie_sums(scenario, rule,
-                                                    lambda u: _rate_offset(willie, d2, u))])
-    return sums
+    g = np.array([chan.eta * chan.rho for chan in chans]).reshape(-1, 1)
+    with np.errstate(invalid="ignore"):  # inf * 0 where a span underflowed
+        gains = np.where(g < math.inf, g * _factors(chans, bob_factor, willie_factor), g)
+    gains, inverse = np.unique(gains, axis=0, return_inverse=True)
+    with np.errstate(divide="ignore", over="ignore"):
+        s = 1.0 / (1.0 + d2 / gains)  # exactly 1 at g = inf, 0 at g = 0
+        terms = np.where(s <= 0.5, np.ceil(53.0 / -np.log2(s)) + 1.0, 0.0)[:, [0, 1, 1, 1]]
+    s = s[:, [0, 1, 1, 1]]
+    series = terms > 0
+    sums = np.zeros((len(gains), 4))
+    k_max = int(terms.max(initial=0.0))
+    moments = _moments(scenario, rule, d2, k_max) / np.arange(1.0, k_max + 1.0)[:, None]
+    for k in range(k_max, 0, -1):
+        sums = np.where(k <= terms, s * (moments[k - 1] + sums), 0.0)
+    sums /= -math.log(2.0)
+    for rows in _row_blocks(np.flatnonzero(~series[:, 0]), rule):
+        bob = gains[rows, :1]
+        sums[rows, 0] = _bob_sum(scenario, rule, lambda u: _rate_offset(bob, d2, u))
+    for rows in _row_blocks(np.flatnonzero(~series[:, 1]), rule):
+        willie = gains[rows, 1:]
+        sums[rows, 1:] = np.column_stack(_willie_sums(scenario, rule,
+                                                      lambda u: _rate_offset(willie, d2, u)))
+    return sums[inverse.reshape(-1)]
 
 
 def _clamp_probability(value: float, label: str) -> float:
@@ -286,9 +350,12 @@ def esc_bounds(scenario: Scenario, chans, rule: QuadratureRule) -> list[BoundPai
     heads = [(math.log1p(g / d2) - math.log1p(g * span / d2)) / ln2 if g < math.inf
              else 2.0 * chan.attenuation * scenario.side_length / ln2
              for chan, span, g in zip(chans, spans, (chan.eta * chan.rho for chan in chans))]
+    # both directions in one call: the upper's rows, then the lower's
+    m = len(chans)
+    sums = esc_term_sums(scenario, [*chans, *chans], rule, [1.0] * m + spans, spans + [1.0] * m)
     upper, lower = ([0.5 * (c - (j + k + l) + sign * head) for head, (c, j, k, l) in
-                     zip(heads, esc_term_sums(scenario, chans, rule, *direction).tolist())]
-                    for sign, direction in ((1.0, (1.0, spans)), (-1.0, (spans, 1.0))))
+                     zip(heads, half.tolist())]
+                    for sign, half in ((1.0, sums[:m]), (-1.0, sums[m:])))
     return [BoundPair(lower=lo, upper=up) for lo, up in zip(lower, upper)]
 
 

@@ -10,15 +10,18 @@ combined.  The program's quadrature must match them to 1e-10 relative.
 import logging
 import math
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import pinchsec as ps
-from pinchsec import bounds
+from pinchsec import bounds, cli
 from conftest import (SNR_GRID_DB, chan_at, esc_term_oracles, esc_term_values,
                       log2_moment_oracles, log2_moment_values, sop_directions,
                       sop_term_oracles)
+from test_properties import CONFIGS as PROPERTY_CONFIGS
 
 SPAN = math.exp(-0.5)  # exp(-2 * 0.01 * 25)
 
@@ -46,12 +49,14 @@ class TestCoefficients:
         assert sop_directions(scenario, chan_at(1e8)) == tuple(seen)
 
     def test_esc_pairs(self, scenario, rule_1000, monkeypatch):
+        # one call for both directions, as per-channel factor lists: the
+        # upper (1, span), then the lower (span, 1)
         seen = []
         term_sums = bounds.esc_term_sums
         monkeypatch.setattr(bounds, "esc_term_sums",
-                            lambda *a: seen.append(first_row(a[-2:])) or term_sums(*a))
+                            lambda *a: seen.append(tuple(list(f) for f in a[-2:])) or term_sums(*a))
         ps.esc_bounds(scenario, [chan_at(1e8)], rule_1000)
-        assert seen == [(1.0, SPAN), (SPAN, 1.0)]
+        assert seen == [([1.0, SPAN], [SPAN, 1.0])]
 
     def test_overflowed_threshold_is_certain_outage(self, scenario):
         # 4^600 is +inf: b is +inf at every rho, never inf/inf = nan at rho = inf
@@ -357,6 +362,8 @@ RATE_OFFSETS = {
         (math.inf, 9.0, 100.0, -3.598259323334614),
         (math.inf, 1e-06, 1000000000000.0, -59.794705707972525),
         (math.inf, 1e+300, 1.0, -1.4426950408889634e-300),
+        # u/d^2 = 1e500: v = d^2/(d^2 + u) underflows to 0
+        (math.inf, 1e-200, 1e300, -1660.9640474436812),
     ],
 }
 
@@ -498,6 +505,90 @@ class TestChannelLists:
         finally:
             tracemalloc.stop()
         assert sum(peaks) <= 2e6, peaks
+        # the ESC moments run in the same row blocks as its quadrature
+        assert peaks[1] <= 6e5, peaks
+
+
+def quadrature_term_sums(scenario, rule, gains):
+    """esc_term_sums rows by the quadrature of _rate_offset alone, one per (bob, willie) gain."""
+    d2 = scenario.waveguide_height ** 2
+    return np.array([[bounds._bob_sum(scenario, rule, lambda u: bounds._rate_offset(bob, d2, u)),
+                      *bounds._willie_sums(scenario, rule,
+                                           lambda u: bounds._rate_offset(willie, d2, u))]
+                     for bob, willie in gains])
+
+
+def gain_rows(chans, bob_factor, willie_factor):
+    """The (bob, willie) gains esc_term_sums forms for each channel at finite rho."""
+    return [(chan.eta * chan.rho * bob, chan.eta * chan.rho * willie) for chan, (bob, willie) in
+            zip(chans, bounds._factors(chans, bob_factor, willie_factor).tolist())]
+
+
+def gain_chans(*gains):
+    """Channels whose eta*rho is each gain exactly; esc_term_sums reads nothing else."""
+    return [SimpleNamespace(eta=1.0, rho=g) for g in gains]
+
+
+class TestEscSeries:
+    # rows with s = g/(d^2 + g) <= 1/2 take the series over moments, the others quadrature
+
+    def test_series_matches_quadrature(self, rule_1000):
+        cases = [(ps.Scenario(), [chan_at(10 ** (snr_db / 10.0), alpha=alpha)
+                                  for snr_db in DENSE_GRID_DB])
+                 for alpha in (0.0, 0.01, 16.0)]
+        for data in PROPERTY_CONFIGS:
+            cfg = cli.config_from_dict({**data, "snr_db_grid": [0.0]})
+            for alpha in (cfg.attenuation, 0.0):
+                cases.append((cfg.scenario, [
+                    ps.ChannelParams(carrier_freq=cfg.carrier_freq, attenuation=alpha,
+                                     tx_power=10 ** (snr_db / 10.0))
+                    for snr_db in range(-20, 201, 10)]))
+        for scenario, chans in cases:
+            spans = [bounds.attenuation_span(scenario, chan) for chan in chans]
+            for direction in ((1.0, spans), (spans, 1.0)):
+                got = bounds.esc_term_sums(scenario, chans, rule_1000, *direction)
+                want = quadrature_term_sums(scenario, rule_1000, gain_rows(chans, *direction))
+                np.testing.assert_allclose(got, want, rtol=2e-15, atol=0,
+                                           err_msg=str(scenario))
+
+    def test_continuous_at_the_switch(self, scenario, rule_1000):
+        # g/d^2 = 0.999 and 1.0 take the series, 1.001 and one ulp past 1.0 quadrature
+        d2 = scenario.waveguide_height ** 2
+        gains = [0.999 * d2, d2, math.nextafter(d2, math.inf), 1.001 * d2]
+        below, at, past, above = bounds.esc_term_sums(scenario, gain_chans(*gains), rule_1000,
+                                                      1.0, 1.0)
+        assert np.all(np.isfinite([below, at, past, above]))
+        assert np.all((below > at) & (past > above))  # the offsets fall as g grows
+        np.testing.assert_allclose(past, at, rtol=1e-12, atol=0)  # no step at the switch
+
+    def test_underflowed_gain_is_zero(self, scenario, rule_1000):
+        # at -3200 dB eta*rho underflows to 0: s is exactly 0, and so is the row
+        chan = chan_at(10 ** (-320.0))
+        assert chan.eta * chan.rho == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums = bounds.esc_term_sums(scenario, [chan], rule_1000, 1.0, 1.0)
+        assert sums.tolist() == [[0.0, 0.0, 0.0, 0.0]]
+
+    def test_quadrature_only_where_s_exceeds_half(self, scenario, rule_1000, monkeypatch):
+        rows = []
+        offset = bounds._rate_offset
+        monkeypatch.setattr(bounds, "_rate_offset",
+                            lambda gain, *a: rows.append(np.shape(gain)[0]) or offset(gain, *a))
+        # to 60 dB eta*rho stays below d^2 = 9: no log1p per node
+        ps.esc_bounds(scenario, [chan_at(10 ** (snr_db / 10.0)) for snr_db in DENSE_GRID_DB[:281]],
+                      rule_1000)
+        assert rows == []
+        # at g = d^2 the series still, one ulp past it quadrature
+        d2 = scenario.waveguide_height ** 2
+        bounds.esc_term_sums(scenario, gain_chans(d2, math.nextafter(d2, math.inf)), rule_1000,
+                             1.0, 1.0)
+        assert rows == [1, 1, 1, 1]
+        rows.clear()
+        # rho = inf: both directions have the gains (inf, inf), evaluated once,
+        # one row on the Zb density and on each Zw piece
+        ps.esc_asymptotic(scenario, chan_at(1e8), rule_1000)
+        assert rows == [1, 1, 1, 1]
 
 
 class TestHighSnrEstimators:

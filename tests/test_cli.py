@@ -579,6 +579,24 @@ class TestMain:
         assert proc.stderr == ""
         assert proc.stdout.startswith(TestCsv.HEADER + "\n")
 
+    def test_far_room_esc_asymptote_runs_clean(self, tmp_path):
+        # (D/d)^2 = 1e400 passes the float-range checks; at rho = inf u/d^2
+        # then overflows, yet the ESC asymptote is finite
+        path = write_json(tmp_path, "far.json",
+                          {"waveguide_height_d": 1e-100, "side_length_D": 1e100,
+                           "snr_db_grid": [0.0, 40.0], "mc_trials": 100, "quadrature_n": 100})
+        out = tmp_path / "far.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pinchsec.cli", "sweep", "--config", path,
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={"PATH": "", "PYTHONPATH": str(SRC_DIR), "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        records = cli.read_csv(str(out))
+        assert len(records) == 2
+        assert all(math.isfinite(v) for rec in records for v in (rec.esc_asym_lb, rec.esc_asym_ub))
+
     def test_cli_overrides_config(self, tmp_path):
         path = write_json(tmp_path, "o.json", fast_dict(mc_seed=7))
         args = cli._build_parser().parse_args(
