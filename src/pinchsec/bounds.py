@@ -27,14 +27,17 @@ nor overflows (_rate_offset), one log1p per node.  The Zb density's
 y = sqrt(u) instead.  At n nodes per interval the error falls as n^-4
 (about 1e-12 relative at the default n = 1000).  Rows run in blocks,
 each summed alone by quad.integrate, so a channel's bracket has the same
-bits in any list.
+bits in any list.  Each bracket makes one term-sum call for both of its
+directions, the upper's rows first.
 
 The outage has one threshold: with Willie at z, Zb < a / (b + c/z) with
-a = A, b = (4^Rbar - 1)/(eta*rho), c = 4^Rbar*B for a direction (A, B).
-F_Zb of it is 0 below the offset u_0 where it crosses d^2, so the Zw
-pieces start there, and 1 beyond the offset u_1 where it crosses
-d^2 + D^2/4, so the quadrature stops there and the mass beyond is a
-closed-form difference of the Zw piece CDFs.
+a = A, b = (4^Rbar - 1)/(eta*rho), c = 4^Rbar*B for a direction (A, B),
+formed as arrays over all rows of the call.  F_Zb of it is 0 below the
+offset u_0 where it crosses d^2, so the Zw pieces start there, and 1
+beyond the offset u_1 where it crosses d^2 + D^2/4, so the quadrature
+stops there and the mass beyond is a closed-form difference of the Zw
+piece CDFs.  Each row block forms its nodes, the threshold and F_Zb of
+it in place, in one workspace made per call.
 
 Both metrics saturate at high SNR (the same loss and geometry face Bob
 and Willie), so the diversity order and high-SNR slope are zero.  The
@@ -107,72 +110,76 @@ def _factors(chans, bob_factor, willie_factor) -> np.ndarray:
                             for f in (bob_factor, willie_factor)])
 
 
-def _threshold_offset(u, d2: float, a, b, c):
+def _threshold_offset(u, d2: float, a, b, c, out=None, scratch=None):
     """Largest Zb offset that still avoids secrecy outage, Willie at offset u.
 
     The threshold a / (b + c/z) at z = d^2 + u, minus d^2, over one
     denominator: (d^2*K + u*(a - b*d^2)) / (b*(d^2 + u) + c) with
     K = a - b*d^2 - c.  K is exactly 0 at Rbar = 0 and equal factors, so no
     digit of d^2 is lost.  Where b = c = 0 Willie hears nothing and the
-    offset is a*z/0 = +inf (no outage).
+    offset is a*z/0 = +inf (no outage).  Arrays `out` and `scratch` of u's
+    shape take the numerator and the denominator in place; the offset is
+    written to `out`.
     """
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore"):
-        return (d2 * (a - b * d2 - c) + u * (a - b * d2)) / (b * (d2 + u) + c)
+        num = np.multiply(u, a - b * d2, out=out)
+        num += d2 * (a - b * d2 - c)
+        den = np.add(d2, u, out=scratch)
+        den *= b
+        den += c
+        return np.divide(num, den, out=out)
 
 
-def _piece_sum(rule: QuadratureRule, lo, width, f):
-    """Plain integral of f over [lo, lo + width]; vectors lo and width give one per row."""
-    lo_col, width_col = (np.asarray(v, dtype=float)[..., None] for v in (lo, width))
-    return width * integrate(rule, lambda x: f(lo_col + width_col * x))
+def _bob_density(scenario: Scenario, rule: QuadratureRule) -> tuple:
+    """(width, u, factors) of the Zb density on the rule, over Bob's offset y.
 
-
-def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_u, lower=None,
-                 kink=None) -> list:
-    """Integrate value_of_u against each Zw density branch over its piece.
-
-    Without limits, the rows of value_of_u(u)'s (k, n) block share nodes u.
-    With row vectors `lower` and `kink`, row r's piece starts at lower[r]
-    and value_of_u is 1 from kink[r] on: the quadrature runs over
-    [lower, kink] clipped to the piece, whose integrand is smooth up to
-    corners at its ends, on blocks of the rows where that is not empty, and
-    the mass beyond the kink is the branch's closed-form CDF difference.
+    u = y^2 with y in [0, D/2] turns pdf(u) du into pdf(y^2) 2y dy, which
+    cancels the density's 1/sqrt(u) pole.  The density is still evaluated,
+    so a normalization check of it stays a check.
     """
+    y_max = 0.5 * scenario.side_length
+    y = y_max * rule.nodes
+    return y_max, y * y, (ZbDistribution(scenario.side_length).pdf(y * y), 2.0 * y)
+
+
+def _willie_densities(scenario: Scenario, rule: QuadratureRule) -> list:
+    """(width, u, factors) of each Zw density branch on the rule, over its piece."""
     zw = ZwDistribution(scenario.side_length)
-    sums = []
-    for (start, width), branch, cdf in zip(zw.pieces, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
-                                           (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3)):
+    pieces = []
+    for (start, width), branch in zip(zw.pieces, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)):
         hi = start + width
-        if lower is None:
-            sums.append(_piece_sum(rule, start, hi - start, lambda u: value_of_u(u) * branch(u)))
-            continue
-        lo = np.clip(lower, start, hi)
-        cut = np.clip(kink, lo, hi)
-        total = np.zeros(len(lower))
-        for rows in _row_blocks(np.flatnonzero(lo < cut), rule):
-            total[rows] = _piece_sum(rule, lo[rows], cut[rows] - lo[rows],
-                                     lambda u: value_of_u(u, rows) * branch(u))
-        saturated = cut < hi
-        total[saturated] += cdf(hi) - cdf(cut[saturated])
-        sums.append(total)
-    return sums
+        u = start + (hi - start) * rule.nodes
+        pieces.append((hi - start, u, (branch(u),)))
+    return pieces
+
+
+def _density_sum(rule: QuadratureRule, piece: tuple, value_of_u):
+    """Integral of value_of_u(u) against one density piece of _bob_density/_willie_densities.
+
+    value_of_u returns a new (n,) or (k, n) array, k integrands, which is
+    multiplied by the piece's factors in order, in place; (k, n) gives k
+    row sums.
+    """
+    width, u, factors = piece
+
+    def g(x):
+        value = value_of_u(u)
+        for factor in factors:
+            value *= factor
+        return value
+
+    return width * integrate(rule, g)
 
 
 def _bob_sum(scenario: Scenario, rule: QuadratureRule, value_of_u):
-    """Integrate value_of_u(u) against the Zb density, over Bob's offset y.
+    """Integrate value_of_u(u) against the Zb density; every row shares the nodes."""
+    return _density_sum(rule, _bob_density(scenario, rule), value_of_u)
 
-    u = y^2 with y in [0, D/2] turns pdf(u) du into (2/D) dy, which cancels
-    the density's 1/sqrt(u) pole.  The density is still evaluated, so a
-    normalization check of it stays a check.  Every row shares the nodes.
-    """
-    zb = ZbDistribution(scenario.side_length)
-    y_max = 0.5 * scenario.side_length
 
-    def g(x):
-        y = y_max * x
-        return value_of_u(y * y) * zb.pdf(y * y) * (2.0 * y)
-
-    return y_max * integrate(rule, g)
+def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_u) -> list:
+    """Integrate value_of_u(u) against each Zw density branch over its piece."""
+    return [_density_sum(rule, piece, value_of_u) for piece in _willie_densities(scenario, rule)]
 
 
 def _outage_kinks(scenario: Scenario, a: float, b: float, c: float) -> list[float]:
@@ -181,7 +188,8 @@ def _outage_kinks(scenario: Scenario, a: float, b: float, c: float) -> list[floa
 
     u_S = (S*(c + b*d^2) - d^2*K) / (a - b*(d^2 + S)).  The threshold
     increases with u towards a/b, so it never reaches an end S with
-    a <= b*(d^2 + S); u_S is +inf there.
+    a <= b*(d^2 + S); u_S is +inf there.  One channel's kinks;
+    _outage_rows forms them for many rows at once.
     """
     zb = ZbDistribution(scenario.side_length)
     d2 = scenario.waveguide_height ** 2
@@ -190,23 +198,89 @@ def _outage_kinks(scenario: Scenario, a: float, b: float, c: float) -> list[floa
             for s in zb.support]
 
 
+def _outage_rows(scenario: Scenario, chans, target: SecrecyTarget, bob_factor,
+                 willie_factor) -> list:
+    """Arrays a, b, c, u_0, u_1, one entry per channel.
+
+    _outage_coefficients and _outage_kinks of every row, by the same float
+    operations on arrays, so each entry has their bits.
+    """
+    d2 = scenario.waveguide_height ** 2
+    fr = target.threshold
+    a, willie = _factors(chans, bob_factor, willie_factor).T
+    eta_rho = np.array([chan.eta * chan.rho for chan in chans], dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b = np.where((eta_rho > 0) & (fr < math.inf), (fr - 1.0) / eta_rho,
+                     math.inf if fr > 1.0 else 0.0)
+        c = fr * willie
+        k = a - b * d2 - c
+        kinks = [np.where(a > b * (d2 + s), (s * (c + b * d2) - d2 * k) / (a - b * (d2 + s)),
+                          math.inf)
+                 for s in ZbDistribution(scenario.side_length).support]
+    return [a, b, c, *kinks]
+
+
 def sop_term_sums(scenario: Scenario, chans, target: SecrecyTarget, rule: QuadratureRule,
                   bob_factor, willie_factor) -> np.ndarray:
     """Rows [j, k, l], one per channel: no-outage mass F_Zb(threshold) over the Zw pieces.
 
     rho = inf (tx_power = inf) gives the high-SNR limit.  F_Zb is 0 below
     u_0 and 1 beyond u_1, where the threshold crosses Zb's lower and upper
-    end: nodes lie only between them, and the mass beyond u_1 is closed-form.
+    end: row r's quadrature runs over [u_0, u_1] clipped to each piece,
+    whose integrand is smooth up to corners at its ends, on blocks of the
+    rows where that is not empty, and the mass beyond u_1 is the branch's
+    closed-form CDF difference.  Where u_1 <= 0 every Willie offset
+    saturates F_Zb and the row's mass is exactly 1: its last piece takes
+    the rest of 1 (exact, as j + k lies in [1/2, 1]).
+
+    Each block writes into one workspace made per call: the nodes u, then
+    the threshold's numerator, into which the offset, F_Zb and the product
+    with the branch density are formed in place, and its denominator.  Rows
+    over a whole piece run in blocks of their own, which share the piece's
+    nodes and density, evaluated once per call.
     """
     d2 = scenario.waveguide_height ** 2
-    zb = ZbDistribution(scenario.side_length)
-    coeffs = [_outage_coefficients(chan, target, *pair) for chan, pair in
-              zip(chans, _factors(chans, bob_factor, willie_factor).tolist())]
-    u_0, u_1 = np.array([_outage_kinks(scenario, *abc) for abc in coeffs]).reshape(-1, 2).T
-    abc = np.array(coeffs).reshape(-1, 3)
-    return np.column_stack(_willie_sums(
-        scenario, rule, lambda u, rows: zb.cdf(_threshold_offset(u, d2, *abc[rows].T[..., None])),
-        u_0, u_1))
+    zb, zw = ZbDistribution(scenario.side_length), ZwDistribution(scenario.side_length)
+    a, b, c, u_0, u_1 = _outage_rows(scenario, chans, target, bob_factor, willie_factor)
+    a, b, c = a[:, None], b[:, None], c[:, None]
+    limits = []
+    for start, width in zw.pieces:
+        hi = start + width
+        lo = np.clip(u_0, start, hi)
+        cut = np.clip(u_1, lo, hi)
+        whole = (lo == start) & (cut == hi)
+        limits.append((hi, lo, cut, whole,
+                       [*_row_blocks(np.flatnonzero(whole), rule),
+                        *_row_blocks(np.flatnonzero((lo < cut) & ~whole), rule)]))
+    workspace = np.empty((3, max((rows.size for *_, blocks in limits for rows in blocks),
+                                 default=0), rule.n))
+    sums = np.zeros((len(chans), 3))
+    for total, (hi, lo, cut, whole, blocks), density, branch, cdf in zip(
+            sums.T, limits, _willie_densities(scenario, rule),
+            (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
+            (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3)):
+        _, whole_nodes, (whole_density,) = density
+        for rows in blocks:
+            u, num, den = workspace[:, :rows.size]
+            width = cut[rows] - lo[rows]
+
+            def block(x):
+                if whole[rows[0]]:
+                    nodes, density = whole_nodes, whole_density
+                else:
+                    nodes = np.add(lo[rows, None], np.multiply(width[:, None], x, out=u), out=u)
+                    density = branch(nodes)
+                thr = _threshold_offset(nodes, d2, a[rows], b[rows], c[rows], num, den)
+                value = zb.cdf(thr, out=thr)
+                value *= density
+                return value
+
+            total[rows] = width * integrate(rule, block)
+        saturated = cut < hi
+        total[saturated] += cdf(hi) - cdf(cut[saturated])
+    full = u_1 <= 0.0
+    sums[full, 2] = 1.0 - (sums[full, 0] + sums[full, 1])
+    return sums
 
 
 def _rate_offset(gain, d2: float, u):
@@ -234,29 +308,29 @@ def _rate_offset(gain, d2: float, u):
     return offset
 
 
-def _moments(scenario: Scenario, rule: QuadratureRule, d2: float, k_max: int) -> np.ndarray:
-    """M_k = integral of w^k, w = u/(d^2 + u), for k = 1..k_max: rows [bob, j, k, l].
+def _moments(pieces: list, rule: QuadratureRule, d2: float, k_max: int) -> np.ndarray:
+    """M_k = integral of w^k, w = u/(d^2 + u), for k = 1..k_max: one column per density piece.
 
-    Against the Zb density (_bob_sum) and each Zw branch (_willie_sums) on
-    the same rule.  The powers come in blocks of at most _BLOCK_ELEMENTS
-    elements; each block's cumulative product starts from the last power of
-    the block before, so M_k has the same bits at any k_max.
+    Against each of `pieces` (_bob_density, _willie_densities) on the same
+    rule.  The powers come in blocks of at most _BLOCK_ELEMENTS elements;
+    each block's cumulative product starts from the last power of the block
+    before, so M_k has the same bits at any k_max.
     """
-    last = [1.0] * 4  # per density piece, in call order: Zb, then the Zw pieces
-    blocks = [np.empty((0, 4))]
+    last = [1.0] * len(pieces)
+    blocks = [np.empty((0, len(pieces)))]
     for ks in _row_blocks(range(k_max), rule):
 
-        def powers(u, pieces=iter(range(4)), count=len(ks)):
-            i, w = next(pieces), u / (d2 + u)
-            p = np.empty((count, w.size))
+        def powers(u, i):
+            w = u / (d2 + u)
+            p = np.empty((len(ks), w.size))
             np.multiply(last[i], w, out=p[0])
-            for j in range(1, count):  # row by row: a cumprod along axis 0 is ~3x slower
+            for j in range(1, len(ks)):  # row by row: a cumprod along axis 0 is ~3x slower
                 np.multiply(p[j - 1], w, out=p[j])
             last[i] = p[-1].copy()
             return p
 
-        blocks.append(np.column_stack([_bob_sum(scenario, rule, powers),
-                                       *_willie_sums(scenario, rule, powers)]))
+        blocks.append(np.column_stack([_density_sum(rule, piece, lambda u, i=i: powers(u, i))
+                                       for i, piece in enumerate(pieces)]))
     return np.concatenate(blocks)
 
 
@@ -292,17 +366,19 @@ def esc_term_sums(scenario: Scenario, chans, rule: QuadratureRule, bob_factor,
     series = terms > 0
     sums = np.zeros((len(gains), 4))
     k_max = int(terms.max(initial=0.0))
-    moments = _moments(scenario, rule, d2, k_max) / np.arange(1.0, k_max + 1.0)[:, None]
+    pieces = [_bob_density(scenario, rule), *_willie_densities(scenario, rule)]
+    moments = _moments(pieces, rule, d2, k_max) / np.arange(1.0, k_max + 1.0)[:, None]
     for k in range(k_max, 0, -1):
         sums = np.where(k <= terms, s * (moments[k - 1] + sums), 0.0)
     sums /= -math.log(2.0)
     for rows in _row_blocks(np.flatnonzero(~series[:, 0]), rule):
         bob = gains[rows, :1]
-        sums[rows, 0] = _bob_sum(scenario, rule, lambda u: _rate_offset(bob, d2, u))
+        sums[rows, 0] = _density_sum(rule, pieces[0], lambda u: _rate_offset(bob, d2, u))
     for rows in _row_blocks(np.flatnonzero(~series[:, 1]), rule):
         willie = gains[rows, 1:]
-        sums[rows, 1:] = np.column_stack(_willie_sums(scenario, rule,
-                                                      lambda u: _rate_offset(willie, d2, u)))
+        sums[rows, 1:] = np.column_stack([_density_sum(rule, piece,
+                                                       lambda u: _rate_offset(willie, d2, u))
+                                          for piece in pieces[1:]])
     return sums[inverse.reshape(-1)]
 
 
@@ -320,12 +396,14 @@ def sop_bounds(scenario: Scenario, chans, target: SecrecyTarget,
     1 - (j + k + l) in the upper (span, 1) and the lower (1, span) direction.
     """
     spans = [attenuation_span(scenario, chan) for chan in chans]
-    upper, lower = ([1.0 - (j + k + l) for j, k, l in
-                     sop_term_sums(scenario, chans, target, rule, *direction).tolist()]
-                    for direction in ((spans, 1.0), (1.0, spans)))
+    # both directions in one call: the upper's rows, then the lower's
+    m = len(chans)
+    sums = sop_term_sums(scenario, [*chans, *chans], target, rule, spans + [1.0] * m,
+                         [1.0] * m + spans)
+    outage = [1.0 - (j + k + l) for j, k, l in sums.tolist()]
     return [BoundPair(lower=_clamp_probability(lo, "sop lower bound"),
                       upper=_clamp_probability(up, "sop upper bound"))
-            for lo, up in zip(lower, upper)]
+            for up, lo in zip(outage[:m], outage[m:])]
 
 
 def sop_asymptotic(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,

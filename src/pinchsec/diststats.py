@@ -48,9 +48,10 @@ class ZbDistribution:
         return np.piecewise(u, [(u >= lo) & (u <= hi)],
                             [lambda v: 1.0 / (self.side_length * np.sqrt(v))])
 
-    def cdf(self, u):
-        u = np.clip(np.asarray(u, dtype=float), *self.support)
-        return (2.0 / self.side_length) * np.sqrt(u)
+    def cdf(self, u, out=None):
+        """F(u); an array `out` of u's shape takes the result in place (u may be it)."""
+        u = np.clip(np.asarray(u, dtype=float), *self.support, out=out)
+        return np.multiply(2.0 / self.side_length, np.sqrt(u, out=out), out=out)
 
     def quantile(self, q):
         q = np.asarray(q, dtype=float)

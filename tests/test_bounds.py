@@ -9,8 +9,11 @@ combined.  The program's quadrature must match them to 1e-10 relative.
 
 import logging
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,11 +27,7 @@ from conftest import (SNR_GRID_DB, chan_at, esc_term_oracles, esc_term_values,
 from test_properties import CONFIGS as PROPERTY_CONFIGS
 
 SPAN = math.exp(-0.5)  # exp(-2 * 0.01 * 25)
-
-
-def first_row(factors):
-    """The first channel's value of each direction factor."""
-    return tuple(float(np.ravel(f)[0]) for f in factors)
+DATA_DIR = Path(__file__).parent / "data"
 
 
 class TestCoefficients:
@@ -38,15 +37,15 @@ class TestCoefficients:
         assert bounds.attenuation_span(scenario, chan_at(1e8, alpha=0.0)) == 1.0
 
     def test_sop_pairs(self, scenario, target, rule_1000, monkeypatch):
-        # (bob_factor, willie_factor) of the upper, then the lower direction;
-        # a factor is one number or one per channel
+        # one call for both directions, as per-channel factor lists: the
+        # upper (span, 1), then the lower (1, span)
         seen = []
         term_sums = bounds.sop_term_sums
         monkeypatch.setattr(bounds, "sop_term_sums",
-                            lambda *a: seen.append(first_row(a[-2:])) or term_sums(*a))
+                            lambda *a: seen.append(tuple(list(f) for f in a[-2:])) or term_sums(*a))
         ps.sop_bounds(scenario, [chan_at(1e8)], target, rule_1000)
-        assert seen == [(SPAN, 1.0), (1.0, SPAN)]
-        assert sop_directions(scenario, chan_at(1e8)) == tuple(seen)
+        assert seen == [([SPAN, 1.0], [1.0, SPAN])]
+        assert sop_directions(scenario, chan_at(1e8)) == tuple(zip(*seen[0]))
 
     def test_esc_pairs(self, scenario, rule_1000, monkeypatch):
         # one call for both directions, as per-channel factor lists: the
@@ -488,8 +487,8 @@ class TestChannelLists:
         assert ps.esc_bounds(scenario, [], rule_1000) == []
 
     def test_block_memory_stays_bounded(self, scenario, target, rule_1000):
-        # rows run in blocks of ~16 at n = 1000 (about 0.8 MB for the SOP
-        # and 0.5 MB for the ESC); all 361 rows at once would take ~20 MB
+        # rows run in blocks of ~16 at n = 1000 (about 0.9 MB for the SOP
+        # and 0.6 MB for the ESC); all 361 rows at once would take ~20 MB
         chans = [chan_at(10 ** (snr_db / 10.0)) for snr_db in DENSE_GRID_DB]
         ps.sop_bounds(scenario, chans[:2], target, rule_1000)
         ps.esc_bounds(scenario, chans[:2], rule_1000)
@@ -507,6 +506,107 @@ class TestChannelLists:
         assert sum(peaks) <= 2e6, peaks
         # the ESC moments run in the same row blocks as its quadrature
         assert peaks[1] <= 6e5, peaks
+
+
+# the dense-bounds workload's model, spelled out so that a change of a
+# default does not move the golden file
+DENSE_MODEL = {"side_length_D": 25.0, "waveguide_height_d": 3.0, "carrier_freq_hz": 10e9,
+               "attenuation_alpha": 0.01, "noise_bob_var": 1.0, "noise_willie_var": 1.0,
+               "target_rate_bits": 0.01, "quadrature_n": 1000, "snr_db_grid": DENSE_GRID_DB}
+DENSE_COLUMNS = ("sop_lb", "sop_ub", "sop_asym_lb", "sop_asym_ub",
+                 "esc_lb", "esc_ub", "esc_asym_lb", "esc_asym_ub")
+
+
+def dense_bounds_lines() -> list:
+    """CSV lines (header first) of the bounds and asymptotes on DENSE_MODEL's grid, by repr."""
+    cfg = cli.config_from_dict(DENSE_MODEL)
+    rule = ps.make_rule(cfg.quadrature_n)
+    chans = [cfg.channel_at_snr_db(snr_db) for snr_db in cfg.snr_db_grid]
+    sop_asym = ps.sop_asymptotic(cfg.scenario, chans[0], cfg.target, rule)
+    esc_asym = ps.esc_asymptotic(cfg.scenario, chans[0], rule)
+    sops = ps.sop_bounds(cfg.scenario, chans, cfg.target, rule)
+    escs = ps.esc_bounds(cfg.scenario, chans, rule)
+    lines = [",".join(("snr_db", *DENSE_COLUMNS))]
+    for snr_db, sop, esc in zip(cfg.snr_db_grid, sops, escs):
+        values = (snr_db, sop.lower, sop.upper, sop_asym.lower, sop_asym.upper,
+                  esc.lower, esc.upper, esc_asym.lower, esc_asym.upper)
+        lines.append(",".join(repr(float(v)) for v in values))
+    return lines
+
+
+class TestSopKernel:
+    # sop_term_sums: both directions in one call, (a, b, c) and (u_0, u_1) as
+    # arrays over its rows, row blocks written into one workspace per call
+
+    @pytest.mark.parametrize("rate", [0.0, 0.01, 600.0])  # 4^600 overflows: b = +inf
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 16.0])
+    def test_array_rows_equal_scalar_forms(self, scenario, alpha, rate):
+        target = ps.SecrecyTarget(rate=rate)
+        chans = [*(chan_at(10 ** (snr_db / 10.0), alpha=alpha) for snr_db in DENSE_GRID_DB),
+                 chan_at(math.inf, alpha=alpha)]
+        spans = [bounds.attenuation_span(scenario, chan) for chan in chans]
+        for direction in ((spans, 1.0), (1.0, spans)):
+            got = np.column_stack(bounds._outage_rows(scenario, chans, target, *direction))
+            want = []
+            for chan, pair in zip(chans, bounds._factors(chans, *direction).tolist()):
+                abc = bounds._outage_coefficients(chan, target, *pair)
+                want.append([*abc, *bounds._outage_kinks(scenario, *abc)])
+            # bit for bit, NaN (c = inf * 0 where the span underflows) included
+            np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+    @pytest.mark.parametrize("key, value", [("attenuation_alpha", 20.0),
+                                            ("waveguide_height_d", 1e150)])
+    def test_saturated_lower_bound_is_exactly_zero(self, key, value, caplog):
+        # the lower direction's u_1 <= 0 at rho = inf (a span that underflows
+        # leaves Willie deaf; d^2 = 1e300 dwarfs every offset): every Willie
+        # offset saturates F_Zb, so the no-outage mass is exactly 1
+        cfg = cli.config_from_dict({key: value, "mc_trials": 100})
+        with caplog.at_level(logging.WARNING, logger="pinchsec"):
+            records = cli.run_sweep(cfg)
+        assert not caplog.records
+        assert all(record.sop_asym_lb == 0.0 for record in records)
+
+    def test_dense_grid_matches_golden(self):
+        """The dense-bounds grid's bounds and asymptotes, byte for byte.
+
+        The golden file changes only with a CHANGES.md entry saying why.  A
+        change meant to move its bytes regenerates it, from the repository
+        root, with
+
+            PYTHONPATH=src:tests python3 -c "import test_bounds as t; print(*t.dense_bounds_lines(), sep='\\n')" > tests/data/dense_bounds.csv
+        """
+        text = "".join(line + "\n" for line in dense_bounds_lines())
+        want = (DATA_DIR / "dense_bounds.csv").read_text(encoding="ascii")
+        for number, (got_line, want_line) in enumerate(zip(text.split("\n"), want.split("\n")), 1):
+            for name, got, frozen in zip(("snr_db", *DENSE_COLUMNS), got_line.split(","),
+                                         want_line.split(",")):
+                assert got == frozen, f"line {number}, column {name}: {got} != {frozen}"
+        assert text.encode("ascii") == (DATA_DIR / "dense_bounds.csv").read_bytes()
+
+    def test_steady_state_sop_bounds_take_few_page_faults(self):
+        # the dense grid's 722 rows run in blocks of 16 at n = 1000, so one
+        # block's temporaries would be 128 KiB each, glibc's mmap threshold;
+        # allocated per block, they took ~3500 minor faults per call.  A
+        # fresh interpreter, since this process's heap history (other
+        # tests' large frees raise glibc's threshold) would hide them
+        script = "\n".join([
+            "import resource",
+            "import pinchsec as ps",
+            "chans = [ps.ChannelParams(tx_power=10 ** ((-10.0 + 0.25 * k) / 10.0))"
+            " for k in range(361)]",
+            "args = (ps.Scenario(), chans, ps.SecrecyTarget(), ps.make_rule(1000))",
+            "ps.sop_bounds(*args)",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "ps.sop_bounds(*args)",
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        ])
+        src_dir = Path(bounds.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={"PATH": "", "PYTHONPATH": str(src_dir),
+                                                "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 0, proc.stderr
+        faults = int(proc.stdout)
+        assert faults < 500, faults
 
 
 def quadrature_term_sums(scenario, rule, gains):
