@@ -235,9 +235,7 @@ def sop_term_sums(scenario: Scenario, chans, target: SecrecyTarget, rule: Quadra
 
     Each block writes into one workspace made per call: the nodes u, then
     the threshold's numerator, into which the offset, F_Zb and the product
-    with the branch density are formed in place, and its denominator.  Rows
-    over a whole piece run in blocks of their own, which share the piece's
-    nodes and density, evaluated once per call.
+    with the branch density are formed in place, and its denominator.
     """
     d2 = scenario.waveguide_height ** 2
     zb, zw = ZbDistribution(scenario.side_length), ZwDistribution(scenario.side_length)
@@ -248,31 +246,22 @@ def sop_term_sums(scenario: Scenario, chans, target: SecrecyTarget, rule: Quadra
         hi = start + width
         lo = np.clip(u_0, start, hi)
         cut = np.clip(u_1, lo, hi)
-        whole = (lo == start) & (cut == hi)
-        limits.append((hi, lo, cut, whole,
-                       [*_row_blocks(np.flatnonzero(whole), rule),
-                        *_row_blocks(np.flatnonzero((lo < cut) & ~whole), rule)]))
+        limits.append((hi, lo, cut, _row_blocks(np.flatnonzero(lo < cut), rule)))
     workspace = np.empty((3, max((rows.size for *_, blocks in limits for rows in blocks),
                                  default=0), rule.n))
     sums = np.zeros((len(chans), 3))
-    for total, (hi, lo, cut, whole, blocks), density, branch, cdf in zip(
-            sums.T, limits, _willie_densities(scenario, rule),
-            (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
+    for total, (hi, lo, cut, blocks), branch, cdf in zip(
+            sums.T, limits, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
             (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3)):
-        _, whole_nodes, (whole_density,) = density
         for rows in blocks:
             u, num, den = workspace[:, :rows.size]
             width = cut[rows] - lo[rows]
 
             def block(x):
-                if whole[rows[0]]:
-                    nodes, density = whole_nodes, whole_density
-                else:
-                    nodes = np.add(lo[rows, None], np.multiply(width[:, None], x, out=u), out=u)
-                    density = branch(nodes)
-                thr = _threshold_offset(nodes, d2, a[rows], b[rows], c[rows], num, den)
+                np.add(lo[rows, None], np.multiply(width[:, None], x, out=u), out=u)
+                thr = _threshold_offset(u, d2, a[rows], b[rows], c[rows], num, den)
                 value = zb.cdf(thr, out=thr)
-                value *= density
+                value *= branch(u)
                 return value
 
             total[rows] = width * integrate(rule, block)

@@ -583,12 +583,15 @@ class TestSopKernel:
                 assert got == frozen, f"line {number}, column {name}: {got} != {frozen}"
         assert text.encode("ascii") == (DATA_DIR / "dense_bounds.csv").read_bytes()
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads Linux's minor page-fault count")
     def test_steady_state_sop_bounds_take_few_page_faults(self):
         # the dense grid's 722 rows run in blocks of 16 at n = 1000, so one
-        # block's temporaries would be 128 KiB each, glibc's mmap threshold;
-        # allocated per block, they took ~3500 minor faults per call.  A
-        # fresh interpreter, since this process's heap history (other
-        # tests' large frees raise glibc's threshold) would hide them
+        # block's temporaries are 128 000 bytes each, near glibc's 128 KiB
+        # mmap and trim thresholds; allocated per block, they took ~3300-3500
+        # minor faults per call.  A fresh interpreter, since this process's
+        # heap history (other tests' large frees raise glibc's dynamic
+        # threshold) would hide them
         script = "\n".join([
             "import resource",
             "import pinchsec as ps",
