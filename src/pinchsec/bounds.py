@@ -9,26 +9,30 @@ is the plain pair (bob_factor, willie_factor): for the outage the upper
 bound is (span, 1) and the lower (1, span); the capacity uses the reverse
 pairs.  A span that underflows to 0 (alpha*D beyond about 372) is valid.
 
-The term sums are plain integrals over the distance offsets u = z - d^2
-of diststats.py, on the endpoint-smoothed rule of quad.py, returned per
-channel and piece: rows [j, k, l] over the three Zw density pieces,
-preceded by the Zb term where there is one.  d^2 enters only where a
-rate or the outage threshold is formed from z = d^2 + u; the capacity
-terms integrate each rate as an offset from its value at u = 0, which
-keeps digits where d^2 dwarfs D^2.  At gain g that offset is, in nats,
-ln(1 - s*w) with s = g/(d^2 + g) and w = u/(d^2 + u).  Where s <= 1/2
-(g <= d^2) it is the series -sum_k s^k w^k / k, whose terms all share one
-sign: its term sums are a power series in s over the moments of w^k,
-formed once per call, with a term count of the row's own s.  Elsewhere
-it is one expression, -log2(1 + t) with t = g*u/(d^2*(d^2 + g + u)),
-formed from non-negative terms joined by one add, so it neither cancels
-nor overflows (_rate_offset), one log1p per node.  The Zb density's
-1/sqrt pole at u = 0 is removed by integrating over Bob's offset
-y = sqrt(u) instead.  At n nodes per interval the error falls as n^-4
-(about 1e-12 relative at the default n = 1000).  Rows run in blocks,
-each summed alone by quad.integrate, so a channel's bracket has the same
-bits in any list.  Each bracket makes one term-sum call for both of its
-directions, the upper's rows first.
+The brackets take one ChannelParams, whose tx_power they ignore, and an
+array of transmit powers, and return a BoundPair of arrays in that order;
+the term sums take the rows (eta*rho, A, B) as arrays.  They are plain
+integrals over the distance offsets u = z - d^2 of diststats.py, on the
+endpoint-smoothed rule of quad.py, returned per row and piece: rows
+[j, k, l] over the three Zw density pieces, preceded by the Zb term where
+there is one.  d^2 enters only where a rate or the outage threshold is
+formed from z = d^2 + u; the capacity terms integrate each rate as an
+offset from its value at u = 0, which keeps digits where d^2 dwarfs D^2.
+At gain g that offset is, in nats, ln(1 - s*w) with s = g/(d^2 + g) and
+w = u/(d^2 + u).  Where s <= 1/2 (g <= d^2) it is the series
+-sum_k s^k w^k / k, whose terms all share one sign: its term sums are a
+power series in s over the moments of w^k, formed once per call, with a
+term count of the row's own s.  Elsewhere it is one expression,
+-log2(1 + t) with t = g*u/(d^2*(d^2 + g + u)), formed from non-negative
+terms joined by one add, so it neither cancels nor overflows
+(_rate_offset), one log1p per node.  The Zb density's 1/sqrt pole at
+u = 0 is removed by integrating over Bob's offset y = sqrt(u) instead.
+At n nodes per interval the error falls as n^-4 (about 1e-12 relative at
+the default n = 1000).  Rows run in blocks, each summed alone by
+quad.integrate, so a power's bracket has the same bits in any array.
+Each bracket makes one term-sum call for both of its directions, the
+upper's rows first; where span = 1 (alpha = 0) the two directions are
+one, whose rows serve both.
 
 The outage has one threshold: with Willie at z, Zb < a / (b + c/z) with
 a = A, b = (4^Rbar - 1)/(eta*rho), c = 4^Rbar*B for a direction (A, B),
@@ -50,12 +54,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diststats import ZbDistribution, ZwDistribution
-from .model import ChannelParams, Scenario, SecrecyTarget
+from .model import ChannelParams, Scenario, SecrecyTarget, _tx_powers
 from .quad import QuadratureRule, integrate
 
 logger = logging.getLogger(__name__)
@@ -63,6 +67,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class BoundPair:
+    """A bracket: numbers, or arrays with one entry per transmit power."""
+
     lower: float
     upper: float
 
@@ -76,24 +82,6 @@ def attenuation_span(scenario: Scenario, chan: ChannelParams) -> float:
     return math.exp(-2.0 * chan.attenuation * scenario.side_length)
 
 
-def _outage_coefficients(chan: ChannelParams, target: SecrecyTarget, bob_factor: float,
-                          willie_factor: float) -> tuple[float, float, float]:
-    """SNR-scaled (a, b, c) of the no-outage threshold a / (b + c/z) on Zb.
-
-    a = A, b = (4^Rbar - 1)/(eta*rho) and c = 4^Rbar*B, with A = bob_factor
-    and B = willie_factor.  b is 0 at rho = inf and at Rbar = 0.  Where
-    eta*rho underflows to 0, or 4^Rbar overflows, b is +inf for Rbar > 0
-    (outage is certain).
-    """
-    fr = target.threshold
-    eta_rho = chan.eta * chan.rho
-    if eta_rho > 0 and fr < math.inf:
-        b = (fr - 1.0) / eta_rho
-    else:
-        b = math.inf if fr > 1.0 else 0.0
-    return bob_factor, b, fr * willie_factor
-
-
 _BLOCK_ELEMENTS = 16384  # per row block: 16 rows at n = 1000; 64 save ~15% for 4x the memory
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -102,12 +90,6 @@ def _row_blocks(rows, rule: QuadratureRule) -> list:
     """The row indices `rows` in runs of at most _BLOCK_ELEMENTS // n."""
     step = max(1, _BLOCK_ELEMENTS // rule.n)
     return [rows[i:i + step] for i in range(0, len(rows), step)]
-
-
-def _factors(chans, bob_factor, willie_factor) -> np.ndarray:
-    """Rows (bob_factor, willie_factor) per channel; a factor is one number or one per channel."""
-    return np.column_stack([np.broadcast_to(np.asarray(f, dtype=float), (len(chans),))
-                            for f in (bob_factor, willie_factor)])
 
 
 def _threshold_offset(u, d2: float, a, b, c, out=None, scratch=None):
@@ -182,33 +164,27 @@ def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_u) -> list:
     return [_density_sum(rule, piece, value_of_u) for piece in _willie_densities(scenario, rule)]
 
 
-def _outage_kinks(scenario: Scenario, a: float, b: float, c: float) -> list[float]:
-    """[u_0, u_1]: the offsets u at which _threshold_offset reaches the ends
-    0 and D^2/4 of Zb's support, where F_Zb(threshold) saturates at 0 or 1.
-
-    u_S = (S*(c + b*d^2) - d^2*K) / (a - b*(d^2 + S)).  The threshold
-    increases with u towards a/b, so it never reaches an end S with
-    a <= b*(d^2 + S); u_S is +inf there.  One channel's kinks;
-    _outage_rows forms them for many rows at once.
-    """
-    zb = ZbDistribution(scenario.side_length)
-    d2 = scenario.waveguide_height ** 2
-    k = a - b * d2 - c
-    return [(s * (c + b * d2) - d2 * k) / (a - b * (d2 + s)) if a > b * (d2 + s) else math.inf
-            for s in zb.support]
+def _rows(eta_rho, bob_factor, willie_factor) -> list:
+    """The rows eta*rho, A and B as float arrays of one shape; a number stands for every row."""
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                 for v in (eta_rho, bob_factor, willie_factor)))
 
 
-def _outage_rows(scenario: Scenario, chans, target: SecrecyTarget, bob_factor,
+def _outage_rows(scenario: Scenario, target: SecrecyTarget, eta_rho, bob_factor,
                  willie_factor) -> list:
-    """Arrays a, b, c, u_0, u_1, one entry per channel.
+    """Arrays a, b, c, u_0, u_1, one entry per row (eta*rho, A, B).
 
-    _outage_coefficients and _outage_kinks of every row, by the same float
-    operations on arrays, so each entry has their bits.
+    (a, b, c) of the threshold a / (b + c/z): b is 0 at rho = inf and at
+    Rbar = 0, and +inf for Rbar > 0 where eta*rho underflows to 0 or 4^Rbar
+    overflows (outage is certain).  u_0 and u_1 are the offsets at which
+    _threshold_offset reaches the ends 0 and D^2/4 of Zb's support, where
+    F_Zb(threshold) saturates: u_S = (S*(c + b*d^2) - d^2*K) / (a - b*(d^2 + S))
+    with K of _threshold_offset.  The threshold increases with u towards
+    a/b, so it never reaches an end S with a <= b*(d^2 + S); u_S is +inf there.
     """
     d2 = scenario.waveguide_height ** 2
     fr = target.threshold
-    a, willie = _factors(chans, bob_factor, willie_factor).T
-    eta_rho = np.array([chan.eta * chan.rho for chan in chans], dtype=float)
+    eta_rho, a, willie = _rows(eta_rho, bob_factor, willie_factor)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         b = np.where((eta_rho > 0) & (fr < math.inf), (fr - 1.0) / eta_rho,
                      math.inf if fr > 1.0 else 0.0)
@@ -220,11 +196,11 @@ def _outage_rows(scenario: Scenario, chans, target: SecrecyTarget, bob_factor,
     return [a, b, c, *kinks]
 
 
-def sop_term_sums(scenario: Scenario, chans, target: SecrecyTarget, rule: QuadratureRule,
+def sop_term_sums(scenario: Scenario, target: SecrecyTarget, rule: QuadratureRule, eta_rho,
                   bob_factor, willie_factor) -> np.ndarray:
-    """Rows [j, k, l], one per channel: no-outage mass F_Zb(threshold) over the Zw pieces.
+    """Rows [j, k, l], one per row (eta*rho, A, B): no-outage mass F_Zb(threshold) on Zw's pieces.
 
-    rho = inf (tx_power = inf) gives the high-SNR limit.  F_Zb is 0 below
+    eta*rho = inf gives the high-SNR limit.  F_Zb is 0 below
     u_0 and 1 beyond u_1, where the threshold crosses Zb's lower and upper
     end: row r's quadrature runs over [u_0, u_1] clipped to each piece,
     whose integrand is smooth up to corners at its ends, on blocks of the
@@ -239,7 +215,7 @@ def sop_term_sums(scenario: Scenario, chans, target: SecrecyTarget, rule: Quadra
     """
     d2 = scenario.waveguide_height ** 2
     zb, zw = ZbDistribution(scenario.side_length), ZwDistribution(scenario.side_length)
-    a, b, c, u_0, u_1 = _outage_rows(scenario, chans, target, bob_factor, willie_factor)
+    a, b, c, u_0, u_1 = _outage_rows(scenario, target, eta_rho, bob_factor, willie_factor)
     a, b, c = a[:, None], b[:, None], c[:, None]
     limits = []
     for start, width in zw.pieces:
@@ -249,7 +225,7 @@ def sop_term_sums(scenario: Scenario, chans, target: SecrecyTarget, rule: Quadra
         limits.append((hi, lo, cut, _row_blocks(np.flatnonzero(lo < cut), rule)))
     workspace = np.empty((3, max((rows.size for *_, blocks in limits for rows in blocks),
                                  default=0), rule.n))
-    sums = np.zeros((len(chans), 3))
+    sums = np.zeros((a.size, 3))
     for total, (hi, lo, cut, blocks), branch, cdf in zip(
             sums.T, limits, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
             (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3)):
@@ -323,14 +299,13 @@ def _moments(pieces: list, rule: QuadratureRule, d2: float, k_max: int) -> np.nd
     return np.concatenate(blocks)
 
 
-def esc_term_sums(scenario: Scenario, chans, rule: QuadratureRule, bob_factor,
+def esc_term_sums(scenario: Scenario, rule: QuadratureRule, eta_rho, bob_factor,
                   willie_factor) -> np.ndarray:
-    """Rows [bob, j, k, l], one per channel: rate offsets from the rate at u = 0.
+    """Rows [bob, j, k, l], one per row (g = eta*rho, A, B): rate offsets from the rate at u = 0.
 
     bob: _rate_offset at gain g*A against the Zb density, j, k, l: at g*B
-    against the Zw branches, where g = eta*rho.  At rho = inf both gains are
-    +inf whatever the factors, an underflowed span included.  Each distinct
-    (g*A, g*B) row is evaluated once.
+    against the Zw branches.  At g = inf both gains are +inf whatever the
+    factors, an underflowed span included.
 
     In nats the offset is ln(1 - s*w) = -sum_k s^k w^k / k with
     s = g/(d^2 + g) and w = u/(d^2 + u) (Abramowitz & Stegun 4.1), so a
@@ -344,10 +319,10 @@ def esc_term_sums(scenario: Scenario, chans, rule: QuadratureRule, bob_factor,
     take the quadrature of _rate_offset, one log1p per node and row.
     """
     d2 = scenario.waveguide_height ** 2
-    g = np.array([chan.eta * chan.rho for chan in chans]).reshape(-1, 1)
+    g, a, b = _rows(eta_rho, bob_factor, willie_factor)
+    g = g[:, None]
     with np.errstate(invalid="ignore"):  # inf * 0 where a span underflowed
-        gains = np.where(g < math.inf, g * _factors(chans, bob_factor, willie_factor), g)
-    gains, inverse = np.unique(gains, axis=0, return_inverse=True)
+        gains = np.where(g < math.inf, g * np.column_stack([a, b]), g)
     with np.errstate(divide="ignore", over="ignore"):
         s = 1.0 / (1.0 + d2 / gains)  # exactly 1 at g = inf, 0 at g = 0
         terms = np.where(s <= 0.5, np.ceil(53.0 / -np.log2(s)) + 1.0, 0.0)[:, [0, 1, 1, 1]]
@@ -368,68 +343,84 @@ def esc_term_sums(scenario: Scenario, chans, rule: QuadratureRule, bob_factor,
         sums[rows, 1:] = np.column_stack([_density_sum(rule, piece,
                                                        lambda u: _rate_offset(willie, d2, u))
                                           for piece in pieces[1:]])
-    return sums[inverse.reshape(-1)]
+    return sums
 
 
-def _clamp_probability(value: float, label: str) -> float:
-    if 0.0 <= value <= 1.0:
-        return value
-    logger.warning("clamping %s from %.17g into [0, 1]", label, value)
-    return min(1.0, max(0.0, value))
+def _clamp_probability(values, label: str):
+    """values clipped into [0, 1], with one warning of how many lay outside and the farthest."""
+    outside = values[(values < 0.0) | (values > 1.0)]
+    if outside.size:
+        logger.warning("clamping %d %s value(s) into [0, 1], the farthest %.17g", outside.size,
+                       label, outside[np.argmax(np.abs(outside - 0.5))])
+    return np.clip(values, 0.0, 1.0)
 
 
-def sop_bounds(scenario: Scenario, chans, target: SecrecyTarget,
-               rule: QuadratureRule) -> list[BoundPair]:
-    """Secrecy outage probability brackets, one per channel at its rho, in order.
+def _eta_rho(chan: ChannelParams, tx_powers):
+    """eta*rho at each of tx_powers, by chan.eta * chan.rho's operations and checks."""
+    if chan.noise_bob != chan.noise_willie:
+        raise ValueError("rho undefined: noise_bob != noise_willie")
+    return chan.eta * (_tx_powers(tx_powers) / chan.noise_bob)
+
+
+def _directions(eta_rho, first: tuple) -> tuple:
+    """Rows (eta*rho, A, B) of direction `first` (A, B), then of its reverse: the first and the
+    last eta_rho.size rows, which are the same rows where the two are equal (span = 1)."""
+    k = 1 if first[0] == first[1] else 2
+    return (np.tile(eta_rho, k), np.repeat(first[:k], eta_rho.size),
+            np.repeat(first[::-1][:k], eta_rho.size))
+
+
+def sop_bounds(scenario: Scenario, chan: ChannelParams, tx_powers, target: SecrecyTarget,
+               rule: QuadratureRule) -> BoundPair:
+    """Secrecy outage probability brackets at each of tx_powers, as arrays in their order.
 
     1 - (j + k + l) in the upper (span, 1) and the lower (1, span) direction.
     """
-    spans = [attenuation_span(scenario, chan) for chan in chans]
-    # both directions in one call: the upper's rows, then the lower's
-    m = len(chans)
-    sums = sop_term_sums(scenario, [*chans, *chans], target, rule, spans + [1.0] * m,
-                         [1.0] * m + spans)
-    outage = [1.0 - (j + k + l) for j, k, l in sums.tolist()]
-    return [BoundPair(lower=_clamp_probability(lo, "sop lower bound"),
-                      upper=_clamp_probability(up, "sop upper bound"))
-            for up, lo in zip(outage[:m], outage[m:])]
+    eta_rho = _eta_rho(chan, tx_powers)
+    sums = sop_term_sums(scenario, target, rule,
+                         *_directions(eta_rho, (attenuation_span(scenario, chan), 1.0)))
+    outage = 1.0 - (sums[:, 0] + sums[:, 1] + sums[:, 2])
+    return BoundPair(lower=_clamp_probability(outage[-eta_rho.size:], "sop lower bound"),
+                     upper=_clamp_probability(outage[:eta_rho.size], "sop upper bound"))
 
 
 def sop_asymptotic(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
                    rule: QuadratureRule) -> BoundPair:
-    """High-SNR saturation levels of the SOP bracket: sop_bounds at rho = inf."""
-    return sop_bounds(scenario, [replace(chan, tx_power=math.inf)], target, rule)[0]
+    """High-SNR saturation levels of the SOP bracket: sop_bounds at rho = inf, as numbers."""
+    pair = sop_bounds(scenario, chan, [math.inf], target, rule)
+    return BoundPair(lower=pair.lower.item(), upper=pair.upper.item())
 
 
-def esc_bounds(scenario: Scenario, chans, rule: QuadratureRule) -> list[BoundPair]:
-    """Ergodic secrecy capacity brackets, one per channel at its rho, in order.
+def esc_bounds(scenario: Scenario, chan: ChannelParams, tx_powers,
+               rule: QuadratureRule) -> BoundPair:
+    """Ergodic secrecy capacity brackets at each of tx_powers, as arrays in their order.
 
     0.5 * (r(A) - r(B) + bob - (j + k + l)) in the upper (1, span) and the
     lower (span, 1) direction, where r(F) = log2(1 + eta*rho*F/d^2) is the
     rate at distance d that esc_term_sums measures its offsets from.  At
-    alpha = 0 the r terms cancel exactly.  rho = inf (tx_power = inf) gives
-    the high-SNR limit, where r(A) - r(B) is log2(A/B) = -/+ log2(span),
-    taken as 2 alpha D / ln 2: finite where the span underflows.
+    alpha = 0 the r terms cancel exactly.  rho = inf gives the high-SNR
+    limit, where r(A) - r(B) is log2(A/B) = -/+ log2(span), taken as
+    2 alpha D / ln 2: finite where the span underflows.
     """
     d2, ln2 = scenario.waveguide_height ** 2, math.log(2.0)
-    spans = [attenuation_span(scenario, chan) for chan in chans]
-    # r(1) - r(span), the upper direction's r(A) - r(B)
-    heads = [(math.log1p(g / d2) - math.log1p(g * span / d2)) / ln2 if g < math.inf
-             else 2.0 * chan.attenuation * scenario.side_length / ln2
-             for chan, span, g in zip(chans, spans, (chan.eta * chan.rho for chan in chans))]
-    # both directions in one call: the upper's rows, then the lower's
-    m = len(chans)
-    sums = esc_term_sums(scenario, [*chans, *chans], rule, [1.0] * m + spans, spans + [1.0] * m)
-    upper, lower = ([0.5 * (c - (j + k + l) + sign * head) for head, (c, j, k, l) in
-                     zip(heads, half.tolist())]
-                    for sign, half in ((1.0, sums[:m]), (-1.0, sums[m:])))
-    return [BoundPair(lower=lo, upper=up) for lo, up in zip(lower, upper)]
+    span = attenuation_span(scenario, chan)
+    eta_rho = _eta_rho(chan, tx_powers)
+    # r(1) - r(span), the upper direction's r(A) - r(B), by libm's log1p per
+    # power: np.log1p differs from it in the last bit on some gains
+    head = np.array([(math.log1p(g / d2) - math.log1p(g * span / d2)) / ln2 if g < math.inf
+                     else 2.0 * chan.attenuation * scenario.side_length / ln2
+                     for g in eta_rho.tolist()])
+    sums = esc_term_sums(scenario, rule, *_directions(eta_rho, (1.0, span)))
+    rate = sums[:, 0] - (sums[:, 1] + sums[:, 2] + sums[:, 3])
+    return BoundPair(lower=0.5 * (rate[-eta_rho.size:] - head),
+                     upper=0.5 * (rate[:eta_rho.size] + head))
 
 
 def esc_asymptotic(scenario: Scenario, chan: ChannelParams,
                    rule: QuadratureRule) -> BoundPair:
-    """High-SNR saturation levels of the ESC bracket: esc_bounds at rho = inf."""
-    return esc_bounds(scenario, [replace(chan, tx_power=math.inf)], rule)[0]
+    """High-SNR saturation levels of the ESC bracket: esc_bounds at rho = inf, as numbers."""
+    pair = esc_bounds(scenario, chan, [math.inf], rule)
+    return BoundPair(lower=pair.lower.item(), upper=pair.upper.item())
 
 
 def diversity_estimate(sop_at, rho1: float, rho2: float) -> float:

@@ -3,9 +3,10 @@
 `run_sweep` evaluates the analytical bounds, their high-SNR asymptotes
 (once per sweep: they do not depend on rho) and, in one Monte Carlo pass
 over the position stream, the PA and FA estimates on a dB grid of the
-transmit SNR rho.  The `sweep` subcommand writes its records as CSV, one
-row per grid point; `sop` and `esc` print column selections of the same
-records; `mc-only` prints the Monte Carlo engine's output directly, which
+transmit SNR rho: one channel and one array of transmit powers, whose
+columns form one table, one record per row.  The `sweep` subcommand
+writes the records as CSV; `sop` and `esc` print column selections of
+them; `mc-only` prints the Monte Carlo engine's output directly, which
 also allows unequal noise levels.  `workers` sizes the engine's chunk
 pool.  Output is data only; plotting is left to external tools.
 """
@@ -76,12 +77,16 @@ class RunConfig:
     workers: int
     output_path: str | None
 
-    def channel_at_snr_db(self, snr_db: float) -> ChannelParams:
-        return ChannelParams(carrier_freq=self.carrier_freq,
-                             attenuation=self.attenuation,
-                             tx_power=_db_to_linear(snr_db),
-                             noise_bob=self.noise_bob,
-                             noise_willie=self.noise_willie)
+    @property
+    def channel(self) -> ChannelParams:
+        """The sweep's one channel; its tx_power is unused, tx_powers gives the grid's."""
+        return ChannelParams(carrier_freq=self.carrier_freq, attenuation=self.attenuation,
+                             noise_bob=self.noise_bob, noise_willie=self.noise_willie)
+
+    @property
+    def tx_powers(self) -> np.ndarray:
+        """10^(dB/10) at each grid point, by Python's power: np.power differs in the last bit."""
+        return np.array([_db_to_linear(snr_db) for snr_db in self.snr_db_grid])
 
 
 def _db_to_linear(db: float) -> float:
@@ -201,19 +206,19 @@ def _check_float_range(cfg: RunConfig) -> None:
     """
     D, d = cfg.scenario.side_length, cfg.scenario.waveguide_height
     far = lambda: 1.25 * D ** 2 + d ** 2  # noqa: E731
-    top = cfg.channel_at_snr_db(cfg.snr_db_grid[-1])
+    chan, top = cfg.channel, _db_to_linear(cfg.snr_db_grid[-1])
     checks = (
         ("side_length_D", "3 D^3", lambda: 3.0 * D ** 3),
         ("side_length_D", "2 / D^3", lambda: 2.0 / D ** 3),
         ("waveguide_height_d", "5 D^2/4 + d^2", far),
         ("noise_bob_var", "(5 D^2/4 + d^2) sigma^2", lambda: far() * cfg.noise_bob),
         ("noise_willie_var", "(5 D^2/4 + d^2) sigma^2", lambda: far() * cfg.noise_willie),
-        ("carrier_freq_hz", "eta = c^2/(16 pi^2 fc^2)", lambda: top.eta),
-        ("carrier_freq_hz", "1 / eta", lambda: 1.0 / top.eta),
+        ("carrier_freq_hz", "eta = c^2/(16 pi^2 fc^2)", lambda: chan.eta),
+        ("carrier_freq_hz", "1 / eta", lambda: 1.0 / chan.eta),
         ("snr_db_grid", f"the peak SNR eta*P/(d^2 sigma^2) at {cfg.snr_db_grid[-1]:g} dB "
                         "(it grows as carrier_freq_hz, waveguide_height_d or a noise "
                         "variance falls)",
-         lambda: top.eta * top.tx_power / (d ** 2 * min(cfg.noise_bob, cfg.noise_willie))))
+         lambda: chan.eta * top / (d ** 2 * min(cfg.noise_bob, cfg.noise_willie))))
     for key, name, expression in checks:
         try:
             in_range = expression() <= sys.float_info.max
@@ -248,35 +253,32 @@ def run_sweep(cfg: RunConfig) -> list[SweepRecord]:
     """One SweepRecord per grid point, in grid order.
 
     All bounds come before the Monte Carlo pass, so a config the bounds
-    reject fails before any trial is drawn.
+    reject fails before any trial is drawn.  The columns form one table,
+    checked finite at once; its first bad cell, row by row, is named.
     """
     if cfg.noise_bob != cfg.noise_willie:
         raise ConfigError("the bounds need noise_bob_var == noise_willie_var; "
                           "use mc-only for distinct noise levels")
     rule = make_rule(cfg.quadrature_n)
-    chans = [cfg.channel_at_snr_db(s) for s in cfg.snr_db_grid]
+    chan, powers = cfg.channel, cfg.tx_powers
     # the asymptotes depend on the channel only through attenuation_span
-    sop_asym = sop_asymptotic(cfg.scenario, chans[0], cfg.target, rule)
-    esc_asym = esc_asymptotic(cfg.scenario, chans[0], rule)
-    sops = sop_bounds(cfg.scenario, chans, cfg.target, rule)
-    escs = esc_bounds(cfg.scenario, chans, rule)
-    estimates = _mc_sweep(cfg.scenario, chans, cfg.target, cfg.mc, cfg.workers)
-    records = []
-    for snr_db, sop, esc, (sop_mc, esc_mc, fa_sop, fa_esc) in zip(
-            cfg.snr_db_grid, sops, escs, estimates):
-        record = SweepRecord(snr_db=snr_db,
-                             sop_lb=sop.lower, sop_ub=sop.upper,
-                             sop_asym_lb=sop_asym.lower, sop_asym_ub=sop_asym.upper,
-                             sop_mc=sop_mc.mean, sop_mc_se=sop_mc.std_error,
-                             esc_lb=esc.lower, esc_ub=esc.upper,
-                             esc_asym_lb=esc_asym.lower, esc_asym_ub=esc_asym.upper,
-                             esc_mc=esc_mc.mean, esc_mc_se=esc_mc.std_error,
-                             fa_sop_mc=fa_sop.mean, fa_esc_mc=fa_esc.mean)
-        for name, value in vars(record).items():
-            if not math.isfinite(value):
-                raise CliError(f"non-finite {name} at snr_db = {snr_db}")
-        records.append(record)
-    return records
+    sop_asym = sop_asymptotic(cfg.scenario, chan, cfg.target, rule)
+    esc_asym = esc_asymptotic(cfg.scenario, chan, rule)
+    sop = sop_bounds(cfg.scenario, chan, powers, cfg.target, rule)
+    esc = esc_bounds(cfg.scenario, chan, powers, rule)
+    # (mean, se) rows of pa_sop, pa_esc, fa_sop and fa_esc, each over the grid
+    sop_mc, esc_mc, fa_sop, fa_esc = np.moveaxis(
+        _mc_sweep(cfg.scenario, chan, powers, cfg.target, cfg.mc, cfg.workers)
+        .reshape(len(powers), 4, 2), 0, -1)
+    table = np.column_stack(np.broadcast_arrays(
+        cfg.snr_db_grid, sop.lower, sop.upper, sop_asym.lower, sop_asym.upper, *sop_mc,
+        esc.lower, esc.upper, esc_asym.lower, esc_asym.upper, *esc_mc, fa_sop[0], fa_esc[0]))
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, column = bad[0]
+        raise CliError(f"non-finite {dataclasses.fields(SweepRecord)[column].name} "
+                       f"at snr_db = {cfg.snr_db_grid[row]}")
+    return [SweepRecord(*values) for values in table.tolist()]
 
 
 def csv_lines(records) -> list[str]:
@@ -455,12 +457,13 @@ def _cmd_metric(cfg: RunConfig, label: str) -> int:
 
 
 def _cmd_mc_only(cfg: RunConfig) -> int:
-    chans = [cfg.channel_at_snr_db(s) for s in cfg.snr_db_grid]
-    estimates = _mc_sweep(cfg.scenario, chans, cfg.target, cfg.mc, cfg.workers)
-    for snr, (sop, esc, fa_sop, fa_esc) in zip(cfg.snr_db_grid, estimates):
-        print(f"snr_db {snr:g}: pa_sop {sop.mean:.12g} +/- {sop.std_error:.3g}, "
-              f"pa_esc {esc.mean:.12g} +/- {esc.std_error:.3g}, "
-              f"fa_sop {fa_sop.mean:.12g}, fa_esc {fa_esc.mean:.12g}")
+    estimates = _mc_sweep(cfg.scenario, cfg.channel, cfg.tx_powers, cfg.target, cfg.mc,
+                          cfg.workers)
+    for snr, (((sop, sop_se), (esc, esc_se)), ((fa_sop, _), (fa_esc, _))) in zip(
+            cfg.snr_db_grid, estimates.tolist()):
+        print(f"snr_db {snr:g}: pa_sop {sop:.12g} +/- {sop_se:.3g}, "
+              f"pa_esc {esc:.12g} +/- {esc_se:.3g}, "
+              f"fa_sop {fa_sop:.12g}, fa_esc {fa_esc:.12g}")
     return 0
 
 

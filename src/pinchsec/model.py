@@ -99,6 +99,14 @@ class SecrecyTarget:
             return math.inf
 
 
+def _tx_powers(tx_powers) -> np.ndarray:
+    """A grid of transmit powers as a float array; each must be > 0, as a tx_power must."""
+    powers = np.asarray(tx_powers, dtype=float)
+    if not np.all(powers > 0):  # NaN fails it too; +inf is valid
+        raise ValueError("tx_power must be > 0")
+    return powers
+
+
 def los_rate(dist_sq, chan: ChannelParams, noise_var: float, guided_len=0.0):
     """Line-of-sight rate (1/2)log2(1 + eta*P*exp(-2*alpha*L)/(dist^2*sigma^2)).
 

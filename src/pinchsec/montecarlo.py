@@ -6,23 +6,24 @@ into fixed-size chunks; chunk k draws from a child stream spawned from
 (seed, k) and partial results are reduced in chunk order, so estimates
 are bit-identical for a given (seed, trials, chunk_size) at any worker
 count.  The positions depend neither on rho nor on the estimator, so
-`_mc_sweep` draws each chunk once and forms each requested kernel's (PA,
-FA or both) rho-free geometry from it once: the guided loss and the two
-noise powers z*sigma^2.  It evaluates the rates of a block of grid points
-at a time, with eta*P as a column, in los_rate's operation order, so each
-estimate has the bits of a one-point-at-a-time evaluation; paired PA-vs-FA
-comparisons are common random numbers.  Each worker thread writes a
-block's rates, outage mask and squared rates into C-contiguous views of
-one workspace, made once per `_mc_sweep` call, by the same operations in
-the same order (divide, log1p, scale, subtract): the bits are unchanged,
-and no block allocates temporaries, which at the default chunk (128 KiB,
-glibc's mmap threshold) were page-faulted afresh every block.  The public
-`mc_*` functions are its single-channel, single-kernel views.
+`_mc_sweep`, over one channel and an array of transmit powers, draws each
+chunk once and forms each requested kernel's (PA, FA or both) rho-free
+geometry from it once: the guided loss and the noise powers z*sigma^2.
+It evaluates the rates of a block of powers at a time, with eta*P as a
+column, in los_rate's operation order, so each estimate has the bits of
+a one-point-at-a-time evaluation; PA and FA see common random numbers.
+Each worker thread writes a block's rates, outage mask and squared rates
+into C-contiguous views of one workspace, made once per `_mc_sweep` call,
+by the same operations in the same order (divide, log1p, scale,
+subtract): the bits are unchanged, and no block allocates temporaries,
+which at the default chunk (128 KiB, glibc's mmap threshold) were
+page-faulted afresh every block.  The means and standard errors are
+formed on arrays, whose divide, multiply and sqrt round as Python's do.
+The public `mc_*` functions are its single-power, single-kernel views.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +33,8 @@ import numpy as np
 from .bounds import _BLOCK_ELEMENTS
 from .diststats import _draw_positions
 # los_rate is imported for bench/tracer.py, which patches pinchsec.montecarlo.los_rate
-from .model import ChannelParams, Scenario, SecrecyTarget, _link_rate, los_rate  # noqa: F401
+from .model import (ChannelParams, Scenario, SecrecyTarget, _link_rate, _tx_powers,  # noqa: F401
+                    los_rate)
 
 
 @dataclass(frozen=True)
@@ -123,34 +125,23 @@ def _map_chunks(fn, cfg: McConfig, workers: int) -> list:
         return list(pool.map(fn, ks))
 
 
-def _check_rows(chans) -> None:
-    """The engine's rows share the geometry, so they may differ only in tx_power."""
-    for field in ("carrier_freq", "attenuation", "noise_bob", "noise_willie"):
-        if len({getattr(chan, field) for chan in chans}) > 1:
-            raise ValueError(f"the channels differ in {field}; "
-                             "a Monte Carlo sweep may vary only tx_power")
+def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: SecrecyTarget,
+              cfg: McConfig, workers: int = 1, kernels=(_pa_geometry, _fa_geometry)
+              ) -> np.ndarray:
+    """(sop, esc) x (mean, std_error) of each kernel at each of tx_powers, from one pass.
 
-
-def _mc_sweep(scenario: Scenario, chans, target: SecrecyTarget, cfg: McConfig,
-              workers: int = 1, kernels=(_pa_geometry, _fa_geometry)
-              ) -> list[tuple[McEstimate, ...]]:
-    """(sop, esc) of each kernel, in kernel order, at every channel, from one pass.
-
-    With the default kernels a channel's tuple is (pa_sop, pa_esc, fa_sop,
-    fa_esc).  The channels may differ only in tx_power.  Each chunk's
+    An array of shape (powers, kernels, 2, 2); with the default kernels a
+    power's rows are PA, then FA.  chan.tx_power is not used.  Each chunk's
     positions are drawn once, and each kernel forms its rho-free geometry
-    from them once.  The rates of a block of channels, at most
+    from them once.  The rates of a block of powers, at most
     _BLOCK_ELEMENTS rates at once, are then reduced row-wise to an outage
-    count (exact in a float), a rate sum and a squared-rate sum per
-    channel; those are added up in fixed chunk order.
+    count (exact in a float), a rate sum and a squared-rate sum per power;
+    those are added up in fixed chunk order.
     """
-    if not chans:
-        return []
-    _check_rows(chans)
-    gains = np.array([[chan.eta * chan.tx_power] for chan in chans])
+    gains = chan.eta * _tx_powers(tx_powers)[:, None]
     size_max = min(cfg.chunk_size, cfg.trials)
     step = max(1, _BLOCK_ELEMENTS // size_max)
-    capacity = min(step, len(chans)) * size_max
+    capacity = min(step, len(gains)) * size_max
     local = threading.local()  # this call's workspace of each worker thread
 
     def block_views(rows: int, size: int):
@@ -161,10 +152,10 @@ def _mc_sweep(scenario: Scenario, chans, target: SecrecyTarget, cfg: McConfig,
 
     def chunk_sums(k):
         positions = _chunk_positions(scenario, cfg, k)
-        sums = np.empty((len(chans), len(kernels), 3))
+        sums = np.empty((len(gains), len(kernels), 3))
         for j, geometry in enumerate(kernels):
-            loss, noise_b, noise_w = geometry(scenario, chans[0], *positions)
-            for lo in range(0, len(chans), step):
+            loss, noise_b, noise_w = geometry(scenario, chan, *positions)
+            for lo in range(0, len(gains), step):
                 rows = slice(lo, lo + step)
                 gain = gains[rows]
                 rs, scratch, mask = block_views(len(gain), len(positions[0]))
@@ -174,36 +165,40 @@ def _mc_sweep(scenario: Scenario, chans, target: SecrecyTarget, cfg: McConfig,
                 sums[rows, j, 2] = np.sum(np.multiply(rs, rs, out=scratch), axis=1)
         return sums
 
-    totals = sum(_map_chunks(chunk_sums, cfg, workers))  # fixed chunk order
+    count, s, s2 = np.moveaxis(sum(_map_chunks(chunk_sums, cfg, workers)), -1, 0)  # chunk order
     n = cfg.trials
-    estimates = []
-    for count, s, s2 in totals.reshape(-1, 3).tolist():  # channel-major, then kernel
-        p = count / n
-        var = max((s2 - s * s / n) / (n - 1), 0.0)
-        estimates += [McEstimate(mean=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n),
-                      McEstimate(mean=s / n, std_error=math.sqrt(var / n), trials=n)]
-    width = 2 * len(kernels)
-    return [tuple(estimates[i:i + width]) for i in range(0, len(estimates), width)]
+    p = count / n
+    var = np.maximum((s2 - s * s / n) / (n - 1), 0.0)
+    return np.stack([np.stack([p, np.sqrt(p * (1.0 - p) / n)], -1),
+                     np.stack([s / n, np.sqrt(var / n)], -1)], -2)
+
+
+def _estimate(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget, cfg: McConfig,
+              workers: int, kernel, metric: int) -> McEstimate:
+    """`kernel`'s sop (metric 0) or esc (metric 1) estimate at chan's own tx_power."""
+    mean, std_error = _mc_sweep(scenario, chan, [chan.tx_power], target, cfg, workers,
+                                (kernel,))[0, 0, metric].tolist()
+    return McEstimate(mean=mean, std_error=std_error, trials=cfg.trials)
 
 
 def mc_sop_pa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Fraction of placements whose exact secrecy rate falls below the target."""
-    return _mc_sweep(scenario, [chan], target, cfg, workers, (_pa_geometry,))[0][0]
+    return _estimate(scenario, chan, target, cfg, workers, _pa_geometry, 0)
 
 
 def mc_esc_pa(scenario: Scenario, chan: ChannelParams,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Sample mean of the exact secrecy rate over random placements."""
-    return _mc_sweep(scenario, [chan], SecrecyTarget(), cfg, workers, (_pa_geometry,))[0][1]
+    return _estimate(scenario, chan, SecrecyTarget(), cfg, workers, _pa_geometry, 1)
 
 
 def mc_sop_fa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Outage of the fixed-antenna baseline on the same position stream."""
-    return _mc_sweep(scenario, [chan], target, cfg, workers, (_fa_geometry,))[0][0]
+    return _estimate(scenario, chan, target, cfg, workers, _fa_geometry, 0)
 
 
 def mc_esc_fa(scenario: Scenario, chan: ChannelParams,
               cfg: McConfig, workers: int = 1) -> McEstimate:
-    return _mc_sweep(scenario, [chan], SecrecyTarget(), cfg, workers, (_fa_geometry,))[0][1]
+    return _estimate(scenario, chan, SecrecyTarget(), cfg, workers, _fa_geometry, 1)

@@ -52,6 +52,49 @@ def chan_at_fixture():
     return chan_at
 
 
+def gain(chan):
+    """eta*rho of a channel: the row value the term sums take."""
+    return chan.eta * chan.rho
+
+
+def sop_at(scenario, chan, target, rule):
+    """ps.sop_bounds at chan's own tx_power, as a BoundPair of numbers."""
+    pair = ps.sop_bounds(scenario, chan, [chan.tx_power], target, rule)
+    return ps.BoundPair(lower=pair.lower.item(), upper=pair.upper.item())
+
+
+def esc_at(scenario, chan, rule):
+    """ps.esc_bounds at chan's own tx_power, as a BoundPair of numbers."""
+    pair = ps.esc_bounds(scenario, chan, [chan.tx_power], rule)
+    return ps.BoundPair(lower=pair.lower.item(), upper=pair.upper.item())
+
+
+def outage_coefficients(chan, target, bob_factor, willie_factor):
+    """One channel's (a, b, c) of the no-outage threshold a / (b + c/z) on Zb, in scalars.
+
+    a = A, b = (4^Rbar - 1)/(eta*rho) and c = 4^Rbar*B; b is 0 at rho = inf
+    and at Rbar = 0, and +inf for Rbar > 0 where eta*rho underflows to 0 or
+    4^Rbar overflows.  bounds._outage_rows forms them on arrays, with these bits.
+    """
+    fr = target.threshold
+    eta_rho = chan.eta * chan.rho
+    if eta_rho > 0 and fr < math.inf:
+        b = (fr - 1.0) / eta_rho
+    else:
+        b = math.inf if fr > 1.0 else 0.0
+    return bob_factor, b, fr * willie_factor
+
+
+def outage_kinks(scenario, a, b, c):
+    """[u_0, u_1] of one row (a, b, c), in scalars: where the threshold offset
+    reaches the ends 0 and D^2/4 of Zb's support, +inf where it never does.
+    """
+    d2 = scenario.waveguide_height ** 2
+    k = a - b * d2 - c
+    return [(s * (c + b * d2) - d2 * k) / (a - b * (d2 + s)) if a > b * (d2 + s) else math.inf
+            for s in ps.ZbDistribution(scenario.side_length).support]
+
+
 def sop_directions(scenario, chan):
     """(upper, lower) (bob_factor, willie_factor) pairs of the outage bounds.
 
@@ -77,7 +120,7 @@ def esc_term_values(scenario, chan, rule, bob_factor, willie_factor):
     The program integrates each rate as an offset from its value at
     distance d; the oracles integrate the rate itself.
     """
-    sums = bounds.esc_term_sums(scenario, [chan], rule, bob_factor, willie_factor)[0]
+    sums = bounds.esc_term_sums(scenario, rule, [gain(chan)], bob_factor, willie_factor)[0]
     d2 = scenario.waveguide_height ** 2
     eta_rho = chan.eta * chan.rho
     return _add_values_at_height(scenario, sums, math.log2(1.0 + eta_rho * bob_factor / d2),
@@ -89,8 +132,7 @@ def log2_moment_values(scenario, rule):
 
     Comparable to log2_moment_oracles.
     """
-    chan = ps.ChannelParams(tx_power=math.inf)
-    sums = [-s for s in bounds.esc_term_sums(scenario, [chan], rule, 1.0, 1.0)[0]]
+    sums = [-s for s in bounds.esc_term_sums(scenario, rule, [math.inf], 1.0, 1.0)[0]]
     log2_d2 = math.log2(scenario.waveguide_height ** 2)
     return _add_values_at_height(scenario, sums, log2_d2, log2_d2)
 

@@ -18,8 +18,8 @@ import pytest
 
 import pinchsec as ps
 from pinchsec import bounds, cli
-from conftest import (SNR_GRID_DB, chan_at, esc_term_oracles, esc_term_values,
-                      pdf_mass_oracle, sop_directions, sop_term_oracles)
+from conftest import (SNR_GRID_DB, chan_at, esc_at, esc_term_oracles, esc_term_values, gain,
+                      pdf_mass_oracle, sop_at, sop_directions, sop_term_oracles)
 
 
 def _rel(a, b):
@@ -75,8 +75,8 @@ def test_criterion_3_exact_case_collapse(scenario, target, rule_1000):
     worst = 0.0  # most positive (|mc - value| - 3 se), <= 0 everywhere when ok
     for snr_db in SNR_GRID_DB:
         chan = chan_at(10 ** (snr_db / 10.0), alpha=0.0)
-        sop = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
-        esc = ps.esc_bounds(scenario, [chan], rule_1000)[0]
+        sop = sop_at(scenario, chan, target, rule_1000)
+        esc = esc_at(scenario, chan, rule_1000)
         max_width = max(max_width, abs(sop.width), abs(esc.width))
         sop_mc = ps.mc_sop_pa(scenario, chan, target, cfg)
         esc_mc = ps.mc_esc_pa(scenario, chan, cfg)
@@ -100,8 +100,8 @@ def test_criterion_4_bracketing(scenario, target, rule_1000):
     worst = -math.inf
     for snr_db in SNR_GRID_DB:
         chan = chan_at(10 ** (snr_db / 10.0))
-        sop = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
-        esc = ps.esc_bounds(scenario, [chan], rule_1000)[0]
+        sop = sop_at(scenario, chan, target, rule_1000)
+        esc = esc_at(scenario, chan, rule_1000)
         sop_mc = ps.mc_sop_pa(scenario, chan, target, cfg)
         esc_mc = ps.mc_esc_pa(scenario, chan, cfg)
         worst = max(worst,
@@ -125,7 +125,7 @@ def test_criterion_4_esc_upper_bound_tightness(scenario, rule_1000):
     gaps = []
     for snr_db in SNR_GRID_DB:
         chan = chan_at(10 ** (snr_db / 10.0))
-        esc = ps.esc_bounds(scenario, [chan], rule_1000)[0]
+        esc = esc_at(scenario, chan, rule_1000)
         mc = ps.mc_esc_pa(scenario, chan, cfg).mean
         if abs(esc.upper - mc) <= abs(esc.lower - mc):
             hits += 1
@@ -149,11 +149,11 @@ def test_criterion_5_saturation(scenario, target, rule_1000):
 
     def sop_curve(side):
         return lambda rho: getattr(
-            ps.sop_bounds(scenario, [chan_at(rho)], target, rule_1000)[0], side)
+            sop_at(scenario, chan_at(rho), target, rule_1000), side)
 
     def esc_curve(side):
         return lambda rho: getattr(
-            ps.esc_bounds(scenario, [chan_at(rho)], rule_1000)[0], side)
+            esc_at(scenario, chan_at(rho), rule_1000), side)
 
     div_up = ps.diversity_estimate(sop_curve("upper"), 1e12, 1e14)
     div_lo = ps.diversity_estimate(sop_curve("lower"), 1e12, 1e14)
@@ -161,9 +161,9 @@ def test_criterion_5_saturation(scenario, target, rule_1000):
     slope_lo = ps.slope_estimate(esc_curve("lower"), 1e12, 1e14)
 
     chan = chan_at(1e14)
-    sop_fin = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
+    sop_fin = sop_at(scenario, chan, target, rule_1000)
     sop_asym = ps.sop_asymptotic(scenario, chan, target, rule_1000)
-    esc_fin = ps.esc_bounds(scenario, [chan], rule_1000)[0]
+    esc_fin = esc_at(scenario, chan, rule_1000)
     esc_asym = ps.esc_asymptotic(scenario, chan, rule_1000)
     rels = (_rel(sop_fin.lower, sop_asym.lower), _rel(sop_fin.upper, sop_asym.upper),
             _rel(esc_fin.lower, esc_asym.lower), _rel(esc_fin.upper, esc_asym.upper))
@@ -198,7 +198,7 @@ def test_criterion_6_sop_pa_strictly_beats_fa(scenario, target, rule_1000):
         pa = ps.mc_sop_pa(scenario, chan, target, cfg).mean
         fa = ps.mc_sop_fa(scenario, chan, target, cfg).mean
         if rho <= rho_star:
-            pair = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
+            pair = sop_at(scenario, chan, target, rule_1000)
             certain.append((snr_db, pa, fa, pair.lower, pair.upper))
         else:
             rows.append((snr_db, pa, fa))
@@ -247,8 +247,8 @@ def test_criterion_7_quadrature_fidelity(scenario, target, rule_1000, rule_8000)
     rows = []  # (term name, refinement rel diff, oracle rel diff)
 
     for direction, factors in zip(("upper", "lower"), sop_directions(scenario, chan)):
-        fine = bounds.sop_term_sums(scenario, [chan], target, rule_8000, *factors)[0]
-        coarse = bounds.sop_term_sums(scenario, [chan], target, rule_1000, *factors)[0]
+        fine = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan)], *factors)[0]
+        coarse = bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)], *factors)[0]
         oracle = sop_term_oracles(scenario, chan, target, *factors)
         for name, c, f, o in zip("jkl", coarse, fine, oracle):
             rows.append((f"sop_{direction}_{name}", _rel(c, f), _rel(c, o)))

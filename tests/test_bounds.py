@@ -14,16 +14,15 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import pinchsec as ps
 from pinchsec import bounds, cli
-from conftest import (SNR_GRID_DB, chan_at, esc_term_oracles, esc_term_values,
-                      log2_moment_oracles, log2_moment_values, sop_directions,
-                      sop_term_oracles)
+from conftest import (SNR_GRID_DB, chan_at, esc_at, esc_term_oracles, esc_term_values, gain,
+                      log2_moment_oracles, log2_moment_values, outage_coefficients, outage_kinks,
+                      sop_at, sop_directions, sop_term_oracles)
 from test_properties import CONFIGS as PROPERTY_CONFIGS
 
 SPAN = math.exp(-0.5)  # exp(-2 * 0.01 * 25)
@@ -37,49 +36,58 @@ class TestCoefficients:
         assert bounds.attenuation_span(scenario, chan_at(1e8, alpha=0.0)) == 1.0
 
     def test_sop_pairs(self, scenario, target, rule_1000, monkeypatch):
-        # one call for both directions, as per-channel factor lists: the
-        # upper (span, 1), then the lower (1, span)
+        # one call for both directions, as per-row factor arrays: the
+        # upper (span, 1), then the lower (1, span); at alpha = 0 the two
+        # are one direction, evaluated once
         seen = []
         term_sums = bounds.sop_term_sums
         monkeypatch.setattr(bounds, "sop_term_sums",
                             lambda *a: seen.append(tuple(list(f) for f in a[-2:])) or term_sums(*a))
-        ps.sop_bounds(scenario, [chan_at(1e8)], target, rule_1000)
+        ps.sop_bounds(scenario, chan_at(1e8), [1e8], target, rule_1000)
         assert seen == [([SPAN, 1.0], [1.0, SPAN])]
         assert sop_directions(scenario, chan_at(1e8)) == tuple(zip(*seen[0]))
+        seen.clear()
+        pair = ps.sop_bounds(scenario, chan_at(1e8, alpha=0.0), [1e6, 1e8], target, rule_1000)
+        assert seen == [([1.0, 1.0], [1.0, 1.0])]
+        assert pair.lower.tolist() == pair.upper.tolist()
 
     def test_esc_pairs(self, scenario, rule_1000, monkeypatch):
-        # one call for both directions, as per-channel factor lists: the
-        # upper (1, span), then the lower (span, 1)
+        # one call for both directions, as per-row factor arrays: the
+        # upper (1, span), then the lower (span, 1); at alpha = 0 the two
+        # are one direction, evaluated once
         seen = []
         term_sums = bounds.esc_term_sums
         monkeypatch.setattr(bounds, "esc_term_sums",
                             lambda *a: seen.append(tuple(list(f) for f in a[-2:])) or term_sums(*a))
-        ps.esc_bounds(scenario, [chan_at(1e8)], rule_1000)
+        ps.esc_bounds(scenario, chan_at(1e8), [1e8], rule_1000)
         assert seen == [([1.0, SPAN], [SPAN, 1.0])]
+        seen.clear()
+        pair = ps.esc_bounds(scenario, chan_at(1e8, alpha=0.0), [1e6, 1e8], rule_1000)
+        assert seen == [([1.0, 1.0], [1.0, 1.0])]
+        assert pair.lower.tolist() == pair.upper.tolist()
 
     def test_overflowed_threshold_is_certain_outage(self, scenario):
         # 4^600 is +inf: b is +inf at every rho, never inf/inf = nan at rho = inf
         target = ps.SecrecyTarget(rate=600)
         for chan in (chan_at(1e8), chan_at(math.inf)):
             for direction in sop_directions(scenario, chan):
-                a, b, c = bounds._outage_coefficients(chan, target, *direction)
+                a, b, c = outage_coefficients(chan, target, *direction)
                 assert b == math.inf
-                assert bounds._outage_kinks(scenario, a, b, c) == [math.inf, math.inf]
+                assert outage_kinks(scenario, a, b, c) == [math.inf, math.inf]
 
     def test_underflowed_span_is_valid(self, scenario, target, rule_1000):
         # alpha * D = 500: exp(-1000) is 0.0, yet the model is well defined
         chan = chan_at(1e8, alpha=20.0)
         assert bounds.attenuation_span(scenario, chan) == 0.0
-        for pair in (ps.sop_bounds(scenario, [chan], target, rule_1000)[0],
+        for pair in (sop_at(scenario, chan, target, rule_1000),
                      ps.sop_asymptotic(scenario, chan, target, rule_1000),
-                     ps.esc_bounds(scenario, [chan], rule_1000)[0],
+                     esc_at(scenario, chan, rule_1000),
                      ps.esc_asymptotic(scenario, chan, rule_1000)):
             assert math.isfinite(pair.lower) and math.isfinite(pair.upper)
             assert pair.lower <= pair.upper
         # a deaf Willie (factor 0) leaves no high-SNR outage threshold
         assert ps.sop_asymptotic(scenario, chan, target, rule_1000).upper == 1.0
-        sums = bounds.sop_term_sums(scenario, [chan_at(math.inf, alpha=20.0)], target, rule_1000,
-                                    1.0, 0.0)[0]
+        sums = bounds.sop_term_sums(scenario, target, rule_1000, [math.inf], 1.0, 0.0)[0]
         assert sum(sums) == pytest.approx(1.0, abs=1e-11)
         # log2 of the span in the log domain: -2 alpha D / ln 2
         assert ps.esc_asymptotic(scenario, chan, rule_1000).width == pytest.approx(
@@ -87,7 +95,7 @@ class TestCoefficients:
 
 
 def threshold_offset(u, chan, target, bob_factor, willie_factor, d2=9.0):
-    coeffs = bounds._outage_coefficients(chan, target, bob_factor, willie_factor)
+    coeffs = outage_coefficients(chan, target, bob_factor, willie_factor)
     return bounds._threshold_offset(u, d2, *coeffs)
 
 
@@ -144,8 +152,8 @@ class TestOutageKinks:
         for chan in (chan_at(1e8), chan_at(math.inf)):
             eta_rho = chan.eta * chan.rho
             for bob, willie in sop_directions(scenario, chan):
-                coeffs = bounds._outage_coefficients(chan, target, bob, willie)
-                z = 9.0 + np.array(bounds._outage_kinks(scenario, *coeffs))
+                coeffs = outage_coefficients(chan, target, bob, willie)
+                z = 9.0 + np.array(outage_kinks(scenario, *coeffs))
                 if math.isinf(eta_rho):
                     thr = z * bob / (fr * willie)
                 else:
@@ -154,8 +162,8 @@ class TestOutageKinks:
 
     def test_no_kink_when_threshold_stays_below_support(self, scenario, target):
         # below rho* = (4^Rbar - 1) d^2 / eta even the best threshold misses d^2
-        coeffs = bounds._outage_coefficients(chan_at(1e4), target, 1.0, 1.0)
-        assert bounds._outage_kinks(scenario, *coeffs) == [math.inf, math.inf]
+        coeffs = outage_coefficients(chan_at(1e4), target, 1.0, 1.0)
+        assert outage_kinks(scenario, *coeffs) == [math.inf, math.inf]
 
     def test_certain_outage_skips_quadrature(self, scenario, target, rule_1000, monkeypatch):
         calls = []
@@ -164,10 +172,10 @@ class TestOutageKinks:
                             lambda rule, g: calls.append(rule) or integrate(rule, g))
         chan = chan_at(1e4)
         for direction in sop_directions(scenario, chan):
-            sums = bounds.sop_term_sums(scenario, [chan], target, rule_1000, *direction)[0]
+            sums = bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)], *direction)[0]
             assert sums.tolist() == [0.0, 0.0, 0.0]
         assert calls == []
-        pair = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
+        pair = sop_at(scenario, chan, target, rule_1000)
         assert (pair.lower, pair.upper) == (1.0, 1.0)
 
     def test_no_node_at_or_beyond_saturation(self, scenario, target, rule_1000, monkeypatch):
@@ -180,9 +188,9 @@ class TestOutageKinks:
         for chan in (chan_at(1e7), chan_at(1e8), chan_at(math.inf)):
             for direction in sop_directions(scenario, chan):  # upper, then lower
                 seen.clear()
-                u_0, u_1 = bounds._outage_kinks(
-                    scenario, *bounds._outage_coefficients(chan, target, *direction))
-                bounds.sop_term_sums(scenario, [chan], target, rule_1000, *direction)
+                u_0, u_1 = outage_kinks(
+                    scenario, *outage_coefficients(chan, target, *direction))
+                bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)], *direction)
                 nodes = np.concatenate([u.ravel() for u in seen])
                 assert np.all((u_0 < nodes) & (nodes < u_1)), (chan.rho, direction)
             # lower side at rho = inf: u_1 lies in piece 1, so pieces 2 and 3 need no node
@@ -197,20 +205,20 @@ class TestOutageKinks:
         target = ps.SecrecyTarget(rate=0.0)
         chan = chan_at(math.inf)
         willie = [0.5, 0.75, 1.0, 1.5, 2.5, 2.75, 3.0, 4.0]
-        kinks = [bounds._outage_kinks(scenario, *bounds._outage_coefficients(chan, target, 1.0, b))[1]
+        kinks = [outage_kinks(scenario, *outage_coefficients(chan, target, 1.0, b))[1]
                  for b in willie]
         assert kinks == [0.0, 0.5, 1.0, 2.0, 4.0, 4.5, 5.0, 7.0]
-        got = bounds.sop_term_sums(scenario, [chan] * len(willie), target, rule_1000, 1.0,
+        got = bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)] * len(willie), 1.0,
                                    np.array(willie))
         for row, b in zip(got, willie):
             want = sop_term_oracles(scenario, chan, target, 1.0, b, asymptotic=True)
             np.testing.assert_allclose(row, want, rtol=0, atol=5e-13, err_msg=f"B = {b}")
         scenario, target, chan = ps.Scenario(), ps.SecrecyTarget(), chan_at(1e5)
         direction = (1.0, bounds.attenuation_span(scenario, chan))
-        assert bounds._outage_kinks(
-            scenario, *bounds._outage_coefficients(chan, target, *direction))[1] == math.inf
+        assert outage_kinks(
+            scenario, *outage_coefficients(chan, target, *direction))[1] == math.inf
         np.testing.assert_allclose(
-            bounds.sop_term_sums(scenario, [chan], target, rule_1000, *direction)[0],
+            bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)], *direction)[0],
             sop_term_oracles(scenario, chan, target, *direction), rtol=0, atol=5e-13)
 
     @pytest.mark.parametrize("rho", [1e7, 1e8, math.inf])
@@ -219,7 +227,7 @@ class TestOutageKinks:
         # 1 - sum(sop_term_oracles); integrating it by quadrature read 1.1e-12
         chan = chan_at(rho)
         pair = (ps.sop_asymptotic(scenario, chan, target, rule_1000) if math.isinf(rho)
-                else ps.sop_bounds(scenario, [chan], target, rule_1000)[0])
+                else sop_at(scenario, chan, target, rule_1000))
         for got, direction in zip((pair.upper, pair.lower), sop_directions(scenario, chan)):
             want = 1.0 - sum(sop_term_oracles(scenario, chan, target, *direction,
                                               asymptotic=math.isinf(rho)))
@@ -228,7 +236,7 @@ class TestOutageKinks:
 
 class TestSopBounds:
     def test_reference_point(self, scenario, target, rule_1000):
-        pair = ps.sop_bounds(scenario, [chan_at(1e8)], target, rule_1000)[0]
+        pair = sop_at(scenario, chan_at(1e8), target, rule_1000)
         # 1 - sum(sop_term_oracles(...)) for the lower and the upper
         # direction of sop_directions
         assert pair.lower == pytest.approx(0.12810884315380378, rel=1e-10)
@@ -236,20 +244,20 @@ class TestSopBounds:
 
     def test_ordering_across_grid(self, scenario, target, rule_1000):
         for snr_db in SNR_GRID_DB:
-            pair = ps.sop_bounds(scenario, [chan_at(10 ** (snr_db / 10.0))], target, rule_1000)[0]
+            pair = sop_at(scenario, chan_at(10 ** (snr_db / 10.0)), target, rule_1000)
             assert 0.0 <= pair.lower <= pair.upper <= 1.0
 
     def test_zero_attenuation_collapse(self, scenario, target, rule_1000):
-        pair = ps.sop_bounds(scenario, [chan_at(1e8, alpha=0.0)], target, rule_1000)[0]
+        pair = sop_at(scenario, chan_at(1e8, alpha=0.0), target, rule_1000)
         assert pair.lower == pair.upper
 
     def test_low_snr_saturates_at_one(self, scenario, target, rule_1000):
-        pair = ps.sop_bounds(scenario, [chan_at(1e-12)], target, rule_1000)[0]
+        pair = sop_at(scenario, chan_at(1e-12), target, rule_1000)
         assert pair.lower == 1.0
         assert pair.upper == 1.0
 
     def test_monotone_in_rho(self, scenario, target, rule_1000):
-        vals = [ps.sop_bounds(scenario, [chan_at(r)], target, rule_1000)[0]
+        vals = [sop_at(scenario, chan_at(r), target, rule_1000)
                 for r in (1e6, 1e8, 1e10)]
         assert vals[0].upper >= vals[1].upper >= vals[2].upper
         assert vals[0].lower >= vals[1].lower >= vals[2].lower
@@ -257,14 +265,14 @@ class TestSopBounds:
     def test_no_clamping_on_grid(self, scenario, target, rule_1000, caplog):
         with caplog.at_level(logging.WARNING, logger="pinchsec.bounds"):
             for snr_db in SNR_GRID_DB:
-                ps.sop_bounds(scenario, [chan_at(10 ** (snr_db / 10.0))], target, rule_1000)
+                sop_at(scenario, chan_at(10 ** (snr_db / 10.0)), target, rule_1000)
         assert not caplog.records
 
     def test_term_sums_reference(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
         up, lo = sop_directions(scenario, chan)
-        got_up = bounds.sop_term_sums(scenario, [chan], target, rule_8000, *up)[0]
-        got_lo = bounds.sop_term_sums(scenario, [chan], target, rule_8000, *lo)[0]
+        got_up = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan)], *up)[0]
+        got_lo = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan)], *lo)[0]
         # sop_term_oracles(scenario, chan, target, *direction) for each direction
         np.testing.assert_allclose(
             got_up,
@@ -276,7 +284,7 @@ class TestSopBounds:
     def test_term_sums_against_adaptive_oracle(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
         for direction in sop_directions(scenario, chan):
-            got = bounds.sop_term_sums(scenario, [chan], target, rule_8000, *direction)[0]
+            got = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan)], *direction)[0]
             want = sop_term_oracles(scenario, chan, target, *direction)
             np.testing.assert_allclose(got, want, rtol=1e-7)
 
@@ -289,7 +297,7 @@ class TestSopBounds:
         chan = chan_at(rho, alpha=0.0)
         target = ps.SecrecyTarget(rate=0.0)
         exact = math.pi / 12.0 - 1.0 / 24.0
-        for pair in (ps.sop_bounds(scenario, [chan], target, rule_1000)[0],
+        for pair in (sop_at(scenario, chan, target, rule_1000),
                      ps.sop_asymptotic(scenario, chan, target, rule_1000)):
             assert pair.lower == pytest.approx(exact, abs=1e-11)
             assert pair.upper == pytest.approx(exact, abs=1e-11)
@@ -315,7 +323,7 @@ class TestSopAsymptotic:
 
     def test_finite_snr_approaches_asymptote(self, scenario, target, rule_1000):
         chan = chan_at(1e14)
-        finite = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
+        finite = sop_at(scenario, chan, target, rule_1000)
         asym = ps.sop_asymptotic(scenario, chan, target, rule_1000)
         assert abs(finite.lower - asym.lower) < 1e-2
         assert abs(finite.upper - asym.upper) < 1e-2
@@ -323,7 +331,7 @@ class TestSopAsymptotic:
     def test_oracle_agreement(self, scenario, target, rule_8000):
         chan = chan_at(1e8)
         for direction in sop_directions(scenario, chan):
-            got = bounds.sop_term_sums(scenario, [chan_at(math.inf)], target, rule_8000,
+            got = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan_at(math.inf))],
                                        *direction)[0]
             want = sop_term_oracles(scenario, chan, target, *direction, asymptotic=True)
             np.testing.assert_allclose(got, want, rtol=1e-7)
@@ -377,7 +385,7 @@ class TestRateOffset:
 
 class TestEscBounds:
     def test_reference_point(self, scenario, rule_1000):
-        pair = ps.esc_bounds(scenario, [chan_at(1e8)], rule_1000)[0]
+        pair = esc_at(scenario, chan_at(1e8), rule_1000)
         # (bob - piece1 - piece2 - piece3) / 2 of esc_term_oracles(...) for
         # the lower and the upper direction (sop_directions reversed)
         assert pair.lower == pytest.approx(0.30282340510406547, rel=1e-10)
@@ -385,19 +393,19 @@ class TestEscBounds:
 
     def test_ordering_across_grid(self, scenario, rule_1000):
         for snr_db in SNR_GRID_DB:
-            pair = ps.esc_bounds(scenario, [chan_at(10 ** (snr_db / 10.0))], rule_1000)[0]
+            pair = esc_at(scenario, chan_at(10 ** (snr_db / 10.0)), rule_1000)
             assert pair.lower <= pair.upper
 
     def test_zero_attenuation_collapse(self, scenario, rule_1000):
-        pair = ps.esc_bounds(scenario, [chan_at(1e8, alpha=0.0)], rule_1000)[0]
+        pair = esc_at(scenario, chan_at(1e8, alpha=0.0), rule_1000)
         assert pair.lower == pair.upper
 
     def test_low_snr_vanishes(self, scenario, rule_1000):
-        pair = ps.esc_bounds(scenario, [chan_at(1e-12)], rule_1000)[0]
+        pair = esc_at(scenario, chan_at(1e-12), rule_1000)
         assert 0.0 <= pair.lower <= pair.upper < 1e-15
 
     def test_monotone_in_rho(self, scenario, rule_1000):
-        vals = [ps.esc_bounds(scenario, [chan_at(r)], rule_1000)[0] for r in (1e6, 1e8, 1e10)]
+        vals = [esc_at(scenario, chan_at(r), rule_1000) for r in (1e6, 1e8, 1e10)]
         assert vals[0].upper <= vals[1].upper <= vals[2].upper
         assert vals[0].lower <= vals[1].lower <= vals[2].lower
 
@@ -448,7 +456,7 @@ class TestEscAsymptotic:
 
     def test_finite_snr_approaches_asymptote(self, scenario, rule_1000):
         chan = chan_at(1e14)
-        finite = ps.esc_bounds(scenario, [chan], rule_1000)[0]
+        finite = esc_at(scenario, chan, rule_1000)
         asym = ps.esc_asymptotic(scenario, chan, rule_1000)
         assert abs(finite.lower - asym.lower) < 1e-2
         assert abs(finite.upper - asym.upper) < 1e-2
@@ -465,38 +473,78 @@ DENSE_GRID_DB = [-10.0 + 0.25 * k for k in range(361)]
 
 
 class TestChannelLists:
+    """A grid of channels that differ only in transmit power: one channel, one power array."""
+
     @pytest.mark.parametrize("alpha", [0.0, 0.01, 16.0])  # alpha * D = 400 underflows the span
     def test_point_alone_equals_point_in_list(self, scenario, target, rule_1000, alpha):
         # below rho* (43.4 dB) outage is certain and no node is evaluated,
-        # above it the rows are kinked; rho = inf is the asymptotes' row
-        chans = [*(chan_at(10 ** (snr_db / 10.0), alpha=alpha) for snr_db in DENSE_GRID_DB),
-                 chan_at(math.inf, alpha=alpha)]
-        sop_alone = [ps.sop_bounds(scenario, [chan], target, rule_1000)[0] for chan in chans]
-        esc_alone = [ps.esc_bounds(scenario, [chan], rule_1000)[0] for chan in chans]
+        # above it the rows are kinked; rho = inf is the asymptotes' row.
+        # At alpha = 0 both directions are one set of rows
+        chan = chan_at(1.0, alpha=alpha)
+        powers = [*(10 ** (snr_db / 10.0) for snr_db in DENSE_GRID_DB), math.inf]
+        sop_alone = [sop_at(scenario, chan_at(p, alpha=alpha), target, rule_1000) for p in powers]
+        esc_alone = [esc_at(scenario, chan_at(p, alpha=alpha), rule_1000) for p in powers]
         assert sop_alone[0] == ps.BoundPair(1.0, 1.0) and sop_alone[-1].lower < 1.0
         assert all(math.isfinite(pair.lower) and math.isfinite(pair.upper)
                    for pair in esc_alone)
-        assert ps.sop_asymptotic(scenario, chans[0], target, rule_1000) == sop_alone[-1]
-        assert ps.esc_asymptotic(scenario, chans[0], rule_1000) == esc_alone[-1]
+        assert ps.sop_asymptotic(scenario, chan, target, rule_1000) == sop_alone[-1]
+        assert ps.esc_asymptotic(scenario, chan, rule_1000) == esc_alone[-1]
         for order in (1, -1):  # ascending and descending rho
-            assert ps.sop_bounds(scenario, chans[::order], target, rule_1000) == sop_alone[::order]
-            assert ps.esc_bounds(scenario, chans[::order], rule_1000) == esc_alone[::order]
+            for got, alone in ((ps.sop_bounds(scenario, chan, powers[::order], target, rule_1000),
+                                sop_alone[::order]),
+                               (ps.esc_bounds(scenario, chan, powers[::order], rule_1000),
+                                esc_alone[::order])):
+                # bit for bit, as Python floats
+                assert got.lower.tolist() == [pair.lower for pair in alone]
+                assert got.upper.tolist() == [pair.upper for pair in alone]
 
     def test_empty_list(self, scenario, target, rule_1000):
-        assert ps.sop_bounds(scenario, [], target, rule_1000) == []
-        assert ps.esc_bounds(scenario, [], rule_1000) == []
+        for pair in (ps.sop_bounds(scenario, chan_at(1.0), [], target, rule_1000),
+                     ps.esc_bounds(scenario, chan_at(1.0), [], rule_1000)):
+            assert pair.lower.shape == pair.upper.shape == (0,)
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, math.nan])
+    def test_rejects_what_tx_power_rejects(self, scenario, target, rule_1000, power):
+        with pytest.raises(ValueError, match="tx_power"):
+            ps.ChannelParams(tx_power=power)
+        for bound in (lambda: ps.sop_bounds(scenario, chan_at(1.0), [1e8, power], target,
+                                            rule_1000),
+                      lambda: ps.esc_bounds(scenario, chan_at(1.0), [1e8, power], rule_1000)):
+            with pytest.raises(ValueError, match="tx_power"):
+                bound()
+
+    def test_rejects_unequal_noises(self, scenario, target, rule_1000):
+        # rho = P/sigma^2 needs one noise level, as ChannelParams.rho does
+        chan = ps.ChannelParams(noise_bob=1.0, noise_willie=2.0)
+        for bound in (lambda: ps.sop_bounds(scenario, chan, [1e8], target, rule_1000),
+                      lambda: ps.esc_bounds(scenario, chan, [1e8], rule_1000),
+                      lambda: ps.sop_asymptotic(scenario, chan, target, rule_1000),
+                      lambda: ps.esc_asymptotic(scenario, chan, rule_1000)):
+            with pytest.raises(ValueError, match="noise_bob != noise_willie"):
+                bound()
+
+    def test_clamp_warns_once_per_column(self, caplog):
+        values = np.array([0.5, -1e-17, 1.0 + 4e-16, -3e-17, 1.0])
+        with caplog.at_level(logging.WARNING, logger="pinchsec.bounds"):
+            got = bounds._clamp_probability(values, "sop lower bound")
+            assert bounds._clamp_probability(values[[0, 4]], "sop upper bound").tolist() == [
+                0.5, 1.0]
+        assert got.tolist() == [0.5, 0.0, 1.0, 0.0, 1.0]
+        assert [record.getMessage() for record in caplog.records] == [
+            "clamping 3 sop lower bound value(s) into [0, 1], the farthest 1.0000000000000004"]
 
     def test_block_memory_stays_bounded(self, scenario, target, rule_1000):
         # rows run in blocks of ~16 at n = 1000 (about 0.9 MB for the SOP
         # and 0.6 MB for the ESC); all 361 rows at once would take ~20 MB
-        chans = [chan_at(10 ** (snr_db / 10.0)) for snr_db in DENSE_GRID_DB]
-        ps.sop_bounds(scenario, chans[:2], target, rule_1000)
-        ps.esc_bounds(scenario, chans[:2], rule_1000)
+        chan = chan_at(1.0)
+        powers = [10 ** (snr_db / 10.0) for snr_db in DENSE_GRID_DB]
+        ps.sop_bounds(scenario, chan, powers[:2], target, rule_1000)
+        ps.esc_bounds(scenario, chan, powers[:2], rule_1000)
         peaks = []
         tracemalloc.start()
         try:
-            for bound in (lambda: ps.sop_bounds(scenario, chans, target, rule_1000),
-                          lambda: ps.esc_bounds(scenario, chans, rule_1000)):
+            for bound in (lambda: ps.sop_bounds(scenario, chan, powers, target, rule_1000),
+                          lambda: ps.esc_bounds(scenario, chan, powers, rule_1000)):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 bound()
@@ -521,15 +569,16 @@ def dense_bounds_lines() -> list:
     """CSV lines (header first) of the bounds and asymptotes on DENSE_MODEL's grid, by repr."""
     cfg = cli.config_from_dict(DENSE_MODEL)
     rule = ps.make_rule(cfg.quadrature_n)
-    chans = [cfg.channel_at_snr_db(snr_db) for snr_db in cfg.snr_db_grid]
-    sop_asym = ps.sop_asymptotic(cfg.scenario, chans[0], cfg.target, rule)
-    esc_asym = ps.esc_asymptotic(cfg.scenario, chans[0], rule)
-    sops = ps.sop_bounds(cfg.scenario, chans, cfg.target, rule)
-    escs = ps.esc_bounds(cfg.scenario, chans, rule)
+    sop_asym = ps.sop_asymptotic(cfg.scenario, cfg.channel, cfg.target, rule)
+    esc_asym = ps.esc_asymptotic(cfg.scenario, cfg.channel, rule)
+    sop = ps.sop_bounds(cfg.scenario, cfg.channel, cfg.tx_powers, cfg.target, rule)
+    esc = ps.esc_bounds(cfg.scenario, cfg.channel, cfg.tx_powers, rule)
     lines = [",".join(("snr_db", *DENSE_COLUMNS))]
-    for snr_db, sop, esc in zip(cfg.snr_db_grid, sops, escs):
-        values = (snr_db, sop.lower, sop.upper, sop_asym.lower, sop_asym.upper,
-                  esc.lower, esc.upper, esc_asym.lower, esc_asym.upper)
+    for snr_db, sop_lb, sop_ub, esc_lb, esc_ub in zip(
+            cfg.snr_db_grid, sop.lower.tolist(), sop.upper.tolist(), esc.lower.tolist(),
+            esc.upper.tolist()):
+        values = (snr_db, sop_lb, sop_ub, sop_asym.lower, sop_asym.upper,
+                  esc_lb, esc_ub, esc_asym.lower, esc_asym.upper)
         lines.append(",".join(repr(float(v)) for v in values))
     return lines
 
@@ -544,13 +593,14 @@ class TestSopKernel:
         target = ps.SecrecyTarget(rate=rate)
         chans = [*(chan_at(10 ** (snr_db / 10.0), alpha=alpha) for snr_db in DENSE_GRID_DB),
                  chan_at(math.inf, alpha=alpha)]
-        spans = [bounds.attenuation_span(scenario, chan) for chan in chans]
-        for direction in ((spans, 1.0), (1.0, spans)):
-            got = np.column_stack(bounds._outage_rows(scenario, chans, target, *direction))
+        span = bounds.attenuation_span(scenario, chans[0])
+        for direction in ((span, 1.0), (1.0, span)):
+            got = np.column_stack(bounds._outage_rows(scenario, target, [gain(c) for c in chans],
+                                                      *direction))
             want = []
-            for chan, pair in zip(chans, bounds._factors(chans, *direction).tolist()):
-                abc = bounds._outage_coefficients(chan, target, *pair)
-                want.append([*abc, *bounds._outage_kinks(scenario, *abc)])
+            for chan in chans:
+                abc = outage_coefficients(chan, target, *direction)
+                want.append([*abc, *outage_kinks(scenario, *abc)])
             # bit for bit, NaN (c = inf * 0 where the span underflows) included
             np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
@@ -595,9 +645,9 @@ class TestSopKernel:
         script = "\n".join([
             "import resource",
             "import pinchsec as ps",
-            "chans = [ps.ChannelParams(tx_power=10 ** ((-10.0 + 0.25 * k) / 10.0))"
-            " for k in range(361)]",
-            "args = (ps.Scenario(), chans, ps.SecrecyTarget(), ps.make_rule(1000))",
+            "powers = [10 ** ((-10.0 + 0.25 * k) / 10.0) for k in range(361)]",
+            "args = (ps.Scenario(), ps.ChannelParams(), powers, ps.SecrecyTarget(),"
+            " ps.make_rule(1000))",
             "ps.sop_bounds(*args)",
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
             "ps.sop_bounds(*args)",
@@ -621,15 +671,9 @@ def quadrature_term_sums(scenario, rule, gains):
                      for bob, willie in gains])
 
 
-def gain_rows(chans, bob_factor, willie_factor):
-    """The (bob, willie) gains esc_term_sums forms for each channel at finite rho."""
-    return [(chan.eta * chan.rho * bob, chan.eta * chan.rho * willie) for chan, (bob, willie) in
-            zip(chans, bounds._factors(chans, bob_factor, willie_factor).tolist())]
-
-
-def gain_chans(*gains):
-    """Channels whose eta*rho is each gain exactly; esc_term_sums reads nothing else."""
-    return [SimpleNamespace(eta=1.0, rho=g) for g in gains]
+def gain_rows(gains, bob_factor, willie_factor):
+    """The (bob, willie) gains esc_term_sums forms from each finite eta*rho."""
+    return [(g * bob_factor, g * willie_factor) for g in gains]
 
 
 class TestEscSeries:
@@ -647,10 +691,11 @@ class TestEscSeries:
                                      tx_power=10 ** (snr_db / 10.0))
                     for snr_db in range(-20, 201, 10)]))
         for scenario, chans in cases:
-            spans = [bounds.attenuation_span(scenario, chan) for chan in chans]
-            for direction in ((1.0, spans), (spans, 1.0)):
-                got = bounds.esc_term_sums(scenario, chans, rule_1000, *direction)
-                want = quadrature_term_sums(scenario, rule_1000, gain_rows(chans, *direction))
+            span = bounds.attenuation_span(scenario, chans[0])
+            gains = [gain(chan) for chan in chans]
+            for direction in ((1.0, span), (span, 1.0)):
+                got = bounds.esc_term_sums(scenario, rule_1000, gains, *direction)
+                want = quadrature_term_sums(scenario, rule_1000, gain_rows(gains, *direction))
                 np.testing.assert_allclose(got, want, rtol=2e-15, atol=0,
                                            err_msg=str(scenario))
 
@@ -658,8 +703,7 @@ class TestEscSeries:
         # g/d^2 = 0.999 and 1.0 take the series, 1.001 and one ulp past 1.0 quadrature
         d2 = scenario.waveguide_height ** 2
         gains = [0.999 * d2, d2, math.nextafter(d2, math.inf), 1.001 * d2]
-        below, at, past, above = bounds.esc_term_sums(scenario, gain_chans(*gains), rule_1000,
-                                                      1.0, 1.0)
+        below, at, past, above = bounds.esc_term_sums(scenario, rule_1000, gains, 1.0, 1.0)
         assert np.all(np.isfinite([below, at, past, above]))
         assert np.all((below > at) & (past > above))  # the offsets fall as g grows
         np.testing.assert_allclose(past, at, rtol=1e-12, atol=0)  # no step at the switch
@@ -670,7 +714,7 @@ class TestEscSeries:
         assert chan.eta * chan.rho == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sums = bounds.esc_term_sums(scenario, [chan], rule_1000, 1.0, 1.0)
+            sums = bounds.esc_term_sums(scenario, rule_1000, [gain(chan)], 1.0, 1.0)
         assert sums.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     def test_quadrature_only_where_s_exceeds_half(self, scenario, rule_1000, monkeypatch):
@@ -679,18 +723,21 @@ class TestEscSeries:
         monkeypatch.setattr(bounds, "_rate_offset",
                             lambda gain, *a: rows.append(np.shape(gain)[0]) or offset(gain, *a))
         # to 60 dB eta*rho stays below d^2 = 9: no log1p per node
-        ps.esc_bounds(scenario, [chan_at(10 ** (snr_db / 10.0)) for snr_db in DENSE_GRID_DB[:281]],
-                      rule_1000)
+        ps.esc_bounds(scenario, chan_at(1.0),
+                      [10 ** (snr_db / 10.0) for snr_db in DENSE_GRID_DB[:281]], rule_1000)
         assert rows == []
         # at g = d^2 the series still, one ulp past it quadrature
         d2 = scenario.waveguide_height ** 2
-        bounds.esc_term_sums(scenario, gain_chans(d2, math.nextafter(d2, math.inf)), rule_1000,
-                             1.0, 1.0)
+        bounds.esc_term_sums(scenario, rule_1000, [d2, math.nextafter(d2, math.inf)], 1.0, 1.0)
         assert rows == [1, 1, 1, 1]
         rows.clear()
-        # rho = inf: both directions have the gains (inf, inf), evaluated once,
-        # one row on the Zb density and on each Zw piece
+        # rho = inf: both directions have the gains (inf, inf), one row each
+        # on the Zb density and on each Zw piece; at alpha = 0 the two
+        # directions are one, evaluated once
         ps.esc_asymptotic(scenario, chan_at(1e8), rule_1000)
+        assert rows == [2, 2, 2, 2]
+        rows.clear()
+        ps.esc_asymptotic(scenario, chan_at(1e8, alpha=0.0), rule_1000)
         assert rows == [1, 1, 1, 1]
 
 
@@ -723,16 +770,16 @@ class TestHighSnrEstimators:
 
     def test_saturating_curves_have_zero_order(self, scenario, target, rule_1000):
         def sop_up(rho):
-            return ps.sop_bounds(scenario, [chan_at(rho)], target, rule_1000)[0].upper
+            return sop_at(scenario, chan_at(rho), target, rule_1000).upper
 
         def sop_lo(rho):
-            return ps.sop_bounds(scenario, [chan_at(rho)], target, rule_1000)[0].lower
+            return sop_at(scenario, chan_at(rho), target, rule_1000).lower
 
         def esc_up(rho):
-            return ps.esc_bounds(scenario, [chan_at(rho)], rule_1000)[0].upper
+            return esc_at(scenario, chan_at(rho), rule_1000).upper
 
         def esc_lo(rho):
-            return ps.esc_bounds(scenario, [chan_at(rho)], rule_1000)[0].lower
+            return esc_at(scenario, chan_at(rho), rule_1000).lower
 
         assert abs(ps.diversity_estimate(sop_up, 1e12, 1e14)) < 1e-6
         assert abs(ps.diversity_estimate(sop_lo, 1e12, 1e14)) < 1e-6

@@ -48,10 +48,8 @@ def assert_sweep_clean(data):
         if small.noise_bob == small.noise_willie:
             values = [v for rec in cli.run_sweep(small) for v in vars(rec).values()]
         else:
-            chans = [small.channel_at_snr_db(s) for s in small.snr_db_grid]
-            values = [v for row in montecarlo._mc_sweep(small.scenario, chans, small.target,
-                                                        small.mc)
-                      for est in row for v in (est.mean, est.std_error)]
+            values = montecarlo._mc_sweep(small.scenario, small.channel, small.tx_powers,
+                                          small.target, small.mc).ravel().tolist()
     assert len(values) >= 3 * 4 and all(math.isfinite(v) for v in values), data
 
 
@@ -165,10 +163,11 @@ class TestConfigFromDict:
         assert cfg.noise_willie == 2.0
 
     def test_channel_at_snr(self):
-        cfg = cli.config_from_dict({})
-        chan = cfg.channel_at_snr_db(30.0)
-        assert chan.tx_power == pytest.approx(1000.0, rel=1e-15)
-        assert chan.attenuation == 0.01
+        cfg = cli.config_from_dict({"snr_db_grid": [-10.0, 30.0], "noise_willie_var": 2.0})
+        assert cfg.tx_powers.tolist() == [10.0 ** (-10.0 / 10.0), 10.0 ** (30.0 / 10.0)]
+        assert cfg.tx_powers[1] == pytest.approx(1000.0, rel=1e-15)
+        assert cfg.channel.attenuation == 0.01
+        assert (cfg.channel.noise_bob, cfg.channel.noise_willie) == (1.0, 2.0)
 
 
 class TestLoadConfig:
@@ -241,9 +240,9 @@ class TestRunSweep:
         esc_bounds = cli.esc_bounds
 
         def nan_at_second_point(*args):
-            pairs = esc_bounds(*args)
-            pairs[1] = dataclasses.replace(pairs[1], upper=math.nan)
-            return pairs
+            pair = esc_bounds(*args)
+            pair.upper[1] = math.nan
+            return pair
 
         monkeypatch.setattr(cli, "esc_bounds", nan_at_second_point)
         with pytest.raises(cli.CliError, match=r"^non-finite esc_ub at snr_db = 10\.0$"):
@@ -608,3 +607,19 @@ class TestMain:
         assert cfg.attenuation == 0.02
         assert cfg.workers == 2
         assert cfg.snr_db_grid == (0.0, 10.0, 20.0)
+
+    @pytest.mark.parametrize("command", ["sop", "esc", "mc-only"])
+    def test_subcommand_stdout_is_pinned(self, command, tmp_path, capsys):
+        # a small fixed run of each printing subcommand, byte for byte;
+        # mc-only at unequal noises, which the bounds reject
+        if command == "mc-only":
+            path = write_json(tmp_path, "m.json",
+                              {"noise_willie_var": 4.0, "snr_db_grid": [-10.0, 30.0, 45.0, 60.0],
+                               "mc_trials": 2000})
+            argv = ["mc-only", "--config", path]
+        else:
+            argv = [command, "--snr-db=-10,20,40,45,50,60,80", "--trials", "2000",
+                    "--quad-n", "200"]
+        assert cli.main(argv) == 0
+        want = (DATA_DIR / f"stdout_{command.replace('-', '_')}.txt").read_text(encoding="ascii")
+        assert capsys.readouterr().out == want

@@ -5,7 +5,6 @@ is replicated by hand in one test so any change to the draw layout or
 the reduction arithmetic is caught exactly, not statistically.
 """
 
-import dataclasses
 import math
 import subprocess
 import sys
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 
 import pinchsec as ps
-from conftest import chan_at
+from conftest import chan_at, esc_at, sop_at
 from pinchsec import montecarlo
 
 
@@ -71,17 +70,18 @@ class TestReproducibility:
     def test_engine_matches_single_channel_views(self, scenario, target):
         # one pass over a grid that straddles rho* (43.4 dB) gives, at every
         # point, exactly what the four single-channel estimators give
-        chans = [chan_at(10 ** (db / 10.0)) for db in (35.0, 43.0, 44.0, 50.0)]
+        powers = [10 ** (db / 10.0) for db in (35.0, 43.0, 44.0, 50.0)]
         cfg = small_cfg(trials=3000)
         views = (lambda c, w: ps.mc_sop_pa(scenario, c, target, cfg, workers=w),
                  lambda c, w: ps.mc_esc_pa(scenario, c, cfg, workers=w),
                  lambda c, w: ps.mc_sop_fa(scenario, c, target, cfg, workers=w),
                  lambda c, w: ps.mc_esc_fa(scenario, c, cfg, workers=w))
         for workers in (1, 3):
-            grid = montecarlo._mc_sweep(scenario, chans, target, cfg, workers)
-            assert len(grid) == len(chans)
-            for chan, estimates in zip(chans, grid):
-                assert estimates == tuple(view(chan, 1) for view in views)
+            grid = montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg, workers)
+            assert grid.shape == (len(powers), 2, 2, 2)
+            for power, estimates in zip(powers, grid.reshape(len(powers), 4, 2).tolist()):
+                assert estimates == [[est.mean, est.std_error]
+                                     for est in (view(chan_at(power), 1) for view in views)]
 
     def test_views_evaluate_only_their_kernel(self, scenario, target, monkeypatch):
         # a view forms its own kernel's geometry once per chunk, and one
@@ -175,13 +175,12 @@ def _oracle_sweep(scenario, chans, target, cfg):
     n = cfg.trials
     grid = []
     for i in range(len(chans)):
-        row = ()
+        row = []
         for j in range(2):
             count, s, s2 = totals[i, j]
             p = count / n
             var = max((s2 - s * s / n) / (n - 1), 0.0)
-            row += (ps.McEstimate(mean=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n),
-                    ps.McEstimate(mean=s / n, std_error=math.sqrt(var / n), trials=n))
+            row.append([[p, math.sqrt(p * (1.0 - p) / n)], [s / n, math.sqrt(var / n)]])
         grid.append(row)
     return grid
 
@@ -205,9 +204,11 @@ class TestBatchedEngine:
         cfg = ps.McConfig(trials=trials, seed=2024, chunk_size=chunk_size)
         assert montecarlo._BLOCK_ELEMENTS // min(chunk_size, trials) == rows_per_block
         want = _oracle_sweep(scenario, chans, target, cfg)
-        assert len({est.mean for row in want for est in row}) > 30
+        assert len({est[0] for row in want for kernel in row for est in kernel}) > 30
         for workers in (1, 2):
-            assert montecarlo._mc_sweep(scenario, chans, target, cfg, workers) == want
+            # the engine's reduction on arrays, bit for bit, against Python's floats
+            assert montecarlo._mc_sweep(scenario, chans[0], [chan.tx_power for chan in chans],
+                                        target, cfg, workers).tolist() == want
 
     def test_public_kernels_match_los_rate(self, scenario):
         chan = ps.ChannelParams(attenuation=0.05, tx_power=1e7, noise_bob=2.0, noise_willie=0.5)
@@ -216,17 +217,16 @@ class TestBatchedEngine:
             assert np.array_equal(kernel(scenario, chan, *positions),
                                   oracle(scenario, chan, *positions))
 
-    @pytest.mark.parametrize("field, value", [("carrier_freq", 28e9), ("attenuation", 0.02),
-                                              ("noise_bob", 2.0), ("noise_willie", 2.0)])
-    def test_rows_may_vary_only_tx_power(self, scenario, target, field, value):
-        chans = [chan_at(1e4), chan_at(1e6)]
-        montecarlo._mc_sweep(scenario, chans, target, small_cfg())
-        chans.append(dataclasses.replace(chan_at(1e5), **{field: value}))
-        with pytest.raises(ValueError, match=field):
-            montecarlo._mc_sweep(scenario, chans, target, small_cfg())
+    @pytest.mark.parametrize("power", [0.0, -1.0, math.nan])
+    def test_rejects_what_tx_power_rejects(self, scenario, target, power):
+        with pytest.raises(ValueError, match="tx_power"):
+            ps.ChannelParams(tx_power=power)
+        with pytest.raises(ValueError, match="tx_power"):
+            montecarlo._mc_sweep(scenario, chan_at(1.0), [1e4, power], target, small_cfg())
 
     def test_empty_grid(self, scenario, target):
-        assert montecarlo._mc_sweep(scenario, [], target, small_cfg()) == []
+        assert montecarlo._mc_sweep(scenario, chan_at(1.0), [], target,
+                                    small_cfg()).shape == (0, 2, 2, 2)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads Linux's minor page-fault count")
@@ -240,9 +240,9 @@ class TestBatchedEngine:
             "import resource",
             "import pinchsec as ps",
             "from pinchsec import montecarlo",
-            "chans = [ps.ChannelParams(tx_power=10 ** (db / 10.0)) for db in range(-10, 55, 5)]",
+            "powers = [10 ** (db / 10.0) for db in range(-10, 55, 5)]",
             "cfg = ps.McConfig(trials=50000, seed=12345, chunk_size=4096)",
-            "args = (ps.Scenario(), chans, ps.SecrecyTarget(), cfg, 1)",
+            "args = (ps.Scenario(), ps.ChannelParams(), powers, ps.SecrecyTarget(), cfg, 1)",
             "montecarlo._mc_sweep(*args)",
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
             "montecarlo._mc_sweep(*args)",
@@ -259,13 +259,13 @@ class TestBatchedEngine:
     def test_block_memory_stays_bounded(self, scenario, target):
         # rates run in blocks of 4 rows at chunk 4096 (~0.1 MB per array);
         # all 400 rows at once would take ~13 MB per array
-        chans = [chan_at(10 ** (0.2 * k)) for k in range(400)]
+        powers = [10 ** (0.2 * k) for k in range(400)]
         cfg = ps.McConfig(trials=4096, seed=5, chunk_size=4096)
-        montecarlo._mc_sweep(scenario, chans[:2], target, cfg)
+        montecarlo._mc_sweep(scenario, chan_at(1.0), powers[:2], target, cfg)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            montecarlo._mc_sweep(scenario, chans, target, cfg)
+            montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -307,12 +307,12 @@ class TestStatisticalBehavior:
     def test_agrees_with_exact_point_when_bounds_collapse(self, scenario, target, rule_1000):
         cfg = ps.McConfig(trials=50000, seed=12345)
         chan = chan_at(10 ** 4.5, alpha=0.0)
-        point = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
+        point = sop_at(scenario, chan, target, rule_1000)
         assert point.lower == point.upper
         est = ps.mc_sop_pa(scenario, chan, target, cfg)
         assert abs(est.mean - point.lower) <= 3.0 * est.std_error
         chan2 = chan_at(1e2, alpha=0.0)
-        point2 = ps.esc_bounds(scenario, [chan2], rule_1000)[0]
+        point2 = esc_at(scenario, chan2, rule_1000)
         est2 = ps.mc_esc_pa(scenario, chan2, cfg)
         assert abs(est2.mean - point2.lower) <= 3.0 * est2.std_error
 
@@ -350,9 +350,9 @@ class TestBaselineComparison:
         cfg = ps.McConfig(trials=50000, seed=12345)
         for snr_db in (30.0, 45.0):
             chan = chan_at(10 ** (snr_db / 10.0))
-            pair = ps.sop_bounds(scenario, [chan], target, rule_1000)[0]
+            pair = sop_at(scenario, chan, target, rule_1000)
             est = ps.mc_sop_pa(scenario, chan, target, cfg)
             assert pair.lower - 3.0 * est.std_error <= est.mean <= pair.upper + 3.0 * est.std_error
-            epair = ps.esc_bounds(scenario, [chan], rule_1000)[0]
+            epair = esc_at(scenario, chan, rule_1000)
             eest = ps.mc_esc_pa(scenario, chan, cfg)
             assert epair.lower - 3.0 * eest.std_error <= eest.mean <= epair.upper + 3.0 * eest.std_error

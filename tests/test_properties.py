@@ -62,7 +62,7 @@ def _ids(configs):
 
 def _near_field_trials(cfg, snr_db):
     """Expected number of trials with Bob within max(d, sqrt(eta*rho)) of the radiator."""
-    chan = cfg.channel_at_snr_db(snr_db)
+    chan = dataclasses.replace(cfg.channel, tx_power=10 ** (snr_db / 10.0))
     reach = max(cfg.scenario.waveguide_height, math.sqrt(chan.eta * chan.rho))
     return TRIALS * min(1.0, 2.0 * reach / cfg.scenario.side_length)
 
