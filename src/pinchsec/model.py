@@ -10,11 +10,11 @@ antenna (FA) baseline radiates from [0, 0, d] with no guided travel.
 
 All rates are spectral efficiencies in bits/s/Hz under a deterministic
 line-of-sight law: rate = (1/2) * log2(1 + eta * P / (dist^2 * sigma^2)),
-formed as log1p(snr) / (2 ln 2), which keeps the digits of an SNR << 1.
-That one expression, `_link_rate`, is shared by los_rate and by the
-secrecy rates of both placements, montecarlo.pa_secrecy_rate and
-montecarlo.fa_secrecy_rate, which the Monte Carlo evaluates for a block
-of transmit powers at once.
+formed as log1p(snr) * _HALF_LOG2E, which keeps the digits of an SNR << 1.
+The secrecy rates Rb - Rw of both placements (montecarlo.pa_secrecy_rate,
+montecarlo.fa_secrecy_rate and the Monte Carlo) are not differences of two
+such rates: they come from one log1p of a single ratio, which neither
+cancels at high SNR nor costs a second log1p.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
+_HALF_LOG2E = 0.5 / math.log(2.0)  # (1/2)log2(1 + x) = log1p(x) * _HALF_LOG2E
 
 
 @dataclass(frozen=True)
@@ -116,15 +117,4 @@ def los_rate(dist_sq, chan: ChannelParams, noise_var: float, guided_len=0.0):
     if np.any(dist_sq <= 0.0):
         raise ValueError("dist_sq must be positive")
     loss = np.exp(-2.0 * chan.attenuation * np.asarray(guided_len, dtype=float))
-    return _link_rate(chan.eta * chan.tx_power * loss, dist_sq * noise_var)
-
-
-def _link_rate(signal, noise_power, out=None):
-    """(1/2)log2(1 + signal/noise_power); broadcasts like the division.
-
-    Given `out` (which may be `signal` itself), the divide, log1p and scale
-    all write there, in the allocating call's order and so with its bits.
-    """
-    rate = np.divide(signal, noise_power, out=out)
-    rate = np.log1p(rate, out=out)
-    return np.multiply(rate, 0.5 / math.log(2.0), out=out)
+    return np.log1p(chan.eta * chan.tx_power * loss / (dist_sq * noise_var)) * _HALF_LOG2E

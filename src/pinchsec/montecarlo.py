@@ -8,22 +8,35 @@ are bit-identical for a given (seed, trials, chunk_size) at any worker
 count.  The positions depend neither on rho nor on the estimator, so
 `_mc_sweep`, over one channel and an array of transmit powers, draws each
 chunk once and forms each requested kernel's (PA, FA or both) rho-free
-geometry from it once: the guided loss and the noise powers z*sigma^2.
-It evaluates the rates of a block of powers at a time, with eta*P as a
-column, in los_rate's operation order, so each estimate has the bits of
-a one-point-at-a-time evaluation; PA and FA see common random numbers.
-Each worker thread writes a block's rates, outage mask and squared rates
-into C-contiguous views of one workspace, made once per `_mc_sweep` call,
-by the same operations in the same order (divide, log1p, scale,
-subtract): the bits are unchanged, and no block allocates temporaries,
-which at the default chunk (128 KiB, glibc's mmap threshold) were
-page-faulted afresh every block.  The means and standard errors are
-formed on arrays, whose divide, multiply and sqrt round as Python's do.
-The public `mc_*` functions are its single-power, single-kernel views.
+geometry from it once; PA and FA see common random numbers.
+
+The secrecy rate is one log1p of one ratio.  With S = eta*P*loss and the
+noise powers Nb = zb*sigma_b^2, Nw = zw*sigma_w^2,
+
+    Rb - Rw = (1/2)log2((1 + S/Nb)/(1 + S/Nw)) = log1p(t)/(2 ln 2),
+    t = S*(Nw - Nb)/(Nb*(Nw + S)) = A/(B*r + C),
+
+where A = (Nw - Nb)*loss, B = Nb*Nw and C = Nb*loss come from the
+geometry and r = 1/(eta*P) from the power.  A block of powers, with r as
+a column, costs one multiply, one add and one divide per trial and power
+for t, and one log1p.  An outage is t < 4^Rbar - 1, which log1p does not
+round; the scale 1/(2 ln 2) is applied to the reduced sums once.  At
+rho = inf, r = 0 gives the exact high-SNR limit t = (Nw - Nb)/Nb.  Powers
+are measured in `_power_unit`, a power of two near the typical noise
+power, which keeps B inside the float range and changes no bit of t.
+
+Each worker thread writes a block's ratios, outage mask and squares into
+C-contiguous views of one workspace, made once per `_mc_sweep` call, so
+no block allocates temporaries, which at the default chunk (128 KiB,
+glibc's mmap threshold) were page-faulted afresh every block.  The means
+and standard errors are formed on arrays, whose divide, multiply and sqrt
+round as Python's do.  The public `mc_*` functions are its single-power,
+single-kernel views.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +46,7 @@ import numpy as np
 from .bounds import _BLOCK_ELEMENTS
 from .diststats import _draw_positions
 # los_rate is imported for bench/tracer.py, which patches pinchsec.montecarlo.los_rate
-from .model import (ChannelParams, Scenario, SecrecyTarget, _link_rate, _tx_powers,  # noqa: F401
+from .model import (_HALF_LOG2E, ChannelParams, Scenario, SecrecyTarget, _tx_powers,  # noqa: F401
                     los_rate)
 
 
@@ -69,35 +82,69 @@ def _chunk_positions(scenario: Scenario, cfg: McConfig, k: int):
     return _draw_positions(rng, scenario.side_length, size)
 
 
+def _power_unit(scenario: Scenario, chan: ChannelParams) -> float:
+    """The power of two in which S, Nb and Nw are measured: near sqrt(Nb*Nw) at the room's scale.
+
+    Scaling all three by one power of two changes no bit of t.  It keeps
+    B = Nb*Nw of the order of (z/(d^2 + D^2/4))^2 at any noise variance,
+    where in the noise powers' own units B overflows from sigma^2 ~ 1e152.
+    """
+    scale = scenario.waveguide_height ** 2 + scenario.side_length ** 2 / 4.0
+    exponent = (math.frexp(scale * chan.noise_bob)[1] + math.frexp(scale * chan.noise_willie)[1])
+    return math.ldexp(1.0, exponent // 2 - 1)
+
+
+def _ratio_terms(loss, noise_b, noise_w):
+    """(A, B, C) = ((Nw - Nb)*loss, Nb*Nw, Nb*loss), A and C written over the fresh noise arrays.
+
+    The noise arrays and the loss share one shape: the positions they come
+    from are broadcast to one shape first.
+    """
+    b = noise_b * noise_w
+    noise_w -= noise_b
+    noise_w *= loss
+    noise_b *= loss
+    return noise_w, b, noise_b
+
+
 def _pa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
-    """The rho-free part of the PA rates: (guided loss, Bob's and Willie's z*sigma^2)."""
+    """The PA's (A, B, C): both links pay the guided loss of the travel x1 + D/2."""
     d2 = scenario.waveguide_height ** 2
+    unit = _power_unit(scenario, chan)
     loss = np.exp(-2.0 * chan.attenuation * (x1 + scenario.side_length / 2.0))
-    zb = y1 ** 2 + d2
-    zw = (x1 - x2) ** 2 + y2 ** 2 + d2
-    return loss, zb * chan.noise_bob, zw * chan.noise_willie
+    return _ratio_terms(loss, (y1 ** 2 + d2) * (chan.noise_bob / unit),
+                        ((x1 - x2) ** 2 + y2 ** 2 + d2) * (chan.noise_willie / unit))
 
 
 def _fa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
-    """The same for the fixed antenna at (0, 0, d), which has no guided loss."""
+    """The same for the fixed antenna at (0, 0, d), which has no guided loss (loss = 1)."""
     d2 = scenario.waveguide_height ** 2
-    zb = x1 ** 2 + y1 ** 2 + d2
-    zw = x2 ** 2 + y2 ** 2 + d2
-    return 1.0, zb * chan.noise_bob, zw * chan.noise_willie
+    unit = _power_unit(scenario, chan)
+    return _ratio_terms(1.0, (x1 ** 2 + y1 ** 2 + d2) * (chan.noise_bob / unit),
+                        (x2 ** 2 + y2 ** 2 + d2) * (chan.noise_willie / unit))
 
 
-def _secrecy_rates(gain, loss, noise_b, noise_w, out=None):
-    """Rb - Rw at received power gain*loss; gain = eta*P is a number or a (rows, 1) column.
+def _inverse_gains(scenario: Scenario, chan: ChannelParams, tx_powers) -> np.ndarray:
+    """r = 1/(eta*P) of each power, in `_power_unit`: +inf where eta*P underflows, 0 at P = inf."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return _power_unit(scenario, chan) / (chan.eta * _tx_powers(tx_powers))
 
-    Given `out`, a pair (rates, scratch) of arrays of the rates' shape, it
-    allocates nothing: the signal and then Rw go to scratch, Rb and the
-    result to rates, in the allocating call's order and so with its bits.
+
+def _secrecy_ratio(r, a, b, c, out=None):
+    """t = a/(b*r + c), so that Rb - Rw = log1p(t)/(2 ln 2); r is a number or a (rows, 1) column.
+
+    Given `out`, an array of t's shape, it allocates nothing.  Where b*r
+    overflows, t is below a/1.8e308 and reads 0.
     """
-    rates, scratch = (None, None) if out is None else out
-    signal = np.multiply(gain, loss, out=scratch)
-    rate_b = _link_rate(signal, noise_b, rates)
-    rate_w = _link_rate(signal, noise_w, scratch)
-    return np.subtract(rate_b, rate_w, out=rates)
+    with np.errstate(over="ignore"):
+        return np.divide(a, np.add(np.multiply(b, r, out=out), c, out=out), out=out)
+
+
+def _secrecy_rate(geometry, scenario: Scenario, chan: ChannelParams, *positions):
+    """Rb - Rw (bits/s/Hz) at chan.tx_power, from `geometry` at the broadcast positions."""
+    t = _secrecy_ratio(_inverse_gains(scenario, chan, chan.tx_power),
+                       *geometry(scenario, chan, *np.broadcast_arrays(*positions)))
+    return np.log1p(t) * _HALF_LOG2E
 
 
 def pa_secrecy_rate(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
@@ -107,14 +154,12 @@ def pa_secrecy_rate(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
     loss of the travel x1 + D/2 from the feed.  Vectorized over positions;
     scalars work too.  The difference may be negative.
     """
-    return _secrecy_rates(chan.eta * chan.tx_power,
-                          *_pa_geometry(scenario, chan, x1, x2, y1, y2))
+    return _secrecy_rate(_pa_geometry, scenario, chan, x1, x2, y1, y2)
 
 
 def fa_secrecy_rate(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
     """Secrecy rate Rb - Rw from the fixed antenna at (0, 0, d); no guided loss."""
-    return _secrecy_rates(chan.eta * chan.tx_power,
-                          *_fa_geometry(scenario, chan, x1, x2, y1, y2))
+    return _secrecy_rate(_fa_geometry, scenario, chan, x1, x2, y1, y2)
 
 
 def _map_chunks(fn, cfg: McConfig, workers: int) -> list:
@@ -132,40 +177,46 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
 
     An array of shape (powers, kernels, 2, 2); with the default kernels a
     power's rows are PA, then FA.  chan.tx_power is not used.  Each chunk's
-    positions are drawn once, and each kernel forms its rho-free geometry
-    from them once.  The rates of a block of powers, at most
-    _BLOCK_ELEMENTS rates at once, are then reduced row-wise to an outage
-    count (exact in a float), a rate sum and a squared-rate sum per power;
-    those are added up in fixed chunk order.
+    positions are drawn once, and each kernel forms its rho-free (A, B, C)
+    from them once.  The ratios t of a block of powers, at most
+    _BLOCK_ELEMENTS at once, are then reduced row-wise to an outage count
+    (exact in a float), a sum of log1p(t) and a sum of its squares per
+    power; those are added up in fixed chunk order and scaled once.
     """
-    gains = chan.eta * _tx_powers(tx_powers)[:, None]
+    inverse_gains = _inverse_gains(scenario, chan, tx_powers)[:, None]
+    try:  # Rb - Rw < Rbar exactly where t < 4^Rbar - 1
+        outage_below = math.expm1(target.rate * math.log(4.0))
+    except OverflowError:  # Rbar >= 512: certain outage, as SecrecyTarget.threshold says
+        outage_below = math.inf
     size_max = min(cfg.chunk_size, cfg.trials)
     step = max(1, _BLOCK_ELEMENTS // size_max)
-    capacity = min(step, len(gains)) * size_max
+    capacity = min(step, len(inverse_gains)) * size_max
     local = threading.local()  # this call's workspace of each worker thread
 
     def block_views(rows: int, size: int):
-        """(rates, scratch, mask) as C-contiguous (rows, size) views of the workspace."""
+        """(ratios, squares, mask) as C-contiguous (rows, size) views of the workspace."""
         if not hasattr(local, "buffers"):
             local.buffers = (np.empty(capacity), np.empty(capacity), np.empty(capacity, bool))
         return tuple(buf[:rows * size].reshape(rows, size) for buf in local.buffers)
 
     def chunk_sums(k):
         positions = _chunk_positions(scenario, cfg, k)
-        sums = np.empty((len(gains), len(kernels), 3))
+        sums = np.empty((len(inverse_gains), len(kernels), 3))
         for j, geometry in enumerate(kernels):
-            loss, noise_b, noise_w = geometry(scenario, chan, *positions)
-            for lo in range(0, len(gains), step):
+            terms = geometry(scenario, chan, *positions)
+            for lo in range(0, len(inverse_gains), step):
                 rows = slice(lo, lo + step)
-                gain = gains[rows]
-                rs, scratch, mask = block_views(len(gain), len(positions[0]))
-                _secrecy_rates(gain, loss, noise_b, noise_w, (rs, scratch))
-                sums[rows, j, 0] = np.count_nonzero(np.less(rs, target.rate, out=mask), axis=1)
-                sums[rows, j, 1] = np.sum(rs, axis=1)
-                sums[rows, j, 2] = np.sum(np.multiply(rs, rs, out=scratch), axis=1)
+                r = inverse_gains[rows]
+                ts, squares, mask = block_views(len(r), len(positions[0]))
+                _secrecy_ratio(r, *terms, ts)
+                sums[rows, j, 0] = np.count_nonzero(np.less(ts, outage_below, out=mask), axis=1)
+                logs = np.log1p(ts, out=ts)
+                sums[rows, j, 1] = np.sum(logs, axis=1)
+                sums[rows, j, 2] = np.sum(np.multiply(logs, logs, out=squares), axis=1)
         return sums
 
     count, s, s2 = np.moveaxis(sum(_map_chunks(chunk_sums, cfg, workers)), -1, 0)  # chunk order
+    s, s2 = s * _HALF_LOG2E, s2 * (_HALF_LOG2E * _HALF_LOG2E)
     n = cfg.trials
     p = count / n
     var = np.maximum((s2 - s * s / n) / (n - 1), 0.0)

@@ -16,7 +16,10 @@ def eta_of(fc):
 
 
 # Silencing one user's link with a huge noise variance makes that rate
-# exactly 0.0 (1 + snr rounds to 1), so the secrecy rate isolates the other.
+# negligible, so the secrecy rate isolates the other.  The secrecy rate is
+# one log1p of one ratio, not a difference of los_rate calls, so it agrees
+# with los_rate to a few ulps, not bit for bit.
+LINK_REL = 1e-14
 
 def bob_rate(scenario, chan, bob, willie=(0.0, 0.0), fixed=False):
     solo = dataclasses.replace(chan, noise_willie=1e30)
@@ -37,10 +40,11 @@ class TestTypes:
     def test_scenario_feed_and_fa(self, scenario):
         # the feed sits at x = -D/2: a radiator there has no guided loss
         chan = chan_at(1e8, alpha=0.3)
-        assert bob_rate(scenario, chan, (-12.5, 2.0)) == float(ps.los_rate(13.0, chan, 1.0))
+        assert bob_rate(scenario, chan, (-12.5, 2.0)) == pytest.approx(
+            float(ps.los_rate(13.0, chan, 1.0)), rel=LINK_REL)
         # the fixed antenna hangs at [0, 0, d]: Bob below it is at distance d
-        assert (bob_rate(scenario, chan, (0.0, 0.0), fixed=True)
-                == float(ps.los_rate(9.0, chan, 1.0)))
+        assert bob_rate(scenario, chan, (0.0, 0.0), fixed=True) == pytest.approx(
+            float(ps.los_rate(9.0, chan, 1.0)), rel=LINK_REL)
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
@@ -54,8 +58,8 @@ class TestTypes:
         for x in (-12.5, 0.0, 12.5):
             travel = x + scenario.side_length / 2.0
             assert 0.0 <= travel <= scenario.side_length
-            assert (bob_rate(scenario, chan, (x, 1.0))
-                    == float(ps.los_rate(10.0, chan, 1.0, guided_len=travel)))
+            assert bob_rate(scenario, chan, (x, 1.0)) == pytest.approx(
+                float(ps.los_rate(10.0, chan, 1.0, guided_len=travel)), rel=LINK_REL)
 
     def test_eta_tracks_carrier(self):
         for fc in (1e9, 10e9, 28e9):
@@ -100,17 +104,18 @@ class TestPaPosition:
     def test_projects_bob_onto_waveguide(self, scenario):
         chan = chan_at(1e8)
         want = float(ps.los_rate(7.2 ** 2 + 9.0, chan, 1.0, guided_len=3.0 + 12.5))
-        assert bob_rate(scenario, chan, (3.0, -7.2)) == want
+        assert bob_rate(scenario, chan, (3.0, -7.2)) == pytest.approx(want, rel=LINK_REL)
 
     def test_origin(self, scenario):
         chan = chan_at(1e8)
         want = float(ps.los_rate(9.0, chan, 1.0, guided_len=12.5))
-        assert bob_rate(scenario, chan, (0.0, 0.0), willie=(1.0, 1.0)) == want
+        assert bob_rate(scenario, chan, (0.0, 0.0), willie=(1.0, 1.0)) == pytest.approx(
+            want, rel=LINK_REL)
 
     def test_corner_stays_on_waveguide(self, scenario):
         chan = chan_at(1e8)
         want = float(ps.los_rate(12.5 ** 2 + 9.0, chan, 1.0, guided_len=0.0))
-        assert bob_rate(scenario, chan, (-12.5, 12.5)) == want
+        assert bob_rate(scenario, chan, (-12.5, 12.5)) == pytest.approx(want, rel=LINK_REL)
 
 
 class TestRates:
@@ -123,7 +128,8 @@ class TestRates:
 
     def test_rate_bob_below_pin_distance(self, scenario):
         chan = chan_at(123.0, alpha=0.0)
-        assert bob_rate(scenario, chan, (4.0, 0.0)) == float(ps.los_rate(9.0, chan, 1.0))
+        assert bob_rate(scenario, chan, (4.0, 0.0)) == pytest.approx(
+            float(ps.los_rate(9.0, chan, 1.0)), rel=LINK_REL)
 
     def test_zero_travel_means_no_attenuation(self, scenario):
         with_loss = bob_rate(scenario, chan_at(1e8, alpha=0.01), (-12.5, 5.0))
@@ -133,14 +139,15 @@ class TestRates:
     def test_willie_colocated_matches_bob(self, scenario):
         chan = chan_at(1e8)
         pos = (2.0, 5.0)
-        assert willie_rate(scenario, chan, pos, pos) == bob_rate(scenario, chan, pos, pos)
+        assert willie_rate(scenario, chan, pos, pos) == pytest.approx(
+            bob_rate(scenario, chan, pos, pos), rel=LINK_REL)
 
     def test_willie_maximal_separation(self, scenario):
         chan = chan_at(1e8)
         got = willie_rate(scenario, chan, (12.5, 0.0), (-12.5, 12.5))
         # dist^2 = D^2 + D^2/4 + d^2 = 790.25, full guided travel D
         want = float(ps.los_rate(790.25, chan, 1.0, guided_len=25.0))
-        assert got == want
+        assert got == pytest.approx(want, rel=LINK_REL)
 
     def test_willie_shares_bob_kernel(self, scenario):
         # same squared distance and travel must give the same rate
@@ -149,7 +156,8 @@ class TestRates:
         bob_dist_sq = 6.0 ** 2 + 9.0
         willie_dist_sq = 6.0 ** 2 + 9.0  # (1 - 7)^2 + 0 + 9
         assert bob_dist_sq == willie_dist_sq
-        assert willie_rate(scenario, chan, bob, willie) == bob_rate(scenario, chan, bob, willie)
+        assert willie_rate(scenario, chan, bob, willie) == pytest.approx(
+            bob_rate(scenario, chan, bob, willie), rel=LINK_REL)
 
     def test_secrecy_rate_symmetric_zero(self, scenario):
         assert secrecy(scenario, chan_at(1e9), (-3.0, 4.0), (-3.0, 4.0)) == 0.0
@@ -186,7 +194,7 @@ class TestRates:
     def test_rate_fa_corner_distance(self, scenario):
         chan = chan_at(1e8)
         got = bob_rate(scenario, chan, (12.5, 12.5), fixed=True)
-        assert got == float(ps.los_rate(321.5, chan, 1.0))
+        assert got == pytest.approx(float(ps.los_rate(321.5, chan, 1.0)), rel=LINK_REL)
 
     def test_rate_fa_zero_power_limit(self, scenario):
         chan = ps.ChannelParams(tx_power=1e-300)
@@ -243,7 +251,21 @@ class TestRateProperties:
         chan = chan_at(1e8, alpha=0.0)
         exact = bob_rate(scenario, chan, (3.0, 4.0), willie=(1.0, 2.0))
         factorless = float(ps.los_rate(25.0, chan, 1.0))
-        assert exact == factorless
+        assert exact == pytest.approx(factorless, rel=LINK_REL)
+
+    def test_huge_noise_keeps_the_rate(self, scenario):
+        # scaling P and both noise variances by 1e200 leaves every SNR and so
+        # every rate, though Nb*Nw then lies far beyond the float range
+        rng = np.random.default_rng(5)
+        x1, x2, y1, y2 = rng.uniform(-12.5, 12.5, (4, 64))
+        for power in (1e4, 1e8, math.inf):
+            base = ps.ChannelParams(tx_power=power, noise_bob=0.5, noise_willie=2.0)
+            huge = ps.ChannelParams(tx_power=power * 1e200, noise_bob=0.5 * 1e200,
+                                    noise_willie=2.0 * 1e200)
+            for rate in (ps.pa_secrecy_rate, ps.fa_secrecy_rate):
+                assert (rate(scenario, huge, x1, x2, y1, y2).tolist()
+                        == pytest.approx(rate(scenario, base, x1, x2, y1, y2).tolist(),
+                                         rel=LINK_REL))
 
     def test_secrecy_antisymmetry_fixed_pin(self, scenario):
         # swapping users with equal x keeps the pin position, negating Rs
@@ -262,3 +284,7 @@ class TestRateProperties:
             assert vec.shape == (64,)
             assert all(vec[i] == rate(scenario, chan, x1[i], x2[i], y1[i], y2[i])
                        for i in range(64))
+            # positions broadcast against each other, as numpy operands do
+            mixed = rate(scenario, chan, x1, x2[:1], y1[:, None], 0.5)
+            assert mixed.shape == (64, 64)
+            assert mixed[5, 7] == rate(scenario, chan, x1[7], x2[0], y1[5], 0.5)

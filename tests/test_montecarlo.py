@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +87,7 @@ class TestReproducibility:
     def test_views_evaluate_only_their_kernel(self, scenario, target, monkeypatch):
         # a view forms its own kernel's geometry once per chunk, and one
         # block of rates from it; the other kernel is never formed
-        calls = {"_pa_geometry": 0, "_fa_geometry": 0, "_secrecy_rates": 0}
+        calls = {"_pa_geometry": 0, "_fa_geometry": 0, "_secrecy_ratio": 0}
 
         def counted(name):
             fn = getattr(montecarlo, name)
@@ -101,10 +102,10 @@ class TestReproducibility:
         cfg = small_cfg()
         ps.mc_sop_pa(scenario, chan_at(1e4), target, cfg)
         assert calls == {"_pa_geometry": cfg.n_chunks, "_fa_geometry": 0,
-                         "_secrecy_rates": cfg.n_chunks}
+                         "_secrecy_ratio": cfg.n_chunks}
         ps.mc_esc_fa(scenario, chan_at(1e4), cfg)
         assert calls == {"_pa_geometry": cfg.n_chunks, "_fa_geometry": cfg.n_chunks,
-                         "_secrecy_rates": 2 * cfg.n_chunks}
+                         "_secrecy_ratio": 2 * cfg.n_chunks}
 
     def test_seed_changes_result(self, scenario, target):
         chan = chan_at(1e8)
@@ -113,10 +114,13 @@ class TestReproducibility:
         assert a.mean != b.mean
 
     def test_manual_replication(self, scenario, target):
-        # rebuild the exact estimate from the documented protocol:
-        # chunk k draws (x1, x2, y1, y2) from seed (4242, spawn_key=(k,))
+        # rebuild the exact estimate from the documented protocol: chunk k
+        # draws (x1, x2, y1, y2) from seed (4242, spawn_key=(k,)); a trial's
+        # Rb - Rw is log1p(t)/(2 ln 2) with t = A/(B*r + C), in outage
+        # where t < 4^Rbar - 1; the sums are scaled once at the end
         chan = chan_at(1e8)
         cfg = ps.McConfig(trials=300, seed=4242, chunk_size=128)
+        r = 1.0 / (chan.eta * chan.tx_power)
         total, s, s2 = 0, 0.0, 0.0
         for k in range(3):
             size = min(128, 300 - 128 * k)
@@ -126,12 +130,16 @@ class TestReproducibility:
             x2 = rng.uniform(-half, half, size)
             y1 = rng.uniform(-half, half, size)
             y2 = rng.uniform(-half, half, size)
-            guided = x1 + half
-            rs = (ps.los_rate(y1 ** 2 + 9.0, chan, 1.0, guided)
-                  - ps.los_rate((x1 - x2) ** 2 + y2 ** 2 + 9.0, chan, 1.0, guided))
-            total += int(np.sum(rs < target.rate))
-            s += float(np.sum(rs))
-            s2 += float(np.sum(rs * rs))
+            loss = np.exp(-2.0 * chan.attenuation * (x1 + half))
+            nb = y1 ** 2 + 9.0
+            nw = (x1 - x2) ** 2 + y2 ** 2 + 9.0
+            t = (nw - nb) * loss / (nb * nw * r + nb * loss)
+            total += int(np.sum(t < math.expm1(target.rate * math.log(4.0))))
+            logs = np.log1p(t)
+            s += float(np.sum(logs))
+            s2 += float(np.sum(logs * logs))
+        scale = 0.5 / math.log(2.0)
+        s, s2 = s * scale, s2 * (scale * scale)
         p = total / 300
         sop = ps.mc_sop_pa(scenario, chan, target, cfg)
         assert sop.mean == p
@@ -143,46 +151,110 @@ class TestReproducibility:
 
 
 def _oracle_pa(scenario, chan, x1, x2, y1, y2):
-    # the per-channel PA kernel: two link rates, each with its own guided loss
+    # the PA's t = A/(B*r + C) for one channel, in the noise powers' own units
     d2 = scenario.waveguide_height ** 2
-    guided = x1 + scenario.side_length / 2.0
-    return (ps.los_rate(y1 ** 2 + d2, chan, chan.noise_bob, guided)
-            - ps.los_rate((x1 - x2) ** 2 + y2 ** 2 + d2, chan, chan.noise_willie, guided))
+    loss = np.exp(-2.0 * chan.attenuation * (x1 + scenario.side_length / 2.0))
+    nb = (y1 ** 2 + d2) * chan.noise_bob
+    nw = ((x1 - x2) ** 2 + y2 ** 2 + d2) * chan.noise_willie
+    return (nw - nb) * loss / (nb * nw * (1.0 / (chan.eta * chan.tx_power)) + nb * loss)
 
 
 def _oracle_fa(scenario, chan, x1, x2, y1, y2):
     d2 = scenario.waveguide_height ** 2
-    return (ps.los_rate(x1 ** 2 + y1 ** 2 + d2, chan, chan.noise_bob)
-            - ps.los_rate(x2 ** 2 + y2 ** 2 + d2, chan, chan.noise_willie))
+    nb = (x1 ** 2 + y1 ** 2 + d2) * chan.noise_bob
+    nw = (x2 ** 2 + y2 ** 2 + d2) * chan.noise_willie
+    return (nw - nb) / (nb * nw * (1.0 / (chan.eta * chan.tx_power)) + nb)
 
 
 def _oracle_sweep(scenario, chans, target, cfg):
     """The engine's estimates, one channel and one kernel at a time.
 
-    Every channel evaluates each kernel on the chunk's positions with its
-    own los_rate calls and reduces it with 1-D sums; the sums are added up
-    in chunk order.
+    Every channel forms each kernel's t on the chunk's positions and
+    reduces the outage count, log1p(t) and its square with 1-D sums; the
+    sums are added up in chunk order and scaled by 1/(2 ln 2) once.  The
+    engine measures powers in a power of two; scaling by one changes no
+    bit, so this oracle does without it.
     """
+    below = math.expm1(target.rate * math.log(4.0))
     totals = {}
     for k in range(cfg.n_chunks):
         positions = montecarlo._chunk_positions(scenario, cfg, k)
         for i, chan in enumerate(chans):
             for j, kernel in enumerate((_oracle_pa, _oracle_fa)):
-                rs = kernel(scenario, chan, *positions)
+                t = kernel(scenario, chan, *positions)
+                logs = np.log1p(t)
                 c, s, s2 = totals.get((i, j), (0, 0.0, 0.0))
-                totals[i, j] = (c + int(np.sum(rs < target.rate)), s + float(np.sum(rs)),
-                                s2 + float(np.sum(rs * rs)))
+                totals[i, j] = (c + int(np.sum(t < below)), s + float(np.sum(logs)),
+                                s2 + float(np.sum(logs * logs)))
     n = cfg.trials
+    scale = 0.5 / math.log(2.0)
     grid = []
     for i in range(len(chans)):
         row = []
         for j in range(2):
             count, s, s2 = totals[i, j]
+            s, s2 = s * scale, s2 * (scale * scale)
             p = count / n
             var = max((s2 - s * s / n) / (n - 1), 0.0)
             row.append([[p, math.sqrt(p * (1.0 - p) / n)], [s / n, math.sqrt(var / n)]])
         grid.append(row)
     return grid
+
+
+# Dyadic positions (multiples of 1/64) and noise variances make Nb and Nw
+# exact, so the comparison below measures the rate kernel's arithmetic
+# alone.  Rows are (x1, x2, y1, y2).  The last two positions put Nb within
+# 0.2% of Nw for the PA, and the first of them for the FA too: there Rb - Rw
+# is ~1e-3 bits while each rate is ~9 bits at 120 dB, and a difference of
+# two rates loses about three digits.
+KERNEL_POSITIONS = (
+    (9.359375, -2.84375, -11.65625, 5.859375, 8.96875, 6.75, 0.0, -10.0),
+    (4.15625, -12.03125, -12.4375, 11.734375, 9.21875, 5.640625, 0.0, -10.0),
+    (-8.609375, -6.34375, -9.546875, 7.015625, 6.578125, -8.140625, 5.203125, 5.203125),
+    (-11.828125, 7.953125, -9.109375, -10.78125, -9.515625, -8.921875, 0.0, 0.0),
+)
+# Rb - Rw in bits/s/Hz at those positions, alpha = 0.05, sigma_b^2 = 0.5,
+# sigma_w^2 = 2, fc = 10 GHz: per SNR (dB), the PA row and the FA row, each
+# the float nearest the 40-digit mpmath value of
+# (1/2)log2((1 + S/Nb)/(1 + S/Nw)), or of (1/2)log2(Nw/Nb) at rho = inf.
+KERNEL_REFERENCE = {
+    -10.0: ((9.789704672596075e-10, 5.849806462512743e-09, 5.498237795409275e-09,
+             2.044117260363016e-09, 1.5946943889120136e-09, 1.2579784171795935e-09,
+             -1.3135474067982805e-11, -3.570591991195493e-11),
+            (3.574387885427856e-09, 1.337637582777247e-08, 2.646898773922636e-09,
+             8.091124010272558e-09, 5.074761529946231e-09, 5.090663554242417e-09,
+             -4.584730837282801e-11, 4.151027431651505e-09)),
+    20.0: ((9.789696259067114e-07, 5.84977872499577e-06, 5.498201346783646e-06,
+            2.0441137869376734e-06, 1.5946920961595042e-06, 1.2579767406167552e-06,
+            -1.3135355313046796e-08, -3.570504243872924e-08),
+           (3.5743729237248266e-06, 1.3376234406779552e-05, 2.64689087204167e-06,
+            8.091069930009435e-06, 5.0747358791082204e-06, 5.09063359122433e-06,
+            -4.584586167417442e-08, 4.151004673637424e-06)),
+    50.0: ((0.0009781291459139189, 0.005822203814442631, 0.005462019063747027,
+            0.0020406476191813035, 0.0015924032846171034, 0.001256302728696639,
+            -1.3017665459152652e-05, -3.484863695451356e-05),
+           (0.003559480864090653, 0.013236665448762194, 0.0026390154746305005,
+            0.00803743216193884, 0.005049234767761297, 0.005060866813042384,
+            -4.4443461034799165e-05, 0.004128382131371737)),
+    80.0: ((0.5516477015870132, 1.2672779413929611, 0.7907622644143135,
+            0.840581875135207, 0.7050158255524911, 0.5663684093535867,
+            -0.0013070241469776208, -0.0013947514373725662),
+           (0.7495911422429642, 1.5867850720648062, 0.7174946022895298,
+            1.337531126730757, 0.9567878783040136, 0.8157450949002314,
+            -0.0014069078647369801, 0.6875131010952691)),
+    120.0: ((1.540698279769995, 1.8347354880415256, 0.9434242973503453,
+             1.7279007047140749, 1.4649393933367945, 1.1274445001277051,
+             -0.0014514321620288807, -0.0014514422999947468),
+            (0.9805247191095681, 1.960124624615263, 1.0318227517151342,
+             1.7531187487960287, 1.2377593269976843, 0.9974907710310769,
+             -0.0014514436050936854, 0.8399572442495682)),
+    math.inf: ((1.5410482591067602, 1.834831584215496, 0.9434429287935858,
+                1.7281314656669713, 1.465127100397794, 1.1275678820465587,
+                -0.0014514482001199305, -0.0014514482001199305),
+               (0.980556023184676, 1.960175996568528, 1.0318703205965292,
+                1.7531795297760897, 1.2377976917845708, 0.9975136369424777,
+                -0.0014514482001199305, 0.8399762505780207)),
+}
 
 
 class TestBatchedEngine:
@@ -210,12 +282,17 @@ class TestBatchedEngine:
             assert montecarlo._mc_sweep(scenario, chans[0], [chan.tx_power for chan in chans],
                                         target, cfg, workers).tolist() == want
 
-    def test_public_kernels_match_los_rate(self, scenario):
-        chan = ps.ChannelParams(attenuation=0.05, tx_power=1e7, noise_bob=2.0, noise_willie=0.5)
-        positions = montecarlo._chunk_positions(scenario, small_cfg(), 0)
-        for kernel, oracle in ((ps.pa_secrecy_rate, _oracle_pa), (ps.fa_secrecy_rate, _oracle_fa)):
-            assert np.array_equal(kernel(scenario, chan, *positions),
-                                  oracle(scenario, chan, *positions))
+    def test_public_kernels_match_mpmath(self, scenario):
+        # one log1p of one ratio keeps the digits where two ~10-bit rates
+        # would cancel, and gives the exact limit at rho = inf
+        positions = np.array(KERNEL_POSITIONS)
+        for snr_db, rows in KERNEL_REFERENCE.items():
+            power = 10 ** (snr_db / 10.0) if math.isfinite(snr_db) else math.inf
+            chan = ps.ChannelParams(attenuation=0.05, tx_power=power, noise_bob=0.5,
+                                    noise_willie=2.0)
+            for kernel, want in zip((ps.pa_secrecy_rate, ps.fa_secrecy_rate), rows):
+                got = kernel(scenario, chan, *positions).tolist()
+                assert got == pytest.approx(want, rel=5e-14), (snr_db, kernel)
 
     @pytest.mark.parametrize("power", [0.0, -1.0, math.nan])
     def test_rejects_what_tx_power_rejects(self, scenario, target, power):
@@ -301,6 +378,35 @@ class TestDegenerateGeometry:
             esc_fa = ps.mc_esc_fa(tiny, chan, cfg)
             assert abs(esc_pa.mean) < tol and abs(esc_fa.mean) < tol
             assert abs(esc_pa.mean - esc_fa.mean) < tol
+
+
+class TestInfinitePower:
+    def test_high_snr_limit(self, scenario, target, rule_1000):
+        # at rho = inf, r = 0 gives t = (Nw - Nb)/Nb, the exact high-SNR
+        # limit: no inf - inf, so no warning and no NaN estimate
+        chan = chan_at(math.inf)
+        cfg = ps.McConfig(trials=200000, seed=12345)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = montecarlo._mc_sweep(scenario, chan, [math.inf], target, cfg)
+            views = [[est.mean, est.std_error] for est in (
+                ps.mc_sop_pa(scenario, chan, target, cfg), ps.mc_esc_pa(scenario, chan, cfg),
+                ps.mc_sop_fa(scenario, chan, target, cfg), ps.mc_esc_fa(scenario, chan, cfg))]
+            # 4^Rbar overflows from Rbar = 512: the threshold is +inf, outage certain
+            certain = [montecarlo._mc_sweep(scenario, chan, [1e8, math.inf],
+                                            ps.SecrecyTarget(rate=rate), small_cfg())
+                       for rate in (512.0, 600.0)]
+        assert np.all(np.isfinite(grid))
+        assert grid.reshape(4, 2).tolist() == views
+        (sop, esc), (_, fa_esc) = grid[0].tolist()
+        sop_asym = ps.sop_asymptotic(scenario, chan, target, rule_1000)
+        esc_asym = ps.esc_asymptotic(scenario, chan, rule_1000)
+        assert sop_asym.lower - 3.0 * sop[1] <= sop[0] <= sop_asym.upper + 3.0 * sop[1]
+        assert esc_asym.lower - 3.0 * esc[1] <= esc[0] <= esc_asym.upper + 3.0 * esc[1]
+        # Bob's and Willie's FA distances are exchangeable: the mean rate is 0
+        assert abs(fa_esc[0]) <= 3.0 * fa_esc[1]
+        for sweep in certain:
+            assert np.all(sweep[:, :, 0] == [1.0, 0.0])
 
 
 class TestStatisticalBehavior:
