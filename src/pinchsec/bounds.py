@@ -13,7 +13,7 @@ The brackets take one ChannelParams, whose tx_power they ignore, and an
 array of transmit powers, and return a BoundPair of arrays in that order;
 the term sums take the rows (eta*rho, A, B) as arrays.  They are plain
 integrals over the distance offsets u = z - d^2 of diststats.py, on the
-endpoint-smoothed rule of quad.py, returned per row and piece: rows
+tanh-sinh rule of quad.py, returned per row and piece: rows
 [j, k, l] over the three Zw density pieces, preceded by the Zb term where
 there is one.  d^2 enters only where a rate or the outage threshold is
 formed from z = d^2 + u; the capacity terms integrate each rate as an
@@ -25,10 +25,9 @@ power series in s over the moments of w^k, formed once per call, with a
 term count of the row's own s.  Elsewhere it is one expression,
 -log2(1 + t) with t = g*u/(d^2*(d^2 + g + u)), formed from non-negative
 terms joined by one add, so it neither cancels nor overflows
-(_rate_offset), one log1p per node.  The Zb density's 1/sqrt pole at
-u = 0 is removed by integrating over Bob's offset y = sqrt(u) instead.
-At n nodes per interval the error falls as n^-4 (about 1e-12 relative at
-the default n = 1000).  Rows run in blocks, each summed alone by
+(_rate_offset), one log1p per node.  All four density pieces are plain
+intervals of u (_densities); the Zb density's integrable 1/sqrt(u) pole
+sits at the rule's left end.  Rows run in blocks, each summed alone by
 quad.integrate, so a power's bracket has the same bits in any array.
 Each bracket makes one term-sum call for both of its directions, the
 upper's rows first; where span = 1 (alpha = 0) the two directions are
@@ -82,7 +81,7 @@ def attenuation_span(scenario: Scenario, chan: ChannelParams) -> float:
     return math.exp(-2.0 * chan.attenuation * scenario.side_length)
 
 
-_BLOCK_ELEMENTS = 16384  # per row block: 16 rows at n = 1000; 64 save ~15% for 4x the memory
+_BLOCK_ELEMENTS = 16384  # per row block: 81 rows at n = 200, 16 at n = 1000; 4x were no faster
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
@@ -113,55 +112,35 @@ def _threshold_offset(u, d2: float, a, b, c, out=None, scratch=None):
         return np.divide(num, den, out=out)
 
 
-def _bob_density(scenario: Scenario, rule: QuadratureRule) -> tuple:
-    """(width, u, factors) of the Zb density on the rule, over Bob's offset y.
+def _densities(scenario: Scenario, rule: QuadratureRule) -> list:
+    """(width, u, density) of the Zb density and of each Zw branch on the rule, over its piece.
 
-    u = y^2 with y in [0, D/2] turns pdf(u) du into pdf(y^2) 2y dy, which
-    cancels the density's 1/sqrt(u) pole.  The density is still evaluated,
-    so a normalization check of it stays a check.
+    Zb's 1/sqrt(u) pole at u = 0 is integrable and sits at the rule's left
+    end, where its nodes reach x ~ 1e-37, so it needs no change of variable.
     """
-    y_max = 0.5 * scenario.side_length
-    y = y_max * rule.nodes
-    return y_max, y * y, (ZbDistribution(scenario.side_length).pdf(y * y), 2.0 * y)
-
-
-def _willie_densities(scenario: Scenario, rule: QuadratureRule) -> list:
-    """(width, u, factors) of each Zw density branch on the rule, over its piece."""
-    zw = ZwDistribution(scenario.side_length)
+    zb, zw = ZbDistribution(scenario.side_length), ZwDistribution(scenario.side_length)
     pieces = []
-    for (start, width), branch in zip(zw.pieces, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)):
-        hi = start + width
-        u = start + (hi - start) * rule.nodes
-        pieces.append((hi - start, u, (branch(u),)))
+    for (start, width), pdf in zip(((0.0, zb.support[1]), *zw.pieces),
+                                   (zb.pdf, zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)):
+        u = start + width * rule.nodes
+        pieces.append((width, u, pdf(u)))
     return pieces
 
 
 def _density_sum(rule: QuadratureRule, piece: tuple, value_of_u):
-    """Integral of value_of_u(u) against one density piece of _bob_density/_willie_densities.
+    """Integral of value_of_u(u) against one density piece of _densities.
 
     value_of_u returns a new (n,) or (k, n) array, k integrands, which is
-    multiplied by the piece's factors in order, in place; (k, n) gives k
-    row sums.
+    multiplied by the piece's density in place; (k, n) gives k row sums.
     """
-    width, u, factors = piece
+    width, u, density = piece
 
     def g(x):
         value = value_of_u(u)
-        for factor in factors:
-            value *= factor
+        value *= density
         return value
 
     return width * integrate(rule, g)
-
-
-def _bob_sum(scenario: Scenario, rule: QuadratureRule, value_of_u):
-    """Integrate value_of_u(u) against the Zb density; every row shares the nodes."""
-    return _density_sum(rule, _bob_density(scenario, rule), value_of_u)
-
-
-def _willie_sums(scenario: Scenario, rule: QuadratureRule, value_of_u) -> list:
-    """Integrate value_of_u(u) against each Zw density branch over its piece."""
-    return [_density_sum(rule, piece, value_of_u) for piece in _willie_densities(scenario, rule)]
 
 
 def _rows(eta_rho, bob_factor, willie_factor) -> list:
@@ -183,11 +162,11 @@ def _outage_rows(scenario: Scenario, target: SecrecyTarget, eta_rho, bob_factor,
     a/b, so it never reaches an end S with a <= b*(d^2 + S); u_S is +inf there.
     """
     d2 = scenario.waveguide_height ** 2
-    fr = target.threshold
+    fr, gap = target.threshold, target.threshold_minus_one
     eta_rho, a, willie = _rows(eta_rho, bob_factor, willie_factor)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        b = np.where((eta_rho > 0) & (fr < math.inf), (fr - 1.0) / eta_rho,
-                     math.inf if fr > 1.0 else 0.0)
+        b = np.where((eta_rho > 0) & (gap < math.inf), gap / eta_rho,
+                     math.inf if gap > 0.0 else 0.0)
         c = fr * willie
         k = a - b * d2 - c
         kinks = [np.where(a > b * (d2 + s), (s * (c + b * d2) - d2 * k) / (a - b * (d2 + s)),
@@ -276,10 +255,10 @@ def _rate_offset(gain, d2: float, u):
 def _moments(pieces: list, rule: QuadratureRule, d2: float, k_max: int) -> np.ndarray:
     """M_k = integral of w^k, w = u/(d^2 + u), for k = 1..k_max: one column per density piece.
 
-    Against each of `pieces` (_bob_density, _willie_densities) on the same
-    rule.  The powers come in blocks of at most _BLOCK_ELEMENTS elements;
-    each block's cumulative product starts from the last power of the block
-    before, so M_k has the same bits at any k_max.
+    Against each of `pieces` (_densities) on the same rule.  The powers
+    come in blocks of at most _BLOCK_ELEMENTS elements; each block's
+    cumulative product starts from the last power of the block before, so
+    M_k has the same bits at any k_max.
     """
     last = [1.0] * len(pieces)
     blocks = [np.empty((0, len(pieces)))]
@@ -330,7 +309,7 @@ def esc_term_sums(scenario: Scenario, rule: QuadratureRule, eta_rho, bob_factor,
     series = terms > 0
     sums = np.zeros((len(gains), 4))
     k_max = int(terms.max(initial=0.0))
-    pieces = [_bob_density(scenario, rule), *_willie_densities(scenario, rule)]
+    pieces = _densities(scenario, rule)
     moments = _moments(pieces, rule, d2, k_max) / np.arange(1.0, k_max + 1.0)[:, None]
     for k in range(k_max, 0, -1):
         sums = np.where(k <= terms, s * (moments[k - 1] + sums), 0.0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (_bob_sum, _willie_sums, esc_asymptotic, esc_bounds, sop_asymptotic,
+from .bounds import (_densities, _density_sum, esc_asymptotic, esc_bounds, sop_asymptotic,
                      sop_bounds)
 from .diststats import ZbDistribution, ZwDistribution, cdf_pdf_fd_gap, ks_statistic
 from .model import ChannelParams, Scenario, SecrecyTarget
@@ -53,8 +53,8 @@ _CONFIG_KEYS = {
     "target_rate_bps": ("number", None, 0.0, False),
     "bandwidth_hz": ("number", 1e6, 0.0, True),
     "snr_db_grid": ("grid", tuple(float(s) for s in range(-10, 55, 5)), None, False),
-    # below 100 nodes per interval the bounds err by more than 1e-6 (1.4 at n = 2)
-    "quadrature_n": ("int", 1000, 100, False),
+    # brackets vs n = 4000, property configs: 3.6e-15 at n = 200, 1.4e-10 at 100, 2.1 at 2
+    "quadrature_n": ("int", 200, 100, False),
     "mc_trials": ("int", 50000, 100, False),
     "mc_seed": ("int", 12345, 0, False),  # McConfig bounds it above, by 2^64
     "mc_chunk_size": ("int", 4096, 1, False),
@@ -353,8 +353,8 @@ def validate_stats(cfg: RunConfig, ks_samples: int = 200000) -> StatsReport:
         raise ValueError("ks_samples must be >= 1")
     zb, zw = ZbDistribution(cfg.scenario.side_length), ZwDistribution(cfg.scenario.side_length)
     rule = make_rule(_NORMALIZATION_NODES)
-    res_b = abs(_bob_sum(cfg.scenario, rule, np.ones_like) - 1.0)
-    res_w = abs(sum(_willie_sums(cfg.scenario, rule, np.ones_like)) - 1.0)
+    masses = [_density_sum(rule, piece, np.ones_like) for piece in _densities(cfg.scenario, rule)]
+    res_b, res_w = abs(masses[0] - 1.0), abs(sum(masses[1:]) - 1.0)
 
     b0, b1, b2, b3 = zw.breakpoints
     cont1 = abs(float(zw.cdf_piece1(b1)) - float(zw.cdf_piece2(b1)))

@@ -99,6 +99,11 @@ class SecrecyTarget:
         except OverflowError:
             return math.inf
 
+    @property
+    def threshold_minus_one(self) -> float:
+        """4^Rbar - 1 by expm1, which keeps a small Rbar's digits; +inf where `threshold` is."""
+        return math.expm1(self.rate * math.log(4.0)) if self.threshold < math.inf else math.inf
+
 
 def _tx_powers(tx_powers) -> np.ndarray:
     """A grid of transmit powers as a float array; each must be > 0, as a tx_power must."""

@@ -21,9 +21,10 @@ geometry and r = 1/(eta*P) from the power.  A block of powers, with r as
 a column, costs one multiply, one add and one divide per trial and power
 for t, and one log1p.  An outage is t < 4^Rbar - 1, which log1p does not
 round; the scale 1/(2 ln 2) is applied to the reduced sums once.  At
-rho = inf, r = 0 gives the exact high-SNR limit t = (Nw - Nb)/Nb.  Powers
-are measured in `_power_unit`, a power of two near the typical noise
-power, which keeps B inside the float range and changes no bit of t.
+rho = inf, r = 0 gives the exact high-SNR limit t = (Nw - Nb)/Nb, from
+the loss-free geometry.  Powers are measured in `_power_unit`, a power of
+two near the typical noise power, which keeps B inside the float range
+and changes no bit of t.
 
 Each worker thread writes a block's ratios, outage mask and squares into
 C-contiguous views of one workspace, made once per `_mc_sweep` call, so
@@ -36,6 +37,7 @@ single-kernel views.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -142,8 +144,10 @@ def _secrecy_ratio(r, a, b, c, out=None):
 
 def _secrecy_rate(geometry, scenario: Scenario, chan: ChannelParams, *positions):
     """Rb - Rw (bits/s/Hz) at chan.tx_power, from `geometry` at the broadcast positions."""
-    t = _secrecy_ratio(_inverse_gains(scenario, chan, chan.tx_power),
-                       *geometry(scenario, chan, *np.broadcast_arrays(*positions)))
+    r = _inverse_gains(scenario, chan, chan.tx_power)
+    if r == 0:  # rho = inf: the loss-free limit, as in _mc_sweep
+        chan = dataclasses.replace(chan, attenuation=0.0)
+    t = _secrecy_ratio(r, *geometry(scenario, chan, *np.broadcast_arrays(*positions)))
     return np.log1p(t) * _HALF_LOG2E
 
 
@@ -184,10 +188,14 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
     power; those are added up in fixed chunk order and scaled once.
     """
     inverse_gains = _inverse_gains(scenario, chan, tx_powers)[:, None]
-    try:  # Rb - Rw < Rbar exactly where t < 4^Rbar - 1
-        outage_below = math.expm1(target.rate * math.log(4.0))
-    except OverflowError:  # Rbar >= 512: certain outage, as SecrecyTarget.threshold says
-        outage_below = math.inf
+    # rho = inf (r = 0) takes t = (Nw - Nb)/Nb from the loss-free geometry: the loss cancels
+    # from the limit, and the PA's underflows to 0 beyond alpha*(x1 + D/2) ~ 372 (A/C = 0/0).
+    # The rows go in runs (chan, start, stop) of one kind, each with its own geometry
+    limit, loss_free = inverse_gains[:, 0] == 0, dataclasses.replace(chan, attenuation=0.0)
+    edges = [0, *(np.flatnonzero(limit[1:] != limit[:-1]) + 1).tolist(), limit.size]
+    runs = [(loss_free if limit[start] else chan, start, stop)
+            for start, stop in zip(edges, edges[1:]) if start < stop]
+    below = target.threshold_minus_one  # Rb - Rw < Rbar exactly where t < 4^Rbar - 1
     size_max = min(cfg.chunk_size, cfg.trials)
     step = max(1, _BLOCK_ELEMENTS // size_max)
     capacity = min(step, len(inverse_gains)) * size_max
@@ -203,16 +211,17 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
         positions = _chunk_positions(scenario, cfg, k)
         sums = np.empty((len(inverse_gains), len(kernels), 3))
         for j, geometry in enumerate(kernels):
-            terms = geometry(scenario, chan, *positions)
-            for lo in range(0, len(inverse_gains), step):
-                rows = slice(lo, lo + step)
-                r = inverse_gains[rows]
-                ts, squares, mask = block_views(len(r), len(positions[0]))
-                _secrecy_ratio(r, *terms, ts)
-                sums[rows, j, 0] = np.count_nonzero(np.less(ts, outage_below, out=mask), axis=1)
-                logs = np.log1p(ts, out=ts)
-                sums[rows, j, 1] = np.sum(logs, axis=1)
-                sums[rows, j, 2] = np.sum(np.multiply(logs, logs, out=squares), axis=1)
+            for run_chan, start, stop in runs:
+                terms = geometry(scenario, run_chan, *positions)
+                for lo in range(start, stop, step):
+                    rows = slice(lo, min(lo + step, stop))
+                    r = inverse_gains[rows]
+                    ts, squares, mask = block_views(len(r), len(positions[0]))
+                    _secrecy_ratio(r, *terms, ts)
+                    sums[rows, j, 0] = np.count_nonzero(np.less(ts, below, out=mask), axis=1)
+                    logs = np.log1p(ts, out=ts)
+                    sums[rows, j, 1] = np.sum(logs, axis=1)
+                    sums[rows, j, 2] = np.sum(np.multiply(logs, logs, out=squares), axis=1)
         return sums
 
     count, s, s2 = np.moveaxis(sum(_map_chunks(chunk_sums, cfg, workers)), -1, 0)  # chunk order

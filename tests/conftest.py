@@ -76,12 +76,12 @@ def outage_coefficients(chan, target, bob_factor, willie_factor):
     and at Rbar = 0, and +inf for Rbar > 0 where eta*rho underflows to 0 or
     4^Rbar overflows.  bounds._outage_rows forms them on arrays, with these bits.
     """
-    fr = target.threshold
+    fr, gap = target.threshold, target.threshold_minus_one
     eta_rho = chan.eta * chan.rho
-    if eta_rho > 0 and fr < math.inf:
-        b = (fr - 1.0) / eta_rho
+    if eta_rho > 0 and gap < math.inf:
+        b = gap / eta_rho
     else:
-        b = math.inf if fr > 1.0 else 0.0
+        b = math.inf if gap > 0.0 else 0.0
     return bob_factor, b, fr * willie_factor
 
 

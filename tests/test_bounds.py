@@ -179,7 +179,9 @@ class TestOutageKinks:
         assert (pair.lower, pair.upper) == (1.0, 1.0)
 
     def test_no_node_at_or_beyond_saturation(self, scenario, target, rule_1000, monkeypatch):
-        # past u_1 F_Zb(threshold) is 1: that mass is a CDF difference, not nodes
+        # past u_1 F_Zb(threshold) is 1: that mass is a CDF difference, not
+        # nodes; below u_0 it is 0.  Nodes may round onto either end: at
+        # x ~ 1e-37 lo + width*x is lo, and at x = 1 - 2^-52 it can be lo + width
         seen = []
         offset = bounds._threshold_offset
         monkeypatch.setattr(bounds, "_threshold_offset",
@@ -192,7 +194,7 @@ class TestOutageKinks:
                     scenario, *outage_coefficients(chan, target, *direction))
                 bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)], *direction)
                 nodes = np.concatenate([u.ravel() for u in seen])
-                assert np.all((u_0 < nodes) & (nodes < u_1)), (chan.rho, direction)
+                assert np.all((u_0 <= nodes) & (nodes <= u_1)), (chan.rho, direction)
             # lower side at rho = inf: u_1 lies in piece 1, so pieces 2 and 3 need no node
             assert u_1 < quarter
             assert nodes.size == rule_1000.n and np.all(nodes < u_1)
@@ -665,9 +667,12 @@ class TestSopKernel:
 def quadrature_term_sums(scenario, rule, gains):
     """esc_term_sums rows by the quadrature of _rate_offset alone, one per (bob, willie) gain."""
     d2 = scenario.waveguide_height ** 2
-    return np.array([[bounds._bob_sum(scenario, rule, lambda u: bounds._rate_offset(bob, d2, u)),
-                      *bounds._willie_sums(scenario, rule,
-                                           lambda u: bounds._rate_offset(willie, d2, u))]
+    bob_piece, *willie_pieces = bounds._densities(scenario, rule)
+    return np.array([[bounds._density_sum(rule, bob_piece,
+                                          lambda u: bounds._rate_offset(bob, d2, u)),
+                      *(bounds._density_sum(rule, piece,
+                                            lambda u: bounds._rate_offset(willie, d2, u))
+                        for piece in willie_pieces)]
                      for bob, willie in gains])
 
 

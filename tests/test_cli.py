@@ -63,7 +63,7 @@ class TestConfigFromDict:
         assert cfg.target.rate == 0.01
         assert cfg.snr_db_grid == tuple(float(s) for s in range(-10, 55, 5))
         assert len(cfg.snr_db_grid) == 13
-        assert cfg.quadrature_n == 1000
+        assert cfg.quadrature_n == 200
         assert (cfg.mc.trials, cfg.mc.seed, cfg.mc.chunk_size) == (50000, 12345, 4096)
         assert cfg.workers == 1
         assert cfg.output_path is None

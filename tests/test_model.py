@@ -96,6 +96,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             ps.SecrecyTarget(rate=-0.1)
 
+    def test_secrecy_target_threshold_minus_one(self):
+        # 4^0.01 - 1 from mpmath at 30 digits; 4.0**0.01 - 1.0 cancels to ~3e-15 relative
+        exact = 0.0139594797900291386901659996283
+        assert ps.SecrecyTarget(rate=0.01).threshold_minus_one == pytest.approx(exact, rel=2e-16)
+        assert abs((4.0 ** 0.01 - 1.0) - exact) > 1e-15 * exact
+        assert ps.SecrecyTarget(rate=0.0).threshold_minus_one == 0.0
+        assert ps.SecrecyTarget(rate=511).threshold_minus_one == pytest.approx(2.0 ** 1022,
+                                                                               rel=1e-13)
+        for rate in (512, 600):  # +inf wherever the threshold is
+            assert ps.SecrecyTarget(rate=rate).threshold_minus_one == math.inf
+
 
 class TestPaPosition:
     # the radiator sits above Bob at (x1, 0, d): Bob's rate is

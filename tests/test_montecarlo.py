@@ -408,6 +408,29 @@ class TestInfinitePower:
         for sweep in certain:
             assert np.all(sweep[:, :, 0] == [1.0, 0.0])
 
+    def test_underflowed_loss_takes_the_loss_free_limit(self, scenario, target):
+        # at alpha = 20 the PA's loss exp(-2 alpha (x1 + D/2)) underflows to 0
+        # beyond x1 + D/2 ~ 18.6 m, where A/C would read 0/0.  At rho = inf
+        # the limit t = (Nw - Nb)/Nb holds at any loss, and it is taken from
+        # the loss-free geometry: bit for bit what alpha = 0 (loss 1) gives
+        cfg = ps.McConfig(trials=2000)
+        far = (12.0, -5.0, 1.0, 2.0)  # Bob 24.5 m along the guide
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lossy, lossless = (montecarlo._mc_sweep(scenario, ps.ChannelParams(attenuation=alpha),
+                                                    [1e8, math.inf], target, cfg)
+                               for alpha in (20.0, 0.0))
+            rates = [montecarlo.pa_secrecy_rate(
+                scenario, ps.ChannelParams(attenuation=alpha, tx_power=math.inf), *far)
+                for alpha in (20.0, 0.0)]
+        assert np.all(np.isfinite(lossy[1]))
+        assert lossy[1].tobytes() == lossless[1].tobytes()
+        assert math.isfinite(rates[0]) and rates[0] == rates[1]
+        # the finite power keeps its loss and its bits: (sop, esc) x (mean, SE), PA then FA
+        assert lossy[0].tolist() == [
+            [[0.997, 0.0012229063741758816], [0.0017999640062394027, 0.00094668942255057]],
+            [[0.4975, 0.011180200132376878], [0.01272761473932809, 0.015174927785546792]]]
+
 
 class TestStatisticalBehavior:
     def test_agrees_with_exact_point_when_bounds_collapse(self, scenario, target, rule_1000):

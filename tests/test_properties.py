@@ -29,6 +29,7 @@ import math
 import numpy as np
 import pytest
 
+import pinchsec as ps
 from pinchsec import cli
 
 TRIALS = 20000
@@ -96,6 +97,32 @@ def test_random_config_properties(data):
 
     report = cli.validate_stats(cfg, ks_samples=20000)
     assert report.passed, str(report)
+
+
+def _brackets(cfg, alpha, rule):
+    """cfg's SOP and ESC brackets over its grid, and their saturation levels, at alpha."""
+    chan = dataclasses.replace(cfg.channel, attenuation=alpha)
+    sop = ps.sop_bounds(cfg.scenario, chan, cfg.tx_powers, cfg.target, rule)
+    esc = ps.esc_bounds(cfg.scenario, chan, cfg.tx_powers, rule)
+    sop_asym = ps.sop_asymptotic(cfg.scenario, chan, cfg.target, rule)
+    esc_asym = ps.esc_asymptotic(cfg.scenario, chan, rule)
+    return np.concatenate([sop.lower, sop.upper, esc.lower, esc.upper,
+                           [sop_asym.lower, sop_asym.upper, esc_asym.lower, esc_asym.upper]])
+
+
+def test_default_node_count_is_converged():
+    # at every config and both attenuations, the brackets on the default
+    # quadrature_n lie within 1e-13 of those on 4000 nodes
+    reference = ps.make_rule(4000)
+    worst = (0.0, "")
+    for data in CONFIGS:
+        cfg = cli.config_from_dict(data)
+        rule = ps.make_rule(cfg.quadrature_n)
+        for alpha in (cfg.attenuation, 0.0):
+            err = float(np.max(np.abs(_brackets(cfg, alpha, rule)
+                                      - _brackets(cfg, alpha, reference))))
+            worst = max(worst, (err, _ids([data])[0] + f",alpha={alpha:.3g}"))
+    assert worst[0] <= 1e-13, worst
 
 
 @pytest.mark.parametrize("c", (2.0, 3.0, 0.1))
