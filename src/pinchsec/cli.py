@@ -7,7 +7,7 @@ transmit SNR rho: one channel and one array of transmit powers, whose
 columns form one table, one record per row.  The `sweep` subcommand
 writes the records as CSV; `sop` and `esc` print column selections of
 them; `mc-only` prints the Monte Carlo engine's output directly, which
-also allows unequal noise levels.  `workers` sizes the engine's chunk
+also allows unequal noise levels.  `workers` sizes the engine's slab
 pool.  Output is data only; plotting is left to external tools.
 """
 

@@ -172,16 +172,22 @@ class ZwDistribution:
         return (x1 - x2) ** 2 + y2 ** 2
 
 
-def _draw_positions(rng, side_length, n):
-    """Canonical position draw order shared by every sampler in the package."""
+def _draw_positions(rng, side_length, n, out=None):
+    """Canonical position draw order shared by every sampler in the package.
+
+    The rows x1, x2, y1, y2 of a (4, n) array, `out` if given (each row
+    contiguous), each with the bits of rng.uniform(-h, h, n), h = D/2.
+    """
     if n < 1:
         raise ValueError("need at least one sample")
     h = side_length / 2.0
-    x1 = rng.uniform(-h, h, n)
-    x2 = rng.uniform(-h, h, n)
-    y1 = rng.uniform(-h, h, n)
-    y2 = rng.uniform(-h, h, n)
-    return x1, x2, y1, y2
+    if out is None:
+        out = np.empty((4, n))
+    for row in out:
+        rng.random(out=row)
+    out *= h - (-h)  # as uniform: low + (high - low)*u
+    out += -h
+    return out
 
 
 def ks_statistic(samples, cdf) -> float:

@@ -26,13 +26,30 @@ the loss-free geometry.  Powers are measured in `_power_unit`, a power of
 two near the typical noise power, which keeps B inside the float range
 and changes no bit of t.
 
-Each worker thread writes a block's ratios, outage mask and squares into
-C-contiguous views of one workspace, made once per `_mc_sweep` call, so
-no block allocates temporaries, which at the default chunk (128 KiB,
-glibc's mmap threshold) were page-faulted afresh every block.  The means
-and standard errors are formed on arrays, whose divide, multiply and sqrt
-round as Python's do.  The public `mc_*` functions are its single-power,
-single-kernel views.
+The worker pool's task is a slab: a run of consecutive full chunks of at
+most _SLAB_TRIALS trials together (one chunk if a chunk is larger), or
+the ragged last chunk alone.  A slab draws each chunk's positions from
+that chunk's own stream into the chunk's columns, forms each kernel's
+(A, B, C) in place over the whole slab, and evaluates t for blocks of
+powers across the slab's width, at most 4*_SLAB_TRIALS ratios (four
+rows of a full slab) at once.  Each chunk's count,
+sum of log1p(t) and sum of squares are reduced from a C-contiguous
+(rows, chunks, chunk_size) view along its last axis, with the bits of a
+chunk reduced alone, and added up in chunk order.  The tasks are slabs,
+not chunks, because every numpy call releases and retakes the GIL: with
+calls of a few thousand elements, two threads spend their time handing
+the lock back and forth and run slower than one.  A slab of four default
+chunks makes the geometry's and the blocks' calls once, over four times
+the elements; only the draws stay per chunk.
+
+Each worker thread holds one workspace per `_mc_sweep` call, one buffer
+of (7 + rows) widths of floats and a byte mask: the positions' 4 rows,
+A, B and C, then the block of ratios, whose first row is the geometry's
+scratch.  No block or slab allocates an array of trials, which at the
+default chunk (128 KiB, glibc's mmap threshold) were page-faulted afresh
+every block.  The means and standard errors are formed on arrays, whose
+divide, multiply and sqrt round as Python's do.  The public `mc_*`
+functions are its single-power, single-kernel views.
 """
 
 from __future__ import annotations
@@ -45,11 +62,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _BLOCK_ELEMENTS
 from .diststats import _draw_positions
 # los_rate is imported for bench/tracer.py, which patches pinchsec.montecarlo.los_rate
 from .model import (_HALF_LOG2E, ChannelParams, Scenario, SecrecyTarget, _tx_powers,  # noqa: F401
                     los_rate)
+
+_SLAB_TRIALS = 16384  # trials per pool task, and a quarter of a block of ratios
 
 
 @dataclass(frozen=True)
@@ -78,10 +96,11 @@ class McEstimate:
     trials: int
 
 
-def _chunk_positions(scenario: Scenario, cfg: McConfig, k: int):
+def _chunk_positions(scenario: Scenario, cfg: McConfig, k: int, out=None):
+    """Chunk k's (x1, x2, y1, y2), drawn from its own stream (seed, spawn_key=(k,)) into `out`."""
     size = min(cfg.chunk_size, cfg.trials - k * cfg.chunk_size)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k,)))
-    return _draw_positions(rng, scenario.side_length, size)
+    return _draw_positions(rng, scenario.side_length, size, out)
 
 
 def _power_unit(scenario: Scenario, chan: ChannelParams) -> float:
@@ -96,34 +115,62 @@ def _power_unit(scenario: Scenario, chan: ChannelParams) -> float:
     return math.ldexp(1.0, exponent // 2 - 1)
 
 
-def _ratio_terms(loss, noise_b, noise_w):
-    """(A, B, C) = ((Nw - Nb)*loss, Nb*Nw, Nb*loss), A and C written over the fresh noise arrays.
+def _noise_power(out, scale, d2, u, v=None, scratch=None):
+    """((u^2 + v^2) + d^2)*scale, a noise power in `_power_unit`, written into `out`.
 
-    The noise arrays and the loss share one shape: the positions they come
-    from are broadcast to one shape first.
+    v^2 is formed in `scratch`; without v the sum is u^2 + d^2.
     """
-    b = noise_b * noise_w
+    np.multiply(u, u, out=out)
+    if v is not None:
+        out += np.multiply(v, v, out=scratch)
+    out += d2
+    out *= scale
+    return out
+
+
+def _ratio_terms(noise_w, b, noise_b, loss=None):
+    """(A, B, C) = ((Nw - Nb)*loss, Nb*Nw, Nb*loss): B into `b`, A and C over the noise rows."""
+    np.multiply(noise_b, noise_w, out=b)
     noise_w -= noise_b
-    noise_w *= loss
-    noise_b *= loss
+    if loss is not None:
+        noise_w *= loss
+        noise_b *= loss
     return noise_w, b, noise_b
 
 
-def _pa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
-    """The PA's (A, B, C): both links pay the guided loss of the travel x1 + D/2."""
-    d2 = scenario.waveguide_height ** 2
-    unit = _power_unit(scenario, chan)
-    loss = np.exp(-2.0 * chan.attenuation * (x1 + scenario.side_length / 2.0))
-    return _ratio_terms(loss, (y1 ** 2 + d2) * (chan.noise_bob / unit),
-                        ((x1 - x2) ** 2 + y2 ** 2 + d2) * (chan.noise_willie / unit))
+def _terms_rows(out, x1):
+    """The rows of `out`, or of a new (4, *shape) array: A, B and C, then a scratch row.
+
+    Each row is an array, 0-d for scalar positions, so it can take `out=`.
+    """
+    if out is None:
+        out = np.empty((4,) + np.shape(x1))
+    return [out[k, ...] for k in range(4)]
 
 
-def _fa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
+def _pa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2, out=None):
+    """The PA's (A, B, C): both links pay the guided loss of the travel x1 + D/2.
+
+    Written into the first three rows of `out` (`_terms_rows`); the loss
+    takes the fourth.
+    """
+    noise_w, b, noise_b, loss = _terms_rows(out, x1)
+    d2, unit = scenario.waveguide_height ** 2, _power_unit(scenario, chan)
+    _noise_power(noise_w, chan.noise_willie / unit, d2, np.subtract(x1, x2, out=noise_w), y2,
+                 loss)
+    _noise_power(noise_b, chan.noise_bob / unit, d2, y1)
+    np.add(x1, scenario.side_length / 2.0, out=loss)
+    loss *= -2.0 * chan.attenuation
+    return _ratio_terms(noise_w, b, noise_b, np.exp(loss, out=loss))
+
+
+def _fa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2, out=None):
     """The same for the fixed antenna at (0, 0, d), which has no guided loss (loss = 1)."""
-    d2 = scenario.waveguide_height ** 2
-    unit = _power_unit(scenario, chan)
-    return _ratio_terms(1.0, (x1 ** 2 + y1 ** 2 + d2) * (chan.noise_bob / unit),
-                        (x2 ** 2 + y2 ** 2 + d2) * (chan.noise_willie / unit))
+    noise_w, b, noise_b, scratch = _terms_rows(out, x1)
+    d2, unit = scenario.waveguide_height ** 2, _power_unit(scenario, chan)
+    _noise_power(noise_w, chan.noise_willie / unit, d2, x2, y2, scratch)
+    _noise_power(noise_b, chan.noise_bob / unit, d2, x1, y1, scratch)
+    return _ratio_terms(noise_w, b, noise_b)
 
 
 def _inverse_gains(scenario: Scenario, chan: ChannelParams, tx_powers) -> np.ndarray:
@@ -166,12 +213,16 @@ def fa_secrecy_rate(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
     return _secrecy_rate(_fa_geometry, scenario, chan, x1, x2, y1, y2)
 
 
-def _map_chunks(fn, cfg: McConfig, workers: int) -> list:
-    ks = range(cfg.n_chunks)
-    if workers <= 1:
-        return [fn(k) for k in ks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, ks))
+def _slabs(cfg: McConfig) -> list:
+    """The pool's tasks (first chunk, chunks, chunk size): runs of full chunks, then the ragged one.
+
+    A run holds at most _SLAB_TRIALS trials, or one chunk where a chunk is
+    larger.
+    """
+    full, rest = divmod(cfg.trials, cfg.chunk_size)
+    per_slab = max(1, _SLAB_TRIALS // cfg.chunk_size)
+    slabs = [(k, min(per_slab, full - k), cfg.chunk_size) for k in range(0, full, per_slab)]
+    return slabs + [(full, 1, rest)] if rest else slabs
 
 
 def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: SecrecyTarget,
@@ -180,12 +231,13 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
     """(sop, esc) x (mean, std_error) of each kernel at each of tx_powers, from one pass.
 
     An array of shape (powers, kernels, 2, 2); with the default kernels a
-    power's rows are PA, then FA.  chan.tx_power is not used.  Each chunk's
-    positions are drawn once, and each kernel forms its rho-free (A, B, C)
-    from them once.  The ratios t of a block of powers, at most
-    _BLOCK_ELEMENTS at once, are then reduced row-wise to an outage count
-    (exact in a float), a sum of log1p(t) and a sum of its squares per
-    power; those are added up in fixed chunk order and scaled once.
+    power's rows are PA, then FA.  chan.tx_power is not used.  Each slab's
+    positions are drawn once, chunk by chunk, and each kernel forms its
+    rho-free (A, B, C) from them once.  The ratios t of a block of powers
+    over the whole slab, at most 4*_SLAB_TRIALS at once, are then
+    reduced per power and chunk to an outage count (exact in a float), a
+    sum of log1p(t) and a sum of its squares; those are added up in fixed
+    chunk order and scaled once.
     """
     inverse_gains = _inverse_gains(scenario, chan, tx_powers)[:, None]
     # rho = inf (r = 0) takes t = (Nw - Nb)/Nb from the loss-free geometry: the loss cancels
@@ -196,35 +248,56 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
     runs = [(loss_free if limit[start] else chan, start, stop)
             for start, stop in zip(edges, edges[1:]) if start < stop]
     below = target.threshold_minus_one  # Rb - Rw < Rbar exactly where t < 4^Rbar - 1
-    size_max = min(cfg.chunk_size, cfg.trials)
-    step = max(1, _BLOCK_ELEMENTS // size_max)
-    capacity = min(step, len(inverse_gains)) * size_max
+    slabs = _slabs(cfg)
+    width_max = max(n * size for _, n, size in slabs)
+    step = max(1, 4 * _SLAB_TRIALS // width_max)  # rows per block
+    rows_max = max(1, min(step, len(inverse_gains)))
+    floats = (7 + rows_max) * width_max
     local = threading.local()  # this call's workspace of each worker thread
 
-    def block_views(rows: int, size: int):
-        """(ratios, squares, mask) as C-contiguous (rows, size) views of the workspace."""
-        if not hasattr(local, "buffers"):
-            local.buffers = (np.empty(capacity), np.empty(capacity), np.empty(capacity, bool))
-        return tuple(buf[:rows * size].reshape(rows, size) for buf in local.buffers)
+    def workspace(width: int):
+        """(positions, terms, ratios, mask) for a slab `width` trials wide: views of one buffer.
 
-    def chunk_sums(k):
-        positions = _chunk_positions(scenario, cfg, k)
-        sums = np.empty((len(inverse_gains), len(kernels), 3))
+        Floats: the positions' 4 rows, then A, B, C, then a block of
+        ratios; the terms' scratch row is the block's first row, free while
+        a geometry runs.  The block's outage mask follows as bytes.
+        """
+        if not hasattr(local, "buffer"):
+            local.buffer = np.empty(8 * floats + rows_max * width_max, np.uint8)
+        values = local.buffer[:8 * floats].view(float)
+        return (values[:4 * width].reshape(4, width),
+                values[4 * width_max:4 * width_max + 4 * width].reshape(4, width),
+                values[7 * width_max:], local.buffer[8 * floats:].view(bool))
+
+    def slab_sums(slab):
+        """One (powers, kernels, 3) array of sums per chunk of the slab, in chunk order."""
+        first, n_chunks, size = slab
+        width = n_chunks * size
+        positions, terms, ratios, mask = workspace(width)
+        for i in range(n_chunks):
+            _chunk_positions(scenario, cfg, first + i, positions[:, i * size:(i + 1) * size])
+        sums = np.empty((len(inverse_gains), len(kernels), 3, n_chunks))
         for j, geometry in enumerate(kernels):
             for run_chan, start, stop in runs:
-                terms = geometry(scenario, run_chan, *positions)
+                a, b, c = geometry(scenario, run_chan, *positions, terms)
                 for lo in range(start, stop, step):
                     rows = slice(lo, min(lo + step, stop))
                     r = inverse_gains[rows]
-                    ts, squares, mask = block_views(len(r), len(positions[0]))
-                    _secrecy_ratio(r, *terms, ts)
-                    sums[rows, j, 0] = np.count_nonzero(np.less(ts, below, out=mask), axis=1)
-                    logs = np.log1p(ts, out=ts)
-                    sums[rows, j, 1] = np.sum(logs, axis=1)
-                    sums[rows, j, 2] = np.sum(np.multiply(logs, logs, out=squares), axis=1)
-        return sums
+                    ts = _secrecy_ratio(r, a, b, c, ratios[:len(r) * width].reshape(len(r), width))
+                    # a C-contiguous (rows, chunks, size) view: each chunk is reduced on its own
+                    ts = ts.reshape(len(r), n_chunks, size)
+                    outage = np.less(ts, below, out=mask[:ts.size].reshape(ts.shape))
+                    sums[rows, j, 0] = np.count_nonzero(outage, axis=-1)
+                    np.sum(np.log1p(ts, out=ts), axis=-1, out=sums[rows, j, 1])
+                    np.sum(np.multiply(ts, ts, out=ts), axis=-1, out=sums[rows, j, 2])
+        return np.moveaxis(sums, -1, 0)
 
-    count, s, s2 = np.moveaxis(sum(_map_chunks(chunk_sums, cfg, workers)), -1, 0)  # chunk order
+    if workers <= 1:
+        done = [slab_sums(slab) for slab in slabs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(slab_sums, slabs))
+    count, s, s2 = np.moveaxis(sum(chunk for sums in done for chunk in sums), -1, 0)  # chunk order
     s, s2 = s * _HALF_LOG2E, s2 * (_HALF_LOG2E * _HALF_LOG2E)
     n = cfg.trials
     p = count / n

@@ -85,7 +85,8 @@ class TestReproducibility:
                                      for est in (view(chan_at(power), 1) for view in views)]
 
     def test_views_evaluate_only_their_kernel(self, scenario, target, monkeypatch):
-        # a view forms its own kernel's geometry once per chunk, and one
+        # a view forms its own kernel's geometry once per slab (2000 trials
+        # at chunk 512: three full chunks, then the ragged one), and one
         # block of rates from it; the other kernel is never formed
         calls = {"_pa_geometry": 0, "_fa_geometry": 0, "_secrecy_ratio": 0}
 
@@ -100,12 +101,13 @@ class TestReproducibility:
         for name in calls:
             monkeypatch.setattr(montecarlo, name, counted(name))
         cfg = small_cfg()
+        slabs = len(montecarlo._slabs(cfg))
+        assert slabs == 2
         ps.mc_sop_pa(scenario, chan_at(1e4), target, cfg)
-        assert calls == {"_pa_geometry": cfg.n_chunks, "_fa_geometry": 0,
-                         "_secrecy_ratio": cfg.n_chunks}
+        assert calls == {"_pa_geometry": slabs, "_fa_geometry": 0, "_secrecy_ratio": slabs}
         ps.mc_esc_fa(scenario, chan_at(1e4), cfg)
-        assert calls == {"_pa_geometry": cfg.n_chunks, "_fa_geometry": cfg.n_chunks,
-                         "_secrecy_ratio": 2 * cfg.n_chunks}
+        assert calls == {"_pa_geometry": slabs, "_fa_geometry": slabs,
+                         "_secrecy_ratio": 2 * slabs}
 
     def test_seed_changes_result(self, scenario, target):
         chan = chan_at(1e8)
@@ -259,25 +261,33 @@ KERNEL_REFERENCE = {
 
 class TestBatchedEngine:
     @pytest.mark.parametrize("trials, chunk_size, rows_per_block", [
-        (2700, 1000, 16),    # two full blocks and a short one; a short last chunk
-        (20000, 16384, 1),   # one row per block
-        (150, 4096, 109),    # one chunk shorter than chunk_size; all rows in one block
+        (2700, 1000, 32),    # a slab of two chunks, then a short last chunk alone
+        (34567, 1000, 4),    # slabs of 16, 16 and 2 chunks, then a ragged chunk; a last 1-row block
+        (16384, 4096, 4),    # exactly one slab
+        (16385, 4096, 4),    # one slab, then a one-trial chunk
+        (20000, 16384, 4),   # chunks of one slab each, then a short last chunk
+        (50000, 40000, 1),   # chunks larger than a slab: one chunk per slab, one row per block
+        (150, 1, 436),       # 150 one-trial chunks in one slab; all rows in one block
+        (150, 4096, 436),    # one chunk shorter than chunk_size
     ])
     def test_bit_identical_to_per_channel_oracle(self, scenario, trials, chunk_size,
                                                  rows_per_block):
         # 21 rows, alpha > 0 and unequal noise; the grid straddles the PA
         # and FA outage edges so every count and sum is nontrivial.  The
-        # engine runs each block in views of its thread's workspace, so
-        # blocks of every shape must reuse it with the bits of the oracle
+        # engine runs each slab of chunks in views of its thread's
+        # workspace and reduces each chunk from a (rows, chunks, size) view,
+        # so slabs and blocks of every shape must give the oracle's bits
         target = ps.SecrecyTarget(rate=0.05)
         chans = [ps.ChannelParams(attenuation=0.05, tx_power=10 ** (db / 10.0),
                                   noise_bob=2.0, noise_willie=0.5)
                  for db in np.linspace(20.0, 90.0, 21)]
         cfg = ps.McConfig(trials=trials, seed=2024, chunk_size=chunk_size)
-        assert montecarlo._BLOCK_ELEMENTS // min(chunk_size, trials) == rows_per_block
+        widths = [n * size for _, n, size in montecarlo._slabs(cfg)]
+        assert sum(widths) == trials
+        assert 4 * montecarlo._SLAB_TRIALS // max(widths) == rows_per_block
         want = _oracle_sweep(scenario, chans, target, cfg)
         assert len({est[0] for row in want for kernel in row for est in kernel}) > 30
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             # the engine's reduction on arrays, bit for bit, against Python's floats
             assert montecarlo._mc_sweep(scenario, chans[0], [chan.tx_power for chan in chans],
                                         target, cfg, workers).tolist() == want
@@ -347,6 +357,22 @@ class TestBatchedEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 2e6, peak
+
+    def test_pool_memory_stays_bounded(self, scenario, target):
+        # mc-deep's shape on two threads: each holds one workspace (four
+        # rows of positions, the three terms and a 4-row block of ratios of
+        # a 16384-trial slab, ~1.4 MiB); the per-chunk sums are small
+        powers = [10 ** (db / 10.0) for db in (40.0, 45.0, 50.0, 55.0, 60.0)]
+        cfg = ps.McConfig(trials=1000000, seed=5, chunk_size=4096)
+        montecarlo._mc_sweep(scenario, chan_at(1.0), powers[:1], target, small_cfg(), 2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg, 2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20, peak
 
 
 class TestDegenerateGeometry:
