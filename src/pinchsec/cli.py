@@ -414,7 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated dB grid, e.g. 0,10,20")
     common.add_argument("--alpha", dest="attenuation_alpha", type=float,
                         help="attenuation in nepers/m")
-    common.add_argument("--workers", type=int, help="Monte Carlo chunk workers")
+    common.add_argument("--workers", type=int,
+                        help="Monte Carlo threads, each taking slabs of whole chunks")
     for name, help_text in (
             ("sweep", "bounds + asymptotes + Monte Carlo over the grid, to CSV"),
             ("sop", "outage bounds and Monte Carlo per grid point"),

@@ -175,16 +175,16 @@ class ZwDistribution:
 def _draw_positions(rng, side_length, n, out=None):
     """Canonical position draw order shared by every sampler in the package.
 
-    The rows x1, x2, y1, y2 of a (4, n) array, `out` if given (each row
-    contiguous), each with the bits of rng.uniform(-h, h, n), h = D/2.
+    The rows x1, x2, y1, y2 of a (4, n) array, `out` if given (C-contiguous),
+    each with the bits of rng.uniform(-h, h, n), h = D/2: one fill of the
+    whole array draws the rows' uniforms in row order.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     h = side_length / 2.0
     if out is None:
         out = np.empty((4, n))
-    for row in out:
-        rng.random(out=row)
+    rng.random(out=out)
     out *= h - (-h)  # as uniform: low + (high - low)*u
     out += -h
     return out

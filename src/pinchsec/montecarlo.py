@@ -2,13 +2,15 @@
 
 Unlike the analytical bounds, every trial applies the exact guided loss
 exp(-2*alpha*(x1 + D/2)) for the sampled Bob position.  Trials are split
-into fixed-size chunks; chunk k draws from a child stream spawned from
-(seed, k) and partial results are reduced in chunk order, so estimates
-are bit-identical for a given (seed, trials, chunk_size) at any worker
-count.  The positions depend neither on rho nor on the estimator, so
-`_mc_sweep`, over one channel and an array of transmit powers, draws each
-chunk once and forms each requested kernel's (PA, FA or both) rho-free
-geometry from it once; PA and FA see common random numbers.
+into fixed-size chunks; chunk k draws from the child stream
+SeedSequence(seed).spawn(n_chunks)[k], which has the state of
+SeedSequence(entropy=seed, spawn_key=(k,)), and partial results are
+reduced in chunk order, so estimates are bit-identical for a given
+(seed, trials, chunk_size) at any worker count.  The positions depend
+neither on rho nor on the estimator, so `_mc_sweep`, over one channel
+and an array of transmit powers, draws each chunk once and forms each
+requested kernel's (PA, FA or both) rho-free geometry from it once; PA
+and FA see common random numbers.
 
 The secrecy rate is one log1p of one ratio.  With S = eta*P*loss and the
 noise powers Nb = zb*sigma_b^2, Nw = zw*sigma_w^2,
@@ -29,27 +31,28 @@ and changes no bit of t.
 The worker pool's task is a slab: a run of consecutive full chunks of at
 most _SLAB_TRIALS trials together (one chunk if a chunk is larger), or
 the ragged last chunk alone.  A slab draws each chunk's positions from
-that chunk's own stream into the chunk's columns, forms each kernel's
-(A, B, C) in place over the whole slab, and evaluates t for blocks of
-powers across the slab's width, at most 4*_SLAB_TRIALS ratios (four
-rows of a full slab) at once.  Each chunk's count,
-sum of log1p(t) and sum of squares are reduced from a C-contiguous
-(rows, chunks, chunk_size) view along its last axis, with the bits of a
-chunk reduced alone, and added up in chunk order.  The tasks are slabs,
-not chunks, because every numpy call releases and retakes the GIL: with
-calls of a few thousand elements, two threads spend their time handing
-the lock back and forth and run slower than one.  A slab of four default
-chunks makes the geometry's and the blocks' calls once, over four times
-the elements; only the draws stay per chunk.
+that chunk's own stream, spawned once per call, with one fill of the
+chunk's (4, size) block; it then forms each kernel's (A, B, C) in place
+as (chunks, size) rows over the whole slab, and evaluates t for blocks
+of powers across the slab's width: four rows of a full slab, or every
+row at once where the grid fits in five.  Each chunk's outage count (a
+byte sum), sum of log1p(t) and sum of squares are reduced from the
+C-contiguous (rows, chunks, size) block along its last axis, with the
+bits of a chunk reduced alone, and added up in chunk order.  The tasks
+are slabs, not chunks, because every numpy call releases and retakes the
+GIL: with calls of a few thousand elements, two threads spend their time
+handing the lock back and forth and run slower than one.  A slab of four
+default chunks makes the geometry's and the blocks' calls once, over
+four times the elements; only the draws stay per chunk, one fill each.
 
 Each worker thread holds one workspace per `_mc_sweep` call, one buffer
-of (7 + rows) widths of floats and a byte mask: the positions' 4 rows,
-A, B and C, then the block of ratios, whose first row is the geometry's
-scratch.  No block or slab allocates an array of trials, which at the
-default chunk (128 KiB, glibc's mmap threshold) were page-faulted afresh
-every block.  The means and standard errors are formed on arrays, whose
-divide, multiply and sqrt round as Python's do.  The public `mc_*`
-functions are its single-power, single-kernel views.
+of (7 + rows) widths of floats and a byte mask: the positions chunk by
+chunk, A, B and C, then the block of ratios, whose first row is the
+geometry's scratch.  No block or slab allocates an array of trials,
+which at the default chunk (128 KiB, glibc's mmap threshold) were
+page-faulted afresh every block.  The means and standard errors are
+formed on arrays, whose divide, multiply and sqrt round as Python's do.
+The public `mc_*` functions are its single-power, single-kernel views.
 """
 
 from __future__ import annotations
@@ -94,13 +97,6 @@ class McEstimate:
     mean: float
     std_error: float
     trials: int
-
-
-def _chunk_positions(scenario: Scenario, cfg: McConfig, k: int, out=None):
-    """Chunk k's (x1, x2, y1, y2), drawn from its own stream (seed, spawn_key=(k,)) into `out`."""
-    size = min(cfg.chunk_size, cfg.trials - k * cfg.chunk_size)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k,)))
-    return _draw_positions(rng, scenario.side_length, size, out)
 
 
 def _power_unit(scenario: Scenario, chan: ChannelParams) -> float:
@@ -234,63 +230,69 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
     power's rows are PA, then FA.  chan.tx_power is not used.  Each slab's
     positions are drawn once, chunk by chunk, and each kernel forms its
     rho-free (A, B, C) from them once.  The ratios t of a block of powers
-    over the whole slab, at most 4*_SLAB_TRIALS at once, are then
+    over the whole slab, at most 5*_SLAB_TRIALS at once, are then
     reduced per power and chunk to an outage count (exact in a float), a
     sum of log1p(t) and a sum of its squares; those are added up in fixed
     chunk order and scaled once.
     """
-    inverse_gains = _inverse_gains(scenario, chan, tx_powers)[:, None]
+    inverse_gains = _inverse_gains(scenario, chan, tx_powers)[:, None, None]
     # rho = inf (r = 0) takes t = (Nw - Nb)/Nb from the loss-free geometry: the loss cancels
     # from the limit, and the PA's underflows to 0 beyond alpha*(x1 + D/2) ~ 372 (A/C = 0/0).
     # The rows go in runs (chan, start, stop) of one kind, each with its own geometry
-    limit, loss_free = inverse_gains[:, 0] == 0, dataclasses.replace(chan, attenuation=0.0)
+    limit, loss_free = inverse_gains[:, 0, 0] == 0, dataclasses.replace(chan, attenuation=0.0)
     edges = [0, *(np.flatnonzero(limit[1:] != limit[:-1]) + 1).tolist(), limit.size]
     runs = [(loss_free if limit[start] else chan, start, stop)
             for start, stop in zip(edges, edges[1:]) if start < stop]
     below = target.threshold_minus_one  # Rb - Rw < Rbar exactly where t < 4^Rbar - 1
     slabs = _slabs(cfg)
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chunks)
     width_max = max(n * size for _, n, size in slabs)
-    step = max(1, 4 * _SLAB_TRIALS // width_max)  # rows per block
-    rows_max = max(1, min(step, len(inverse_gains)))
+    rows = len(inverse_gains)
+    step = max(1, 4 * _SLAB_TRIALS // width_max)  # rows per block: four rows of a full slab,
+    if rows * width_max <= 5 * _SLAB_TRIALS:  # or the whole grid where it fits in five
+        step = rows
+    rows_max = max(1, min(step, rows))
     floats = (7 + rows_max) * width_max
     local = threading.local()  # this call's workspace of each worker thread
 
-    def workspace(width: int):
-        """(positions, terms, ratios, mask) for a slab `width` trials wide: views of one buffer.
+    def workspace(n_chunks: int, size: int):
+        """(positions, terms, ratios, mask) for a slab of n_chunks chunks: views of one buffer.
 
-        Floats: the positions' 4 rows, then A, B, C, then a block of
-        ratios; the terms' scratch row is the block's first row, free while
-        a geometry runs.  The block's outage mask follows as bytes.
+        Floats: the positions, chunk by chunk, each chunk's 4 rows
+        together, then A, B, C as (chunks, size) rows, then a block of
+        ratios; the terms' scratch row is the block's first row, free
+        while a geometry runs.  The block's outage mask follows as bytes.
         """
         if not hasattr(local, "buffer"):
             local.buffer = np.empty(8 * floats + rows_max * width_max, np.uint8)
-        values = local.buffer[:8 * floats].view(float)
-        return (values[:4 * width].reshape(4, width),
-                values[4 * width_max:4 * width_max + 4 * width].reshape(4, width),
+        values, width = local.buffer[:8 * floats].view(float), n_chunks * size
+        return (values[:4 * width].reshape(n_chunks, 4, size),
+                values[4 * width_max:4 * width_max + 4 * width].reshape(4, n_chunks, size),
                 values[7 * width_max:], local.buffer[8 * floats:].view(bool))
 
     def slab_sums(slab):
-        """One (powers, kernels, 3) array of sums per chunk of the slab, in chunk order."""
+        """(chunks, powers, kernels, 3): each chunk's outage count, sum and sum of squares."""
         first, n_chunks, size = slab
-        width = n_chunks * size
-        positions, terms, ratios, mask = workspace(width)
-        for i in range(n_chunks):
-            _chunk_positions(scenario, cfg, first + i, positions[:, i * size:(i + 1) * size])
-        sums = np.empty((len(inverse_gains), len(kernels), 3, n_chunks))
+        positions, terms, ratios, mask = workspace(n_chunks, size)
+        for i, stream in enumerate(streams[first:first + n_chunks]):
+            _draw_positions(np.random.default_rng(stream), scenario.side_length, size, positions[i])
+        # an outage count never exceeds the chunk's size: a byte sum in 16 bits is exact below 2^16
+        count_type = np.uint16 if size < 2 ** 16 else np.intp
+        sums = np.empty((n_chunks, rows, len(kernels), 3))
         for j, geometry in enumerate(kernels):
             for run_chan, start, stop in runs:
-                a, b, c = geometry(scenario, run_chan, *positions, terms)
+                a, b, c = geometry(scenario, run_chan, *positions.swapaxes(0, 1), terms)
                 for lo in range(start, stop, step):
-                    rows = slice(lo, min(lo + step, stop))
-                    r = inverse_gains[rows]
-                    ts = _secrecy_ratio(r, a, b, c, ratios[:len(r) * width].reshape(len(r), width))
-                    # a C-contiguous (rows, chunks, size) view: each chunk is reduced on its own
-                    ts = ts.reshape(len(r), n_chunks, size)
+                    block = slice(lo, min(lo + step, stop))
+                    r = inverse_gains[block]
+                    # a C-contiguous (rows, chunks, size) block: each chunk is reduced on its own
+                    ts = _secrecy_ratio(r, a, b, c,
+                                        ratios[:r.size * a.size].reshape(len(r), *a.shape))
                     outage = np.less(ts, below, out=mask[:ts.size].reshape(ts.shape))
-                    sums[rows, j, 0] = np.count_nonzero(outage, axis=-1)
-                    np.sum(np.log1p(ts, out=ts), axis=-1, out=sums[rows, j, 1])
-                    np.sum(np.multiply(ts, ts, out=ts), axis=-1, out=sums[rows, j, 2])
-        return np.moveaxis(sums, -1, 0)
+                    np.add.reduce(outage, axis=-1, dtype=count_type, out=sums[:, block, j, 0].T)
+                    np.add.reduce(np.log1p(ts, out=ts), axis=-1, out=sums[:, block, j, 1].T)
+                    np.add.reduce(np.multiply(ts, ts, out=ts), axis=-1, out=sums[:, block, j, 2].T)
+        return sums
 
     if workers <= 1:
         done = [slab_sums(slab) for slab in slabs]

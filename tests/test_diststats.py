@@ -164,17 +164,18 @@ class TestModuleWrappers:
 
     @pytest.mark.parametrize("side", [25.0, 0.37, 5000.0, 3.3])
     def test_positions_match_uniform_draws(self, side):
-        # the in-place draw, into rows of a wider array as the Monte Carlo
-        # slabs use it, has the bits of four rng.uniform(-D/2, D/2, n) calls
+        # the in-place draw, one fill of a chunk's (4, n) block of a
+        # chunk-major slab as the Monte Carlo uses it, has the bits of four
+        # rng.uniform(-D/2, D/2, n) calls
         h = side / 2.0
         for seed in range(20):
             rng = np.random.default_rng(seed)
             want = [rng.uniform(-h, h, 257) for _ in range(4)]
-            out = np.full((4, 300), np.nan)
-            rows = out[:, 43:]
+            out = np.full((3, 4, 257), np.nan)
+            rows = out[1]
             assert _draw_positions(np.random.default_rng(seed), side, 257, rows) is rows
             np.testing.assert_array_equal(rows.view(np.int64), np.array(want).view(np.int64))
-            assert np.isnan(out[:, :43]).all()
+            assert np.isnan(out[[0, 2]]).all()
             np.testing.assert_array_equal(_draw_positions(np.random.default_rng(seed), side, 257),
                                           want)
 

@@ -18,6 +18,7 @@ import pytest
 import pinchsec as ps
 from conftest import chan_at, esc_at, sop_at
 from pinchsec import montecarlo
+from pinchsec.diststats import _draw_positions
 
 
 def small_cfg(**kw):
@@ -109,6 +110,24 @@ class TestReproducibility:
         assert calls == {"_pa_geometry": slabs, "_fa_geometry": slabs,
                          "_secrecy_ratio": 2 * slabs}
 
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 63, 2 ** 64 - 1])
+    def test_spawned_streams_are_the_spawn_key_streams(self, seed):
+        # the engine spawns every chunk's stream once per call with
+        # SeedSequence(seed).spawn(n_chunks); chunk k's stream must keep the
+        # state of SeedSequence(entropy=seed, spawn_key=(k,)), the protocol
+        # test_manual_replication rebuilds.  spawn(245) is mc-deep's call; a
+        # sequence that has spawned 10^5 children gives the 10^5-th next
+        def state(stream):
+            return stream.generate_state(4).tolist()
+
+        children = np.random.SeedSequence(seed).spawn(245)
+        far = np.random.SeedSequence(seed, n_children_spawned=10 ** 5).spawn(1)[0]
+        for k, child in ((0, children[0]), (1, children[1]), (244, children[244]),
+                         (10 ** 5, far)):
+            assert state(child) == state(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        if seed == 2 ** 64 - 1:
+            assert state(np.random.SeedSequence(seed).spawn(10 ** 5 + 1)[10 ** 5]) == state(far)
+
     def test_seed_changes_result(self, scenario, target):
         chan = chan_at(1e8)
         a = ps.mc_sop_pa(scenario, chan, target, small_cfg(seed=1))
@@ -171,7 +190,8 @@ def _oracle_fa(scenario, chan, x1, x2, y1, y2):
 def _oracle_sweep(scenario, chans, target, cfg):
     """The engine's estimates, one channel and one kernel at a time.
 
-    Every channel forms each kernel's t on the chunk's positions and
+    Chunk k draws its positions from SeedSequence(entropy=seed,
+    spawn_key=(k,)).  Every channel forms each kernel's t on them and
     reduces the outage count, log1p(t) and its square with 1-D sums; the
     sums are added up in chunk order and scaled by 1/(2 ln 2) once.  The
     engine measures powers in a power of two; scaling by one changes no
@@ -180,7 +200,9 @@ def _oracle_sweep(scenario, chans, target, cfg):
     below = math.expm1(target.rate * math.log(4.0))
     totals = {}
     for k in range(cfg.n_chunks):
-        positions = montecarlo._chunk_positions(scenario, cfg, k)
+        stream = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k,))
+        positions = _draw_positions(np.random.default_rng(stream), scenario.side_length,
+                                    min(cfg.chunk_size, cfg.trials - k * cfg.chunk_size))
         for i, chan in enumerate(chans):
             for j, kernel in enumerate((_oracle_pa, _oracle_fa)):
                 t = kernel(scenario, chan, *positions)
@@ -292,6 +314,47 @@ class TestBatchedEngine:
             assert montecarlo._mc_sweep(scenario, chans[0], [chan.tx_power for chan in chans],
                                         target, cfg, workers).tolist() == want
 
+    @pytest.mark.parametrize("rows, blocks", [(5, [5]), (6, [4, 2])], ids=["5-1", "6-2"])
+    def test_short_grid_runs_as_one_block(self, scenario, monkeypatch, rows, blocks):
+        # mc-deep's shape: five powers over 16384-trial slabs fit in one
+        # block of ratios per kernel (at most 5*_SLAB_TRIALS), where four
+        # rows per block would run them as 4 + 1; a sixth power splits them
+        # 4 + 2.  Two full slabs, then a ragged 100-trial chunk
+        calls = []
+        secrecy_ratio = montecarlo._secrecy_ratio
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return secrecy_ratio(*args)
+
+        monkeypatch.setattr(montecarlo, "_secrecy_ratio", counted)
+        chans = [ps.ChannelParams(attenuation=0.05, tx_power=10 ** (db / 10.0),
+                                  noise_bob=2.0, noise_willie=0.5)
+                 for db in np.linspace(40.0, 65.0, rows)]
+        cfg = ps.McConfig(trials=2 * montecarlo._SLAB_TRIALS + 100, seed=77, chunk_size=4096)
+        assert len(montecarlo._slabs(cfg)) == 3
+        target = ps.SecrecyTarget(rate=0.05)
+        got = montecarlo._mc_sweep(scenario, chans[0], [chan.tx_power for chan in chans],
+                                   target, cfg)
+        assert calls == blocks * (3 * 2)  # the rows of each block, per slab and kernel
+        assert got.tolist() == _oracle_sweep(scenario, chans, target, cfg)
+
+    @pytest.mark.parametrize("trials", [65535, 70000])
+    def test_outage_count_exact_past_narrow_widths(self, scenario, target, trials):
+        # one chunk of all the trials: below rho* (43.4 dB) every trial is in
+        # outage, so the count is the chunk's size, at 16 bits' largest value
+        # and past it; a count kept in 8 or 16 bits would wrap.  At 45 dB the
+        # count is ~96% of the chunk, held to the oracle's Python ints
+        cfg = ps.McConfig(trials=trials, seed=8, chunk_size=trials)
+        chans = [chan_at(10 ** (db / 10.0)) for db in (40.0, 45.0)]
+        want = _oracle_sweep(scenario, chans, target, cfg)
+        assert 0.95 < want[1][0][0][0] < 1.0
+        for workers in (1, 2):
+            got = montecarlo._mc_sweep(scenario, chans[0], [chan.tx_power for chan in chans],
+                                       target, cfg, workers)
+            assert got[0, :, 0].tolist() == [[1.0, 0.0], [1.0, 0.0]]
+            assert got.tolist() == want
+
     def test_public_kernels_match_mpmath(self, scenario):
         # one log1p of one ratio keeps the digits where two ~10-bit rates
         # would cancel, and gives the exact limit at rho = inf
@@ -359,9 +422,11 @@ class TestBatchedEngine:
         assert peak <= 2e6, peak
 
     def test_pool_memory_stays_bounded(self, scenario, target):
-        # mc-deep's shape on two threads: each holds one workspace (four
-        # rows of positions, the three terms and a 4-row block of ratios of
-        # a 16384-trial slab, ~1.4 MiB); the per-chunk sums are small
+        # mc-deep's shape on two threads: each holds one workspace (the
+        # positions, chunk by chunk, the three terms and a 5-row block of
+        # ratios of a 16384-trial slab, then a 5-row byte mask, ~1.6 MiB);
+        # the call's 245 spawned chunk streams (~80 KiB) and the per-chunk
+        # sums are small
         powers = [10 ** (db / 10.0) for db in (40.0, 45.0, 50.0, 55.0, 60.0)]
         cfg = ps.McConfig(trials=1000000, seed=5, chunk_size=4096)
         montecarlo._mc_sweep(scenario, chan_at(1.0), powers[:1], target, small_cfg(), 2)
