@@ -39,7 +39,9 @@ formed as arrays over all rows of the call.  F_Zb of it is 0 below the
 offset u_0 where it crosses d^2, so the Zw pieces start there, and 1
 beyond the offset u_1 where it crosses d^2 + D^2/4, so the quadrature
 stops there and the mass beyond is a closed-form difference of the Zw
-piece CDFs.  Each row block forms its nodes, the threshold and F_Zb of
+piece CDFs.  Rows whose clipped interval is the whole piece (full rows)
+share one node and density vector per piece and call; each block of the
+other rows forms its own.  Each row block forms the threshold and F_Zb of
 it in place, in one workspace made per call.
 
 Both metrics saturate at high SNR (the same loss and geometry face Bob
@@ -98,9 +100,9 @@ def _threshold_offset(u, d2: float, a, b, c, out=None, scratch=None):
     denominator: (d^2*K + u*(a - b*d^2)) / (b*(d^2 + u) + c) with
     K = a - b*d^2 - c.  K is exactly 0 at Rbar = 0 and equal factors, so no
     digit of d^2 is lost.  Where b = c = 0 Willie hears nothing and the
-    offset is a*z/0 = +inf (no outage).  Arrays `out` and `scratch` of u's
-    shape take the numerator and the denominator in place; the offset is
-    written to `out`.
+    offset is a*z/0 = +inf (no outage).  Arrays `out` and `scratch` of the
+    offset's shape (u's, or u's broadcast over rows of a, b, c) take the
+    numerator and the denominator in place; the offset is written to `out`.
     """
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore"):
@@ -188,42 +190,55 @@ def sop_term_sums(scenario: Scenario, target: SecrecyTarget, rule: QuadratureRul
     saturates F_Zb and the row's mass is exactly 1: its last piece takes
     the rest of 1 (exact, as j + k lies in [1/2, 1]).
 
-    Each block writes into one workspace made per call: the nodes u, then
-    the threshold's numerator, into which the offset, F_Zb and the product
-    with the branch density are formed in place, and its denominator.
+    A full row, whose clipped interval is the whole piece, has the piece's
+    nodes u and branch density, formed once per piece and shared by all
+    its full rows; the other rows form their own in a block.  Each
+    block writes into one workspace made per call: a partial block's nodes
+    u, then the threshold's numerator, into which the offset, F_Zb and the
+    product with the density are formed in place, and its denominator,
+    which then takes a partial block's density.
     """
     d2 = scenario.waveguide_height ** 2
     zb, zw = ZbDistribution(scenario.side_length), ZwDistribution(scenario.side_length)
     a, b, c, u_0, u_1 = _outage_rows(scenario, target, eta_rho, bob_factor, willie_factor)
     a, b, c = a[:, None], b[:, None], c[:, None]
     limits = []
-    for start, width in zw.pieces:
+    for (start, width), branch, cdf in zip(zw.pieces,
+                                           (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
+                                           (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3)):
         hi = start + width
         lo = np.clip(u_0, start, hi)
         cut = np.clip(u_1, lo, hi)
-        limits.append((hi, lo, cut, _row_blocks(np.flatnonzero(lo < cut), rule)))
-    workspace = np.empty((3, max((rows.size for *_, blocks in limits for rows in blocks),
+        full = (lo == start) & (cut == hi)
+        blocks = [(rows, None) for rows in _row_blocks(np.flatnonzero((lo < cut) & ~full), rule)]
+        if full.any():
+            u = start + (hi - start) * rule.nodes
+            shared = (u, branch(u))
+            blocks += [(rows, shared) for rows in _row_blocks(np.flatnonzero(full), rule)]
+        limits.append((hi, lo, cut, branch, cdf, blocks))
+    workspace = np.empty((3, max((rows.size for *_, blocks in limits for rows, _ in blocks),
                                  default=0), rule.n))
     sums = np.zeros((a.size, 3))
-    for total, (hi, lo, cut, blocks), branch, cdf in zip(
-            sums.T, limits, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
-            (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3)):
-        for rows in blocks:
-            u, num, den = workspace[:, :rows.size]
+    for total, (hi, lo, cut, branch, cdf, blocks) in zip(sums.T, limits):
+        for rows, shared in blocks:
+            own, num, den = workspace[:, :rows.size]
             width = cut[rows] - lo[rows]
 
             def block(x):
-                np.add(lo[rows, None], np.multiply(width[:, None], x, out=u), out=u)
+                if shared:
+                    u, density = shared
+                else:
+                    u = np.add(lo[rows, None], np.multiply(width[:, None], x, out=own), out=own)
                 thr = _threshold_offset(u, d2, a[rows], b[rows], c[rows], num, den)
                 value = zb.cdf(thr, out=thr)
-                value *= branch(u)
+                value *= density if shared else branch(u, out=den)
                 return value
 
             total[rows] = width * integrate(rule, block)
         saturated = cut < hi
         total[saturated] += cdf(hi) - cdf(cut[saturated])
-    full = u_1 <= 0.0
-    sums[full, 2] = 1.0 - (sums[full, 0] + sums[full, 1])
+    certain = u_1 <= 0.0
+    sums[certain, 2] = 1.0 - (sums[certain, 0] + sums[certain, 1])
     return sums
 
 
@@ -243,7 +258,10 @@ def _rate_offset(gain, d2: float, u):
     gain = np.asarray(gain, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         d2_over_g = d2 / gain
-        offset = np.log1p(w / (d2_over_g + v)) / -math.log(2.0)
+        offset = np.asarray(d2_over_g + v)  # the one (rows, n) array, formed in place
+        np.divide(w, offset, out=offset)
+        np.log1p(offset, out=offset)
+        offset /= -math.log(2.0)
     if np.any(v < _TINY):  # x >= v, so x is normal wherever v is
         with np.errstate(all="ignore"):
             log_x = math.log(d2) - np.log(d2 + u) + np.log1p((d2 + u) / gain)

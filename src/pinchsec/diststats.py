@@ -102,23 +102,37 @@ class ZwDistribution:
         b0, b1, b2, b3 = self.breakpoints
         return [(u >= b0) & (u < b1), (u >= b1) & (u < b2), (u >= b2) & (u <= b3)]
 
-    # -- per-piece densities; the arcsin argument at D^2/4 may round above 1 --
+    # -- per-piece densities; the arcsin argument at D^2/4 may round above 1.
+    # An array `out` of u's shape, not u itself, takes the density in place --
 
-    def pdf_piece1(self, u):
+    def pdf_piece1(self, u, out=None):
+        """pi/D^2 - 2 sqrt(u)/D^3."""
         D = self.side_length
-        return np.pi / D ** 2 - 2.0 * np.sqrt(u) / D ** 3
+        t = np.multiply(2.0, np.sqrt(u, out=out), out=out)
+        return np.subtract(np.pi / D ** 2, np.divide(t, D ** 3, out=out), out=out)
 
-    def pdf_piece2(self, u):
+    def pdf_piece2(self, u, out=None):
+        """(2/D^2) arcsin(min(D/(2 sqrt(u)), 1)) - 1/D^2."""
         D = self.side_length
-        a = np.minimum(D / (2.0 * np.sqrt(u)), 1.0)
-        return (2.0 / D ** 2) * np.arcsin(a) - 1.0 / D ** 2
+        t = np.multiply(2.0, np.sqrt(u, out=out), out=out)
+        t = np.minimum(np.divide(D, t, out=out), 1.0, out=out)
+        t = np.multiply(2.0 / D ** 2, np.arcsin(t, out=out), out=out)
+        return np.subtract(t, 1.0 / D ** 2, out=out)
 
-    def pdf_piece3(self, u):
+    def pdf_piece3(self, u, out=None):
+        """(2/D^2)(arcsin(D/(2 sqrt(u))) - arcsin(sqrt(1 - D^2/u))) - 1/D^2 + (2/D^3) sqrt(u - D^2).
+
+        With `out`, one more array of its shape holds the second and last terms.
+        """
         D = self.side_length
-        return ((2.0 / D ** 2) * (np.arcsin(D / (2.0 * np.sqrt(u)))
-                                  - np.arcsin(np.sqrt(1.0 - D ** 2 / u)))
-                - 1.0 / D ** 2
-                + (2.0 / D ** 3) * np.sqrt(u - D ** 2))
+        tmp = None if out is None else np.empty_like(out)
+        t = np.multiply(2.0, np.sqrt(u, out=out), out=out)
+        t = np.arcsin(np.divide(D, t, out=out), out=out)
+        inner = np.subtract(1.0, np.divide(D ** 2, u, out=tmp), out=tmp)
+        t = np.subtract(t, np.arcsin(np.sqrt(inner, out=tmp), out=tmp), out=out)
+        t = np.subtract(np.multiply(2.0 / D ** 2, t, out=out), 1.0 / D ** 2, out=out)
+        edge = np.sqrt(np.subtract(u, D ** 2, out=tmp), out=tmp)
+        return np.add(t, np.multiply(2.0 / D ** 3, edge, out=tmp), out=out)
 
     def pdf(self, u):
         u = np.asarray(u, dtype=float)

@@ -60,14 +60,28 @@ def integrate(rule: QuadratureRule, integrand):
     is fixed (numpy pairwise along the contiguous node axis), so each row
     sum is bit-identical to the 1-D call on that row, whatever the row
     count or the caller's threading.
+
+    Where f returns a writeable float array of the block's full shape, that
+    array is weighted in place (f must not keep it); other values (the
+    read-only nodes, a broadcast number) are weighted into a new array.
+    The weights are positive, so a row sum is finite only if each of its
+    values is; a non-finite sum names the first non-finite value's row and
+    node, or the row whose weighted sum of finite values overflowed.
     """
     values = np.asarray(integrand(rule.nodes), dtype=float)
-    values = np.broadcast_to(values, np.broadcast_shapes(values.shape, rule.nodes.shape))
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        *row, i = np.unravel_index(np.argmax(bad), values.shape)
-        where = f"row {row[0]}, node {i}" if row else f"node {i}"
-        raise ValueError(f"integrand not finite at {where} ({rule.nodes[i]!r}: "
-                         f"value {values[(*row, i)]!r})")
-    sums = np.sum(rule.weights * values, axis=-1)
+    if values.flags.writeable and values.shape[-1:] == rule.nodes.shape:
+        values *= rule.weights
+    else:
+        values = rule.weights * values
+    with np.errstate(over="ignore", invalid="ignore"):  # named below instead
+        sums = np.sum(values, axis=-1)
+    if not np.all(np.isfinite(sums)):
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            *row, i = np.unravel_index(np.argmax(bad), values.shape)
+            where = f"row {row[0]}, node {i}" if row else f"node {i}"
+            raise ValueError(f"integrand not finite at {where} ({rule.nodes[i]!r}: "
+                             f"value {values[(*row, i)]!r})")
+        where = f" at row {np.argmax(~np.isfinite(sums))}" if sums.ndim else ""
+        raise ValueError(f"weighted sum of finite integrand values overflowed{where}")
     return sums if sums.ndim else float(sums)

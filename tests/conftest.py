@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 import pinchsec as ps
-from pinchsec import bounds
+from pinchsec import bounds, quad
 
 SNR_GRID_DB = tuple(float(s) for s in range(-10, 55, 5))
 
@@ -93,6 +93,39 @@ def outage_kinks(scenario, a, b, c):
     k = a - b * d2 - c
     return [(s * (c + b * d2) - d2 * k) / (a - b * (d2 + s)) if a > b * (d2 + s) else math.inf
             for s in ps.ZbDistribution(scenario.side_length).support]
+
+
+def sop_term_rows(scenario, target, rule, eta_rho, bob_factor, willie_factor):
+    """bounds.sop_term_sums formed row by row, for a bit-for-bit comparison.
+
+    Each row and piece takes its own nodes lo + (cut - lo)*x on its clipped
+    interval [lo, cut] and the branch density on those nodes, so no node or
+    density vector is shared between rows; the saturated mass beyond u_1 is
+    the row's own CDF difference.
+    """
+    d2 = scenario.waveguide_height ** 2
+    zb = ps.ZbDistribution(scenario.side_length)
+    zw = ps.ZwDistribution(scenario.side_length)
+    a, b, c, u_0, u_1 = bounds._outage_rows(scenario, target, eta_rho, bob_factor,
+                                            willie_factor)
+    sums = np.zeros((a.size, 3))
+    for p, ((start, width), branch, cdf) in enumerate(zip(
+            zw.pieces, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
+            (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3))):
+        hi = start + width
+        lo = np.clip(u_0, start, hi)
+        cut = np.clip(u_1, lo, hi)
+        for r in range(a.size):
+            if lo[r] < cut[r]:
+                length = cut[r] - lo[r]
+                u = lo[r] + length * rule.nodes
+                value = zb.cdf(bounds._threshold_offset(u, d2, a[r], b[r], c[r])) * branch(u)
+                sums[r, p] = length * quad.integrate(rule, lambda x: value)
+            if cut[r] < hi:
+                sums[r, p] += (cdf(hi) - cdf(cut[r:r + 1]))[0]
+    for r in np.flatnonzero(u_1 <= 0.0):
+        sums[r, 2] = 1.0 - (sums[r, 0] + sums[r, 1])
+    return sums
 
 
 def sop_directions(scenario, chan):

@@ -105,6 +105,18 @@ class TestZwDistribution:
         assert abs(zw_dist.pdf_piece1(156.25) - zw_dist.pdf_piece2(156.25)) < 1e-12
         assert abs(zw_dist.pdf_piece2(625.0) - zw_dist.pdf_piece3(625.0)) < 1e-12
 
+    def test_pdf_pieces_in_place(self, zw_dist):
+        # `out` takes the density with the bits of the plain call; a number
+        # still gives a number
+        branches = (zw_dist.pdf_piece1, zw_dist.pdf_piece2, zw_dist.pdf_piece3)
+        for (start, width), branch in zip(zw_dist.pieces, branches):
+            u = start + width * np.linspace(0.0, 1.0, 12).reshape(3, 4)
+            out = np.empty_like(u)
+            assert branch(u, out=out) is out
+            np.testing.assert_array_equal(out.view(np.uint64), branch(u).view(np.uint64))
+            number = branch(float(u[1, 2]))
+            assert isinstance(number, float) and number == out[1, 2]
+
     def test_pdf_vanishes_at_upper_edge(self, zw_dist):
         assert zw_dist.pdf(781.25) == pytest.approx(0.0, abs=1e-12)
         assert zw_dist.pdf(781.2500001) == 0.0

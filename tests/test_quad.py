@@ -109,6 +109,33 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=rf"row {bad_row}, node {bad_node} \(.*value .*nan"):
             quad.integrate(rule, f)
 
+    @pytest.mark.parametrize("integrand", [
+        lambda x: x,  # the rule's own read-only nodes
+        lambda x: np.broadcast_to(np.float64(2.5), x.shape),
+        lambda x: 2.5,
+        lambda x: np.sqrt(x) + 1.0,  # a fresh array, weighted in place
+        lambda x: np.tile(np.sqrt(x), (3, 1)),
+    ], ids=["nodes", "broadcast", "number", "fresh", "fresh-block"])
+    def test_weighting_keeps_values_and_rule(self, integrand):
+        # integrate may weight the integrand's own writeable array in place;
+        # read-only or broadcast values are weighted into a new array
+        rule = ps.make_rule(50)
+        nodes, weights = rule.nodes.copy(), rule.weights.copy()
+        want = np.sum(weights * np.broadcast_to(integrand(nodes.copy()), (3, 50)), axis=-1)
+        got = quad.integrate(rule, integrand)
+        np.testing.assert_array_equal(np.broadcast_to(got, (3,)), want)
+        np.testing.assert_array_equal(rule.nodes, nodes)
+        np.testing.assert_array_equal(rule.weights, weights)
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+
+    def test_overflowed_sum_of_finite_values_raises(self):
+        # every value finite, the weighted sum not: named as an overflow
+        rule = quad.QuadratureRule(nodes=np.array([0.25, 0.75]), weights=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="overflowed"):
+            quad.integrate(rule, lambda x: np.full(2, 1e308))
+        with pytest.raises(ValueError, match="overflowed at row 1"):
+            quad.integrate(rule, lambda x: np.array([[1.0, 2.0], [1e308, 1e308]]))
+
 
 class TestTermConvergence:
     def test_refinement_stability(self, scenario, target, rule_1000, rule_8000):
