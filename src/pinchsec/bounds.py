@@ -202,11 +202,12 @@ def sop_term_sums(scenario: Scenario, target: SecrecyTarget, rule: QuadratureRul
     zb, zw = ZbDistribution(scenario.side_length), ZwDistribution(scenario.side_length)
     a, b, c, u_0, u_1 = _outage_rows(scenario, target, eta_rho, bob_factor, willie_factor)
     a, b, c = a[:, None], b[:, None], c[:, None]
-    limits = []
-    for (start, width), branch, cdf in zip(zw.pieces,
-                                           (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
-                                           (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3)):
-        hi = start + width
+    workspace = np.empty((3, min(a.size, max(1, _BLOCK_ELEMENTS // rule.n)), rule.n))
+    sums = np.zeros((a.size, 3))
+    for total, (start, span), branch, cdf in zip(sums.T, zw.pieces,
+                                                 (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
+                                                 (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3)):
+        hi = start + span
         lo = np.clip(u_0, start, hi)
         cut = np.clip(u_1, lo, hi)
         full = (lo == start) & (cut == hi)
@@ -215,11 +216,6 @@ def sop_term_sums(scenario: Scenario, target: SecrecyTarget, rule: QuadratureRul
             u = start + (hi - start) * rule.nodes
             shared = (u, branch(u))
             blocks += [(rows, shared) for rows in _row_blocks(np.flatnonzero(full), rule)]
-        limits.append((hi, lo, cut, branch, cdf, blocks))
-    workspace = np.empty((3, max((rows.size for *_, blocks in limits for rows, _ in blocks),
-                                 default=0), rule.n))
-    sums = np.zeros((a.size, 3))
-    for total, (hi, lo, cut, branch, cdf, blocks) in zip(sums.T, limits):
         for rows, shared in blocks:
             own, num, den = workspace[:, :rows.size]
             width = cut[rows] - lo[rows]

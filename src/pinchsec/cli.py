@@ -66,22 +66,13 @@ _CONFIG_KEYS = {
 @dataclass(frozen=True)
 class RunConfig:
     scenario: Scenario
-    carrier_freq: float
-    attenuation: float
-    noise_bob: float
-    noise_willie: float
+    channel: ChannelParams  # the sweep's one channel; its tx_power is unused
     target: SecrecyTarget
     snr_db_grid: tuple[float, ...]
     quadrature_n: int
     mc: McConfig
     workers: int
     output_path: str | None
-
-    @property
-    def channel(self) -> ChannelParams:
-        """The sweep's one channel; its tx_power is unused, tx_powers gives the grid's."""
-        return ChannelParams(carrier_freq=self.carrier_freq, attenuation=self.attenuation,
-                             noise_bob=self.noise_bob, noise_willie=self.noise_willie)
 
     @property
     def tx_powers(self) -> np.ndarray:
@@ -180,10 +171,10 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"mc_seed: {exc}") from exc
     cfg = RunConfig(scenario=Scenario(side_length=_value(data, "side_length_D"),
                                       waveguide_height=_value(data, "waveguide_height_d")),
-                    carrier_freq=_value(data, "carrier_freq_hz"),
-                    attenuation=_value(data, "attenuation_alpha"),
-                    noise_bob=_value(data, "noise_bob_var"),
-                    noise_willie=_value(data, "noise_willie_var"),
+                    channel=ChannelParams(carrier_freq=_value(data, "carrier_freq_hz"),
+                                          attenuation=_value(data, "attenuation_alpha"),
+                                          noise_bob=_value(data, "noise_bob_var"),
+                                          noise_willie=_value(data, "noise_willie_var")),
                     target=SecrecyTarget(rate=rate),
                     snr_db_grid=_value(data, "snr_db_grid"),
                     quadrature_n=_value(data, "quadrature_n"),
@@ -211,14 +202,14 @@ def _check_float_range(cfg: RunConfig) -> None:
         ("side_length_D", "3 D^3", lambda: 3.0 * D ** 3),
         ("side_length_D", "2 / D^3", lambda: 2.0 / D ** 3),
         ("waveguide_height_d", "5 D^2/4 + d^2", far),
-        ("noise_bob_var", "(5 D^2/4 + d^2) sigma^2", lambda: far() * cfg.noise_bob),
-        ("noise_willie_var", "(5 D^2/4 + d^2) sigma^2", lambda: far() * cfg.noise_willie),
+        ("noise_bob_var", "(5 D^2/4 + d^2) sigma^2", lambda: far() * chan.noise_bob),
+        ("noise_willie_var", "(5 D^2/4 + d^2) sigma^2", lambda: far() * chan.noise_willie),
         ("carrier_freq_hz", "eta = c^2/(16 pi^2 fc^2)", lambda: chan.eta),
         ("carrier_freq_hz", "1 / eta", lambda: 1.0 / chan.eta),
         ("snr_db_grid", f"the peak SNR eta*P/(d^2 sigma^2) at {cfg.snr_db_grid[-1]:g} dB "
                         "(it grows as carrier_freq_hz, waveguide_height_d or a noise "
                         "variance falls)",
-         lambda: chan.eta * top / (d ** 2 * min(cfg.noise_bob, cfg.noise_willie))))
+         lambda: chan.eta * top / (d ** 2 * min(chan.noise_bob, chan.noise_willie))))
     for key, name, expression in checks:
         try:
             in_range = expression() <= sys.float_info.max
@@ -256,11 +247,11 @@ def run_sweep(cfg: RunConfig) -> list[SweepRecord]:
     reject fails before any trial is drawn.  The columns form one table,
     checked finite at once; its first bad cell, row by row, is named.
     """
-    if cfg.noise_bob != cfg.noise_willie:
+    chan, powers = cfg.channel, cfg.tx_powers
+    if chan.noise_bob != chan.noise_willie:
         raise ConfigError("the bounds need noise_bob_var == noise_willie_var; "
                           "use mc-only for distinct noise levels")
     rule = make_rule(cfg.quadrature_n)
-    chan, powers = cfg.channel, cfg.tx_powers
     # the asymptotes depend on the channel only through attenuation_span
     sop_asym = sop_asymptotic(cfg.scenario, chan, cfg.target, rule)
     esc_asym = esc_asymptotic(cfg.scenario, chan, rule)

@@ -2,15 +2,15 @@
 
 Unlike the analytical bounds, every trial applies the exact guided loss
 exp(-2*alpha*(x1 + D/2)) for the sampled Bob position.  Trials are split
-into fixed-size chunks; chunk k draws from the child stream
-SeedSequence(seed).spawn(n_chunks)[k], which has the state of
-SeedSequence(entropy=seed, spawn_key=(k,)), and partial results are
-reduced in chunk order, so estimates are bit-identical for a given
-(seed, trials, chunk_size) at any worker count.  The positions depend
-neither on rho nor on the estimator, so `_mc_sweep`, over one channel
-and an array of transmit powers, draws each chunk once and forms each
-requested kernel's (PA, FA or both) rho-free geometry from it once; PA
-and FA see common random numbers.
+into fixed-size chunks; chunk k draws from the k-th child stream of
+SeedSequence(seed), which has the state of SeedSequence(entropy=seed,
+spawn_key=(k,)), and partial results are added up in chunk order, so
+estimates are bit-identical for a given (seed, trials, chunk_size) at
+any worker count.  The positions depend neither on rho nor on the
+estimator, so `_mc_sweep`, over one channel and an array of transmit
+powers, draws each chunk once and forms each requested kernel's (PA, FA
+or both) rho-free geometry from it once; PA and FA see common random
+numbers.
 
 The secrecy rate is one log1p of one ratio.  With S = eta*P*loss and the
 noise powers Nb = zb*sigma_b^2, Nw = zw*sigma_w^2,
@@ -31,17 +31,20 @@ and changes no bit of t.
 The worker pool's task is a slab: a run of consecutive full chunks of at
 most _SLAB_TRIALS trials together (one chunk if a chunk is larger), or
 the ragged last chunk alone.  A slab draws each chunk's positions from
-that chunk's own stream, spawned once per call, with one fill of the
-chunk's (4, size) block; it then forms each kernel's (A, B, C) in place
-as (chunks, size) rows over the whole slab, and evaluates t for blocks
-of powers across the slab's width: four rows of a full slab, or every
-row at once where the grid fits in five.  Each chunk's outage count (a
-byte sum), sum of log1p(t) and sum of squares are reduced from the
-C-contiguous (rows, chunks, size) block along its last axis, with the
-bits of a chunk reduced alone, and added up in chunk order.  The tasks
-are slabs, not chunks, because every numpy call releases and retakes the
-GIL: with calls of a few thousand elements, two threads spend their time
-handing the lock back and forth and run slower than one.  A slab of four
+that chunk's own stream, spawned as the slab is taken, with one fill of
+the chunk's (4, size) block; it then forms each kernel's (A, B, C) in
+place as (chunks, size) rows over the whole slab, and evaluates t for
+blocks of powers across the slab's width: four rows of a full slab, or
+every row at once where the grid fits in five.  Each chunk's outage
+count (a byte sum), sum of log1p(t) and sum of squares are reduced from
+the C-contiguous (rows, chunks, size) block along its last axis, with
+the bits of a chunk reduced alone, and folded into one running total in
+chunk order as each slab completes.  With more than one worker,
+Executor.map takes every slab at once, so there the spawned streams
+(~370 B a chunk) live for the whole call.  The tasks are slabs,
+not chunks, because every numpy call releases and retakes the GIL: with
+calls of a few thousand elements, two threads spend their time handing
+the lock back and forth and run slower than one.  A slab of four
 default chunks makes the geometry's and the blocks' calls once, over
 four times the elements; only the draws stay per chunk, one fill each.
 
@@ -232,8 +235,8 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
     rho-free (A, B, C) from them once.  The ratios t of a block of powers
     over the whole slab, at most 5*_SLAB_TRIALS at once, are then
     reduced per power and chunk to an outage count (exact in a float), a
-    sum of log1p(t) and a sum of its squares; those are added up in fixed
-    chunk order and scaled once.
+    sum of log1p(t) and a sum of its squares; those are folded into one
+    total in fixed chunk order as each slab completes, and scaled once.
     """
     inverse_gains = _inverse_gains(scenario, chan, tx_powers)[:, None, None]
     # rho = inf (r = 0) takes t = (Nw - Nb)/Nb from the loss-free geometry: the loss cancels
@@ -245,7 +248,6 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
             for start, stop in zip(edges, edges[1:]) if start < stop]
     below = target.threshold_minus_one  # Rb - Rw < Rbar exactly where t < 4^Rbar - 1
     slabs = _slabs(cfg)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chunks)
     width_max = max(n * size for _, n, size in slabs)
     rows = len(inverse_gains)
     step = max(1, 4 * _SLAB_TRIALS // width_max)  # rows per block: four rows of a full slab,
@@ -270,11 +272,11 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
                 values[4 * width_max:4 * width_max + 4 * width].reshape(4, n_chunks, size),
                 values[7 * width_max:], local.buffer[8 * floats:].view(bool))
 
-    def slab_sums(slab):
+    def slab_sums(task):
         """(chunks, powers, kernels, 3): each chunk's outage count, sum and sum of squares."""
-        first, n_chunks, size = slab
+        (_, n_chunks, size), streams = task
         positions, terms, ratios, mask = workspace(n_chunks, size)
-        for i, stream in enumerate(streams[first:first + n_chunks]):
+        for i, stream in enumerate(streams):
             _draw_positions(np.random.default_rng(stream), scenario.side_length, size, positions[i])
         # an outage count never exceeds the chunk's size: a byte sum in 16 bits is exact below 2^16
         count_type = np.uint16 if size < 2 ** 16 else np.intp
@@ -294,12 +296,14 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
                     np.add.reduce(np.multiply(ts, ts, out=ts), axis=-1, out=sums[:, block, j, 2].T)
         return sums
 
-    if workers <= 1:
-        done = [slab_sums(slab) for slab in slabs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(slab_sums, slabs))
-    count, s, s2 = np.moveaxis(sum(chunk for sums in done for chunk in sums), -1, 0)  # chunk order
+    seeds = np.random.SeedSequence(cfg.seed)  # spawn continues its child count: chunk k, child k
+    tasks = ((slab, seeds.spawn(slab[1])) for slab in slabs)
+    total = np.zeros((rows, len(kernels), 3))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for sums in (pool.map if workers > 1 else map)(slab_sums, tasks):
+            for chunk in sums:  # in chunk order, as each slab arrives
+                total += chunk
+    count, s, s2 = np.moveaxis(total, -1, 0)
     s, s2 = s * _HALF_LOG2E, s2 * (_HALF_LOG2E * _HALF_LOG2E)
     n = cfg.trials
     p = count / n

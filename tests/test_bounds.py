@@ -617,8 +617,8 @@ class TestSopKernel:
                   [*(10 ** (snr_db / 10.0) for snr_db in DENSE_GRID_DB), math.inf])]
         for data in PROPERTY_CONFIGS:
             cfg = cli.config_from_dict({**data, "snr_db_grid": [0.0]})
-            cases.append((cfg.scenario, ps.ChannelParams(carrier_freq=cfg.carrier_freq,
-                                                         attenuation=alpha),
+            cases.append((cfg.scenario, ps.ChannelParams(carrier_freq=cfg.channel.carrier_freq,
+                                                                 attenuation=alpha),
                           [*(10 ** (snr_db / 10.0) for snr_db in range(-20, 201, 10)),
                            math.inf]))
         kinds = set()
@@ -730,9 +730,9 @@ class TestEscSeries:
                  for alpha in (0.0, 0.01, 16.0)]
         for data in PROPERTY_CONFIGS:
             cfg = cli.config_from_dict({**data, "snr_db_grid": [0.0]})
-            for alpha in (cfg.attenuation, 0.0):
+            for alpha in (cfg.channel.attenuation, 0.0):
                 cases.append((cfg.scenario, [
-                    ps.ChannelParams(carrier_freq=cfg.carrier_freq, attenuation=alpha,
+                    ps.ChannelParams(carrier_freq=cfg.channel.carrier_freq, attenuation=alpha,
                                      tx_power=10 ** (snr_db / 10.0))
                     for snr_db in range(-20, 201, 10)]))
         for scenario, chans in cases:

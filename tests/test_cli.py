@@ -45,7 +45,7 @@ def assert_sweep_clean(data):
                                   "mc_trials": 100, "quadrature_n": 100})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if small.noise_bob == small.noise_willie:
+        if small.channel.noise_bob == small.channel.noise_willie:
             values = [v for rec in cli.run_sweep(small) for v in vars(rec).values()]
         else:
             values = montecarlo._mc_sweep(small.scenario, small.channel, small.tx_powers,
@@ -58,8 +58,8 @@ class TestConfigFromDict:
         cfg = cli.config_from_dict({})
         assert cfg.scenario.side_length == 25.0
         assert cfg.scenario.waveguide_height == 3.0
-        assert cfg.carrier_freq == 10e9
-        assert cfg.attenuation == 0.01
+        assert cfg.channel.carrier_freq == 10e9
+        assert cfg.channel.attenuation == 0.01
         assert cfg.target.rate == 0.01
         assert cfg.snr_db_grid == tuple(float(s) for s in range(-10, 55, 5))
         assert len(cfg.snr_db_grid) == 13
@@ -160,7 +160,7 @@ class TestConfigFromDict:
 
     def test_unequal_noises_allowed_in_config(self):
         cfg = cli.config_from_dict({"noise_bob_var": 1.0, "noise_willie_var": 2.0})
-        assert cfg.noise_willie == 2.0
+        assert cfg.channel.noise_willie == 2.0
 
     def test_channel_at_snr(self):
         cfg = cli.config_from_dict({"snr_db_grid": [-10.0, 30.0], "noise_willie_var": 2.0})
@@ -180,7 +180,7 @@ class TestLoadConfig:
     def test_round_trip(self, tmp_path):
         path = write_json(tmp_path, "c.json", fast_dict(attenuation_alpha=0.0))
         cfg = cli.load_config(path)
-        assert cfg.attenuation == 0.0
+        assert cfg.channel.attenuation == 0.0
         assert cfg.mc.trials == 2000
 
     def test_invalid_json(self, tmp_path):
@@ -604,7 +604,7 @@ class TestMain:
         cfg = cli._config_from_args(args)
         assert cfg.mc.seed == 9
         assert cfg.mc.trials == 300
-        assert cfg.attenuation == 0.02
+        assert cfg.channel.attenuation == 0.02
         assert cfg.workers == 2
         assert cfg.snr_db_grid == (0.0, 10.0, 20.0)
 

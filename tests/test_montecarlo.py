@@ -112,15 +112,17 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("seed", [0, 12345, 2 ** 63, 2 ** 64 - 1])
     def test_spawned_streams_are_the_spawn_key_streams(self, seed):
-        # the engine spawns every chunk's stream once per call with
-        # SeedSequence(seed).spawn(n_chunks); chunk k's stream must keep the
-        # state of SeedSequence(entropy=seed, spawn_key=(k,)), the protocol
-        # test_manual_replication rebuilds.  spawn(245) is mc-deep's call; a
-        # sequence that has spawned 10^5 children gives the 10^5-th next
+        # the engine spawns each slab's chunk streams from one
+        # SeedSequence(seed) as the slab is taken; chunk k's stream must keep
+        # the state of SeedSequence(entropy=seed, spawn_key=(k,)), the
+        # protocol test_manual_replication rebuilds.  mc-deep's 245 chunks
+        # come as slabs of 4 and a last one; a sequence that has spawned
+        # 10^5 children gives the 10^5-th next
         def state(stream):
             return stream.generate_state(4).tolist()
 
-        children = np.random.SeedSequence(seed).spawn(245)
+        seeds = np.random.SeedSequence(seed)
+        children = [c for first in range(0, 245, 4) for c in seeds.spawn(min(4, 245 - first))]
         far = np.random.SeedSequence(seed, n_children_spawned=10 ** 5).spawn(1)[0]
         for k, child in ((0, children[0]), (1, children[1]), (244, children[244]),
                          (10 ** 5, far)):
@@ -425,8 +427,9 @@ class TestBatchedEngine:
         # mc-deep's shape on two threads: each holds one workspace (the
         # positions, chunk by chunk, the three terms and a 5-row block of
         # ratios of a 16384-trial slab, then a 5-row byte mask, ~1.6 MiB);
-        # the call's 245 spawned chunk streams (~80 KiB) and the per-chunk
-        # sums are small
+        # each slab's per-chunk sums are folded as it completes, and the
+        # call's 245 spawned chunk streams (~80 KiB), which Executor.map
+        # holds for the whole call at two workers, are small
         powers = [10 ** (db / 10.0) for db in (40.0, 45.0, 50.0, 55.0, 60.0)]
         cfg = ps.McConfig(trials=1000000, seed=5, chunk_size=4096)
         montecarlo._mc_sweep(scenario, chan_at(1.0), powers[:1], target, small_cfg(), 2)
@@ -438,6 +441,30 @@ class TestBatchedEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20, peak
+
+
+    def test_memory_stays_flat_in_the_chunk_count(self, scenario, target):
+        # 20 powers at chunk 64: a slab is 256 chunks, whose per-chunk sums
+        # (960 B) and spawned streams (~370 B) would grow the peak by
+        # ~330 KiB a slab if the call kept them.  One worker folds each slab
+        # as it completes; the loop holds the last slab's sums while the
+        # next is made, so the peak is that of two slabs at any count
+        powers = [10 ** (k / 10.0) for k in range(20)]
+
+        def peak(slabs):
+            cfg = ps.McConfig(trials=slabs * montecarlo._SLAB_TRIALS, seed=5, chunk_size=64)
+            assert len(montecarlo._slabs(cfg)) == slabs
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peak(1)
+        few, many = peak(2), peak(8)
+        assert many - few < 2 ** 17, (few, many)
 
 
 class TestDegenerateGeometry:

@@ -118,7 +118,7 @@ def test_default_node_count_is_converged():
     for data in CONFIGS:
         cfg = cli.config_from_dict(data)
         rule = ps.make_rule(cfg.quadrature_n)
-        for alpha in (cfg.attenuation, 0.0):
+        for alpha in (cfg.channel.attenuation, 0.0):
             err = float(np.max(np.abs(_brackets(cfg, alpha, rule)
                                       - _brackets(cfg, alpha, reference))))
             worst = max(worst, (err, _ids([data])[0] + f",alpha={alpha:.3g}"))
