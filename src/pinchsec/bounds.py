@@ -269,36 +269,32 @@ def _rate_offset(gain, d2: float, u):
 def _moments(pieces: list, rule: QuadratureRule, d2: float, k_max: int) -> np.ndarray:
     """M_k = integral of w^k, w = u/(d^2 + u), for k = 1..k_max: one column per density piece.
 
-    Against each of `pieces` (_densities) on the same rule.  The powers
-    come in blocks of at most _BLOCK_ELEMENTS elements; each block's
-    cumulative product starts from the last power of the block before, so
-    M_k has the same bits at any k_max.
+    Against each of `pieces` (_densities) on the same rule.  Each piece
+    forms w once; its powers come in blocks of at most _BLOCK_ELEMENTS
+    elements, each block's cumulative product starting from the last power
+    of the block before, so M_k has the same bits at any k_max.
     """
-    last = [1.0] * len(pieces)
-    blocks = [np.empty((0, len(pieces)))]
-    for ks in _row_blocks(range(k_max), rule):
-
-        def powers(u, i):
-            w = u / (d2 + u)
-            p = np.empty((len(ks), w.size))
-            np.multiply(last[i], w, out=p[0])
-            for j in range(1, len(ks)):  # row by row: a cumprod along axis 0 is ~3x slower
-                np.multiply(p[j - 1], w, out=p[j])
-            last[i] = p[-1].copy()
-            return p
-
-        blocks.append(np.column_stack([_density_sum(rule, piece, lambda u, i=i: powers(u, i))
-                                       for i, piece in enumerate(pieces)]))
-    return np.concatenate(blocks)
+    moments = np.empty((k_max, len(pieces)))
+    for p, piece in enumerate(pieces):
+        w, last = piece[1] / (d2 + piece[1]), 1.0
+        for ks in _row_blocks(np.arange(k_max), rule):
+            powers = np.empty((ks.size, w.size))
+            np.multiply(last, w, out=powers[0])
+            for j in range(1, ks.size):  # row by row: a cumprod along axis 0 is ~3x slower
+                np.multiply(powers[j - 1], w, out=powers[j])
+            last = powers[-1].copy()  # _density_sum weights powers in place
+            moments[ks, p] = _density_sum(rule, piece, lambda u: powers)
+    return moments
 
 
 def esc_term_sums(scenario: Scenario, rule: QuadratureRule, eta_rho, bob_factor,
                   willie_factor) -> np.ndarray:
     """Rows [bob, j, k, l], one per row (g = eta*rho, A, B): rate offsets from the rate at u = 0.
 
-    bob: _rate_offset at gain g*A against the Zb density, j, k, l: at g*B
-    against the Zw branches.  At g = inf both gains are +inf whatever the
-    factors, an underflowed span included.
+    One gain column per density piece, g*[A, B, B, B]: bob is _rate_offset
+    at gain g*A against the Zb density, j, k, l at g*B against the Zw
+    branches.  At g = inf every gain is +inf whatever the factors, an
+    underflowed span included.
 
     In nats the offset is ln(1 - s*w) = -sum_k s^k w^k / k with
     s = g/(d^2 + g) and w = u/(d^2 + u) (Abramowitz & Stegun 4.1), so a
@@ -315,27 +311,21 @@ def esc_term_sums(scenario: Scenario, rule: QuadratureRule, eta_rho, bob_factor,
     g, a, b = _rows(eta_rho, bob_factor, willie_factor)
     g = g[:, None]
     with np.errstate(invalid="ignore"):  # inf * 0 where a span underflowed
-        gains = np.where(g < math.inf, g * np.column_stack([a, b]), g)
+        gains = np.where(g < math.inf, g * np.column_stack([a, b, b, b]), g)
     with np.errstate(divide="ignore", over="ignore"):
         s = 1.0 / (1.0 + d2 / gains)  # exactly 1 at g = inf, 0 at g = 0
-        terms = np.where(s <= 0.5, np.ceil(53.0 / -np.log2(s)) + 1.0, 0.0)[:, [0, 1, 1, 1]]
-    s = s[:, [0, 1, 1, 1]]
-    series = terms > 0
-    sums = np.zeros((len(gains), 4))
+        terms = np.where(s <= 0.5, np.ceil(53.0 / -np.log2(s)) + 1.0, 0.0)
+    sums = np.zeros(gains.shape)
     k_max = int(terms.max(initial=0.0))
     pieces = _densities(scenario, rule)
     moments = _moments(pieces, rule, d2, k_max) / np.arange(1.0, k_max + 1.0)[:, None]
     for k in range(k_max, 0, -1):
         sums = np.where(k <= terms, s * (moments[k - 1] + sums), 0.0)
     sums /= -math.log(2.0)
-    for rows in _row_blocks(np.flatnonzero(~series[:, 0]), rule):
-        bob = gains[rows, :1]
-        sums[rows, 0] = _density_sum(rule, pieces[0], lambda u: _rate_offset(bob, d2, u))
-    for rows in _row_blocks(np.flatnonzero(~series[:, 1]), rule):
-        willie = gains[rows, 1:]
-        sums[rows, 1:] = np.column_stack([_density_sum(rule, piece,
-                                                       lambda u: _rate_offset(willie, d2, u))
-                                          for piece in pieces[1:]])
+    for p, piece in enumerate(pieces):
+        for rows in _row_blocks(np.flatnonzero(terms[:, p] == 0), rule):
+            gain = gains[rows, p, None]
+            sums[rows, p] = _density_sum(rule, piece, lambda u: _rate_offset(gain, d2, u))
     return sums
 
 

@@ -137,23 +137,13 @@ def _ratio_terms(noise_w, b, noise_b, loss=None):
     return noise_w, b, noise_b
 
 
-def _terms_rows(out, x1):
-    """The rows of `out`, or of a new (4, *shape) array: A, B and C, then a scratch row.
-
-    Each row is an array, 0-d for scalar positions, so it can take `out=`.
-    """
-    if out is None:
-        out = np.empty((4,) + np.shape(x1))
-    return [out[k, ...] for k in range(4)]
-
-
-def _pa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2, out=None):
+def _pa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2, out):
     """The PA's (A, B, C): both links pay the guided loss of the travel x1 + D/2.
 
-    Written into the first three rows of `out` (`_terms_rows`); the loss
-    takes the fourth.
+    Written into the first three rows out[k, ...] of `out`, a (4, *shape)
+    array, 0-d rows at scalar positions; the loss takes the fourth.
     """
-    noise_w, b, noise_b, loss = _terms_rows(out, x1)
+    noise_w, b, noise_b, loss = (out[k, ...] for k in range(4))
     d2, unit = scenario.waveguide_height ** 2, _power_unit(scenario, chan)
     _noise_power(noise_w, chan.noise_willie / unit, d2, np.subtract(x1, x2, out=noise_w), y2,
                  loss)
@@ -163,9 +153,9 @@ def _pa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2, out=No
     return _ratio_terms(noise_w, b, noise_b, np.exp(loss, out=loss))
 
 
-def _fa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2, out=None):
+def _fa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2, out):
     """The same for the fixed antenna at (0, 0, d), which has no guided loss (loss = 1)."""
-    noise_w, b, noise_b, scratch = _terms_rows(out, x1)
+    noise_w, b, noise_b, scratch = (out[k, ...] for k in range(4))
     d2, unit = scenario.waveguide_height ** 2, _power_unit(scenario, chan)
     _noise_power(noise_w, chan.noise_willie / unit, d2, x2, y2, scratch)
     _noise_power(noise_b, chan.noise_bob / unit, d2, x1, y1, scratch)
@@ -193,7 +183,9 @@ def _secrecy_rate(geometry, scenario: Scenario, chan: ChannelParams, *positions)
     r = _inverse_gains(scenario, chan, chan.tx_power)
     if r == 0:  # rho = inf: the loss-free limit, as in _mc_sweep
         chan = dataclasses.replace(chan, attenuation=0.0)
-    t = _secrecy_ratio(r, *geometry(scenario, chan, *np.broadcast_arrays(*positions)))
+    positions = np.broadcast_arrays(*positions)
+    t = _secrecy_ratio(r, *geometry(scenario, chan, *positions,
+                                    np.empty((4,) + positions[0].shape)))
     return np.log1p(t) * _HALF_LOG2E
 
 

@@ -443,6 +443,16 @@ class TestMain:
         assert "pa_sop" in outs[0]
         assert outs[0] == outs[1]
 
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "grid.csv"  # a directory that does not exist
+        with pytest.raises(cli.CliError, match="cannot write"):
+            cli.write_csv([], str(out))
+        rc = cli.main(["sweep", "--snr-db", "20", "--trials", "100", "--quad-n", "100",
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and str(out) in err
+
     def test_sop_rejects_unequal_noises(self, tmp_path, capsys):
         path = write_json(tmp_path, "u.json",
                           {"noise_willie_var": 4.0, "snr_db_grid": [30.0],

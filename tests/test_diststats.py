@@ -191,6 +191,17 @@ class TestModuleWrappers:
             np.testing.assert_array_equal(_draw_positions(np.random.default_rng(seed), side, 257),
                                           want)
 
+    def test_rejections(self, zb_dist, zw_dist):
+        with pytest.raises(ValueError, match="side_length"):
+            ps.ZbDistribution(0.0)
+        with pytest.raises(ValueError, match="side_length"):
+            ps.ZwDistribution(-1.0)
+        for dist in (zb_dist, zw_dist):
+            with pytest.raises(ValueError, match="quantile"):
+                dist.quantile(1.5)
+        with pytest.raises(ValueError, match="at least one sample"):
+            _draw_positions(np.random.default_rng(0), 25.0, 0)
+
     def test_custom_geometry(self):
         dist = ps.ZbDistribution(side_length=10.0)
         assert dist.support == (0.0, 25.0)
@@ -228,6 +239,10 @@ class TestFdConsistency:
     def test_gap_below_tolerance(self, zb_dist, zw_dist):
         assert ps.cdf_pdf_fd_gap(zb_dist) < 1e-5
         assert ps.cdf_pdf_fd_gap(zw_dist) < 1e-5
+
+    def test_rejects_no_points(self, zb_dist):
+        with pytest.raises(ValueError, match="n_points"):
+            ps.cdf_pdf_fd_gap(zb_dist, 0)
 
     def test_gap_deterministic(self, zb_dist):
         assert ps.cdf_pdf_fd_gap(zb_dist) == ps.cdf_pdf_fd_gap(zb_dist)

@@ -87,6 +87,8 @@ class TestTypes:
             ps.ChannelParams(tx_power=0.0)
         with pytest.raises(ValueError):
             ps.ChannelParams(noise_bob=0.0)
+        with pytest.raises(ValueError, match="carrier_freq"):
+            ps.ChannelParams(carrier_freq=0.0)
 
     def test_secrecy_target_threshold(self):
         assert ps.SecrecyTarget(rate=0.01).threshold == 4.0 ** 0.01
