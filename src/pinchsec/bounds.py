@@ -129,22 +129,6 @@ def _densities(scenario: Scenario, rule: QuadratureRule) -> list:
     return pieces
 
 
-def _density_sum(rule: QuadratureRule, piece: tuple, value_of_u):
-    """Integral of value_of_u(u) against one density piece of _densities.
-
-    value_of_u returns a new (n,) or (k, n) array, k integrands, which is
-    multiplied by the piece's density in place; (k, n) gives k row sums.
-    """
-    width, u, density = piece
-
-    def g(x):
-        value = value_of_u(u)
-        value *= density
-        return value
-
-    return width * integrate(rule, g)
-
-
 def _rows(eta_rho, bob_factor, willie_factor) -> list:
     """The rows eta*rho, A and B as float arrays of one shape; a number stands for every row."""
     return np.broadcast_arrays(*(np.asarray(v, dtype=float)
@@ -219,18 +203,13 @@ def sop_term_sums(scenario: Scenario, target: SecrecyTarget, rule: QuadratureRul
         for rows, shared in blocks:
             own, num, den = workspace[:, :rows.size]
             width = cut[rows] - lo[rows]
-
-            def block(x):
-                if shared:
-                    u, density = shared
-                else:
-                    u = np.add(lo[rows, None], np.multiply(width[:, None], x, out=own), out=own)
-                thr = _threshold_offset(u, d2, a[rows], b[rows], c[rows], num, den)
-                value = zb.cdf(thr, out=thr)
-                value *= density if shared else branch(u, out=den)
-                return value
-
-            total[rows] = width * integrate(rule, block)
+            if shared:
+                u, density = shared
+            else:
+                u = np.add(lo[rows, None], np.outer(width, rule.nodes, out=own), out=own)
+            value = zb.cdf(_threshold_offset(u, d2, a[rows], b[rows], c[rows], num, den), out=num)
+            value *= density if shared else branch(u, out=den)
+            total[rows] = width * integrate(rule, value)
         saturated = cut < hi
         total[saturated] += cdf(hi) - cdf(cut[saturated])
     certain = u_1 <= 0.0
@@ -275,15 +254,16 @@ def _moments(pieces: list, rule: QuadratureRule, d2: float, k_max: int) -> np.nd
     of the block before, so M_k has the same bits at any k_max.
     """
     moments = np.empty((k_max, len(pieces)))
-    for p, piece in enumerate(pieces):
-        w, last = piece[1] / (d2 + piece[1]), 1.0
+    for p, (width, u, density) in enumerate(pieces):
+        w, last = u / (d2 + u), 1.0
         for ks in _row_blocks(np.arange(k_max), rule):
             powers = np.empty((ks.size, w.size))
             np.multiply(last, w, out=powers[0])
             for j in range(1, ks.size):  # row by row: a cumprod along axis 0 is ~3x slower
                 np.multiply(powers[j - 1], w, out=powers[j])
-            last = powers[-1].copy()  # _density_sum weights powers in place
-            moments[ks, p] = _density_sum(rule, piece, lambda u: powers)
+            last = powers[-1].copy()  # powers is weighted in place below
+            powers *= density
+            moments[ks, p] = width * integrate(rule, powers)
     return moments
 
 
@@ -322,10 +302,11 @@ def esc_term_sums(scenario: Scenario, rule: QuadratureRule, eta_rho, bob_factor,
     for k in range(k_max, 0, -1):
         sums = np.where(k <= terms, s * (moments[k - 1] + sums), 0.0)
     sums /= -math.log(2.0)
-    for p, piece in enumerate(pieces):
+    for p, (width, u, density) in enumerate(pieces):
         for rows in _row_blocks(np.flatnonzero(terms[:, p] == 0), rule):
-            gain = gains[rows, p, None]
-            sums[rows, p] = _density_sum(rule, piece, lambda u: _rate_offset(gain, d2, u))
+            value = _rate_offset(gains[rows, p, None], d2, u)
+            value *= density
+            sums[rows, p] = width * integrate(rule, value)
     return sums
 
 

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (_densities, _density_sum, esc_asymptotic, esc_bounds, sop_asymptotic,
-                     sop_bounds)
+from .bounds import _densities, esc_asymptotic, esc_bounds, sop_asymptotic, sop_bounds
 from .diststats import ZbDistribution, ZwDistribution, cdf_pdf_fd_gap, ks_statistic
 from .model import ChannelParams, Scenario, SecrecyTarget
 from .montecarlo import McConfig, _mc_sweep
 # unused here: bench/tracer.py patches these names, bench/smoke.py expects all of them
 from .montecarlo import mc_esc_fa, mc_esc_pa, mc_sop_fa, mc_sop_pa  # noqa: F401
-from .quad import make_rule
+from .quad import integrate, make_rule
 
 
 class ConfigError(ValueError):
@@ -111,6 +110,8 @@ class SweepRecord:
 def _grid(value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise ConfigError("snr_db_grid: expected a nonempty list of dB values")
+    if any(isinstance(v, bool) for v in value):
+        raise ConfigError("snr_db_grid: entries must be numbers")
     try:
         grid = tuple(float(v) for v in value)
     except (TypeError, ValueError):
@@ -341,7 +342,7 @@ def validate_stats(cfg: RunConfig, ks_samples: int = 200000) -> StatsReport:
         raise ValueError("ks_samples must be >= 1")
     zb, zw = ZbDistribution(cfg.scenario.side_length), ZwDistribution(cfg.scenario.side_length)
     rule = make_rule(cfg.quadrature_n)
-    masses = [_density_sum(rule, piece, np.ones_like) for piece in _densities(cfg.scenario, rule)]
+    masses = [width * integrate(rule, pdf) for width, _, pdf in _densities(cfg.scenario, rule)]
     res_b, res_w = abs(masses[0] - 1.0), abs(sum(masses[1:]) - 1.0)
 
     b0, b1, b2, b3 = zw.breakpoints

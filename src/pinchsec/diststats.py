@@ -55,7 +55,7 @@ class ZbDistribution:
 
     def quantile(self, q):
         q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
+        if not np.all((q >= 0) & (q <= 1)):
             raise ValueError("quantile argument must lie in [0, 1]")
         return (self.side_length * q / 2.0) ** 2
 
@@ -169,7 +169,7 @@ class ZwDistribution:
     def quantile(self, q):
         """Inverse CDF by bisection (the CDF is strictly increasing)."""
         q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
+        if not np.all((q >= 0) & (q <= 1)):
             raise ValueError("quantile argument must lie in [0, 1]")
         b0, _, _, b3 = self.breakpoints
         lo = np.full(np.broadcast(q).shape, b0)

@@ -59,7 +59,7 @@ class ChannelParams:
     def __post_init__(self):
         if not (self.carrier_freq > 0):
             raise ValueError("carrier_freq must be > 0")
-        if self.attenuation < 0:
+        if not (self.attenuation >= 0):
             raise ValueError("attenuation must be >= 0")
         if not (self.tx_power > 0):
             raise ValueError("tx_power must be > 0")
@@ -85,7 +85,7 @@ class SecrecyTarget:
     rate: float = 0.01
 
     def __post_init__(self):
-        if self.rate < 0:
+        if not (self.rate >= 0):
             raise ValueError("target rate must be >= 0")
 
     @property

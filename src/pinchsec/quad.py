@@ -52,27 +52,20 @@ def make_rule(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def integrate(rule: QuadratureRule, integrand):
-    """sum(w_i * f(x_i)), the integral of a vectorized f over [0, 1].
+def integrate(rule: QuadratureRule, values):
+    """sum(w_i * f(x_i)), the integral of f over [0, 1], from f's values at the nodes.
 
-    f maps the (n,) nodes to n values, or to an (m, n) block of m rows, one
-    integrand each; a block gives the (m,) row sums.  The summation order
-    is fixed (numpy pairwise along the contiguous node axis), so each row
-    sum is bit-identical to the 1-D call on that row, whatever the row
-    count or the caller's threading.
+    values, a writeable float array that the caller owns and then drops,
+    is (n,) or an (m, n) block of m integrands giving (m,) row sums; it is
+    weighted in place.  The summation order is fixed (numpy pairwise along
+    the contiguous node axis), so each row sum is bit-identical to the 1-D
+    call on that row, whatever the row count or the caller's threading.
 
-    Where f returns a writeable float array of the block's full shape, that
-    array is weighted in place (f must not keep it); other values (the
-    read-only nodes, a broadcast number) are weighted into a new array.
     The weights are positive, so a row sum is finite only if each of its
     values is; a non-finite sum names the first non-finite value's row and
     node, or the row whose weighted sum of finite values overflowed.
     """
-    values = np.asarray(integrand(rule.nodes), dtype=float)
-    if values.flags.writeable and values.shape[-1:] == rule.nodes.shape:
-        values *= rule.weights
-    else:
-        values = rule.weights * values
+    values *= rule.weights
     with np.errstate(over="ignore", invalid="ignore"):  # named below instead
         sums = np.sum(values, axis=-1)
     if not np.all(np.isfinite(sums)):

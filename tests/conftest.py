@@ -120,7 +120,7 @@ def sop_term_rows(scenario, target, rule, eta_rho, bob_factor, willie_factor):
                 length = cut[r] - lo[r]
                 u = lo[r] + length * rule.nodes
                 value = zb.cdf(bounds._threshold_offset(u, d2, a[r], b[r], c[r])) * branch(u)
-                sums[r, p] = length * quad.integrate(rule, lambda x: value)
+                sums[r, p] = length * quad.integrate(rule, value)
             if cut[r] < hi:
                 sums[r, p] += (cdf(hi) - cdf(cut[r:r + 1]))[0]
     for r in np.flatnonzero(u_1 <= 0.0):

@@ -169,7 +169,7 @@ class TestOutageKinks:
         calls = []
         integrate = bounds.integrate
         monkeypatch.setattr(bounds, "integrate",
-                            lambda rule, g: calls.append(rule) or integrate(rule, g))
+                            lambda rule, values: calls.append(rule) or integrate(rule, values))
         chan = chan_at(1e4)
         for direction in sop_directions(scenario, chan):
             sums = bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)], *direction)[0]
@@ -707,12 +707,9 @@ class TestSopKernel:
 def quadrature_term_sums(scenario, rule, gains):
     """esc_term_sums rows by the quadrature of _rate_offset alone, one per (bob, willie) gain."""
     d2 = scenario.waveguide_height ** 2
-    bob_piece, *willie_pieces = bounds._densities(scenario, rule)
-    return np.array([[bounds._density_sum(rule, bob_piece,
-                                          lambda u: bounds._rate_offset(bob, d2, u)),
-                      *(bounds._density_sum(rule, piece,
-                                            lambda u: bounds._rate_offset(willie, d2, u))
-                        for piece in willie_pieces)]
+    pieces = bounds._densities(scenario, rule)
+    return np.array([[width * bounds.integrate(rule, bounds._rate_offset(g, d2, u) * density)
+                      for g, (width, u, density) in zip((bob, willie, willie, willie), pieces)]
                      for bob, willie in gains])
 
 

@@ -100,6 +100,8 @@ class TestConfigFromDict:
             cli.config_from_dict({"snr_db_grid": [0.0, math.inf]})
         with pytest.raises(cli.ConfigError, match="numbers"):
             cli.config_from_dict({"snr_db_grid": ["a", "b"]})
+        with pytest.raises(cli.ConfigError, match="numbers"):
+            cli.config_from_dict({"snr_db_grid": [True, 2]})
         with pytest.raises(cli.ConfigError, match="finite"):
             cli.config_from_dict({"snr_db_grid": [0.0, 10 ** 400]})
 

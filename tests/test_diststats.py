@@ -197,8 +197,9 @@ class TestModuleWrappers:
         with pytest.raises(ValueError, match="side_length"):
             ps.ZwDistribution(-1.0)
         for dist in (zb_dist, zw_dist):
-            with pytest.raises(ValueError, match="quantile"):
-                dist.quantile(1.5)
+            for q in (1.5, math.nan, [0.5, math.nan]):
+                with pytest.raises(ValueError, match="quantile"):
+                    dist.quantile(q)
         with pytest.raises(ValueError, match="at least one sample"):
             _draw_positions(np.random.default_rng(0), 25.0, 0)
 

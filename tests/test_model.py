@@ -83,6 +83,8 @@ class TestTypes:
     def test_channel_validation(self):
         with pytest.raises(ValueError):
             ps.ChannelParams(attenuation=-0.1)
+        with pytest.raises(ValueError, match="attenuation"):
+            ps.ChannelParams(attenuation=math.nan)
         with pytest.raises(ValueError):
             ps.ChannelParams(tx_power=0.0)
         with pytest.raises(ValueError):
@@ -97,6 +99,8 @@ class TestTypes:
         assert ps.SecrecyTarget(rate=600).threshold == math.inf  # 4^600 overflows
         with pytest.raises(ValueError):
             ps.SecrecyTarget(rate=-0.1)
+        with pytest.raises(ValueError, match="target rate"):
+            ps.SecrecyTarget(rate=math.nan)
 
     def test_secrecy_target_threshold_minus_one(self):
         # 4^0.01 - 1 from mpmath at 30 digits; 4.0**0.01 - 1.0 cancels to ~3e-15 relative

@@ -41,22 +41,23 @@ class TestMakeRule:
 
 class TestIntegrate:
     def test_scalar_integrand(self, rule_1000):
-        got = quad.integrate(rule_1000, lambda x: 3.0)
+        got = quad.integrate(rule_1000, np.full(1000, 3.0))
         assert got == pytest.approx(3.0 * float(np.sum(rule_1000.weights)), rel=1e-15)
 
     def test_odd_integrand_vanishes(self):
-        got = quad.integrate(ps.make_rule(100), lambda x: x - 0.5)
+        rule = ps.make_rule(100)
+        got = quad.integrate(rule, rule.nodes - 0.5)
         assert abs(got) < 1e-12
 
     def test_nan_aborts_naming_node(self):
         rule = ps.make_rule(8)
         with pytest.raises(ValueError, match="node"):
-            quad.integrate(rule, lambda x: np.where(np.abs(x - 0.5) < 0.25, np.nan, x))
+            quad.integrate(rule, np.where(np.abs(rule.nodes - 0.5) < 0.25, np.nan, rule.nodes))
 
     def test_inf_aborts(self):
         rule = ps.make_rule(4)
         with pytest.raises(ValueError, match="node"):
-            quad.integrate(rule, lambda x: np.where(x > 0.5, np.inf, x))
+            quad.integrate(rule, np.where(rule.nodes > 0.5, np.inf, rule.nodes))
 
     def test_square_root_corners(self):
         # sqrt(x) + sqrt(1 - x) over [0, 1]: 4/3.  The midpoint rule in
@@ -69,17 +70,19 @@ class TestIntegrate:
         theta = (2 * np.arange(1, 1001) - 1) * np.pi / 2000
         affine = float(np.sum((np.pi / 1000) * 0.5 * np.sin(theta)
                               * f(0.5 * (np.cos(theta) + 1.0))))
-        assert quad.integrate(ps.make_rule(200), f) == pytest.approx(4.0 / 3.0, abs=1e-14)
+        rule = ps.make_rule(200)
+        assert quad.integrate(rule, f(rule.nodes)) == pytest.approx(4.0 / 3.0, abs=1e-14)
         assert abs(affine - 4.0 / 3.0) > 1e-7
 
     def test_inverse_square_root_pole(self):
         # x^-1/2 over [0, 1]: 2.  The pole sits at the left end, where the
         # nodes reach x ~ 1e-37, so no change of variable is needed
-        assert quad.integrate(ps.make_rule(200), lambda x: x ** -0.5) == pytest.approx(
-            2.0, abs=1e-14)
+        rule = ps.make_rule(200)
+        assert quad.integrate(rule, rule.nodes ** -0.5) == pytest.approx(2.0, abs=1e-14)
 
     def test_polynomial_over_unit_interval(self):
-        got = quad.integrate(ps.make_rule(200), lambda x: 3.0 * x ** 2)
+        rule = ps.make_rule(200)
+        got = quad.integrate(rule, 3.0 * rule.nodes ** 2)
         assert got == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("n", [100, 1000, 8000, 20000])
@@ -87,14 +90,15 @@ class TestIntegrate:
         # an (m, n) integrand gives m row sums, each with the bits of the
         # 1-D call on that row, whatever the row count or the node count
         rule = ps.make_rule(n)
+        x = rule.nodes
         c = np.random.default_rng(n).uniform(0.5, 2.0, (7, 1))
-        block = quad.integrate(rule, lambda x: np.sqrt(c * x) + np.sin(c + x))
+        block = quad.integrate(rule, np.sqrt(c * x) + np.sin(c + x))
         assert block.shape == (7,)
         for r in range(7):
-            alone = quad.integrate(rule, lambda x: np.sqrt(c[r, 0] * x) + np.sin(c[r, 0] + x))
+            alone = quad.integrate(rule, np.sqrt(c[r, 0] * x) + np.sin(c[r, 0] + x))
             assert isinstance(alone, float)
             assert block[r] == alone
-        one_row = quad.integrate(rule, lambda x: np.sqrt(c[3:4] * x) + np.sin(c[3:4] + x))
+        one_row = quad.integrate(rule, np.sqrt(c[3:4] * x) + np.sin(c[3:4] + x))
         assert one_row.tolist() == [block[3]]
 
     def test_block_nan_names_row_and_node(self):
@@ -107,23 +111,27 @@ class TestIntegrate:
             return values
 
         with pytest.raises(ValueError, match=rf"row {bad_row}, node {bad_node} \(.*value .*nan"):
-            quad.integrate(rule, f)
+            quad.integrate(rule, f(rule.nodes))
 
-    @pytest.mark.parametrize("integrand", [
-        lambda x: x,  # the rule's own read-only nodes
-        lambda x: np.broadcast_to(np.float64(2.5), x.shape),
-        lambda x: 2.5,
-        lambda x: np.sqrt(x) + 1.0,  # a fresh array, weighted in place
-        lambda x: np.tile(np.sqrt(x), (3, 1)),
+    @pytest.mark.parametrize("integrand, weighted", [
+        (lambda x: x, False),  # the rule's own read-only nodes
+        (lambda x: np.broadcast_to(np.float64(2.5), x.shape), False),
+        (lambda x: np.array(2.5), False),  # a number, as a 0-d array
+        (lambda x: np.sqrt(x) + 1.0, True),  # a fresh array, weighted in place
+        (lambda x: np.tile(np.sqrt(x), (3, 1)), True),
     ], ids=["nodes", "broadcast", "number", "fresh", "fresh-block"])
-    def test_weighting_keeps_values_and_rule(self, integrand):
-        # integrate may weight the integrand's own writeable array in place;
-        # read-only or broadcast values are weighted into a new array
+    def test_weighting_keeps_values_and_rule(self, integrand, weighted):
+        # integrate weights the caller's own writeable array in place; values
+        # it cannot weight in place raise, and the rule stays unchanged
         rule = ps.make_rule(50)
         nodes, weights = rule.nodes.copy(), rule.weights.copy()
-        want = np.sum(weights * np.broadcast_to(integrand(nodes.copy()), (3, 50)), axis=-1)
-        got = quad.integrate(rule, integrand)
-        np.testing.assert_array_equal(np.broadcast_to(got, (3,)), want)
+        if weighted:
+            want = np.sum(weights * np.broadcast_to(integrand(nodes.copy()), (3, 50)), axis=-1)
+            got = quad.integrate(rule, integrand(rule.nodes))
+            np.testing.assert_array_equal(np.broadcast_to(got, (3,)), want)
+        else:
+            with pytest.raises(ValueError):
+                quad.integrate(rule, integrand(rule.nodes))
         np.testing.assert_array_equal(rule.nodes, nodes)
         np.testing.assert_array_equal(rule.weights, weights)
         assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
@@ -132,9 +140,9 @@ class TestIntegrate:
         # every value finite, the weighted sum not: named as an overflow
         rule = quad.QuadratureRule(nodes=np.array([0.25, 0.75]), weights=np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="overflowed"):
-            quad.integrate(rule, lambda x: np.full(2, 1e308))
+            quad.integrate(rule, np.full(2, 1e308))
         with pytest.raises(ValueError, match="overflowed at row 1"):
-            quad.integrate(rule, lambda x: np.array([[1.0, 2.0], [1e308, 1e308]]))
+            quad.integrate(rule, np.array([[1.0, 2.0], [1e308, 1e308]]))
 
 
 class TestTermConvergence:
