@@ -189,9 +189,9 @@ class ZwDistribution:
 def _draw_positions(rng, side_length, n, out=None):
     """Canonical position draw order shared by every sampler in the package.
 
-    The rows x1, x2, y1, y2 of a (4, n) array, `out` if given (C-contiguous),
-    each with the bits of rng.uniform(-h, h, n), h = D/2: one fill of the
-    whole array draws the rows' uniforms in row order.
+    The rows x1, x2, y1, y2 of a (4, n) array, or of a C-contiguous `out`,
+    each with the bits of rng.uniform(-h, h, n), h = D/2, filled in row
+    order; an `out` shaped (chunks, 4, size), n = chunks*size, chunk by chunk.
     """
     if n < 1:
         raise ValueError("need at least one sample")

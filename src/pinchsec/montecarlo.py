@@ -2,15 +2,14 @@
 
 Unlike the analytical bounds, every trial applies the exact guided loss
 exp(-2*alpha*(x1 + D/2)) for the sampled Bob position.  Trials are split
-into fixed-size chunks; chunk k draws from the k-th child stream of
-SeedSequence(seed), which has the state of SeedSequence(entropy=seed,
-spawn_key=(k,)), and partial results are added up in chunk order, so
-estimates are bit-identical for a given (seed, trials, chunk_size) at
-any worker count.  The positions depend neither on rho nor on the
-estimator, so `_mc_sweep`, over one channel and an array of transmit
-powers, draws each chunk once and forms each requested kernel's (PA, FA
-or both) rho-free geometry from it once; PA and FA see common random
-numbers.
+into fixed-size chunks, which all draw from one PCG64(seed) stream:
+chunk k from its (4*chunk_size*k)-th double on.  Partial results are
+added up in chunk order, so estimates are bit-identical for a given
+(seed, trials, chunk_size) at any worker count.  The positions depend
+neither on rho nor on the estimator, so `_mc_sweep`, over one channel
+and an array of transmit powers, draws each chunk once and forms each
+requested kernel's (PA, FA or both) rho-free geometry from it once; PA
+and FA see common random numbers.
 
 The secrecy rate is one log1p of one ratio.  With S = eta*P*loss and the
 noise powers Nb = zb*sigma_b^2, Nw = zw*sigma_w^2,
@@ -30,23 +29,22 @@ and changes no bit of t.
 
 The worker pool's task is a slab: a run of consecutive full chunks of at
 most _SLAB_TRIALS trials together (one chunk if a chunk is larger), or
-the ragged last chunk alone.  A slab draws each chunk's positions from
-that chunk's own stream, spawned as the slab is taken, with one fill of
-the chunk's (4, size) block; it then forms each kernel's (A, B, C) in
-place as (chunks, size) rows over the whole slab, and evaluates t for
-blocks of powers across the slab's width: four rows of a full slab, or
-every row at once where the grid fits in five.  Each chunk's outage
-count (a byte sum), sum of log1p(t) and sum of squares are reduced from
-the C-contiguous (rows, chunks, size) block along its last axis, with
-the bits of a chunk reduced alone, and folded into one running total in
-chunk order as each slab completes.  With more than one worker,
-Executor.map takes every slab at once, so there the spawned streams
-(~370 B a chunk) live for the whole call.  The tasks are slabs,
-not chunks, because every numpy call releases and retakes the GIL: with
-calls of a few thousand elements, two threads spend their time handing
-the lock back and forth and run slower than one.  A slab of four
-default chunks makes the geometry's and the blocks' calls once, over
-four times the elements; only the draws stay per chunk, one fill each.
+the ragged last chunk alone.  A slab's generator is the stream advanced
+to the slab's first chunk, built in the calling thread.  One fill of the
+slab's (chunks, 4, size) block draws all its chunks' positions, since
+that chunk-major layout is the stream's order.  The slab then forms each
+kernel's (A, B, C) in place as (chunks, size) rows over the whole slab,
+and evaluates t for blocks of powers across the slab's width: four rows
+of a full slab, or every row at once where the grid fits in five.  Each
+chunk's outage count (a byte sum), sum of log1p(t) and sum of squares
+are reduced from the C-contiguous (rows, chunks, size) block along its
+last axis, with the bits of a chunk reduced alone, and folded into one
+running total in chunk order as each slab completes.  The tasks are
+slabs, not chunks, because every numpy call releases and retakes the
+GIL: with calls of a few thousand elements, two threads spend their time
+handing the lock back and forth and run slower than one.  A slab of four
+default chunks makes the draw's, the geometry's and the blocks' calls
+once, over four times the elements.
 
 Each worker thread holds one workspace per `_mc_sweep` call, one buffer
 of (7 + rows) widths of floats and a byte mask: the positions chunk by
@@ -62,6 +60,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -83,16 +82,17 @@ class McConfig:
     chunk_size: int = 4096
 
     def __post_init__(self):
+        for name in ("trials", "seed", "chunk_size"):
+            try:  # numpy integers become ints, whose products (4*chunk_size*k) cannot wrap
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.trials < 100:
             raise ValueError("trials must be >= 100")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
-
-    @property
-    def n_chunks(self) -> int:
-        return (self.trials + self.chunk_size - 1) // self.chunk_size
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
 
     An array of shape (powers, kernels, 2, 2); with the default kernels a
     power's rows are PA, then FA.  chan.tx_power is not used.  Each slab's
-    positions are drawn once, chunk by chunk, and each kernel forms its
+    positions are drawn once, in one fill, and each kernel forms its
     rho-free (A, B, C) from them once.  The ratios t of a block of powers
     over the whole slab, at most 5*_SLAB_TRIALS at once, are then
     reduced per power and chunk to an outage count (exact in a float), a
@@ -266,10 +266,9 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
 
     def slab_sums(task):
         """(chunks, powers, kernels, 3): each chunk's outage count, sum and sum of squares."""
-        (_, n_chunks, size), streams = task
+        (_, n_chunks, size), rng = task
         positions, terms, ratios, mask = workspace(n_chunks, size)
-        for i, stream in enumerate(streams):
-            _draw_positions(np.random.default_rng(stream), scenario.side_length, size, positions[i])
+        _draw_positions(rng, scenario.side_length, n_chunks * size, positions)
         # an outage count never exceeds the chunk's size: a byte sum in 16 bits is exact below 2^16
         count_type = np.uint16 if size < 2 ** 16 else np.intp
         sums = np.empty((n_chunks, rows, len(kernels), 3))
@@ -288,8 +287,9 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
                     np.add.reduce(np.multiply(ts, ts, out=ts), axis=-1, out=sums[:, block, j, 2].T)
         return sums
 
-    seeds = np.random.SeedSequence(cfg.seed)  # spawn continues its child count: chunk k, child k
-    tasks = ((slab, seeds.spawn(slab[1])) for slab in slabs)
+    # made in the calling thread, not per task: chunk k's positions start at double 4*chunk_size*k
+    tasks = ((slab, np.random.Generator(
+        np.random.PCG64(cfg.seed).advance(4 * cfg.chunk_size * slab[0]))) for slab in slabs)
     total = np.zeros((rows, len(kernels), 3))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for sums in (pool.map if workers > 1 else map)(slab_sums, tasks):

@@ -234,7 +234,7 @@ class TestRunSweep:
         monkeypatch.setattr(cli, "esc_bounds", counted("esc", cli.esc_bounds))
         cfg = cli.config_from_dict(fast_dict(mc_chunk_size=512))
         records = cli.run_sweep(cfg)
-        assert calls == {"draws": cfg.mc.n_chunks, "sop_asym": 1, "esc_asym": 1,
+        assert calls == {"draws": len(montecarlo._slabs(cfg.mc)), "sop_asym": 1, "esc_asym": 1,
                          "sop": 1, "esc": 1}
         assert len(records) == 3
 

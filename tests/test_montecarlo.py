@@ -1,8 +1,8 @@
 """Monte Carlo estimator tests.
 
-The chunked seeding protocol (child stream per chunk, ordered reduction)
-is replicated by hand in one test so any change to the draw layout or
-the reduction arithmetic is caught exactly, not statistically.
+The chunked seeding protocol (one stream drawn in chunk order, ordered
+reduction) is replicated by hand in one test so any change to the draw
+layout or the reduction arithmetic is caught exactly, not statistically.
 """
 
 import math
@@ -41,11 +41,15 @@ class TestConfig:
             ps.McConfig(seed=-1)
         with pytest.raises(ValueError):
             ps.McConfig(seed=2 ** 64)
-
-    def test_chunk_count(self):
-        assert ps.McConfig(trials=1000, chunk_size=256).n_chunks == 4
-        assert ps.McConfig(trials=1024, chunk_size=256).n_chunks == 4
-        assert ps.McConfig(trials=1025, chunk_size=256).n_chunks == 5
+        # a count or a seed is an integer, named when it is not
+        for name, value in (("trials", 150.5), ("trials", math.nan), ("trials", math.inf),
+                            ("trials", 1000.0), ("seed", 7.0), ("chunk_size", 512.5)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                ps.McConfig(**{name: value})
+        cfg = ps.McConfig(trials=np.int64(1000), seed=np.uint64(2 ** 64 - 1),
+                          chunk_size=np.int32(512))
+        assert [(type(v), v) for v in (cfg.trials, cfg.seed, cfg.chunk_size)] == [
+            (int, 1000), (int, 2 ** 64 - 1), (int, 512)]
 
 
 class TestReproducibility:
@@ -111,24 +115,34 @@ class TestReproducibility:
                          "_secrecy_ratio": 2 * slabs}
 
     @pytest.mark.parametrize("seed", [0, 12345, 2 ** 63, 2 ** 64 - 1])
-    def test_spawned_streams_are_the_spawn_key_streams(self, seed):
-        # the engine spawns each slab's chunk streams from one
-        # SeedSequence(seed) as the slab is taken; chunk k's stream must keep
-        # the state of SeedSequence(entropy=seed, spawn_key=(k,)), the
-        # protocol test_manual_replication rebuilds.  mc-deep's 245 chunks
-        # come as slabs of 4 and a last one; a sequence that has spawned
-        # 10^5 children gives the 10^5-th next
-        def state(stream):
-            return stream.generate_state(4).tolist()
+    def test_slab_positions_are_slices_of_one_stream(self, scenario, target, seed, monkeypatch):
+        # each slab fills its (chunks, 4, size) positions in one draw from
+        # PCG64(seed) advanced to its first chunk; laid end to end, the fills
+        # are one long draw of the stream, the protocol test_manual_replication
+        # rebuilds.  At chunk 7: slabs of 2340, 2340 and 144 chunks, then a
+        # ragged 3-trial chunk.  A generator advanced past 10^5 one-trial
+        # chunks continues the stream that drew them
+        fills = []
 
-        seeds = np.random.SeedSequence(seed)
-        children = [c for first in range(0, 245, 4) for c in seeds.spawn(min(4, 245 - first))]
-        far = np.random.SeedSequence(seed, n_children_spawned=10 ** 5).spawn(1)[0]
-        for k, child in ((0, children[0]), (1, children[1]), (244, children[244]),
-                         (10 ** 5, far)):
-            assert state(child) == state(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        if seed == 2 ** 64 - 1:
-            assert state(np.random.SeedSequence(seed).spawn(10 ** 5 + 1)[10 ** 5]) == state(far)
+        def recorded(rng, side_length, n, out):
+            fills.append((n, _draw_positions(rng, side_length, n, out).copy()))
+            return out
+
+        monkeypatch.setattr(montecarlo, "_draw_positions", recorded)
+        cfg = ps.McConfig(trials=2 * montecarlo._SLAB_TRIALS + 1003, seed=seed, chunk_size=7)
+        slabs = montecarlo._slabs(cfg)
+        assert [n for _, n, _ in slabs] == [2340, 2340, 144, 1] and slabs[-1][2] == 3
+        montecarlo._mc_sweep(scenario, chan_at(1.0), [1e4], target, cfg, 1,
+                             (montecarlo._pa_geometry,))
+        assert [(n, fill.shape) for n, fill in fills] == [(k * size, (k, 4, size))
+                                                         for _, k, size in slabs]
+        stream = np.random.Generator(np.random.PCG64(seed))
+        whole = _draw_positions(stream, scenario.side_length, cfg.trials)
+        assert np.concatenate([fill.ravel() for _, fill in fills]).tobytes() == whole.tobytes()
+        stream = np.random.Generator(np.random.PCG64(seed))
+        stream.random(4 * 10 ** 5)
+        far = np.random.Generator(np.random.PCG64(seed).advance(4 * 10 ** 5))
+        assert far.random(8).tobytes() == stream.random(8).tobytes()
 
     def test_seed_changes_result(self, scenario, target):
         chan = chan_at(1e8)
@@ -137,17 +151,17 @@ class TestReproducibility:
         assert a.mean != b.mean
 
     def test_manual_replication(self, scenario, target):
-        # rebuild the exact estimate from the documented protocol: chunk k
-        # draws (x1, x2, y1, y2) from seed (4242, spawn_key=(k,)); a trial's
+        # rebuild the exact estimate from the documented protocol: the chunks
+        # draw (x1, x2, y1, y2) in turn from one PCG64(4242) stream; a trial's
         # Rb - Rw is log1p(t)/(2 ln 2) with t = A/(B*r + C), in outage
         # where t < 4^Rbar - 1; the sums are scaled once at the end
         chan = chan_at(1e8)
         cfg = ps.McConfig(trials=300, seed=4242, chunk_size=128)
         r = 1.0 / (chan.eta * chan.tx_power)
         total, s, s2 = 0, 0.0, 0.0
+        rng = np.random.Generator(np.random.PCG64(4242))
         for k in range(3):
             size = min(128, 300 - 128 * k)
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=4242, spawn_key=(k,)))
             half = scenario.side_length / 2.0
             x1 = rng.uniform(-half, half, size)
             x2 = rng.uniform(-half, half, size)
@@ -192,8 +206,8 @@ def _oracle_fa(scenario, chan, x1, x2, y1, y2):
 def _oracle_sweep(scenario, chans, target, cfg):
     """The engine's estimates, one channel and one kernel at a time.
 
-    Chunk k draws its positions from SeedSequence(entropy=seed,
-    spawn_key=(k,)).  Every channel forms each kernel's t on them and
+    The chunks draw their positions in turn from one
+    Generator(PCG64(seed)).  Every channel forms each kernel's t on them and
     reduces the outage count, log1p(t) and its square with 1-D sums; the
     sums are added up in chunk order and scaled by 1/(2 ln 2) once.  The
     engine measures powers in a power of two; scaling by one changes no
@@ -201,10 +215,10 @@ def _oracle_sweep(scenario, chans, target, cfg):
     """
     below = math.expm1(target.rate * math.log(4.0))
     totals = {}
-    for k in range(cfg.n_chunks):
-        stream = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k,))
-        positions = _draw_positions(np.random.default_rng(stream), scenario.side_length,
-                                    min(cfg.chunk_size, cfg.trials - k * cfg.chunk_size))
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    for first in range(0, cfg.trials, cfg.chunk_size):
+        positions = _draw_positions(rng, scenario.side_length,
+                                    min(cfg.chunk_size, cfg.trials - first))
         for i, chan in enumerate(chans):
             for j, kernel in enumerate((_oracle_pa, _oracle_fa)):
                 t = kernel(scenario, chan, *positions)
@@ -428,8 +442,8 @@ class TestBatchedEngine:
         # positions, chunk by chunk, the three terms and a 5-row block of
         # ratios of a 16384-trial slab, then a 5-row byte mask, ~1.6 MiB);
         # each slab's per-chunk sums are folded as it completes, and the
-        # call's 245 spawned chunk streams (~80 KiB), which Executor.map
-        # holds for the whole call at two workers, are small
+        # call's 62 slab generators, which Executor.map holds for the whole
+        # call at two workers, are small
         powers = [10 ** (db / 10.0) for db in (40.0, 45.0, 50.0, 55.0, 60.0)]
         cfg = ps.McConfig(trials=1000000, seed=5, chunk_size=4096)
         montecarlo._mc_sweep(scenario, chan_at(1.0), powers[:1], target, small_cfg(), 2)
@@ -445,26 +459,31 @@ class TestBatchedEngine:
 
     def test_memory_stays_flat_in_the_chunk_count(self, scenario, target):
         # 20 powers at chunk 64: a slab is 256 chunks, whose per-chunk sums
-        # (960 B) and spawned streams (~370 B) would grow the peak by
-        # ~330 KiB a slab if the call kept them.  One worker folds each slab
-        # as it completes; the loop holds the last slab's sums while the
-        # next is made, so the peak is that of two slabs at any count
+        # (960 B) would grow the peak by ~245 KiB a slab if the call kept
+        # them.  The loop folds each slab as it completes and holds the last
+        # slab's sums while the next is made, so at one worker the peak is
+        # that of two slabs at any count.  Two workers are handed every
+        # slab at once: each holds one generator, not a stream per chunk
+        # (~370 B each, ~2.5 MB more from 4 to 32 slabs), and sums that
+        # queue while the loop folds add up to ~0.7 MB; the least of two
+        # tries is taken
         powers = [10 ** (k / 10.0) for k in range(20)]
 
-        def peak(slabs):
+        def peak(slabs, workers):
             cfg = ps.McConfig(trials=slabs * montecarlo._SLAB_TRIALS, seed=5, chunk_size=64)
             assert len(montecarlo._slabs(cfg)) == slabs
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg)
+                montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg, workers)
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
 
-        peak(1)
-        few, many = peak(2), peak(8)
-        assert many - few < 2 ** 17, (few, many)
+        for workers, few, many, bound in ((1, 2, 8, 2 ** 17), (2, 4, 32, 3 * 2 ** 19)):
+            peak(1, workers)
+            growth = min(peak(many, workers) - peak(few, workers) for _ in range(2))
+            assert growth < bound, (workers, growth)
 
 
 class TestDegenerateGeometry:
@@ -546,8 +565,8 @@ class TestInfinitePower:
         assert math.isfinite(rates[0]) and rates[0] == rates[1]
         # the finite power keeps its loss and its bits: (sop, esc) x (mean, SE), PA then FA
         assert lossy[0].tolist() == [
-            [[0.997, 0.0012229063741758816], [0.0017999640062394027, 0.00094668942255057]],
-            [[0.4975, 0.011180200132376878], [0.01272761473932809, 0.015174927785546792]]]
+            [[0.9945, 0.0016537457482938467], [0.0028763549998887905, 0.0013430568251933063]],
+            [[0.5065, 0.01117939510885987], [-0.007358654298580443, 0.015371955835295]]]
 
 
 class TestStatisticalBehavior:
