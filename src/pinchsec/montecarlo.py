@@ -15,17 +15,25 @@ The secrecy rate is one log1p of one ratio.  With S = eta*P*loss and the
 noise powers Nb = zb*sigma_b^2, Nw = zw*sigma_w^2,
 
     Rb - Rw = (1/2)log2((1 + S/Nb)/(1 + S/Nw)) = log1p(t)/(2 ln 2),
-    t = S*(Nw - Nb)/(Nb*(Nw + S)) = A/(B*r + C),
+    t = S*(Nw - Nb)/(Nb*(Nw + S)) = p/(r + q),
 
-where A = (Nw - Nb)*loss, B = Nb*Nw and C = Nb*loss come from the
-geometry and r = 1/(eta*P) from the power.  A block of powers, with r as
-a column, costs one multiply, one add and one divide per trial and power
-for t, and one log1p.  An outage is t < 4^Rbar - 1, which log1p does not
-round; the scale 1/(2 ln 2) is applied to the reduced sums once.  At
-rho = inf, r = 0 gives the exact high-SNR limit t = (Nw - Nb)/Nb, from
-the loss-free geometry.  Powers are measured in `_power_unit`, a power of
-two near the typical noise power, which keeps B inside the float range
-and changes no bit of t.
+where p = (Nw - Nb)*loss/(Nb*Nw), formed as (Nw - Nb)*q/Nb, and
+q = loss/Nw come from the geometry and r = 1/(eta*P) from the power.  A
+block of powers, with r as a column, costs one add and one divide per
+trial and power for t, and one log1p.  An outage is t < 4^Rbar - 1,
+which log1p does not round; the scale 1/(2 ln 2) is applied to the
+reduced sums once.  r = +inf (an underflowed eta*P) gives t = 0.  At
+rho = inf, r = 0 gives the exact high-SNR limit t = p/q = (Nw - Nb)/Nb,
+from the loss-free geometry.  Powers are measured in `_power_unit`, a
+power of two near the typical noise power, which keeps 1/Nb and 1/Nw
+inside the float range and changes no bit of t.
+
+Since loss <= 1 and Nb >= d^2*sigma_b^2, every trial of either system has
+t < S/Nb <= eta*P/(d^2*sigma_b^2).  A power at which that gain, widened
+by _CERTAIN_MARGIN (far above the few ulps by which t is rounded), lies
+below 4^Rbar - 1 is in outage at every trial: its count is the chunk's
+size, with no comparison of t.  Its log1p sums are formed as at any
+other power.
 
 The worker pool's task is a slab: a run of consecutive full chunks of at
 most _SLAB_TRIALS trials together (one chunk if a chunk is larger), or
@@ -33,7 +41,7 @@ the ragged last chunk alone.  A slab's generator is the stream advanced
 to the slab's first chunk, built in the calling thread.  One fill of the
 slab's (chunks, 4, size) block draws all its chunks' positions, since
 that chunk-major layout is the stream's order.  The slab then forms each
-kernel's (A, B, C) in place as (chunks, size) rows over the whole slab,
+kernel's (p, q) in place as (chunks, size) rows over the whole slab,
 and evaluates t for blocks of powers across the slab's width: four rows
 of a full slab, or every row at once where the grid fits in five.  Each
 chunk's outage count (a byte sum), sum of log1p(t) and sum of squares
@@ -47,11 +55,14 @@ default chunks makes the draw's, the geometry's and the blocks' calls
 once, over four times the elements.
 
 Each worker thread holds one workspace per `_mc_sweep` call, one buffer
-of (7 + rows) widths of floats and a byte mask: the positions chunk by
-chunk, A, B and C, then the block of ratios, whose first row is the
-geometry's scratch.  No block or slab allocates an array of trials,
-which at the default chunk (128 KiB, glibc's mmap threshold) were
-page-faulted afresh every block.  The means and standard errors are
+of (6 + rows) widths of floats and a byte mask: the positions chunk by
+chunk, p and q, then the block of ratios, whose first row holds Bob's
+noise power while a geometry runs.  No block or slab allocates an array
+of trials, which at the default chunk (128 KiB, glibc's mmap threshold)
+were page-faulted afresh every block.  The buffer starts on a 64-byte
+boundary (np.empty promises 16), so at chunk sizes that are multiples
+of 8 every row of it does: numpy's SIMD loops run about twice as fast
+on such rows as on rows 16 bytes off.  The means and standard errors are
 formed on arrays, whose divide, multiply and sqrt round as Python's do.
 The public `mc_*` functions are its single-power, single-kernel views.
 """
@@ -73,6 +84,8 @@ from .model import (_HALF_LOG2E, ChannelParams, Scenario, SecrecyTarget, _tx_pow
                     los_rate)
 
 _SLAB_TRIALS = 16384  # trials per pool task, and a quarter of a block of ratios
+_CERTAIN_MARGIN = 1e-12  # the certain-outage test's relative headroom over the rounding of t
+_ALIGN = 64  # bytes: the start of each worker's workspace, a cache line and an AVX-512 register
 
 
 @dataclass(frozen=True)
@@ -106,8 +119,10 @@ def _power_unit(scenario: Scenario, chan: ChannelParams) -> float:
     """The power of two in which S, Nb and Nw are measured: near sqrt(Nb*Nw) at the room's scale.
 
     Scaling all three by one power of two changes no bit of t.  It keeps
-    B = Nb*Nw of the order of (z/(d^2 + D^2/4))^2 at any noise variance,
-    where in the noise powers' own units B overflows from sigma^2 ~ 1e152.
+    Nb and Nw of the order of z/(d^2 + D^2/4), and so 1/Nb, 1/Nw, p and q
+    inside the float range at any noise variance, where in the noise
+    powers' own units q = loss/Nw overflows below sigma^2 ~ 1e-308 and
+    goes subnormal above sigma^2 ~ 1e306.
     """
     scale = scenario.waveguide_height ** 2 + scenario.side_length ** 2 / 4.0
     exponent = (math.frexp(scale * chan.noise_bob)[1] + math.frexp(scale * chan.noise_willie)[1])
@@ -127,39 +142,41 @@ def _noise_power(out, scale, d2, u, v=None, scratch=None):
     return out
 
 
-def _ratio_terms(noise_w, b, noise_b, loss=None):
-    """(A, B, C) = ((Nw - Nb)*loss, Nb*Nw, Nb*loss): B into `b`, A and C over the noise rows."""
-    np.multiply(noise_b, noise_w, out=b)
+def _ratio_terms(noise_w, q, noise_b, loss=1.0):
+    """(p, q) = ((Nw - Nb)*q/Nb, loss/Nw): q into `q`, p over the Willie row.
+
+    p is (Nw - Nb)*loss/(Nb*Nw) without the product Nb*Nw.
+    """
+    np.divide(loss, noise_w, out=q)
     noise_w -= noise_b
-    if loss is not None:
-        noise_w *= loss
-        noise_b *= loss
-    return noise_w, b, noise_b
+    noise_w *= q
+    noise_w /= noise_b
+    return noise_w, q
 
 
 def _pa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2, out):
-    """The PA's (A, B, C): both links pay the guided loss of the travel x1 + D/2.
+    """The PA's (p, q): both links pay the guided loss of the travel x1 + D/2.
 
-    Written into the first three rows out[k, ...] of `out`, a (4, *shape)
-    array, 0-d rows at scalar positions; the loss takes the fourth.
+    Written into the first two rows out[k, ...] of `out`, a (3, *shape)
+    array, 0-d rows at scalar positions; Bob's noise power takes the third.
     """
-    noise_w, b, noise_b, loss = (out[k, ...] for k in range(4))
+    noise_w, loss, noise_b = (out[k, ...] for k in range(3))
     d2, unit = scenario.waveguide_height ** 2, _power_unit(scenario, chan)
     _noise_power(noise_w, chan.noise_willie / unit, d2, np.subtract(x1, x2, out=noise_w), y2,
                  loss)
     _noise_power(noise_b, chan.noise_bob / unit, d2, y1)
     np.add(x1, scenario.side_length / 2.0, out=loss)
     loss *= -2.0 * chan.attenuation
-    return _ratio_terms(noise_w, b, noise_b, np.exp(loss, out=loss))
+    return _ratio_terms(noise_w, loss, noise_b, np.exp(loss, out=loss))
 
 
 def _fa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2, out):
     """The same for the fixed antenna at (0, 0, d), which has no guided loss (loss = 1)."""
-    noise_w, b, noise_b, scratch = (out[k, ...] for k in range(4))
+    noise_w, scratch, noise_b = (out[k, ...] for k in range(3))
     d2, unit = scenario.waveguide_height ** 2, _power_unit(scenario, chan)
     _noise_power(noise_w, chan.noise_willie / unit, d2, x2, y2, scratch)
     _noise_power(noise_b, chan.noise_bob / unit, d2, x1, y1, scratch)
-    return _ratio_terms(noise_w, b, noise_b)
+    return _ratio_terms(noise_w, scratch, noise_b)
 
 
 def _inverse_gains(scenario: Scenario, chan: ChannelParams, tx_powers) -> np.ndarray:
@@ -168,14 +185,25 @@ def _inverse_gains(scenario: Scenario, chan: ChannelParams, tx_powers) -> np.nda
         return _power_unit(scenario, chan) / (chan.eta * _tx_powers(tx_powers))
 
 
-def _secrecy_ratio(r, a, b, c, out=None):
-    """t = a/(b*r + c), so that Rb - Rw = log1p(t)/(2 ln 2); r is a number or a (rows, 1) column.
+def _certain_outage(scenario: Scenario, chan: ChannelParams, inverse_gains, below) -> np.ndarray:
+    """Where eta*P/(d^2*sigma_b^2)*(1 + _CERTAIN_MARGIN) < 4^Rbar - 1 (`below`), of each r.
 
-    Given `out`, an array of t's shape, it allocates nothing.  Where b*r
-    overflows, t is below a/1.8e308 and reads 0.
+    That gain bounds t at every trial of either system, so there every
+    trial is in outage.  Never at Rbar = 0, nor at r = 0 (P = inf).
     """
-    with np.errstate(over="ignore"):
-        return np.divide(a, np.add(np.multiply(b, r, out=out), c, out=out), out=out)
+    floor = scenario.waveguide_height ** 2 * (chan.noise_bob / _power_unit(scenario, chan))
+    with np.errstate(divide="ignore", over="ignore"):
+        gains = 1.0 / (inverse_gains * floor)
+    return gains * (1.0 + _CERTAIN_MARGIN) < below
+
+
+def _secrecy_ratio(r, p, q, out=None):
+    """t = p/(r + q), so that Rb - Rw = log1p(t)/(2 ln 2); r is a number or a column of rows.
+
+    Given `out`, an array of t's shape, it allocates nothing.  r = +inf
+    gives t = 0.
+    """
+    return np.divide(p, np.add(r, q, out=out), out=out)
 
 
 def _secrecy_rate(geometry, scenario: Scenario, chan: ChannelParams, *positions):
@@ -185,7 +213,7 @@ def _secrecy_rate(geometry, scenario: Scenario, chan: ChannelParams, *positions)
         chan = dataclasses.replace(chan, attenuation=0.0)
     positions = np.broadcast_arrays(*positions)
     t = _secrecy_ratio(r, *geometry(scenario, chan, *positions,
-                                    np.empty((4,) + positions[0].shape)))
+                                    np.empty((3,) + positions[0].shape)))
     return np.log1p(t) * _HALF_LOG2E
 
 
@@ -224,21 +252,16 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
     An array of shape (powers, kernels, 2, 2); with the default kernels a
     power's rows are PA, then FA.  chan.tx_power is not used.  Each slab's
     positions are drawn once, in one fill, and each kernel forms its
-    rho-free (A, B, C) from them once.  The ratios t of a block of powers
+    rho-free (p, q) from them once.  The ratios t of a block of powers
     over the whole slab, at most 5*_SLAB_TRIALS at once, are then
-    reduced per power and chunk to an outage count (exact in a float), a
-    sum of log1p(t) and a sum of its squares; those are folded into one
-    total in fixed chunk order as each slab completes, and scaled once.
+    reduced per power and chunk to an outage count (exact in a float;
+    the chunk's size, untested, where outage is certain), a sum of
+    log1p(t) and a sum of its squares; those are folded into one total in
+    fixed chunk order as each slab completes, and scaled once.
     """
     inverse_gains = _inverse_gains(scenario, chan, tx_powers)[:, None, None]
-    # rho = inf (r = 0) takes t = (Nw - Nb)/Nb from the loss-free geometry: the loss cancels
-    # from the limit, and the PA's underflows to 0 beyond alpha*(x1 + D/2) ~ 372 (A/C = 0/0).
-    # The rows go in runs (chan, start, stop) of one kind, each with its own geometry
-    limit, loss_free = inverse_gains[:, 0, 0] == 0, dataclasses.replace(chan, attenuation=0.0)
-    edges = [0, *(np.flatnonzero(limit[1:] != limit[:-1]) + 1).tolist(), limit.size]
-    runs = [(loss_free if limit[start] else chan, start, stop)
-            for start, stop in zip(edges, edges[1:]) if start < stop]
     below = target.threshold_minus_one  # Rb - Rw < Rbar exactly where t < 4^Rbar - 1
+    certain = _certain_outage(scenario, chan, inverse_gains[:, 0, 0], below)
     slabs = _slabs(cfg)
     width_max = max(n * size for _, n, size in slabs)
     rows = len(inverse_gains)
@@ -246,23 +269,49 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
     if rows * width_max <= 5 * _SLAB_TRIALS:  # or the whole grid where it fits in five
         step = rows
     rows_max = max(1, min(step, rows))
-    floats = (7 + rows_max) * width_max
+
+    def blocks(start: int, stop: int) -> list:
+        """Rows start..stop as blocks (rows, tested) of at most `step` rows each.
+
+        `tested` spans, from the block's first row, every row whose outage
+        is not certain.
+        """
+        spans = []
+        for lo in range(start, stop, step):
+            block = slice(lo, min(lo + step, stop))
+            uncertain = np.flatnonzero(~certain[block])
+            spans.append((block, slice(uncertain[0], uncertain[-1] + 1) if uncertain.size
+                          else slice(0, 0)))
+        return spans
+
+    # rho = inf (r = 0) takes t = (Nw - Nb)/Nb from the loss-free geometry: the loss cancels
+    # from the limit, and the PA's underflows to 0 beyond alpha*(x1 + D/2) ~ 372 (p/q = 0/0).
+    # The rows go in runs (chan, blocks) of one kind, each with its own geometry
+    limit, loss_free = inverse_gains[:, 0, 0] == 0, dataclasses.replace(chan, attenuation=0.0)
+    edges = [0, *(np.flatnonzero(limit[1:] != limit[:-1]) + 1).tolist(), limit.size]
+    runs = [(loss_free if limit[start] else chan, blocks(start, stop))
+            for start, stop in zip(edges, edges[1:]) if start < stop]
+    floats = (6 + rows_max) * width_max
     local = threading.local()  # this call's workspace of each worker thread
 
     def workspace(n_chunks: int, size: int):
         """(positions, terms, ratios, mask) for a slab of n_chunks chunks: views of one buffer.
 
         Floats: the positions, chunk by chunk, each chunk's 4 rows
-        together, then A, B, C as (chunks, size) rows, then a block of
-        ratios; the terms' scratch row is the block's first row, free
-        while a geometry runs.  The block's outage mask follows as bytes.
+        together, then p and q as (chunks, size) rows, then a block of
+        ratios, whose first row is the geometry's third (Bob's noise
+        power), free once p is formed.  The block's outage mask follows
+        as bytes.  The buffer starts on an _ALIGN-byte boundary.
         """
         if not hasattr(local, "buffer"):
-            local.buffer = np.empty(8 * floats + rows_max * width_max, np.uint8)
+            nbytes = 8 * floats + rows_max * width_max
+            raw = np.empty(nbytes + _ALIGN, np.uint8)
+            start = -raw.ctypes.data % _ALIGN
+            local.buffer = raw[start:start + nbytes]
         values, width = local.buffer[:8 * floats].view(float), n_chunks * size
         return (values[:4 * width].reshape(n_chunks, 4, size),
-                values[4 * width_max:4 * width_max + 4 * width].reshape(4, n_chunks, size),
-                values[7 * width_max:], local.buffer[8 * floats:].view(bool))
+                values[4 * width_max:4 * width_max + 3 * width].reshape(3, n_chunks, size),
+                values[6 * width_max:], local.buffer[8 * floats:].view(bool))
 
     def slab_sums(task):
         """(chunks, powers, kernels, 3): each chunk's outage count, sum and sum of squares."""
@@ -273,16 +322,19 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
         count_type = np.uint16 if size < 2 ** 16 else np.intp
         sums = np.empty((n_chunks, rows, len(kernels), 3))
         for j, geometry in enumerate(kernels):
-            for run_chan, start, stop in runs:
-                a, b, c = geometry(scenario, run_chan, *positions.swapaxes(0, 1), terms)
-                for lo in range(start, stop, step):
-                    block = slice(lo, min(lo + step, stop))
+            for run_chan, blocks in runs:
+                p, q = geometry(scenario, run_chan, *positions.swapaxes(0, 1), terms)
+                for block, span in blocks:
                     r = inverse_gains[block]
                     # a C-contiguous (rows, chunks, size) block: each chunk is reduced on its own
-                    ts = _secrecy_ratio(r, a, b, c,
-                                        ratios[:r.size * a.size].reshape(len(r), *a.shape))
-                    outage = np.less(ts, below, out=mask[:ts.size].reshape(ts.shape))
-                    np.add.reduce(outage, axis=-1, dtype=count_type, out=sums[:, block, j, 0].T)
+                    ts = _secrecy_ratio(r, p, q,
+                                        ratios[:r.size * p.size].reshape(len(r), *p.shape))
+                    counts = sums[:, block, j, 0]
+                    counts[...] = size  # where outage is certain; the tested span overwrites it
+                    if span.start < span.stop:
+                        part = ts[span]
+                        outage = np.less(part, below, out=mask[:part.size].reshape(part.shape))
+                        np.add.reduce(outage, axis=-1, dtype=count_type, out=counts[:, span].T)
                     np.add.reduce(np.log1p(ts, out=ts), axis=-1, out=sums[:, block, j, 1].T)
                     np.add.reduce(np.multiply(ts, ts, out=ts), axis=-1, out=sums[:, block, j, 2].T)
         return sums

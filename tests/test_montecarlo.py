@@ -5,6 +5,7 @@ reduction) is replicated by hand in one test so any change to the draw
 layout or the reduction arithmetic is caught exactly, not statistically.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -153,7 +154,7 @@ class TestReproducibility:
     def test_manual_replication(self, scenario, target):
         # rebuild the exact estimate from the documented protocol: the chunks
         # draw (x1, x2, y1, y2) in turn from one PCG64(4242) stream; a trial's
-        # Rb - Rw is log1p(t)/(2 ln 2) with t = A/(B*r + C), in outage
+        # Rb - Rw is log1p(t)/(2 ln 2) with t = p/(r + q), in outage
         # where t < 4^Rbar - 1; the sums are scaled once at the end
         chan = chan_at(1e8)
         cfg = ps.McConfig(trials=300, seed=4242, chunk_size=128)
@@ -170,7 +171,8 @@ class TestReproducibility:
             loss = np.exp(-2.0 * chan.attenuation * (x1 + half))
             nb = y1 ** 2 + 9.0
             nw = (x1 - x2) ** 2 + y2 ** 2 + 9.0
-            t = (nw - nb) * loss / (nb * nw * r + nb * loss)
+            q = loss / nw
+            t = (nw - nb) * q / nb / (r + q)
             total += int(np.sum(t < math.expm1(target.rate * math.log(4.0))))
             logs = np.log1p(t)
             s += float(np.sum(logs))
@@ -188,19 +190,22 @@ class TestReproducibility:
 
 
 def _oracle_pa(scenario, chan, x1, x2, y1, y2):
-    # the PA's t = A/(B*r + C) for one channel, in the noise powers' own units
+    # the PA's t = p/(r + q), q = loss/Nw, p = (Nw - Nb)*q/Nb, for one channel, in the noise
+    # powers' own units
     d2 = scenario.waveguide_height ** 2
     loss = np.exp(-2.0 * chan.attenuation * (x1 + scenario.side_length / 2.0))
     nb = (y1 ** 2 + d2) * chan.noise_bob
     nw = ((x1 - x2) ** 2 + y2 ** 2 + d2) * chan.noise_willie
-    return (nw - nb) * loss / (nb * nw * (1.0 / (chan.eta * chan.tx_power)) + nb * loss)
+    q = loss / nw
+    return (nw - nb) * q / nb / (1.0 / (chan.eta * chan.tx_power) + q)
 
 
 def _oracle_fa(scenario, chan, x1, x2, y1, y2):
     d2 = scenario.waveguide_height ** 2
     nb = (x1 ** 2 + y1 ** 2 + d2) * chan.noise_bob
     nw = (x2 ** 2 + y2 ** 2 + d2) * chan.noise_willie
-    return (nw - nb) / (nb * nw * (1.0 / (chan.eta * chan.tx_power)) + nb)
+    q = 1.0 / nw
+    return (nw - nb) * q / nb / (1.0 / (chan.eta * chan.tx_power) + q)
 
 
 def _oracle_sweep(scenario, chans, target, cfg):
@@ -371,6 +376,70 @@ class TestBatchedEngine:
             assert got[0, :, 0].tolist() == [[1.0, 0.0], [1.0, 0.0]]
             assert got.tolist() == want
 
+    @pytest.mark.parametrize("noise_bob, noise_willie", [(2.0, 0.5), (0.5, 2.0)])
+    def test_certain_outage_edge(self, scenario, noise_bob, noise_willie):
+        # every trial has t < eta*P/(d^2 sigma_b^2): a power whose gain,
+        # widened by the margin, lies below 4^Rbar - 1 counts the chunk's
+        # size without comparing t.  Gains at (4^Rbar - 1)(1 -/+ 1e-9) and
+        # 1e-14 either side of the margin, then one row well clear of the
+        # edge; the oracle tests every trial.  Four full chunks, then a
+        # ragged 904-trial chunk, which counts its own size
+        target = ps.SecrecyTarget(rate=0.05)
+        chan = ps.ChannelParams(attenuation=0.05, noise_bob=noise_bob, noise_willie=noise_willie)
+        thr = target.threshold_minus_one
+        edge = thr * scenario.waveguide_height ** 2 * noise_bob / chan.eta
+        margin = 1.0 + montecarlo._CERTAIN_MARGIN
+        factors = [1.0 - 1e-9, 1.0 + 1e-9, (1.0 - 1e-14) / margin, (1.0 + 1e-14) / margin, 1e3]
+        powers = [edge * f for f in factors]
+        inverse_gains = montecarlo._inverse_gains(scenario, chan, powers)
+        assert montecarlo._certain_outage(scenario, chan, inverse_gains, thr).tolist() == [
+            True, False, True, False, False]
+        cfg = ps.McConfig(trials=5000, seed=606, chunk_size=1024)
+        want = _oracle_sweep(scenario, [dataclasses.replace(chan, tx_power=p) for p in powers],
+                             target, cfg)
+        for workers in (1, 2):
+            got = montecarlo._mc_sweep(scenario, chan, powers, target, cfg, workers)
+            assert got.tolist() == want
+            assert np.all(got[[0, 2], :, 0] == [1.0, 0.0])
+        # at Rbar = 0 outage is t < 0, never certain: not at a vanishing power either
+        zero = ps.SecrecyTarget(rate=0.0)
+        tiny = [1e-300, edge]
+        assert not montecarlo._certain_outage(
+            scenario, chan, montecarlo._inverse_gains(scenario, chan, tiny), 0.0).any()
+        got = montecarlo._mc_sweep(scenario, chan, tiny, zero, cfg)
+        assert got.tolist() == _oracle_sweep(
+            scenario, [dataclasses.replace(chan, tx_power=p) for p in tiny], zero, cfg)
+        assert np.all(got[:, :, 0, 0] < 1.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workspace_rows_are_64_byte_aligned(self, scenario, target, monkeypatch, workers):
+        # np.empty promises 16 bytes; numpy's SIMD loops run about twice as
+        # fast on rows that start on a 64-byte boundary.  At chunk 4096 each
+        # thread's workspace puts every fill and every row of p, q and a
+        # block of ratios on one, the ragged 848-trial chunk's too
+        fills, rows = [], []
+        draw_positions, secrecy_ratio = montecarlo._draw_positions, montecarlo._secrecy_ratio
+
+        def drawn(rng, side_length, n, out):
+            fills.append(out.ctypes.data % 64)
+            return draw_positions(rng, side_length, n, out)
+
+        def ratio(r, p, q, out=None):
+            # each chunk's row of p, q and of each power's ratios
+            rows.extend(row.ctypes.data % 64 for terms in (p, q, out)
+                        for row in terms.reshape(-1, terms.shape[-1]))
+            return secrecy_ratio(r, p, q, out)
+
+        monkeypatch.setattr(montecarlo, "_draw_positions", drawn)
+        monkeypatch.setattr(montecarlo, "_secrecy_ratio", ratio)
+        powers = [10 ** (db / 10.0) for db in range(-10, 55, 5)]
+        cfg = ps.McConfig(trials=50000, seed=3, chunk_size=4096)
+        montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg, workers)
+        # three slabs of four chunks, then the ragged chunk; per slab and kernel, four
+        # blocks of p and q rows and the grid's 13 rows of ratios, chunk by chunk
+        assert fills == [0] * 4
+        assert rows == [0] * 2 * (3 * (4 * 2 * 4 + 13 * 4) + (4 * 2 + 13))
+
     def test_public_kernels_match_mpmath(self, scenario):
         # one log1p of one ratio keeps the digits where two ~10-bit rates
         # would cancel, and gives the exact limit at rho = inf
@@ -439,8 +508,8 @@ class TestBatchedEngine:
 
     def test_pool_memory_stays_bounded(self, scenario, target):
         # mc-deep's shape on two threads: each holds one workspace (the
-        # positions, chunk by chunk, the three terms and a 5-row block of
-        # ratios of a 16384-trial slab, then a 5-row byte mask, ~1.6 MiB);
+        # positions, chunk by chunk, p, q and a 5-row block of ratios of a
+        # 16384-trial slab, then a 5-row byte mask, ~1.5 MiB);
         # each slab's per-chunk sums are folded as it completes, and the
         # call's 62 slab generators, which Executor.map holds for the whole
         # call at two workers, are small
@@ -565,8 +634,8 @@ class TestInfinitePower:
         assert math.isfinite(rates[0]) and rates[0] == rates[1]
         # the finite power keeps its loss and its bits: (sop, esc) x (mean, SE), PA then FA
         assert lossy[0].tolist() == [
-            [[0.9945, 0.0016537457482938467], [0.0028763549998887905, 0.0013430568251933063]],
-            [[0.5065, 0.01117939510885987], [-0.007358654298580443, 0.015371955835295]]]
+            [[0.9945, 0.0016537457482938467], [0.002876354999888791, 0.0013430568251933063]],
+            [[0.5065, 0.01117939510885987], [-0.007358654298580459, 0.015371955835295]]]
 
 
 class TestStatisticalBehavior:
