@@ -20,7 +20,7 @@ from .bounds import (
     sop_bounds,
 )
 from .diststats import ZbDistribution, ZwDistribution, cdf_pdf_fd_gap, ks_statistic
-from .model import ChannelParams, Scenario, SecrecyTarget, los_rate
+from .model import ChannelParams, Scenario, SecrecyTarget
 from .montecarlo import (
     McConfig,
     McEstimate,
@@ -50,7 +50,6 @@ __all__ = [
     "esc_bounds",
     "fa_secrecy_rate",
     "ks_statistic",
-    "los_rate",
     "make_rule",
     "mc_esc_fa",
     "mc_esc_pa",

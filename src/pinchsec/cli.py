@@ -1,14 +1,14 @@
 """Command-line front end: config loading, SNR sweeps, CSV output, checks.
 
-`run_sweep` evaluates the analytical bounds, their high-SNR asymptotes
-(once per sweep: they do not depend on rho) and, in one Monte Carlo pass
-over the position stream, the PA and FA estimates on a dB grid of the
-transmit SNR rho: one channel and one array of transmit powers, whose
-columns form one table, one record per row.  The `sweep` subcommand
-writes the records as CSV; `sop` and `esc` print column selections of
-them; `mc-only` prints the Monte Carlo engine's output directly, which
-also allows unequal noise levels.  `workers` sizes the engine's slab
-pool.  Output is data only; plotting is left to external tools.
+`run_sweep` evaluates each analytical bound metric in one call over a dB
+grid of the transmit SNR rho plus rho = inf, whose row is the high-SNR
+asymptote, and, in one Monte Carlo pass over the position stream, the PA
+and FA estimates on the grid: one channel and one array of transmit
+powers, whose columns form one table, one record per row.  The `sweep`
+subcommand writes the records as CSV; `sop` and `esc` print column
+selections of them; `mc-only` prints the Monte Carlo engine's output
+directly, which also allows unequal noise levels.  `workers` sizes the
+engine's slab pool.  Output is data only; plotting is left to external tools.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _densities, esc_asymptotic, esc_bounds, sop_asymptotic, sop_bounds
+from .bounds import _densities, esc_bounds, sop_bounds
 from .diststats import ZbDistribution, ZwDistribution, cdf_pdf_fd_gap, ks_statistic
 from .model import ChannelParams, Scenario, SecrecyTarget
 from .montecarlo import McConfig, _mc_sweep
 # unused here: bench/tracer.py patches these names, bench/smoke.py expects all of them
+from .bounds import esc_asymptotic, sop_asymptotic  # noqa: F401
 from .montecarlo import mc_esc_fa, mc_esc_pa, mc_sop_fa, mc_sop_pa  # noqa: F401
 from .quad import integrate, make_rule
 
@@ -190,11 +191,11 @@ def _check_float_range(cfg: RunConfig) -> None:
     """ConfigError naming the key whose value takes the model's arithmetic out of float range.
 
     The limits are where the model's own largest scale factors overflow:
-    3 D^3 and 2 / D^3 in the Zw CDF and density, Willie's farthest squared
-    distance 5 D^2/4 + d^2 and its noise power, eta = c^2 / (16 pi^2 fc^2)
-    and 1 / eta (eta is 0 once 16 pi^2 fc^2 overflows), and the peak SNR
-    eta * P / (d^2 sigma^2) at the grid's largest P, which the rate kernel
-    forms.
+    3 D^3 and 2 / D^3 in the Zw CDF and density, 2 alpha D / ln 2 in the ESC
+    bracket at rho = inf, Willie's farthest squared distance 5 D^2/4 + d^2 and
+    its noise power, eta = c^2 / (16 pi^2 fc^2) and 1 / eta (eta is 0 once
+    16 pi^2 fc^2 overflows), and the peak SNR eta * P / (d^2 sigma^2) at the
+    grid's largest P, which the rate kernel forms.
     """
     D, d = cfg.scenario.side_length, cfg.scenario.waveguide_height
     far = lambda: 1.25 * D ** 2 + d ** 2  # noqa: E731
@@ -202,6 +203,7 @@ def _check_float_range(cfg: RunConfig) -> None:
     checks = (
         ("side_length_D", "3 D^3", lambda: 3.0 * D ** 3),
         ("side_length_D", "2 / D^3", lambda: 2.0 / D ** 3),
+        ("attenuation_alpha", "2 alpha D / ln 2", lambda: 2.0 * chan.attenuation * D / math.log(2)),
         ("waveguide_height_d", "5 D^2/4 + d^2", far),
         ("noise_bob_var", "(5 D^2/4 + d^2) sigma^2", lambda: far() * chan.noise_bob),
         ("noise_willie_var", "(5 D^2/4 + d^2) sigma^2", lambda: far() * chan.noise_willie),
@@ -252,19 +254,18 @@ def run_sweep(cfg: RunConfig) -> list[SweepRecord]:
     if chan.noise_bob != chan.noise_willie:
         raise ConfigError("the bounds need noise_bob_var == noise_willie_var; "
                           "use mc-only for distinct noise levels")
-    rule = make_rule(cfg.quadrature_n)
-    # the asymptotes depend on the channel only through attenuation_span
-    sop_asym = sop_asymptotic(cfg.scenario, chan, cfg.target, rule)
-    esc_asym = esc_asymptotic(cfg.scenario, chan, rule)
-    sop = sop_bounds(cfg.scenario, chan, powers, cfg.target, rule)
-    esc = esc_bounds(cfg.scenario, chan, powers, rule)
+    # each bracket's last row, at rho = inf, is its high-SNR asymptote
+    rule, with_inf = make_rule(cfg.quadrature_n), np.append(powers, math.inf)
+    sop = sop_bounds(cfg.scenario, chan, with_inf, cfg.target, rule)
+    esc = esc_bounds(cfg.scenario, chan, with_inf, rule)
     # (mean, se) rows of pa_sop, pa_esc, fa_sop and fa_esc, each over the grid
     sop_mc, esc_mc, fa_sop, fa_esc = np.moveaxis(
         _mc_sweep(cfg.scenario, chan, powers, cfg.target, cfg.mc, cfg.workers)
         .reshape(len(powers), 4, 2), 0, -1)
     table = np.column_stack(np.broadcast_arrays(
-        cfg.snr_db_grid, sop.lower, sop.upper, sop_asym.lower, sop_asym.upper, *sop_mc,
-        esc.lower, esc.upper, esc_asym.lower, esc_asym.upper, *esc_mc, fa_sop[0], fa_esc[0]))
+        cfg.snr_db_grid, sop.lower[:-1], sop.upper[:-1], sop.lower[-1], sop.upper[-1], *sop_mc,
+        esc.lower[:-1], esc.upper[:-1], esc.lower[-1], esc.upper[-1], *esc_mc,
+        fa_sop[0], fa_esc[0]))
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         row, column = bad[0]

@@ -128,10 +128,11 @@ class TestConfigFromDict:
                 cli.config_from_dict({key: value})
 
     def test_float_range_limits_sit_where_the_model_overflows(self):
-        # each pair straddles the limit: 3 D^3, 5 D^2/4 + d^2 and its noise
-        # power, eta, and the peak SNR eta*P/(d^2 sigma^2) at the top of the grid
+        # each pair straddles the limit: 3 D^3, 2 alpha D / ln 2, 5 D^2/4 + d^2 and
+        # its noise power, eta, and the peak SNR eta*P/(d^2 sigma^2) at the top of the grid
         cases = (("side_length_D", {}, 3.9e102, 4.0e102),
                  ("side_length_D", {}, 2.3e-103, 2.2e-103),
+                 ("attenuation_alpha", {}, 2.4e306, 2.6e306),
                  ("waveguide_height_d", {}, 1.3e154, 1.4e154),
                  ("noise_bob_var", {"noise_willie_var": 1.0}, 2e305, 3e305),
                  ("noise_bob_var", {"noise_willie_var": 2e305}, 2e305, 3e305),
@@ -216,12 +217,15 @@ class TestRunSweep:
         assert len({r.sop_asym_ub for r in records}) == 1
         assert len({r.esc_asym_ub for r in records}) == 1
 
-    def test_one_mc_pass_and_one_asymptote_per_sweep(self, monkeypatch):
+    def test_one_mc_pass_and_one_bracket_call_per_metric(self, monkeypatch):
         calls = {"draws": 0, "sop_asym": 0, "esc_asym": 0, "sop": 0, "esc": 0}
+        powers = []
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
                 calls[key] += 1
+                if key in ("sop", "esc"):
+                    powers.append(args[2])
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -229,14 +233,26 @@ class TestRunSweep:
                             counted("draws", montecarlo._draw_positions))
         monkeypatch.setattr(cli, "sop_asymptotic", counted("sop_asym", cli.sop_asymptotic))
         monkeypatch.setattr(cli, "esc_asymptotic", counted("esc_asym", cli.esc_asymptotic))
-        # the bounds take the whole grid in one call per metric
+        # each bound metric takes the whole grid and rho = inf in one call
         monkeypatch.setattr(cli, "sop_bounds", counted("sop", cli.sop_bounds))
         monkeypatch.setattr(cli, "esc_bounds", counted("esc", cli.esc_bounds))
         cfg = cli.config_from_dict(fast_dict(mc_chunk_size=512))
         records = cli.run_sweep(cfg)
-        assert calls == {"draws": len(montecarlo._slabs(cfg.mc)), "sop_asym": 1, "esc_asym": 1,
+        assert calls == {"draws": len(montecarlo._slabs(cfg.mc)), "sop_asym": 0, "esc_asym": 0,
                          "sop": 1, "esc": 1}
+        for tx_powers in powers:
+            assert list(tx_powers) == [*cfg.tx_powers.tolist(), math.inf]
         assert len(records) == 3
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.0, 20.0])  # at 20 the span exp(-2 alpha D) is 0
+    def test_asymptote_columns_are_the_asymptotes_bit_for_bit(self, alpha):
+        cfg = cli.config_from_dict(fast_dict(attenuation_alpha=alpha, mc_trials=100))
+        rule = ps.make_rule(cfg.quadrature_n)
+        sop = ps.sop_asymptotic(cfg.scenario, cfg.channel, cfg.target, rule)
+        esc = ps.esc_asymptotic(cfg.scenario, cfg.channel, rule)
+        for r in cli.run_sweep(cfg):
+            assert (r.sop_asym_lb, r.sop_asym_ub) == (sop.lower, sop.upper)
+            assert (r.esc_asym_lb, r.esc_asym_ub) == (esc.lower, esc.upper)
 
     def test_non_finite_value_names_column_and_point(self, monkeypatch):
         esc_bounds = cli.esc_bounds
@@ -501,6 +517,7 @@ class TestMain:
         ("sweep", "side_length_D", 1e153),     # D^3 overflowed in diststats: errno 34
         ("mc-only", "side_length_D", 1e160),   # overflowed the MC geometry, then exit 0
         ("sweep", "carrier_freq_hz", 1e-200),  # fc^2 underflowed to 0: division by zero
+        ("sweep", "attenuation_alpha", 1e308),  # 2 alpha D / ln 2 overflowed: esc_asym_lb inf
     ])
     def test_model_overflow_names_the_key(self, command, key, value, tmp_path, capsys):
         # an error line naming the key, not a traceback, errno text or warnings

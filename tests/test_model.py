@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pinchsec as ps
+from pinchsec.model import los_rate
 from conftest import chan_at
 
 
@@ -41,10 +42,10 @@ class TestTypes:
         # the feed sits at x = -D/2: a radiator there has no guided loss
         chan = chan_at(1e8, alpha=0.3)
         assert bob_rate(scenario, chan, (-12.5, 2.0)) == pytest.approx(
-            float(ps.los_rate(13.0, chan, 1.0)), rel=LINK_REL)
+            float(los_rate(13.0, chan, 1.0)), rel=LINK_REL)
         # the fixed antenna hangs at [0, 0, d]: Bob below it is at distance d
         assert bob_rate(scenario, chan, (0.0, 0.0), fixed=True) == pytest.approx(
-            float(ps.los_rate(9.0, chan, 1.0)), rel=LINK_REL)
+            float(los_rate(9.0, chan, 1.0)), rel=LINK_REL)
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
@@ -59,7 +60,7 @@ class TestTypes:
             travel = x + scenario.side_length / 2.0
             assert 0.0 <= travel <= scenario.side_length
             assert bob_rate(scenario, chan, (x, 1.0)) == pytest.approx(
-                float(ps.los_rate(10.0, chan, 1.0, guided_len=travel)), rel=LINK_REL)
+                float(los_rate(10.0, chan, 1.0, guided_len=travel)), rel=LINK_REL)
 
     def test_eta_tracks_carrier(self):
         for fc in (1e9, 10e9, 28e9):
@@ -120,18 +121,18 @@ class TestPaPosition:
 
     def test_projects_bob_onto_waveguide(self, scenario):
         chan = chan_at(1e8)
-        want = float(ps.los_rate(7.2 ** 2 + 9.0, chan, 1.0, guided_len=3.0 + 12.5))
+        want = float(los_rate(7.2 ** 2 + 9.0, chan, 1.0, guided_len=3.0 + 12.5))
         assert bob_rate(scenario, chan, (3.0, -7.2)) == pytest.approx(want, rel=LINK_REL)
 
     def test_origin(self, scenario):
         chan = chan_at(1e8)
-        want = float(ps.los_rate(9.0, chan, 1.0, guided_len=12.5))
+        want = float(los_rate(9.0, chan, 1.0, guided_len=12.5))
         assert bob_rate(scenario, chan, (0.0, 0.0), willie=(1.0, 1.0)) == pytest.approx(
             want, rel=LINK_REL)
 
     def test_corner_stays_on_waveguide(self, scenario):
         chan = chan_at(1e8)
-        want = float(ps.los_rate(12.5 ** 2 + 9.0, chan, 1.0, guided_len=0.0))
+        want = float(los_rate(12.5 ** 2 + 9.0, chan, 1.0, guided_len=0.0))
         assert bob_rate(scenario, chan, (-12.5, 12.5)) == pytest.approx(want, rel=LINK_REL)
 
 
@@ -146,7 +147,7 @@ class TestRates:
     def test_rate_bob_below_pin_distance(self, scenario):
         chan = chan_at(123.0, alpha=0.0)
         assert bob_rate(scenario, chan, (4.0, 0.0)) == pytest.approx(
-            float(ps.los_rate(9.0, chan, 1.0)), rel=LINK_REL)
+            float(los_rate(9.0, chan, 1.0)), rel=LINK_REL)
 
     def test_zero_travel_means_no_attenuation(self, scenario):
         with_loss = bob_rate(scenario, chan_at(1e8, alpha=0.01), (-12.5, 5.0))
@@ -163,7 +164,7 @@ class TestRates:
         chan = chan_at(1e8)
         got = willie_rate(scenario, chan, (12.5, 0.0), (-12.5, 12.5))
         # dist^2 = D^2 + D^2/4 + d^2 = 790.25, full guided travel D
-        want = float(ps.los_rate(790.25, chan, 1.0, guided_len=25.0))
+        want = float(los_rate(790.25, chan, 1.0, guided_len=25.0))
         assert got == pytest.approx(want, rel=LINK_REL)
 
     def test_willie_shares_bob_kernel(self, scenario):
@@ -183,7 +184,7 @@ class TestRates:
         chan = ps.ChannelParams(attenuation=0.01, tx_power=1e8,
                                 noise_bob=1.0, noise_willie=1e30)
         rs = secrecy(scenario, chan, (0.0, 1.0), (5.0, 5.0))
-        rb = float(ps.los_rate(10.0, chan, 1.0, guided_len=12.5))
+        rb = float(los_rate(10.0, chan, 1.0, guided_len=12.5))
         assert rs == pytest.approx(rb, abs=1e-12)
 
     def test_secrecy_rate_reference_point(self, scenario):
@@ -211,7 +212,7 @@ class TestRates:
     def test_rate_fa_corner_distance(self, scenario):
         chan = chan_at(1e8)
         got = bob_rate(scenario, chan, (12.5, 12.5), fixed=True)
-        assert got == pytest.approx(float(ps.los_rate(321.5, chan, 1.0)), rel=LINK_REL)
+        assert got == pytest.approx(float(los_rate(321.5, chan, 1.0)), rel=LINK_REL)
 
     def test_rate_fa_zero_power_limit(self, scenario):
         chan = ps.ChannelParams(tx_power=1e-300)
@@ -225,7 +226,7 @@ class TestRates:
 
     def test_los_rate_rejects_zero_distance(self):
         with pytest.raises(ValueError):
-            ps.los_rate(0.0, ps.ChannelParams(), 1.0)
+            los_rate(0.0, ps.ChannelParams(), 1.0)
 
 
 class TestRateProperties:
@@ -239,17 +240,17 @@ class TestRateProperties:
             chan_lo = ps.ChannelParams(tx_power=rho_lo)
             chan_hi = ps.ChannelParams(tx_power=rho_hi)
             # increasing in rho
-            assert (ps.los_rate(d_lo, chan_hi, 1.0, guided)
-                    > ps.los_rate(d_lo, chan_lo, 1.0, guided))
+            assert (los_rate(d_lo, chan_hi, 1.0, guided)
+                    > los_rate(d_lo, chan_lo, 1.0, guided))
             # decreasing in squared distance
-            assert (ps.los_rate(d_hi, chan_lo, 1.0, guided)
-                    < ps.los_rate(d_lo, chan_lo, 1.0, guided))
+            assert (los_rate(d_hi, chan_lo, 1.0, guided)
+                    < los_rate(d_lo, chan_lo, 1.0, guided))
             # decreasing in attenuation (for positive travel)
             c_lo = ps.ChannelParams(attenuation=a_lo, tx_power=rho_lo)
             c_hi = ps.ChannelParams(attenuation=a_hi, tx_power=rho_lo)
             if a_hi > a_lo:
-                assert (ps.los_rate(d_lo, c_hi, 1.0, 10.0)
-                        < ps.los_rate(d_lo, c_lo, 1.0, 10.0))
+                assert (los_rate(d_lo, c_hi, 1.0, 10.0)
+                        < los_rate(d_lo, c_lo, 1.0, 10.0))
 
     def test_attenuation_bracketing(self, scenario):
         # a constant worst/best-case loss factor brackets every exact rate
@@ -260,14 +261,14 @@ class TestRateProperties:
             x1, y1 = rng.uniform(-12.5, 12.5, 2)
             exact = bob_rate(scenario, chan, (x1, y1))
             dist_sq = y1 ** 2 + 9.0
-            best = float(ps.los_rate(dist_sq, chan, 1.0))
+            best = float(los_rate(dist_sq, chan, 1.0))
             worst = 0.5 * math.log2(1.0 + chan.eta * chan.tx_power * span / dist_sq)
             assert worst <= exact <= best
 
     def test_zero_attenuation_collapse(self, scenario):
         chan = chan_at(1e8, alpha=0.0)
         exact = bob_rate(scenario, chan, (3.0, 4.0), willie=(1.0, 2.0))
-        factorless = float(ps.los_rate(25.0, chan, 1.0))
+        factorless = float(los_rate(25.0, chan, 1.0))
         assert exact == pytest.approx(factorless, rel=LINK_REL)
 
     def test_huge_noise_keeps_the_rate(self, scenario):
