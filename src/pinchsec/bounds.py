@@ -33,6 +33,12 @@ Each bracket makes one term-sum call for both of its directions, the
 upper's rows first; where span = 1 (alpha = 0) the two directions are
 one, whose rows serve both.
 
+The term sums run with numpy's ufunc buffer cut to at most n elements
+(_row_buffer): under the default 8192-element buffer numpy's iterator
+joins a block's rows into one inner loop by copying the broadcast per-row
+column or per-node row on every call, ~3x the cost of a row-by-row op at
+n = 1000.  The ops are element-wise or row sums, so no bit depends on it.
+
 The outage has one threshold: with Willie at z, Zb < a / (b + c/z) with
 a = A, b = (4^Rbar - 1)/(eta*rho), c = 4^Rbar*B for a direction (A, B),
 formed as arrays over all rows of the call.  F_Zb of it is 0 below the
@@ -55,6 +61,7 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +90,9 @@ def attenuation_span(scenario: Scenario, chan: ChannelParams) -> float:
     return math.exp(-2.0 * chan.attenuation * scenario.side_length)
 
 
-_BLOCK_ELEMENTS = 16384  # per row block: 81 rows at n = 200, 16 at n = 1000; 4x were no faster
+# per row block: 81 rows at n = 200, 16 at n = 1000.  On dense-bounds 4x fewer were 34-76%
+# slower; 4x more were 6-15% faster but took 3x the memory (1.7 + 1.2 MB at n = 1000)
+_BLOCK_ELEMENTS = 16384
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
@@ -91,6 +100,16 @@ def _row_blocks(rows, rule: QuadratureRule) -> list:
     """The row indices `rows` in runs of at most _BLOCK_ELEMENTS // n."""
     step = max(1, _BLOCK_ELEMENTS // rule.n)
     return [rows[i:i + step] for i in range(0, len(rows), step)]
+
+
+@contextmanager
+def _row_buffer(rule: QuadratureRule):
+    """numpy's ufunc buffer cut to a multiple of 16 no larger than rule.n, nor than it was."""
+    old = np.setbufsize(min(np.getbufsize(), max(16, 16 * (rule.n // 16))))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _threshold_offset(u, d2: float, a, b, c, out=None, scratch=None):
@@ -182,38 +201,41 @@ def sop_term_sums(scenario: Scenario, target: SecrecyTarget, rule: QuadratureRul
     product with the density are formed in place, and its denominator,
     which then takes a partial block's density.
     """
-    d2 = scenario.waveguide_height ** 2
-    zb, zw = ZbDistribution(scenario.side_length), ZwDistribution(scenario.side_length)
-    a, b, c, u_0, u_1 = _outage_rows(scenario, target, eta_rho, bob_factor, willie_factor)
-    a, b, c = a[:, None], b[:, None], c[:, None]
-    workspace = np.empty((3, min(a.size, max(1, _BLOCK_ELEMENTS // rule.n)), rule.n))
-    sums = np.zeros((a.size, 3))
-    for total, (start, span), branch, cdf in zip(sums.T, zw.pieces,
-                                                 (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
-                                                 (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3)):
-        hi = start + span
-        lo = np.clip(u_0, start, hi)
-        cut = np.clip(u_1, lo, hi)
-        full = (lo == start) & (cut == hi)
-        blocks = [(rows, None) for rows in _row_blocks(np.flatnonzero((lo < cut) & ~full), rule)]
-        if full.any():
-            u = start + (hi - start) * rule.nodes
-            shared = (u, branch(u))
-            blocks += [(rows, shared) for rows in _row_blocks(np.flatnonzero(full), rule)]
-        for rows, shared in blocks:
-            own, num, den = workspace[:, :rows.size]
-            width = cut[rows] - lo[rows]
-            if shared:
-                u, density = shared
-            else:
-                u = np.add(lo[rows, None], np.outer(width, rule.nodes, out=own), out=own)
-            value = zb.cdf(_threshold_offset(u, d2, a[rows], b[rows], c[rows], num, den), out=num)
-            value *= density if shared else branch(u, out=den)
-            total[rows] = width * integrate(rule, value)
-        saturated = cut < hi
-        total[saturated] += cdf(hi) - cdf(cut[saturated])
-    certain = u_1 <= 0.0
-    sums[certain, 2] = 1.0 - (sums[certain, 0] + sums[certain, 1])
+    with _row_buffer(rule):
+        d2 = scenario.waveguide_height ** 2
+        zb, zw = ZbDistribution(scenario.side_length), ZwDistribution(scenario.side_length)
+        a, b, c, u_0, u_1 = _outage_rows(scenario, target, eta_rho, bob_factor, willie_factor)
+        a, b, c = a[:, None], b[:, None], c[:, None]
+        workspace = np.empty((3, min(a.size, max(1, _BLOCK_ELEMENTS // rule.n)), rule.n))
+        sums = np.zeros((a.size, 3))
+        for total, (start, span), branch, cdf in zip(sums.T, zw.pieces,
+                                                     (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
+                                                     (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3)):
+            hi = start + span
+            lo = np.clip(u_0, start, hi)
+            cut = np.clip(u_1, lo, hi)
+            full = (lo == start) & (cut == hi)
+            partial = np.flatnonzero((lo < cut) & ~full)
+            blocks = [(rows, None) for rows in _row_blocks(partial, rule)]
+            if full.any():
+                u = start + (hi - start) * rule.nodes
+                shared = (u, branch(u))
+                blocks += [(rows, shared) for rows in _row_blocks(np.flatnonzero(full), rule)]
+            for rows, shared in blocks:
+                own, num, den = workspace[:, :rows.size]
+                width = cut[rows] - lo[rows]
+                if shared:
+                    u, density = shared
+                else:
+                    u = np.add(lo[rows, None], np.outer(width, rule.nodes, out=own), out=own)
+                offset = _threshold_offset(u, d2, a[rows], b[rows], c[rows], num, den)
+                value = zb.cdf(offset, out=num)
+                value *= density if shared else branch(u, out=den)
+                total[rows] = width * integrate(rule, value)
+            saturated = cut < hi
+            total[saturated] += cdf(hi) - cdf(cut[saturated])
+        certain = u_1 <= 0.0
+        sums[certain, 2] = 1.0 - (sums[certain, 0] + sums[certain, 1])
     return sums
 
 
@@ -287,26 +309,27 @@ def esc_term_sums(scenario: Scenario, rule: QuadratureRule, eta_rho, bob_factor,
     depend on its gains alone.  Gains with s > 1/2, rho = inf among them,
     take the quadrature of _rate_offset, one log1p per node and row.
     """
-    d2 = scenario.waveguide_height ** 2
-    g, a, b = _rows(eta_rho, bob_factor, willie_factor)
-    g = g[:, None]
-    with np.errstate(invalid="ignore"):  # inf * 0 where a span underflowed
-        gains = np.where(g < math.inf, g * np.column_stack([a, b, b, b]), g)
-    with np.errstate(divide="ignore", over="ignore"):
-        s = 1.0 / (1.0 + d2 / gains)  # exactly 1 at g = inf, 0 at g = 0
-        terms = np.where(s <= 0.5, np.ceil(53.0 / -np.log2(s)) + 1.0, 0.0)
-    sums = np.zeros(gains.shape)
-    k_max = int(terms.max(initial=0.0))
-    pieces = _densities(scenario, rule)
-    moments = _moments(pieces, rule, d2, k_max) / np.arange(1.0, k_max + 1.0)[:, None]
-    for k in range(k_max, 0, -1):
-        sums = np.where(k <= terms, s * (moments[k - 1] + sums), 0.0)
-    sums /= -math.log(2.0)
-    for p, (width, u, density) in enumerate(pieces):
-        for rows in _row_blocks(np.flatnonzero(terms[:, p] == 0), rule):
-            value = _rate_offset(gains[rows, p, None], d2, u)
-            value *= density
-            sums[rows, p] = width * integrate(rule, value)
+    with _row_buffer(rule):
+        d2 = scenario.waveguide_height ** 2
+        g, a, b = _rows(eta_rho, bob_factor, willie_factor)
+        g = g[:, None]
+        with np.errstate(invalid="ignore"):  # inf * 0 where a span underflowed
+            gains = np.where(g < math.inf, g * np.column_stack([a, b, b, b]), g)
+        with np.errstate(divide="ignore", over="ignore"):
+            s = 1.0 / (1.0 + d2 / gains)  # exactly 1 at g = inf, 0 at g = 0
+            terms = np.where(s <= 0.5, np.ceil(53.0 / -np.log2(s)) + 1.0, 0.0)
+        sums = np.zeros(gains.shape)
+        k_max = int(terms.max(initial=0.0))
+        pieces = _densities(scenario, rule)
+        moments = _moments(pieces, rule, d2, k_max) / np.arange(1.0, k_max + 1.0)[:, None]
+        for k in range(k_max, 0, -1):
+            sums = np.where(k <= terms, s * (moments[k - 1] + sums), 0.0)
+        sums /= -math.log(2.0)
+        for p, (width, u, density) in enumerate(pieces):
+            for rows in _row_blocks(np.flatnonzero(terms[:, p] == 0), rule):
+                value = _rate_offset(gains[rows, p, None], d2, u)
+                value *= density
+                sums[rows, p] = width * integrate(rule, value)
     return sums
 
 

@@ -336,7 +336,7 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
                         outage = np.less(part, below, out=mask[:part.size].reshape(part.shape))
                         np.add.reduce(outage, axis=-1, dtype=count_type, out=counts[:, span].T)
                     np.add.reduce(np.log1p(ts, out=ts), axis=-1, out=sums[:, block, j, 1].T)
-                    np.add.reduce(np.multiply(ts, ts, out=ts), axis=-1, out=sums[:, block, j, 2].T)
+                    np.add.reduce(np.square(ts, out=ts), axis=-1, out=sums[:, block, j, 2].T)
         return sums
 
     # made in the calling thread, not per task: chunk k's positions start at double 4*chunk_size*k

@@ -11,6 +11,7 @@ import logging
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import pinchsec as ps
-from pinchsec import bounds, cli
+from pinchsec import bounds, cli, quad
 from conftest import (SNR_GRID_DB, chan_at, esc_at, esc_term_oracles, esc_term_values, gain,
                       log2_moment_oracles, log2_moment_values, outage_coefficients, outage_kinks,
                       sop_at, sop_directions, sop_term_oracles, sop_term_rows)
@@ -556,6 +557,108 @@ class TestChannelLists:
         assert sum(peaks) <= 2e6, peaks
         # the ESC moments run in the same row blocks as its quadrature
         assert peaks[1] <= 6e5, peaks
+
+
+def ufunc_state():
+    """numpy's ufunc buffer size and floating-point error handling in this thread."""
+    return np.getbufsize(), np.geterr()
+
+
+class TestRowBuffer:
+    # the term sums run with numpy's ufunc buffer cut to at most n elements
+    # (_row_buffer), then give the caller back its own; no bit depends on it
+    POWERS = [*(10 ** (snr_db / 10.0) for snr_db in DENSE_GRID_DB[::8]), math.inf]
+
+    def brackets(self, scenario, target, rule):
+        sop = ps.sop_bounds(scenario, chan_at(1.0), self.POWERS, target, rule)
+        esc = ps.esc_bounds(scenario, chan_at(1.0), self.POWERS, rule)
+        return [side.tobytes() for side in (sop.lower, sop.upper, esc.lower, esc.upper)]
+
+    @pytest.mark.parametrize("n", [200, 1000, 8000])
+    def test_bits_do_not_depend_on_the_callers_buffer(self, scenario, target, n):
+        rule = ps.make_rule(n)
+        want = self.brackets(scenario, target, rule)  # at numpy's default, 8192
+        for size in (16, 65536):
+            old = np.setbufsize(size)
+            try:
+                assert self.brackets(scenario, target, rule) == want, size
+                assert np.getbufsize() == size
+            finally:
+                np.setbufsize(old)
+
+    # a multiple of 16 at most n, never above the caller's and never below 16
+    @pytest.mark.parametrize("n, caller, inside", [
+        (200, 8192, 192), (1000, 8192, 992), (8000, 8192, 8000), (8192, 8192, 8192),
+        (1000, 65536, 992), (1000, 512, 512), (1000, 16, 16), (10, 8192, 16)])
+    def test_scope_takes_the_smaller_buffer(self, n, caller, inside):
+        old = np.setbufsize(caller)
+        try:
+            with bounds._row_buffer(ps.make_rule(n)):
+                assert np.getbufsize() == inside
+            assert np.getbufsize() == caller
+        finally:
+            np.setbufsize(old)
+
+    def test_term_sums_run_inside_the_scope(self, scenario, target, rule_1000, monkeypatch):
+        seen = []
+
+        def spy(rule, values):
+            seen.append(np.getbufsize())
+            return quad.integrate(rule, values)
+
+        monkeypatch.setattr(bounds, "integrate", spy)
+        self.brackets(scenario, target, rule_1000)
+        assert len(seen) > 3 and set(seen) == {992}  # the ESC moments among them
+
+    def test_callers_state_survives_a_return(self, scenario, target, rule_1000):
+        for size in (np.getbufsize(), 65536, 512):
+            old = np.setbufsize(size)
+            try:
+                with np.errstate(divide="ignore", over="ignore"):
+                    before = ufunc_state()
+                    self.brackets(scenario, target, rule_1000)
+                    assert ufunc_state() == before
+            finally:
+                np.setbufsize(old)
+
+    def test_callers_state_survives_a_raise(self, scenario, target, rule_1000, monkeypatch):
+        def broken(rule, values):
+            raise ArithmeticError("integrand")
+
+        monkeypatch.setattr(bounds, "integrate", broken)
+        before = ufunc_state()
+        for bound in (lambda: ps.sop_bounds(scenario, chan_at(1.0), [1e8], target, rule_1000),
+                      lambda: ps.esc_bounds(scenario, chan_at(1.0), [1e8], rule_1000)):
+            with pytest.raises(ArithmeticError, match="integrand"):
+                bound()
+            assert ufunc_state() == before
+
+    def test_other_threads_keep_their_buffer(self, scenario, target, rule_1000, monkeypatch):
+        seen, inside, read = {}, threading.Event(), threading.Event()
+
+        def other():
+            inside.wait(30)
+            seen["other"] = np.getbufsize()
+            read.set()
+
+        def spy(rule, values):
+            if not inside.is_set():  # the first block: hold it until the other thread has read
+                seen["caller"] = np.getbufsize()
+                inside.set()
+                read.wait(30)
+            return quad.integrate(rule, values)
+
+        monkeypatch.setattr(bounds, "integrate", spy)
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            ps.sop_bounds(scenario, chan_at(1.0), self.POWERS, target, rule_1000)
+        finally:
+            inside.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert seen == {"caller": 992, "other": 8192}
+        assert np.getbufsize() == 8192
 
 
 # the dense-bounds workload's model, spelled out so that a change of a

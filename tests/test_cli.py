@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pinchsec as ps
@@ -243,6 +244,21 @@ class TestRunSweep:
         for tx_powers in powers:
             assert list(tx_powers) == [*cfg.tx_powers.tolist(), math.inf]
         assert len(records) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_leaves_numpy_ufunc_state_as_found(self, workers):
+        # numpy's ufunc buffer size and error handling belong to the caller's
+        # thread; a sweep may change them inside a scope, never past its return
+        cfg = cli.config_from_dict(fast_dict(workers=workers, mc_chunk_size=512))
+        for size in (np.getbufsize(), 4096, 16):
+            old = np.setbufsize(size)
+            try:
+                with np.errstate(divide="ignore", over="ignore"):
+                    before = (np.getbufsize(), np.geterr())
+                    cli.run_sweep(cfg)
+                    assert (np.getbufsize(), np.geterr()) == before
+            finally:
+                np.setbufsize(old)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.0, 20.0])  # at 20 the span exp(-2 alpha D) is 0
     def test_asymptote_columns_are_the_asymptotes_bit_for_bit(self, alpha):
