@@ -38,37 +38,49 @@ other power.
 The worker pool's task is a slab: a run of consecutive full chunks of at
 most _SLAB_TRIALS trials together (one chunk if a chunk is larger), or
 the ragged last chunk alone.  A slab's generator is the stream advanced
-to the slab's first chunk, built in the calling thread.  One fill of the
-slab's (chunks, 4, size) block draws all its chunks' positions, since
-that chunk-major layout is the stream's order.  The slab then forms each
-kernel's (p, q) in place as (chunks, size) rows over the whole slab,
-and evaluates t for blocks of powers across the slab's width: four rows
-of a full slab, or every row at once where the grid fits in five.  Each
-chunk's outage count (a byte sum), sum of log1p(t) and sum of squares
-are reduced from the C-contiguous (rows, chunks, size) block along its
-last axis, with the bits of a chunk reduced alone, and folded into one
-running total in chunk order as each slab completes.  The tasks are
-slabs, not chunks, because every numpy call releases and retakes the
-GIL: with calls of a few thousand elements, two threads spend their time
-handing the lock back and forth and run slower than one.  A slab of four
-default chunks makes the draw's, the geometry's and the blocks' calls
-once, over four times the elements.
+to the slab's first chunk, built in the calling thread as the slab is
+handed out; at most 2*workers slabs are out ahead of the one being
+folded.  One fill of the slab's (chunks, 4, size) block draws all its
+chunks' positions, since that chunk-major layout is the stream's order.
+The slab then forms each kernel's (p, q) in place as (chunks, size) rows
+over the whole slab, once per kind of row in the grid (finite rho, or
+rho = inf), and evaluates t for blocks of powers across the slab's
+width: four rows of a full slab, or every row at once where the grid
+fits in five.  Each chunk's outage count (a byte sum), sum of log1p(t)
+and sum of squares are reduced from the C-contiguous (rows, chunks,
+size) block along its last axis, with the bits of a chunk reduced alone,
+and folded into one running total in chunk order as each slab
+completes, so no bit depends on the slab's width.  The tasks are slabs,
+not chunks, because every numpy call releases the GIL and takes it
+back: with two threads each of those handoffs can wait on the other
+thread, and a slab makes its ~50 calls, so as many handoffs, at any
+width.  A slab of six default chunks makes the draw's, the geometry's
+and the blocks' calls once, over six times the elements: on 2 CPUs a
+two-thread pass of 10^6 trials at 5 powers made ~420 voluntary context
+switches, where slabs of four chunks made ~750.
 
 Each worker thread holds one workspace per `_mc_sweep` call, one buffer
-of (6 + rows) widths of floats and a byte mask: the positions chunk by
-chunk, p and q, then the block of ratios, whose first row holds Bob's
-noise power while a geometry runs.  No block or slab allocates an array
-of trials, which at the default chunk (128 KiB, glibc's mmap threshold)
-were page-faulted afresh every block.  The buffer starts on a 64-byte
-boundary (np.empty promises 16), so at chunk sizes that are multiples
-of 8 every row of it does: numpy's SIMD loops run about twice as fast
-on such rows as on rows 16 bytes off.  The means and standard errors are
-formed on arrays, whose divide, multiply and sqrt round as Python's do.
-The public `mc_*` functions are its single-power, single-kernel views.
+of (max(4, rows) + 2*geometries) widths of floats and a byte mask.  The
+positions, chunk by chunk, come first, and every geometry's (p, q)
+follows; since every (p, q) is formed before any block of ratios, the
+block takes the positions' floats.  A geometry's third row, Bob's noise
+power, is the next geometry's p row, free until that geometry runs, or
+for the last geometry the positions' x2 rows, which are not read once
+Willie's noise power is formed.  At 5 rows and 2 kernels that is 9
+widths of floats (1.7 MiB at a full slab).  No block or slab allocates
+an array of trials, which at the default chunk (128 KiB, glibc's mmap
+threshold) were page-faulted afresh every block.  The buffer starts on
+a 64-byte boundary (np.empty promises 16), so at chunk sizes that are
+multiples of 8 every row of it does: numpy's SIMD loops run about twice
+as fast on such rows as on rows 16 bytes off.  The means and standard
+errors are formed on arrays, whose divide, multiply and sqrt round as
+Python's do.  The public `mc_*` functions are its single-power,
+single-kernel views.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import operator
@@ -83,7 +95,7 @@ from .diststats import _draw_positions
 from .model import (_HALF_LOG2E, ChannelParams, Scenario, SecrecyTarget, _tx_powers,  # noqa: F401
                     los_rate)
 
-_SLAB_TRIALS = 16384  # trials per pool task, and a quarter of a block of ratios
+_SLAB_TRIALS = 24576  # trials per pool task (six default chunks), a quarter of a block of ratios
 _CERTAIN_MARGIN = 1e-12  # the certain-outage test's relative headroom over the rounding of t
 _ALIGN = 64  # bytes: the start of each worker's workspace, a cache line and an AVX-512 register
 
@@ -157,10 +169,11 @@ def _ratio_terms(noise_w, q, noise_b, loss=1.0):
 def _pa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2, out):
     """The PA's (p, q): both links pay the guided loss of the travel x1 + D/2.
 
-    Written into the first two rows out[k, ...] of `out`, a (3, *shape)
-    array, 0-d rows at scalar positions; Bob's noise power takes the third.
+    Written into the first two of `out`'s three arrays of the positions'
+    shape, 0-d at scalar positions; Bob's noise power takes the third,
+    which may be x2 itself: x2 is not read once Willie's is formed.
     """
-    noise_w, loss, noise_b = (out[k, ...] for k in range(3))
+    noise_w, loss, noise_b = out
     d2, unit = scenario.waveguide_height ** 2, _power_unit(scenario, chan)
     _noise_power(noise_w, chan.noise_willie / unit, d2, np.subtract(x1, x2, out=noise_w), y2,
                  loss)
@@ -172,7 +185,7 @@ def _pa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2, out):
 
 def _fa_geometry(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2, out):
     """The same for the fixed antenna at (0, 0, d), which has no guided loss (loss = 1)."""
-    noise_w, scratch, noise_b = (out[k, ...] for k in range(3))
+    noise_w, scratch, noise_b = out
     d2, unit = scenario.waveguide_height ** 2, _power_unit(scenario, chan)
     _noise_power(noise_w, chan.noise_willie / unit, d2, x2, y2, scratch)
     _noise_power(noise_b, chan.noise_bob / unit, d2, x1, y1, scratch)
@@ -212,8 +225,8 @@ def _secrecy_rate(geometry, scenario: Scenario, chan: ChannelParams, *positions)
     if r == 0:  # rho = inf: the loss-free limit, as in _mc_sweep
         chan = dataclasses.replace(chan, attenuation=0.0)
     positions = np.broadcast_arrays(*positions)
-    t = _secrecy_ratio(r, *geometry(scenario, chan, *positions,
-                                    np.empty((3,) + positions[0].shape)))
+    out = np.empty((3,) + positions[0].shape)
+    t = _secrecy_ratio(r, *geometry(scenario, chan, *positions, [out[k, ...] for k in range(3)]))
     return np.log1p(t) * _HALF_LOG2E
 
 
@@ -244,6 +257,26 @@ def _slabs(cfg: McConfig) -> list:
     return slabs + [(full, 1, rest)] if rest else slabs
 
 
+def _in_order(fn, tasks, workers: int):
+    """fn(task) of each task, in the tasks' order.
+
+    At one worker in the calling thread; otherwise on a pool of `workers`
+    threads, which holds at most 2*workers tasks handed out and not yet
+    taken back.
+    """
+    if workers == 1:
+        yield from map(fn, tasks)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        window = collections.deque()
+        for task in tasks:
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+            window.append(pool.submit(fn, task))
+        while window:
+            yield window.popleft().result()
+
+
 def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1, kernels=(_pa_geometry, _fa_geometry)
               ) -> np.ndarray:
@@ -252,8 +285,9 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
     An array of shape (powers, kernels, 2, 2); with the default kernels a
     power's rows are PA, then FA.  chan.tx_power is not used.  Each slab's
     positions are drawn once, in one fill, and each kernel forms its
-    rho-free (p, q) from them once.  The ratios t of a block of powers
-    over the whole slab, at most 5*_SLAB_TRIALS at once, are then
+    rho-free (p, q) from them once per kind of row (finite rho or rho =
+    inf), all before the first block of ratios.  The ratios t of a block
+    of powers over the whole slab, at most 5*_SLAB_TRIALS at once, are then
     reduced per power and chunk to an outage count (exact in a float;
     the chunk's size, untested, where outage is certain), a sum of
     log1p(t) and a sum of its squares; those are folded into one total in
@@ -286,22 +320,26 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
 
     # rho = inf (r = 0) takes t = (Nw - Nb)/Nb from the loss-free geometry: the loss cancels
     # from the limit, and the PA's underflows to 0 beyond alpha*(x1 + D/2) ~ 372 (p/q = 0/0).
-    # The rows go in runs (chan, blocks) of one kind, each with its own geometry
+    # The rows go in runs (kind, blocks) of one kind, finite or not; each kernel forms one
+    # geometry per kind in the grid, which every run of that kind reads
     limit, loss_free = inverse_gains[:, 0, 0] == 0, dataclasses.replace(chan, attenuation=0.0)
+    kinds = sorted(set(limit.tolist()))  # False (finite rho), True (rho = inf), or both
     edges = [0, *(np.flatnonzero(limit[1:] != limit[:-1]) + 1).tolist(), limit.size]
-    runs = [(loss_free if limit[start] else chan, blocks(start, stop))
+    runs = [(kinds.index(limit[start]), blocks(start, stop))
             for start, stop in zip(edges, edges[1:]) if start < stop]
-    floats = (6 + rows_max) * width_max
+    forms = [(geometry, loss_free if kind else chan) for geometry in kernels for kind in kinds]
+    front = max(4, rows_max) * width_max  # the positions, then a block of ratios over them
+    floats = front + 2 * len(forms) * width_max  # then each geometry's p and q
     local = threading.local()  # this call's workspace of each worker thread
 
     def workspace(n_chunks: int, size: int):
         """(positions, terms, ratios, mask) for a slab of n_chunks chunks: views of one buffer.
 
         Floats: the positions, chunk by chunk, each chunk's 4 rows
-        together, then p and q as (chunks, size) rows, then a block of
-        ratios, whose first row is the geometry's third (Bob's noise
-        power), free once p is formed.  The block's outage mask follows
-        as bytes.  The buffer starts on an _ALIGN-byte boundary.
+        together, and a block of ratios over the same floats, which are
+        free once every geometry is formed; then p and q of each geometry
+        as (chunks, size) rows.  The block's outage mask follows as bytes.
+        The buffer starts on an _ALIGN-byte boundary.
         """
         if not hasattr(local, "buffer"):
             nbytes = 8 * floats + rows_max * width_max
@@ -309,21 +347,27 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
             start = -raw.ctypes.data % _ALIGN
             local.buffer = raw[start:start + nbytes]
         values, width = local.buffer[:8 * floats].view(float), n_chunks * size
+        terms = values[front:front + 2 * len(forms) * width]
         return (values[:4 * width].reshape(n_chunks, 4, size),
-                values[4 * width_max:4 * width_max + 3 * width].reshape(3, n_chunks, size),
-                values[6 * width_max:], local.buffer[8 * floats:].view(bool))
+                terms.reshape(len(forms), 2, n_chunks, size),
+                values[:front], local.buffer[8 * floats:].view(bool))
 
     def slab_sums(task):
         """(chunks, powers, kernels, 3): each chunk's outage count, sum and sum of squares."""
         (_, n_chunks, size), rng = task
         positions, terms, ratios, mask = workspace(n_chunks, size)
         _draw_positions(rng, scenario.side_length, n_chunks * size, positions)
+        x1, x2, y1, y2 = positions.swapaxes(0, 1)
+        # Bob's noise power takes the next geometry's p row; the last geometry's takes x2
+        for g, (geometry, form_chan) in enumerate(forms):
+            noise_b = terms[g + 1, 0] if g + 1 < len(forms) else x2
+            geometry(scenario, form_chan, x1, x2, y1, y2, (*terms[g], noise_b))
         # an outage count never exceeds the chunk's size: a byte sum in 16 bits is exact below 2^16
         count_type = np.uint16 if size < 2 ** 16 else np.intp
         sums = np.empty((n_chunks, rows, len(kernels), 3))
-        for j, geometry in enumerate(kernels):
-            for run_chan, blocks in runs:
-                p, q = geometry(scenario, run_chan, *positions.swapaxes(0, 1), terms)
+        for j in range(len(kernels)):
+            for kind, blocks in runs:
+                p, q = terms[j * len(kinds) + kind]
                 for block, span in blocks:
                     r = inverse_gains[block]
                     # a C-contiguous (rows, chunks, size) block: each chunk is reduced on its own
@@ -339,14 +383,14 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
                     np.add.reduce(np.square(ts, out=ts), axis=-1, out=sums[:, block, j, 2].T)
         return sums
 
-    # made in the calling thread, not per task: chunk k's positions start at double 4*chunk_size*k
+    # made in the calling thread as each slab is handed out: chunk k's positions start at
+    # double 4*chunk_size*k
     tasks = ((slab, np.random.Generator(
         np.random.PCG64(cfg.seed).advance(4 * cfg.chunk_size * slab[0]))) for slab in slabs)
     total = np.zeros((rows, len(kernels), 3))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for sums in (pool.map if workers > 1 else map)(slab_sums, tasks):
-            for chunk in sums:  # in chunk order, as each slab arrives
-                total += chunk
+    for sums in _in_order(slab_sums, tasks, workers):
+        for chunk in sums:  # in chunk order, as each slab arrives
+            total += chunk
     count, s, s2 = np.moveaxis(total, -1, 0)
     s, s2 = s * _HALF_LOG2E, s2 * (_HALF_LOG2E * _HALF_LOG2E)
     n = cfg.trials

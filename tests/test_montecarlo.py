@@ -120,9 +120,9 @@ class TestReproducibility:
         # each slab fills its (chunks, 4, size) positions in one draw from
         # PCG64(seed) advanced to its first chunk; laid end to end, the fills
         # are one long draw of the stream, the protocol test_manual_replication
-        # rebuilds.  At chunk 7: slabs of 2340, 2340 and 144 chunks, then a
-        # ragged 3-trial chunk.  A generator advanced past 10^5 one-trial
-        # chunks continues the stream that drew them
+        # rebuilds.  At chunk 7: two full slabs of _SLAB_TRIALS // 7 chunks
+        # and one of 144, then a ragged 3-trial chunk.  A generator advanced
+        # past 10^5 one-trial chunks continues the stream that drew them
         fills = []
 
         def recorded(rng, side_length, n, out):
@@ -130,9 +130,10 @@ class TestReproducibility:
             return out
 
         monkeypatch.setattr(montecarlo, "_draw_positions", recorded)
-        cfg = ps.McConfig(trials=2 * montecarlo._SLAB_TRIALS + 1003, seed=seed, chunk_size=7)
+        per_slab = montecarlo._SLAB_TRIALS // 7
+        cfg = ps.McConfig(trials=7 * (2 * per_slab + 144) + 3, seed=seed, chunk_size=7)
         slabs = montecarlo._slabs(cfg)
-        assert [n for _, n, _ in slabs] == [2340, 2340, 144, 1] and slabs[-1][2] == 3
+        assert [n for _, n, _ in slabs] == [per_slab, per_slab, 144, 1] and slabs[-1][2] == 3
         montecarlo._mc_sweep(scenario, chan_at(1.0), [1e4], target, cfg, 1,
                              (montecarlo._pa_geometry,))
         assert [(n, fill.shape) for n, fill in fills] == [(k * size, (k, 4, size))
@@ -303,6 +304,8 @@ KERNEL_REFERENCE = {
 
 
 class TestBatchedEngine:
+    # each case is stated for a 16384-trial slab; its trials and chunk size
+    # are scaled by _SLAB_TRIALS/16384, which keeps its slabs and blocks
     @pytest.mark.parametrize("trials, chunk_size, rows_per_block", [
         (2700, 1000, 32),    # a slab of two chunks, then a short last chunk alone
         (34567, 1000, 4),    # slabs of 16, 16 and 2 chunks, then a ragged chunk; a last 1-row block
@@ -320,6 +323,7 @@ class TestBatchedEngine:
         # engine runs each slab of chunks in views of its thread's
         # workspace and reduces each chunk from a (rows, chunks, size) view,
         # so slabs and blocks of every shape must give the oracle's bits
+        trials, chunk_size = (n * montecarlo._SLAB_TRIALS // 16384 for n in (trials, chunk_size))
         target = ps.SecrecyTarget(rate=0.05)
         chans = [ps.ChannelParams(attenuation=0.05, tx_power=10 ** (db / 10.0),
                                   noise_bob=2.0, noise_willie=0.5)
@@ -337,8 +341,8 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("rows, blocks", [(5, [5]), (6, [4, 2])], ids=["5-1", "6-2"])
     def test_short_grid_runs_as_one_block(self, scenario, monkeypatch, rows, blocks):
-        # mc-deep's shape: five powers over 16384-trial slabs fit in one
-        # block of ratios per kernel (at most 5*_SLAB_TRIALS), where four
+        # mc-deep's shape: five powers over full slabs of default chunks fit
+        # in one block of ratios per kernel (at most 5*_SLAB_TRIALS), where four
         # rows per block would run them as 4 + 1; a sixth power splits them
         # 4 + 2.  Two full slabs, then a ragged 100-trial chunk
         calls = []
@@ -352,8 +356,9 @@ class TestBatchedEngine:
         chans = [ps.ChannelParams(attenuation=0.05, tx_power=10 ** (db / 10.0),
                                   noise_bob=2.0, noise_willie=0.5)
                  for db in np.linspace(40.0, 65.0, rows)]
-        cfg = ps.McConfig(trials=2 * montecarlo._SLAB_TRIALS + 100, seed=77, chunk_size=4096)
-        assert len(montecarlo._slabs(cfg)) == 3
+        slab = montecarlo._SLAB_TRIALS
+        cfg = ps.McConfig(trials=2 * slab + 100, seed=77, chunk_size=4096)
+        assert [n * size for _, n, size in montecarlo._slabs(cfg)] == [slab, slab, 100]
         target = ps.SecrecyTarget(rate=0.05)
         got = montecarlo._mc_sweep(scenario, chans[0], [chan.tx_power for chan in chans],
                                    target, cfg)
@@ -415,30 +420,48 @@ class TestBatchedEngine:
     def test_workspace_rows_are_64_byte_aligned(self, scenario, target, monkeypatch, workers):
         # np.empty promises 16 bytes; numpy's SIMD loops run about twice as
         # fast on rows that start on a 64-byte boundary.  At chunk 4096 each
-        # thread's workspace puts every fill and every row of p, q and a
-        # block of ratios on one, the ragged 848-trial chunk's too
-        fills, rows = [], []
+        # thread's workspace puts on one every fill, every row of a
+        # geometry's three outputs (Bob's noise power lies in the next
+        # geometry's p row, or in x2), and every row of p, q and a block of
+        # ratios, the ragged 848-trial chunk's too.  Each block of ratios
+        # lies over its thread's positions, from their first float
+        fills, rows, blocks = [], [], []
         draw_positions, secrecy_ratio = montecarlo._draw_positions, montecarlo._secrecy_ratio
 
         def drawn(rng, side_length, n, out):
-            fills.append(out.ctypes.data % 64)
+            fills.append(out.ctypes.data)
             return draw_positions(rng, side_length, n, out)
+
+        def aligned(*arrays):
+            rows.extend(row.ctypes.data % 64 for terms in arrays
+                        for row in terms.reshape(-1, terms.shape[-1]))
 
         def ratio(r, p, q, out=None):
             # each chunk's row of p, q and of each power's ratios
-            rows.extend(row.ctypes.data % 64 for terms in (p, q, out)
-                        for row in terms.reshape(-1, terms.shape[-1]))
+            aligned(p, q, out)
+            blocks.append(out.ctypes.data)
             return secrecy_ratio(r, p, q, out)
+
+        def formed(geometry):
+            def wrapper(scenario, chan, x1, x2, y1, y2, out):
+                aligned(*out)
+                return geometry(scenario, chan, x1, x2, y1, y2, out)
+            return wrapper
 
         monkeypatch.setattr(montecarlo, "_draw_positions", drawn)
         monkeypatch.setattr(montecarlo, "_secrecy_ratio", ratio)
         powers = [10 ** (db / 10.0) for db in range(-10, 55, 5)]
-        cfg = ps.McConfig(trials=50000, seed=3, chunk_size=4096)
-        montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg, workers)
-        # three slabs of four chunks, then the ragged chunk; per slab and kernel, four
-        # blocks of p and q rows and the grid's 13 rows of ratios, chunk by chunk
-        assert fills == [0] * 4
-        assert rows == [0] * 2 * (3 * (4 * 2 * 4 + 13 * 4) + (4 * 2 + 13))
+        slab = montecarlo._SLAB_TRIALS
+        cfg = ps.McConfig(trials=2 * slab + 848, seed=3, chunk_size=4096)
+        slabs = montecarlo._slabs(cfg)
+        assert [n * size for _, n, size in slabs] == [slab, slab, 848]
+        kernels = (formed(montecarlo._pa_geometry), formed(montecarlo._fa_geometry))
+        montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg, workers, kernels)
+        # per slab, two geometries of three rows a chunk; per kernel, four blocks
+        # of p and q rows and the grid's 13 rows of ratios, chunk by chunk
+        assert [start % 64 for start in fills] == [0] * len(slabs)
+        assert rows == [0] * sum(n * (2 * 3 + 2 * (4 * 2 + 13)) for _, n, _ in slabs)
+        assert set(blocks) == set(fills) and len(blocks) == 2 * 4 * len(slabs)
 
     def test_public_kernels_match_mpmath(self, scenario):
         # one log1p of one ratio keeps the digits where two ~10-bit rates
@@ -507,12 +530,12 @@ class TestBatchedEngine:
         assert peak <= 2e6, peak
 
     def test_pool_memory_stays_bounded(self, scenario, target):
-        # mc-deep's shape on two threads: each holds one workspace (the
-        # positions, chunk by chunk, p, q and a 5-row block of ratios of a
-        # 16384-trial slab, then a 5-row byte mask, ~1.5 MiB);
-        # each slab's per-chunk sums are folded as it completes, and the
-        # call's 62 slab generators, which Executor.map holds for the whole
-        # call at two workers, are small
+        # mc-deep's shape on two threads: each holds one workspace of a
+        # full slab of six chunks (a 5-row block of ratios over the
+        # positions' 4 rows, then p and q of two kernels, ~1.7 MiB, then a
+        # 5-row byte mask, ~0.1 MiB); each slab's per-chunk sums are folded
+        # as it completes, and at most four slabs, each with its generator,
+        # are handed out ahead of the one folded
         powers = [10 ** (db / 10.0) for db in (40.0, 45.0, 50.0, 55.0, 60.0)]
         cfg = ps.McConfig(trials=1000000, seed=5, chunk_size=4096)
         montecarlo._mc_sweep(scenario, chan_at(1.0), powers[:1], target, small_cfg(), 2)
@@ -527,16 +550,18 @@ class TestBatchedEngine:
 
 
     def test_memory_stays_flat_in_the_chunk_count(self, scenario, target):
-        # 20 powers at chunk 64: a slab is 256 chunks, whose per-chunk sums
-        # (960 B) would grow the peak by ~245 KiB a slab if the call kept
-        # them.  The loop folds each slab as it completes and holds the last
-        # slab's sums while the next is made, so at one worker the peak is
-        # that of two slabs at any count.  Two workers are handed every
-        # slab at once: each holds one generator, not a stream per chunk
-        # (~370 B each, ~2.5 MB more from 4 to 32 slabs), and sums that
-        # queue while the loop folds add up to ~0.7 MB; the least of two
-        # tries is taken
+        # 20 powers at chunk 64: a slab is _SLAB_TRIALS/64 chunks, whose
+        # per-chunk sums (960 B) would grow the peak by ~360 KiB a slab if
+        # the call kept them.  The loop folds each slab as it completes and
+        # holds the last slab's sums while the next is made, so at one worker
+        # the peak is that of two slabs at any count.  Two workers are handed
+        # at most four slabs ahead of the one folded, each with one generator
+        # made as it is handed out: at most five slabs' sums are held at any
+        # count, and at least two of them already at four slabs, so the
+        # peak grows by less than three slabs' sums; the least of two tries
+        # is taken
         powers = [10 ** (k / 10.0) for k in range(20)]
+        slab_sums = montecarlo._SLAB_TRIALS // 64 * len(powers) * 2 * 3 * 8
 
         def peak(slabs, workers):
             cfg = ps.McConfig(trials=slabs * montecarlo._SLAB_TRIALS, seed=5, chunk_size=64)
@@ -549,7 +574,7 @@ class TestBatchedEngine:
             finally:
                 tracemalloc.stop()
 
-        for workers, few, many, bound in ((1, 2, 8, 2 ** 17), (2, 4, 32, 3 * 2 ** 19)):
+        for workers, few, many, bound in ((1, 2, 8, 2 ** 17), (2, 4, 32, 3 * slab_sums)):
             peak(1, workers)
             growth = min(peak(many, workers) - peak(few, workers) for _ in range(2))
             assert growth < bound, (workers, growth)
@@ -636,6 +661,25 @@ class TestInfinitePower:
         assert lossy[0].tolist() == [
             [[0.9945, 0.0016537457482938467], [0.002876354999888791, 0.0013430568251933063]],
             [[0.5065, 0.01117939510885987], [-0.007358654298580459, 0.015371955835295]]]
+
+    @pytest.mark.parametrize("alpha", [0.05, 20.0])
+    def test_mixed_grid_rows_equal_each_row_alone(self, scenario, alpha):
+        # finite powers, then rho = inf, then a finite power: runs of both
+        # kinds, each kind with its own geometry from the slab's positions.
+        # A block of ratios lies over the positions, so a geometry formed
+        # after another run's ratios would read overwritten positions.  Two
+        # full slabs of default chunks, then a ragged 1000-trial chunk
+        target = ps.SecrecyTarget(rate=0.05)
+        chan = ps.ChannelParams(attenuation=alpha, noise_bob=2.0, noise_willie=0.5)
+        powers = [1e4, 1e8, math.inf, 1e6]
+        cfg = ps.McConfig(trials=2 * montecarlo._SLAB_TRIALS + 1000, seed=31, chunk_size=4096)
+        assert len(montecarlo._slabs(cfg)) == 3
+        alone = [montecarlo._mc_sweep(scenario, chan, [power], target, cfg)[0].tolist()
+                 for power in powers]
+        assert len({str(row) for row in alone}) == len(powers)
+        for workers in (1, 2):
+            grid = montecarlo._mc_sweep(scenario, chan, powers, target, cfg, workers)
+            assert grid.tolist() == alone, workers
 
 
 class TestStatisticalBehavior:
