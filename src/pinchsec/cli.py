@@ -393,7 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     # each flag's dest is its config key, so config_from_dict validates it
-    common.add_argument("--out", dest="output_path", metavar="PATH", help="output CSV path")
     common.add_argument("--seed", dest="mc_seed", type=int, help="Monte Carlo seed")
     common.add_argument("--trials", dest="mc_trials", type=int, help="Monte Carlo trials")
     common.add_argument("--quad-n", dest="quadrature_n", type=int,
@@ -412,7 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
             ("esc", "capacity bounds and Monte Carlo per grid point"),
             ("validate-stats", "distribution self-checks"),
             ("mc-only", "Monte Carlo estimates only (allows unequal noises)")):
-        sub.add_parser(name, parents=[common], help=help_text)
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        if name == "sweep":  # the one command that writes the CSV
+            command.add_argument("--out", dest="output_path", metavar="PATH",
+                                 help="output CSV path")
     return parser
 
 

@@ -106,8 +106,10 @@ class SecrecyTarget:
 
 
 def _tx_powers(tx_powers) -> np.ndarray:
-    """A grid of transmit powers as a float array; each must be > 0, as a tx_power must."""
+    """A 1-D grid of transmit powers as a float array; each must be > 0, as a tx_power must."""
     powers = np.asarray(tx_powers, dtype=float)
+    if powers.ndim != 1:
+        raise ValueError(f"tx_powers must be a 1-D sequence, not of shape {powers.shape}")
     if not np.all(powers > 0):  # NaN fails it too; +inf is valid
         raise ValueError("tx_power must be > 0")
     return powers

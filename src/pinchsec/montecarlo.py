@@ -43,9 +43,8 @@ handed out; at most 2*workers slabs are out ahead of the one being
 folded.  One fill of the slab's (chunks, 4, size) block draws all its
 chunks' positions, since that chunk-major layout is the stream's order.
 The slab then forms each kernel's (p, q) in place as (chunks, size) rows
-over the whole slab, once per kind of row in the grid (finite rho, or
-rho = inf), and evaluates t for blocks of powers across the slab's
-width: four rows of a full slab, or every row at once where the grid
+over the whole slab, once, and evaluates t for blocks of powers across
+the slab's width: four rows of a full slab, or every row where the grid
 fits in five.  Each chunk's outage count (a byte sum), sum of log1p(t)
 and sum of squares are reduced from the C-contiguous (rows, chunks,
 size) block along its last axis, with the bits of a chunk reduced alone,
@@ -60,12 +59,12 @@ two-thread pass of 10^6 trials at 5 powers made ~420 voluntary context
 switches, where slabs of four chunks made ~750.
 
 Each worker thread holds one workspace per `_mc_sweep` call, one buffer
-of (max(4, rows) + 2*geometries) widths of floats and a byte mask.  The
-positions, chunk by chunk, come first, and every geometry's (p, q)
+of max(4, rows) widths of floats plus 2 per kernel, and a byte mask.
+The positions, chunk by chunk, come first, and every kernel's (p, q)
 follows; since every (p, q) is formed before any block of ratios, the
-block takes the positions' floats.  A geometry's third row, Bob's noise
-power, is the next geometry's p row, free until that geometry runs, or
-for the last geometry the positions' x2 rows, which are not read once
+block takes the positions' floats.  A kernel's third row, Bob's noise
+power, is the next kernel's p row, free until that kernel runs, or for
+the last kernel the positions' x2 rows, which are not read once
 Willie's noise power is formed.  At 5 rows and 2 kernels that is 9
 widths of floats (1.7 MiB at a full slab).  No block or slab allocates
 an array of trials, which at the default chunk (128 KiB, glibc's mmap
@@ -221,7 +220,7 @@ def _secrecy_ratio(r, p, q, out=None):
 
 def _secrecy_rate(geometry, scenario: Scenario, chan: ChannelParams, *positions):
     """Rb - Rw (bits/s/Hz) at chan.tx_power, from `geometry` at the broadcast positions."""
-    r = _inverse_gains(scenario, chan, chan.tx_power)
+    r = _inverse_gains(scenario, chan, [chan.tx_power])[0]
     if r == 0:  # rho = inf: the loss-free limit, as in _mc_sweep
         chan = dataclasses.replace(chan, attenuation=0.0)
     positions = np.broadcast_arrays(*positions)
@@ -280,20 +279,34 @@ def _in_order(fn, tasks, workers: int):
 def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1, kernels=(_pa_geometry, _fa_geometry)
               ) -> np.ndarray:
-    """(sop, esc) x (mean, std_error) of each kernel at each of tx_powers, from one pass.
+    """(sop, esc) x (mean, std_error) of each kernel at each of tx_powers.
 
     An array of shape (powers, kernels, 2, 2); with the default kernels a
-    power's rows are PA, then FA.  chan.tx_power is not used.  Each slab's
+    power's rows are PA, then FA.  chan.tx_power is not used.  A grid
+    that mixes finite powers with rho = inf takes two passes, one of each
+    kind, the second on the loss-free channel.  In a pass each slab's
     positions are drawn once, in one fill, and each kernel forms its
-    rho-free (p, q) from them once per kind of row (finite rho or rho =
-    inf), all before the first block of ratios.  The ratios t of a block
-    of powers over the whole slab, at most 5*_SLAB_TRIALS at once, are then
-    reduced per power and chunk to an outage count (exact in a float;
-    the chunk's size, untested, where outage is certain), a sum of
-    log1p(t) and a sum of its squares; those are folded into one total in
-    fixed chunk order as each slab completes, and scaled once.
+    rho-free (p, q) from them once, all before the first block of ratios.
+    The ratios t of a block of powers over the whole slab, at most
+    5*_SLAB_TRIALS at once, are then reduced per power and chunk to an
+    outage count (exact in a float; the chunk's size, untested, where
+    outage is certain), a sum of log1p(t) and a sum of its squares; those
+    are folded into one total in fixed chunk order as each slab completes,
+    and scaled once.
     """
-    inverse_gains = _inverse_gains(scenario, chan, tx_powers)[:, None, None]
+    inverse_gains = _inverse_gains(scenario, chan, tx_powers)
+    # rho = inf (r = 0) takes t = (Nw - Nb)/Nb from the loss-free geometry: the loss cancels
+    # from the limit, and the PA's underflows to 0 beyond alpha*(x1 + D/2) ~ 372 (p/q = 0/0).
+    limit = inverse_gains == 0
+    if limit.any():
+        if not limit.all():  # one pass per kind of row, each writing its own rows
+            powers, sweep = _tx_powers(tx_powers), np.empty((limit.size, len(kernels), 2, 2))
+            for kind in (~limit, limit):
+                sweep[kind] = _mc_sweep(scenario, chan, powers[kind], target, cfg, workers,
+                                        kernels)
+            return sweep
+        chan = dataclasses.replace(chan, attenuation=0.0)
+    inverse_gains = inverse_gains[:, None, None]
     below = target.threshold_minus_one  # Rb - Rw < Rbar exactly where t < 4^Rbar - 1
     certain = _certain_outage(scenario, chan, inverse_gains[:, 0, 0], below)
     slabs = _slabs(cfg)
@@ -301,35 +314,17 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
     rows = len(inverse_gains)
     step = max(1, 4 * _SLAB_TRIALS // width_max)  # rows per block: four rows of a full slab,
     if rows * width_max <= 5 * _SLAB_TRIALS:  # or the whole grid where it fits in five
-        step = rows
+        step = max(1, rows)
+    # blocks (rows, tested): `tested` spans, from the block's first row, every row whose
+    # outage is not certain
+    blocks = []
+    for lo in range(0, rows, step):
+        uncertain = np.flatnonzero(~certain[lo:lo + step])
+        blocks.append((slice(lo, lo + step), slice(uncertain[0], uncertain[-1] + 1)
+                       if uncertain.size else slice(0, 0)))
     rows_max = max(1, min(step, rows))
-
-    def blocks(start: int, stop: int) -> list:
-        """Rows start..stop as blocks (rows, tested) of at most `step` rows each.
-
-        `tested` spans, from the block's first row, every row whose outage
-        is not certain.
-        """
-        spans = []
-        for lo in range(start, stop, step):
-            block = slice(lo, min(lo + step, stop))
-            uncertain = np.flatnonzero(~certain[block])
-            spans.append((block, slice(uncertain[0], uncertain[-1] + 1) if uncertain.size
-                          else slice(0, 0)))
-        return spans
-
-    # rho = inf (r = 0) takes t = (Nw - Nb)/Nb from the loss-free geometry: the loss cancels
-    # from the limit, and the PA's underflows to 0 beyond alpha*(x1 + D/2) ~ 372 (p/q = 0/0).
-    # The rows go in runs (kind, blocks) of one kind, finite or not; each kernel forms one
-    # geometry per kind in the grid, which every run of that kind reads
-    limit, loss_free = inverse_gains[:, 0, 0] == 0, dataclasses.replace(chan, attenuation=0.0)
-    kinds = sorted(set(limit.tolist()))  # False (finite rho), True (rho = inf), or both
-    edges = [0, *(np.flatnonzero(limit[1:] != limit[:-1]) + 1).tolist(), limit.size]
-    runs = [(kinds.index(limit[start]), blocks(start, stop))
-            for start, stop in zip(edges, edges[1:]) if start < stop]
-    forms = [(geometry, loss_free if kind else chan) for geometry in kernels for kind in kinds]
     front = max(4, rows_max) * width_max  # the positions, then a block of ratios over them
-    floats = front + 2 * len(forms) * width_max  # then each geometry's p and q
+    floats = front + 2 * len(kernels) * width_max  # then each kernel's p and q
     local = threading.local()  # this call's workspace of each worker thread
 
     def workspace(n_chunks: int, size: int):
@@ -337,9 +332,9 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
 
         Floats: the positions, chunk by chunk, each chunk's 4 rows
         together, and a block of ratios over the same floats, which are
-        free once every geometry is formed; then p and q of each geometry
-        as (chunks, size) rows.  The block's outage mask follows as bytes.
-        The buffer starts on an _ALIGN-byte boundary.
+        free once every kernel's (p, q) is formed; then p and q of each
+        kernel as (chunks, size) rows.  The block's outage mask follows as
+        bytes.  The buffer starts on an _ALIGN-byte boundary.
         """
         if not hasattr(local, "buffer"):
             nbytes = 8 * floats + rows_max * width_max
@@ -347,9 +342,9 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
             start = -raw.ctypes.data % _ALIGN
             local.buffer = raw[start:start + nbytes]
         values, width = local.buffer[:8 * floats].view(float), n_chunks * size
-        terms = values[front:front + 2 * len(forms) * width]
+        terms = values[front:front + 2 * len(kernels) * width]
         return (values[:4 * width].reshape(n_chunks, 4, size),
-                terms.reshape(len(forms), 2, n_chunks, size),
+                terms.reshape(len(kernels), 2, n_chunks, size),
                 values[:front], local.buffer[8 * floats:].view(bool))
 
     def slab_sums(task):
@@ -358,29 +353,26 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
         positions, terms, ratios, mask = workspace(n_chunks, size)
         _draw_positions(rng, scenario.side_length, n_chunks * size, positions)
         x1, x2, y1, y2 = positions.swapaxes(0, 1)
-        # Bob's noise power takes the next geometry's p row; the last geometry's takes x2
-        for g, (geometry, form_chan) in enumerate(forms):
-            noise_b = terms[g + 1, 0] if g + 1 < len(forms) else x2
-            geometry(scenario, form_chan, x1, x2, y1, y2, (*terms[g], noise_b))
+        # Bob's noise power takes the next kernel's p row; the last kernel's takes x2
+        for j, geometry in enumerate(kernels):
+            noise_b = terms[j + 1, 0] if j + 1 < len(kernels) else x2
+            geometry(scenario, chan, x1, x2, y1, y2, (*terms[j], noise_b))
         # an outage count never exceeds the chunk's size: a byte sum in 16 bits is exact below 2^16
         count_type = np.uint16 if size < 2 ** 16 else np.intp
         sums = np.empty((n_chunks, rows, len(kernels), 3))
-        for j in range(len(kernels)):
-            for kind, blocks in runs:
-                p, q = terms[j * len(kinds) + kind]
-                for block, span in blocks:
-                    r = inverse_gains[block]
-                    # a C-contiguous (rows, chunks, size) block: each chunk is reduced on its own
-                    ts = _secrecy_ratio(r, p, q,
-                                        ratios[:r.size * p.size].reshape(len(r), *p.shape))
-                    counts = sums[:, block, j, 0]
-                    counts[...] = size  # where outage is certain; the tested span overwrites it
-                    if span.start < span.stop:
-                        part = ts[span]
-                        outage = np.less(part, below, out=mask[:part.size].reshape(part.shape))
-                        np.add.reduce(outage, axis=-1, dtype=count_type, out=counts[:, span].T)
-                    np.add.reduce(np.log1p(ts, out=ts), axis=-1, out=sums[:, block, j, 1].T)
-                    np.add.reduce(np.square(ts, out=ts), axis=-1, out=sums[:, block, j, 2].T)
+        for j, (p, q) in enumerate(terms):
+            for block, span in blocks:
+                r = inverse_gains[block]
+                # a C-contiguous (rows, chunks, size) block: each chunk is reduced on its own
+                ts = _secrecy_ratio(r, p, q, ratios[:r.size * p.size].reshape(len(r), *p.shape))
+                counts = sums[:, block, j, 0]
+                counts[...] = size  # where outage is certain; the tested span overwrites it
+                if span.start < span.stop:
+                    part = ts[span]
+                    outage = np.less(part, below, out=mask[:part.size].reshape(part.shape))
+                    np.add.reduce(outage, axis=-1, dtype=count_type, out=counts[:, span].T)
+                np.add.reduce(np.log1p(ts, out=ts), axis=-1, out=sums[:, block, j, 1].T)
+                np.add.reduce(np.square(ts, out=ts), axis=-1, out=sums[:, block, j, 2].T)
         return sums
 
     # made in the calling thread as each slab is handed out: chunk k's positions start at

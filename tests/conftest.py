@@ -1,6 +1,7 @@
 """Shared fixtures and adaptive-quadrature oracles for the test suite."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,33 @@ from scipy import integrate as scipy_integrate
 import pinchsec as ps
 from pinchsec import bounds, quad
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
 SNR_GRID_DB = tuple(float(s) for s in range(-10, 55, 5))
+DATA_DIR = Path(__file__).parent / "data"
+# The environment under which numpy on an AVX-512 machine takes its AVX2 loops, in the
+# process it starts in only
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def simd_class() -> str:
+    """The bit class of this process's numpy: "avx512" or "no_avx512".
+
+    numpy picks its transcendental loops (log1p, exp, log, ...) by CPU
+    feature, and its AVX-512 (x86-64-v4) loops round some last bits
+    otherwise than its AVX2 and baseline loops, which agree.  So the
+    byte-pinned outputs hold per numpy version and class.
+    """
+    return "avx512" if __cpu_features__.get("X86_V4") else "no_avx512"
+
+
+def golden_path(name: str) -> Path:
+    """The golden file `name` of this process's class: tests/data/ for AVX-512, else
+    tests/data/no_avx512/."""
+    return DATA_DIR / name if simd_class() == "avx512" else DATA_DIR / "no_avx512" / name
 
 
 @pytest.fixture(scope="session")

@@ -20,14 +20,13 @@ import numpy as np
 import pytest
 
 import pinchsec as ps
-from pinchsec import bounds, cli, quad
+from pinchsec import bounds, cli, montecarlo, quad
 from conftest import (SNR_GRID_DB, chan_at, esc_at, esc_term_oracles, esc_term_values, gain,
-                      log2_moment_oracles, log2_moment_values, outage_coefficients, outage_kinks,
-                      sop_at, sop_directions, sop_term_oracles, sop_term_rows)
+                      golden_path, log2_moment_oracles, log2_moment_values, outage_coefficients,
+                      outage_kinks, sop_at, sop_directions, sop_term_oracles, sop_term_rows)
 from test_properties import CONFIGS as PROPERTY_CONFIGS
 
 SPAN = math.exp(-0.5)  # exp(-2 * 0.01 * 25)
-DATA_DIR = Path(__file__).parent / "data"
 
 
 class TestCoefficients:
@@ -506,15 +505,21 @@ class TestChannelLists:
                      ps.esc_bounds(scenario, chan_at(1.0), [], rule_1000)):
             assert pair.lower.shape == pair.upper.shape == (0,)
 
-    @pytest.mark.parametrize("power", [0.0, -1.0, math.nan])
-    def test_rejects_what_tx_power_rejects(self, scenario, target, rule_1000, power):
-        with pytest.raises(ValueError, match="tx_power"):
-            ps.ChannelParams(tx_power=power)
-        for bound in (lambda: ps.sop_bounds(scenario, chan_at(1.0), [1e8, power], target,
-                                            rule_1000),
-                      lambda: ps.esc_bounds(scenario, chan_at(1.0), [1e8, power], rule_1000)):
+    @pytest.mark.parametrize("grid", [pytest.param([1e8, power], id=str(power))
+                                      for power in (0.0, -1.0, math.nan)]
+                             + [pytest.param(1e5, id="0-d"), pytest.param([[1e5, 1e6]], id="2-D")])
+    def test_rejects_what_tx_power_rejects(self, scenario, target, rule_1000, grid):
+        # a power that tx_power rejects, or a grid that is not a 1-D sequence:
+        # both brackets and the Monte Carlo raise the same error
+        if np.ndim(grid) == 1:
             with pytest.raises(ValueError, match="tx_power"):
-                bound()
+                ps.ChannelParams(tx_power=grid[-1])
+        for run in (lambda: ps.sop_bounds(scenario, chan_at(1.0), grid, target, rule_1000),
+                    lambda: ps.esc_bounds(scenario, chan_at(1.0), grid, rule_1000),
+                    lambda: montecarlo._mc_sweep(scenario, chan_at(1.0), grid, target,
+                                                 ps.McConfig(trials=100))):
+            with pytest.raises(ValueError, match="tx_power"):
+                run()
 
     def test_rejects_unequal_noises(self, scenario, target, rule_1000):
         # rho = P/sigma^2 needs one noise level, as ChannelParams.rho does
@@ -756,21 +761,24 @@ class TestSopKernel:
         assert all(record.sop_asym_lb == 0.0 for record in records)
 
     def test_dense_grid_matches_golden(self):
-        """The dense-bounds grid's bounds and asymptotes, byte for byte.
+        """The dense-bounds grid's bounds and asymptotes, byte for byte, in this numpy's class.
 
-        The golden file changes only with a CHANGES.md entry saying why.  A
-        change meant to move its bytes regenerates it, from the repository
-        root, with
+        The golden files change only with a CHANGES.md entry saying why.  A
+        change meant to move their bytes regenerates both classes' files,
+        from the repository root on an AVX-512 machine, with
 
             PYTHONPATH=src:tests python3 -c "import test_bounds as t; print(*t.dense_bounds_lines(), sep='\\n')" > tests/data/dense_bounds.csv
+
+        and the same command under NPY_DISABLE_CPU_FEATURES="X86_V4
+        AVX512_ICL AVX512_SPR", into tests/data/no_avx512/dense_bounds.csv.
         """
         text = "".join(line + "\n" for line in dense_bounds_lines())
-        want = (DATA_DIR / "dense_bounds.csv").read_text(encoding="ascii")
+        want = golden_path("dense_bounds.csv").read_text(encoding="ascii")
         for number, (got_line, want_line) in enumerate(zip(text.split("\n"), want.split("\n")), 1):
             for name, got, frozen in zip(("snr_db", *DENSE_COLUMNS), got_line.split(","),
                                          want_line.split(",")):
                 assert got == frozen, f"line {number}, column {name}: {got} != {frozen}"
-        assert text.encode("ascii") == (DATA_DIR / "dense_bounds.csv").read_bytes()
+        assert text.encode("ascii") == golden_path("dense_bounds.csv").read_bytes()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads Linux's minor page-fault count")

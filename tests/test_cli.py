@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import pinchsec as ps
+from conftest import DATA_DIR, NO_AVX512, golden_path
 from pinchsec import cli, montecarlo
 
-DATA_DIR = Path(__file__).parent / "data"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -367,17 +367,37 @@ class TestCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_default_sweep_matches_golden(self):
-        """The default sweep, byte for byte.
+        """The default sweep, byte for byte, in this numpy's class.
 
-        The golden file changes only with a CHANGES.md entry saying why.  A
-        change meant to move its bytes regenerates it, from the repository
-        root, with
+        The golden files change only with a CHANGES.md entry saying why.  A
+        change meant to move their bytes regenerates both classes' files,
+        from the repository root on an AVX-512 machine, with
 
             PYTHONPATH=src python3 -m pinchsec.cli sweep > tests/data/default_sweep.csv
+            NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=src python3 -m pinchsec.cli sweep > tests/data/no_avx512/default_sweep.csv
         """
         lines = cli.csv_lines(cli.run_sweep(cli.config_from_dict({})))
         text = "".join(line + "\n" for line in lines)
-        assert text.encode("ascii") == (DATA_DIR / "default_sweep.csv").read_bytes()
+        assert text.encode("ascii") == golden_path("default_sweep.csv").read_bytes()
+
+    def test_goldens_match_without_avx512(self):
+        # the byte-pinned checks again in a child whose numpy takes its AVX2
+        # loops, so that on an AVX-512 machine both classes' files are read
+        checks = ["tests/test_cli.py::TestCsv::test_default_sweep_matches_golden",
+                  "tests/test_bounds.py::TestSopKernel::test_dense_grid_matches_golden",
+                  "tests/test_montecarlo.py::TestInfinitePower::"
+                  "test_underflowed_loss_takes_the_loss_free_limit"]
+        script = ("import sys, pytest\n"
+                  "from conftest import simd_class\n"
+                  "assert simd_class() == 'no_avx512', simd_class()\n"
+                  "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *checks], capture_output=True, text=True, timeout=300,
+            cwd=SRC_DIR.parent,
+            env={"PATH": "", "PYTHONPATH": f"{SRC_DIR}:{SRC_DIR.parent / 'tests'}",
+                 "PYTHONDONTWRITEBYTECODE": "1", **NO_AVX512})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert f"{len(checks)} passed" in proc.stdout, proc.stdout
 
     def test_read_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -443,6 +463,14 @@ class TestMain:
         stdout = capsys.readouterr().out
         assert "wrote 2 grid points" in stdout
         assert "snr_db" in stdout
+        # only sweep writes a CSV: the other commands reject --out instead of ignoring it
+        elsewhere = tmp_path / "elsewhere.csv"
+        for command in ("sop", "esc", "mc-only", "validate-stats"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([command, "--snr-db", "20", "--trials", "100", "--out", str(elsewhere)])
+            assert exit_info.value.code == 2
+            assert "--out" in capsys.readouterr().err
+        assert not elsewhere.exists()
 
     def test_sweep_to_stdout(self, capsys):
         rc = cli.main(["sweep", "--snr-db", "20", "--trials", "1000", "--quad-n", "200"])
