@@ -141,8 +141,7 @@ def _densities(scenario: Scenario, rule: QuadratureRule) -> list:
     """
     zb, zw = ZbDistribution(scenario.side_length), ZwDistribution(scenario.side_length)
     pieces = []
-    for (start, width), pdf in zip(((0.0, zb.support[1]), *zw.pieces),
-                                   (zb.pdf, zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)):
+    for start, width, pdf, _ in ((0.0, zb.support[1], zb.pdf, zb.cdf), *zw.branches):
         u = start + width * rule.nodes
         pieces.append((width, u, pdf(u)))
     return pieces
@@ -208,9 +207,7 @@ def sop_term_sums(scenario: Scenario, target: SecrecyTarget, rule: QuadratureRul
         a, b, c = a[:, None], b[:, None], c[:, None]
         workspace = np.empty((3, min(a.size, max(1, _BLOCK_ELEMENTS // rule.n)), rule.n))
         sums = np.zeros((a.size, 3))
-        for total, (start, span), branch, cdf in zip(sums.T, zw.pieces,
-                                                     (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
-                                                     (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3)):
+        for total, (start, span, branch, cdf) in zip(sums.T, zw.branches):
             hi = start + span
             lo = np.clip(u_0, start, hi)
             cut = np.clip(u_1, lo, hi)

@@ -375,12 +375,13 @@ def validate_stats(cfg: RunConfig, ks_samples: int = 200000) -> StatsReport:
 
 
 def _summary_lines(records) -> list[str]:
-    lines = [f"{'snr_db':>7} {'sop_lb':>10} {'sop_ub':>10} {'sop_mc':>10} "
-             f"{'esc_lb':>10} {'esc_ub':>10} {'esc_mc':>10} {'fa_sop':>10} {'fa_esc':>10}"]
+    """The sweep's main columns, 6 significant digits each, in columns of 8 and 12 characters."""
+    lines = [f"{'snr_db':>8} {'sop_lb':>12} {'sop_ub':>12} {'sop_mc':>12} {'esc_lb':>12} "
+             f"{'esc_ub':>12} {'esc_mc':>12} {'fa_sop':>12} {'fa_esc':>12}"]
     for r in records:
-        lines.append(f"{r.snr_db:>7.1f} {r.sop_lb:>10.6f} {r.sop_ub:>10.6f} "
-                     f"{r.sop_mc:>10.6f} {r.esc_lb:>10.6f} {r.esc_ub:>10.6f} "
-                     f"{r.esc_mc:>10.6f} {r.fa_sop_mc:>10.6f} {r.fa_esc_mc:>10.6f}")
+        values = (r.sop_lb, r.sop_ub, r.sop_mc, r.esc_lb, r.esc_ub, r.esc_mc, r.fa_sop_mc,
+                  r.fa_esc_mc)
+        lines.append(f"{r.snr_db:>8g}" + "".join(f" {value:>12.6g}" for value in values))
     return lines
 
 
@@ -477,6 +478,8 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         if args.command == "sweep":
             return _cmd_sweep(cfg)
+        if cfg.output_path is not None:  # only from a config file: the parser rejects --out here
+            raise ConfigError(f"output_path: only sweep writes a CSV, {args.command} does not")
         if args.command in ("sop", "esc"):
             return _cmd_metric(cfg, args.command)
         if args.command == "mc-only":

@@ -9,8 +9,9 @@ breakpoint and sample here is in u, on [0, D^2/4] for Bob and [0, 5 D^2/4]
 for Willie.  Callers add d^2 where they form a distance.  Both admit
 closed-form piecewise PDFs/CDFs, implemented here together with exact
 geometric samplers and goodness-of-fit utilities.  ZwDistribution also
-owns the layout of its three density pieces (`pieces`), over which the
-bounds integrate branch by branch.
+owns the table of its three density pieces (`branches`): each piece's
+start and width with its density and CDF, over which the bounds
+integrate piece by piece.
 """
 
 from __future__ import annotations
@@ -92,11 +93,17 @@ class ZwDistribution:
         return (0.0, 0.25 * D2, D2, 1.25 * D2)
 
     @property
-    def pieces(self) -> tuple[tuple[float, float], ...]:
-        """(start, width) of the piece of each density branch, in branch order."""
+    def branches(self) -> tuple:
+        """(start, width, pdf_pieceN, cdf_pieceN) of each piece N = 1, 2, 3, in order.
+
+        The methods are read from the instance on each access, so a patch
+        of the class's pdf_pieceN or cdf_pieceN takes effect here too.
+        """
         b0, b1, b2, _ = self.breakpoints
         D2 = self.side_length ** 2
-        return ((b0, 0.25 * D2), (b1, 0.75 * D2), (b2, 0.25 * D2))
+        return ((b0, 0.25 * D2, self.pdf_piece1, self.cdf_piece1),
+                (b1, 0.75 * D2, self.pdf_piece2, self.cdf_piece2),
+                (b2, 0.25 * D2, self.pdf_piece3, self.cdf_piece3))
 
     def _masks(self, u):
         b0, b1, b2, b3 = self.breakpoints
@@ -136,8 +143,7 @@ class ZwDistribution:
 
     def pdf(self, u):
         u = np.asarray(u, dtype=float)
-        return np.piecewise(u, self._masks(u),
-                            [self.pdf_piece1, self.pdf_piece2, self.pdf_piece3])
+        return np.piecewise(u, self._masks(u), [pdf for _, _, pdf, _ in self.branches])
 
     # -- per-piece CDFs --
 
@@ -164,7 +170,7 @@ class ZwDistribution:
     def cdf(self, u):
         u = np.asarray(u, dtype=float)
         return np.piecewise(u, [*self._masks(u), u >= self.support[1]],
-                            [self.cdf_piece1, self.cdf_piece2, self.cdf_piece3, 1.0])
+                            [*(cdf for *_, cdf in self.branches), 1.0])
 
     def quantile(self, q):
         """Inverse CDF by bisection (the CDF is strictly increasing)."""

@@ -136,9 +136,7 @@ def sop_term_rows(scenario, target, rule, eta_rho, bob_factor, willie_factor):
     a, b, c, u_0, u_1 = bounds._outage_rows(scenario, target, eta_rho, bob_factor,
                                             willie_factor)
     sums = np.zeros((a.size, 3))
-    for p, ((start, width), branch, cdf) in enumerate(zip(
-            zw.pieces, (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3),
-            (zw.cdf_piece1, zw.cdf_piece2, zw.cdf_piece3))):
+    for p, (start, width, branch, cdf) in enumerate(zw.branches):
         hi = start + width
         lo = np.clip(u_0, start, hi)
         cut = np.clip(u_1, lo, hi)
@@ -239,7 +237,6 @@ def sop_term_oracles(scenario, chan, target, bob_factor, willie_factor, asymptot
     d2 = scenario.waveguide_height ** 2
     zb = ps.ZbDistribution(scenario.side_length)
     zw = ps.ZwDistribution(scenario.side_length)
-    branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
     if asymptotic:
         factor = bob_factor / (target.threshold * willie_factor)
 
@@ -254,7 +251,7 @@ def sop_term_oracles(scenario, chan, target, bob_factor, willie_factor, asymptot
             return eta_rho * bob_factor / denom if denom > 0 else math.inf
 
     out = []
-    for (start, width), branch in zip(zw.pieces, branches):
+    for start, width, branch, _ in zw.branches:
         lo, hi = d2 + start, d2 + start + width
         kinks = _threshold_kinks(scenario, chan, target, bob_factor, willie_factor, lo, hi,
                                  asymptotic)
@@ -276,8 +273,7 @@ def esc_term_oracles(scenario, chan, bob_factor, willie_factor):
     bob = _quad(lambda z: math.log2(1.0 + eta_rho * bob_factor / z) * float(zb.pdf(z - d2)),
                 d2 + lo, d2 + hi)
     out = [bob]
-    branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
-    for (start, width), branch in zip(zw.pieces, branches):
+    for start, width, branch, _ in zw.branches:
 
         def f(z, branch=branch):
             return math.log2(1.0 + eta_rho * willie_factor / z) * float(branch(z - d2))
@@ -293,8 +289,7 @@ def log2_moment_oracles(scenario):
     zw = ps.ZwDistribution(scenario.side_length)
     lo, hi = zb.support
     out = [_quad(lambda z: math.log2(z) * float(zb.pdf(z - d2)), d2 + lo, d2 + hi)]
-    branches = (zw.pdf_piece1, zw.pdf_piece2, zw.pdf_piece3)
-    for (start, width), branch in zip(zw.pieces, branches):
+    for start, width, branch, _ in zw.branches:
 
         def f(z, branch=branch):
             return math.log2(z) * float(branch(z - d2))

@@ -18,14 +18,24 @@ def readme_library_names():
     return {name for line in bullets for name in re.findall(r"`(\w+)`", line)}
 
 
-def readme_config_keys():
+def readme_config_lines():
+    """{key: the text after `key`: } of each bullet of the README's config list."""
     text = README.read_text(encoding="utf-8")
     section = text.split("\nConfig files are flat JSON", 1)[1].split("\n\n## ", 1)[0]
-    return {m for line in section.splitlines() for m in re.findall(r"^- `(\w+)`", line)}
+    return dict(re.findall(r"^- `(\w+)`: (.*)$", section, re.MULTILINE))
 
 
 def test_config_keys_match_readme():
-    assert readme_config_keys() == set(cli._CONFIG_KEYS)
+    lines = readme_config_lines()
+    assert set(lines) == set(cli._CONFIG_KEYS)
+    # "default, > bound" or "default, >= bound": the grid and path keys describe theirs in words
+    for key, (kind, default, minimum, strict) in cli._CONFIG_KEYS.items():
+        if kind in ("number", "int"):
+            match = re.match(r"(\S+), (>=?) (\S+?)(?:;| |$)", lines[key])
+            assert match, (key, lines[key])
+            text, relation, bound = match.groups()
+            assert (None if text == "none" else float(text)) == default, key
+            assert (relation == ">", float(bound)) == (strict, minimum), key
 
 
 def test_all_names_resolve():

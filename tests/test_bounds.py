@@ -738,7 +738,7 @@ class TestSopKernel:
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
             *_, u_0, u_1 = bounds._outage_rows(scenario, target, *rows)
             per_piece = []
-            for start, width in ps.ZwDistribution(scenario.side_length).pieces:
+            for start, width, _, _ in ps.ZwDistribution(scenario.side_length).branches:
                 lo = np.clip(u_0, start, start + width)
                 cut = np.clip(u_1, lo, start + width)
                 per_piece.append(np.where((lo == start) & (cut == start + width), "full",

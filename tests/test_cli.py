@@ -470,7 +470,35 @@ class TestMain:
                 cli.main([command, "--snr-db", "20", "--trials", "100", "--out", str(elsewhere)])
             assert exit_info.value.code == 2
             assert "--out" in capsys.readouterr().err
+        # nor do they ignore output_path from a config file
+        config = tmp_path / "out.json"
+        config.write_text(json.dumps({"output_path": str(elsewhere)}), encoding="utf-8")
+        for command in ("sop", "esc", "mc-only", "validate-stats"):
+            rc = cli.main([command, "--config", str(config), "--snr-db", "20", "--trials", "100"])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert "output_path" in captured.err and captured.out == ""
         assert not elsewhere.exists()
+
+    def test_sweep_summary_keeps_digits(self, tmp_path, capsys):
+        # the table printed after --out: quarter-dB labels stay distinct and
+        # parse back to the grid, small ESC values keep their digits, and the
+        # columns stay aligned
+        grid = [-0.75, -0.25, 0.25, 0.75]
+        out = tmp_path / "grid.csv"
+        rc = cli.main(["sweep", "--snr-db", ",".join(map(str, grid)), "--trials", "100",
+                       "--out", str(out)])
+        assert rc == 0
+        table = capsys.readouterr().out.splitlines()[1:]
+        assert len({len(line) for line in table}) == 1
+        header, *rows = [line.split() for line in table]
+        assert [float(row[0]) for row in rows] == grid
+        for record, row in zip(cli.read_csv(str(out)), rows):
+            for column, field in (("esc_lb", "esc_lb"), ("esc_ub", "esc_ub"),
+                                  ("esc_mc", "esc_mc"), ("fa_esc", "fa_esc_mc")):
+                value = getattr(record, field)
+                assert value != 0.0
+                assert float(row[header.index(column)]) == pytest.approx(value, rel=1e-5)
 
     def test_sweep_to_stdout(self, capsys):
         rc = cli.main(["sweep", "--snr-db", "20", "--trials", "1000", "--quad-n", "200"])

@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate
 
 import pinchsec as ps
+from pinchsec import bounds
 from conftest import pdf_mass_oracle
 from pinchsec.diststats import _draw_positions
 
@@ -84,9 +85,12 @@ class TestZwDistribution:
         assert zw_dist.support == (0.0, 781.25)
 
     def test_pieces_tile_support(self, zw_dist):
-        # (start, width) per density branch; exact widths D^2/4, 3 D^2/4, D^2/4
-        assert zw_dist.pieces == ((0.0, 156.25), (156.25, 468.75), (625.0, 156.25))
-        assert [lo + w for lo, w in zw_dist.pieces] == list(zw_dist.breakpoints[1:])
+        # (start, width, pdf, cdf) per piece; exact widths D^2/4, 3 D^2/4, D^2/4
+        assert [(lo, w) for lo, w, _, _ in zw_dist.branches] == [
+            (0.0, 156.25), (156.25, 468.75), (625.0, 156.25)]
+        assert [lo + w for lo, w, _, _ in zw_dist.branches] == list(zw_dist.breakpoints[1:])
+        assert [(pdf.__name__, cdf.__name__) for _, _, pdf, cdf in zw_dist.branches] == [
+            (f"pdf_piece{n}", f"cdf_piece{n}") for n in (1, 2, 3)]
 
     def test_pdf_first_branch_value(self, zw_dist):
         # pi/D^2 - 2 sqrt(u)/D^3
@@ -108,14 +112,30 @@ class TestZwDistribution:
     def test_pdf_pieces_in_place(self, zw_dist):
         # `out` takes the density with the bits of the plain call; a number
         # still gives a number
-        branches = (zw_dist.pdf_piece1, zw_dist.pdf_piece2, zw_dist.pdf_piece3)
-        for (start, width), branch in zip(zw_dist.pieces, branches):
+        for start, width, branch, _ in zw_dist.branches:
             u = start + width * np.linspace(0.0, 1.0, 12).reshape(3, 4)
             out = np.empty_like(u)
             assert branch(u, out=out) is out
             np.testing.assert_array_equal(out.view(np.uint64), branch(u).view(np.uint64))
             number = branch(float(u[1, 2]))
             assert isinstance(number, float) and number == out[1, 2]
+
+    def test_branches_follow_class_patches(self, monkeypatch):
+        # a wrapper set on the class, as a tracer sets one, is the method that
+        # pdf, cdf and the bounds' densities call through the table
+        calls = []
+        for name in ("pdf_piece2", "cdf_piece2"):
+            method = getattr(ps.ZwDistribution, name)
+
+            def wrapper(self, *args, method=method, name=name, **kwargs):
+                calls.append(name)
+                return method(self, *args, **kwargs)
+            monkeypatch.setattr(ps.ZwDistribution, name, wrapper)
+        zw = ps.ZwDistribution(D)
+        zw.pdf(300.0)
+        zw.cdf(300.0)
+        bounds._densities(ps.Scenario(side_length=D), ps.make_rule(100))
+        assert calls == ["pdf_piece2", "cdf_piece2", "pdf_piece2"]
 
     def test_pdf_vanishes_at_upper_edge(self, zw_dist):
         assert zw_dist.pdf(781.25) == pytest.approx(0.0, abs=1e-12)
