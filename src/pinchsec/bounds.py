@@ -8,53 +8,25 @@ expressed through the Zb/Zw distance distributions.  A bound direction
 is the plain pair (bob_factor, willie_factor): for the outage the upper
 bound is (span, 1) and the lower (1, span); the capacity uses the reverse
 pairs.  A span that underflows to 0 (alpha*D beyond about 372) is valid.
-
-The brackets take one ChannelParams, whose tx_power they ignore, and an
-array of transmit powers, and return a BoundPair of arrays in that order;
-the term sums take the rows (eta*rho, A, B) as arrays.  They are plain
-integrals over the distance offsets u = z - d^2 of diststats.py, on the
-tanh-sinh rule of quad.py, returned per row and piece: rows
-[j, k, l] over the three Zw density pieces, preceded by the Zb term where
-there is one.  d^2 enters only where a rate or the outage threshold is
-formed from z = d^2 + u; the capacity terms integrate each rate as an
-offset from its value at u = 0, which keeps digits where d^2 dwarfs D^2.
-At gain g that offset is, in nats, ln(1 - s*w) with s = g/(d^2 + g) and
-w = u/(d^2 + u).  Where s <= 1/2 (g <= d^2) it is the series
--sum_k s^k w^k / k, whose terms all share one sign: its term sums are a
-power series in s over the moments of w^k, formed once per call, with a
-term count of the row's own s.  Elsewhere it is one expression,
--log2(1 + t) with t = g*u/(d^2*(d^2 + g + u)), formed from non-negative
-terms joined by one add, so it neither cancels nor overflows
-(_rate_offset), one log1p per node.  All four density pieces are plain
-intervals of u (_densities); the Zb density's integrable 1/sqrt(u) pole
-sits at the rule's left end.  Rows run in blocks, each summed alone by
-quad.integrate, so a power's bracket has the same bits in any array.
-Each bracket makes one term-sum call for both of its directions, the
-upper's rows first; where span = 1 (alpha = 0) the two directions are
-one, whose rows serve both.
-
-The term sums run with numpy's ufunc buffer cut to at most n elements
-(_row_buffer): under the default 8192-element buffer numpy's iterator
-joins a block's rows into one inner loop by copying the broadcast per-row
-column or per-node row on every call, ~3x the cost of a row-by-row op at
-n = 1000.  The ops are element-wise or row sums, so no bit depends on it.
-
-The outage has one threshold: with Willie at z, Zb < a / (b + c/z) with
-a = A, b = (4^Rbar - 1)/(eta*rho), c = 4^Rbar*B for a direction (A, B),
-formed as arrays over all rows of the call.  F_Zb of it is 0 below the
-offset u_0 where it crosses d^2, so the Zw pieces start there, and 1
-beyond the offset u_1 where it crosses d^2 + D^2/4, so the quadrature
-stops there and the mass beyond is a closed-form difference of the Zw
-piece CDFs.  Rows whose clipped interval is the whole piece (full rows)
-share one node and density vector per piece and call; each block of the
-other rows forms its own.  Each row block forms the threshold and F_Zb of
-it in place, in one workspace made per call.
-
 Both metrics saturate at high SNR (the same loss and geometry face Bob
-and Willie), so the diversity order and high-SNR slope are zero.  The
-saturation levels are the brackets at rho = inf, where b = 0, each rate
-offset is -log2(Z/d^2) and r(A) - r(B) is log2(A/B); the finite-difference
-estimators let callers confirm the saturation numerically.
+and Willie), so the diversity order and high-SNR slope are zero; the
+saturation levels are the brackets at rho = inf.
+
+The term sums are integrals over the distance offsets u = z - d^2 of
+diststats.py, on the tanh-sinh rule of quad.py, with d^2 entering only
+where a rate or the outage threshold is formed.  Rows run in blocks, each
+summed alone by quad.integrate, so a power's bracket has the same bits in
+any array.
+
+sop_bounds and esc_bounds take one ChannelParams, whose tx_power they
+ignore, and an array of transmit powers, and return a BoundPair of arrays
+in that order, each from one term-sum call for both of its directions
+(_directions).  sop_term_sums and esc_term_sums take the rows
+(eta*rho, A, B) as arrays and return per row the sums [j, k, l] over the
+three Zw density pieces, preceded by the Zb term where there is one
+(_densities).  sop_asymptotic and esc_asymptotic are the brackets at
+rho = inf; the finite-difference estimators let callers confirm the
+saturation numerically.
 """
 
 from __future__ import annotations
@@ -104,7 +76,14 @@ def _row_blocks(rows, rule: QuadratureRule) -> list:
 
 @contextmanager
 def _row_buffer(rule: QuadratureRule):
-    """numpy's ufunc buffer cut to a multiple of 16 no larger than rule.n, nor than it was."""
+    """numpy's ufunc buffer cut to a multiple of 16 no larger than rule.n, nor than it was.
+
+    Under the default 8192-element buffer numpy's iterator joins a block's
+    rows into one inner loop by copying the broadcast per-row column or
+    per-node row on every call, ~3x the cost of a row-by-row op at
+    n = 1000.  The term sums' ops are element-wise or row sums, so no bit
+    depends on the buffer.
+    """
     old = np.setbufsize(min(np.getbufsize(), max(16, 16 * (rule.n // 16))))
     try:
         yield
@@ -115,8 +94,8 @@ def _row_buffer(rule: QuadratureRule):
 def _threshold_offset(u, d2: float, a, b, c, out=None, scratch=None):
     """Largest Zb offset that still avoids secrecy outage, Willie at offset u.
 
-    The threshold a / (b + c/z) at z = d^2 + u, minus d^2, over one
-    denominator: (d^2*K + u*(a - b*d^2)) / (b*(d^2 + u) + c) with
+    The threshold a / (b + c/z) of _outage_rows at z = d^2 + u, minus d^2,
+    over one denominator: (d^2*K + u*(a - b*d^2)) / (b*(d^2 + u) + c) with
     K = a - b*d^2 - c.  K is exactly 0 at Rbar = 0 and equal factors, so no
     digit of d^2 is lost.  Where b = c = 0 Willie hears nothing and the
     offset is a*z/0 = +inf (no outage).  Arrays `out` and `scratch` of the
@@ -157,9 +136,10 @@ def _outage_rows(scenario: Scenario, target: SecrecyTarget, eta_rho, bob_factor,
                  willie_factor) -> list:
     """Arrays a, b, c, u_0, u_1, one entry per row (eta*rho, A, B).
 
-    (a, b, c) of the threshold a / (b + c/z): b is 0 at rho = inf and at
-    Rbar = 0, and +inf for Rbar > 0 where eta*rho underflows to 0 or 4^Rbar
-    overflows (outage is certain).  u_0 and u_1 are the offsets at which
+    With Willie at z, Bob avoids outage where Zb < a / (b + c/z), with
+    a = A, b = (4^Rbar - 1)/(eta*rho) and c = 4^Rbar*B.  b is 0 at
+    rho = inf and at Rbar = 0, and +inf for Rbar > 0 where eta*rho
+    underflows to 0 or 4^Rbar overflows (outage is certain).  u_0 and u_1 are the offsets at which
     _threshold_offset reaches the ends 0 and D^2/4 of Zb's support, where
     F_Zb(threshold) saturates: u_S = (S*(c + b*d^2) - d^2*K) / (a - b*(d^2 + S))
     with K of _threshold_offset.  The threshold increases with u towards
@@ -183,22 +163,20 @@ def sop_term_sums(scenario: Scenario, target: SecrecyTarget, rule: QuadratureRul
                   bob_factor, willie_factor) -> np.ndarray:
     """Rows [j, k, l], one per row (eta*rho, A, B): no-outage mass F_Zb(threshold) on Zw's pieces.
 
-    eta*rho = inf gives the high-SNR limit.  F_Zb is 0 below
-    u_0 and 1 beyond u_1, where the threshold crosses Zb's lower and upper
-    end: row r's quadrature runs over [u_0, u_1] clipped to each piece,
-    whose integrand is smooth up to corners at its ends, on blocks of the
-    rows where that is not empty, and the mass beyond u_1 is the branch's
-    closed-form CDF difference.  Where u_1 <= 0 every Willie offset
-    saturates F_Zb and the row's mass is exactly 1: its last piece takes
-    the rest of 1 (exact, as j + k lies in [1/2, 1]).
+    F_Zb(threshold) is 0 below u_0 and 1 beyond u_1 (_outage_rows), so row
+    r's quadrature runs over [u_0, u_1] clipped to each piece, whose
+    integrand is smooth up to corners at its ends, and the mass beyond u_1
+    is the piece's closed-form CDF difference.  Where u_1 <= 0 the row's
+    mass is exactly 1: its last piece takes the rest of 1 (exact, as j + k
+    lies in [1/2, 1]).
 
-    A full row, whose clipped interval is the whole piece, has the piece's
-    nodes u and branch density, formed once per piece and shared by all
-    its full rows; the other rows form their own in a block.  Each
-    block writes into one workspace made per call: a partial block's nodes
-    u, then the threshold's numerator, into which the offset, F_Zb and the
-    product with the density are formed in place, and its denominator,
-    which then takes a partial block's density.
+    A full row, whose clipped interval is the whole piece, shares the
+    piece's nodes u and density, formed once per piece; the other rows
+    form their own in blocks.  Each block writes into one workspace made
+    per call: a partial block's nodes u, then the threshold's numerator,
+    into which the offset, F_Zb and the product with the density are
+    formed in place, and its denominator, which then takes a partial
+    block's density.
     """
     with _row_buffer(rule):
         d2 = scenario.waveguide_height ** 2
@@ -290,10 +268,11 @@ def esc_term_sums(scenario: Scenario, rule: QuadratureRule, eta_rho, bob_factor,
                   willie_factor) -> np.ndarray:
     """Rows [bob, j, k, l], one per row (g = eta*rho, A, B): rate offsets from the rate at u = 0.
 
-    One gain column per density piece, g*[A, B, B, B]: bob is _rate_offset
-    at gain g*A against the Zb density, j, k, l at g*B against the Zw
-    branches.  At g = inf every gain is +inf whatever the factors, an
-    underflowed span included.
+    Offsets from the rate at distance d keep their digits where d^2
+    dwarfs D^2.  One gain column per density piece, g*[A, B, B, B]: bob is
+    the offset at gain g*A against the Zb density, j, k, l at g*B against
+    the Zw branches.  At g = inf every gain is +inf whatever the factors,
+    an underflowed span included.
 
     In nats the offset is ln(1 - s*w) = -sum_k s^k w^k / k with
     s = g/(d^2 + g) and w = u/(d^2 + u) (Abramowitz & Stegun 4.1), so a

@@ -170,7 +170,7 @@ class ZwDistribution:
     def cdf(self, u):
         u = np.asarray(u, dtype=float)
         return np.piecewise(u, [*self._masks(u), u >= self.support[1]],
-                            [*(cdf for *_, cdf in self.branches), 1.0])
+                            [*(cdf for _, _, _, cdf in self.branches), 1.0])
 
     def quantile(self, q):
         """Inverse CDF by bisection (the CDF is strictly increasing)."""

@@ -1,80 +1,22 @@
 """Seeded Monte Carlo estimates of the exact-model SOP and ESC.
 
 Unlike the analytical bounds, every trial applies the exact guided loss
-exp(-2*alpha*(x1 + D/2)) for the sampled Bob position.  Trials are split
-into fixed-size chunks, which all draw from one PCG64(seed) stream:
-chunk k from its (4*chunk_size*k)-th double on.  Partial results are
-added up in chunk order, so estimates are bit-identical for a given
-(seed, trials, chunk_size) at any worker count.  The positions depend
-neither on rho nor on the estimator, so `_mc_sweep`, over one channel
-and an array of transmit powers, draws each chunk once and forms each
-requested kernel's (PA, FA or both) rho-free geometry from it once; PA
-and FA see common random numbers.
+exp(-2*alpha*(x1 + D/2)) for the sampled Bob position.  The PA and the
+fixed-antenna (FA) baseline are evaluated on the same positions (common
+random numbers), which depend neither on the power nor on the estimator.
 
-The secrecy rate is one log1p of one ratio.  With S = eta*P*loss and the
-noise powers Nb = zb*sigma_b^2, Nw = zw*sigma_w^2,
+Trials are split into fixed-size chunks, which all draw from one
+PCG64(seed) stream: chunk k from its (4*chunk_size*k)-th double on.
+Each chunk's sums are reduced alone and added up in chunk order, so
+estimates are bit-identical for a given (seed, trials, chunk_size) at any
+worker count, and a power's estimate has the same bits in any grid.
 
-    Rb - Rw = (1/2)log2((1 + S/Nb)/(1 + S/Nw)) = log1p(t)/(2 ln 2),
-    t = S*(Nw - Nb)/(Nb*(Nw + S)) = p/(r + q),
-
-where p = (Nw - Nb)*loss/(Nb*Nw), formed as (Nw - Nb)*q/Nb, and
-q = loss/Nw come from the geometry and r = 1/(eta*P) from the power.  A
-block of powers, with r as a column, costs one add and one divide per
-trial and power for t, and one log1p.  An outage is t < 4^Rbar - 1,
-which log1p does not round; the scale 1/(2 ln 2) is applied to the
-reduced sums once.  r = +inf (an underflowed eta*P) gives t = 0.  At
-rho = inf, r = 0 gives the exact high-SNR limit t = p/q = (Nw - Nb)/Nb,
-from the loss-free geometry.  Powers are measured in `_power_unit`, a
-power of two near the typical noise power, which keeps 1/Nb and 1/Nw
-inside the float range and changes no bit of t.
-
-Since loss <= 1 and Nb >= d^2*sigma_b^2, every trial of either system has
-t < S/Nb <= eta*P/(d^2*sigma_b^2).  A power at which that gain, widened
-by _CERTAIN_MARGIN (far above the few ulps by which t is rounded), lies
-below 4^Rbar - 1 is in outage at every trial: its count is the chunk's
-size, with no comparison of t.  Its log1p sums are formed as at any
-other power.
-
-The worker pool's task is a slab: a run of consecutive full chunks of at
-most _SLAB_TRIALS trials together (one chunk if a chunk is larger), or
-the ragged last chunk alone.  A slab's generator is the stream advanced
-to the slab's first chunk, built in the calling thread as the slab is
-handed out; at most 2*workers slabs are out ahead of the one being
-folded.  One fill of the slab's (chunks, 4, size) block draws all its
-chunks' positions, since that chunk-major layout is the stream's order.
-The slab then forms each kernel's (p, q) in place as (chunks, size) rows
-over the whole slab, once, and evaluates t for blocks of powers across
-the slab's width: four rows of a full slab, or every row where the grid
-fits in five.  Each chunk's outage count (a byte sum), sum of log1p(t)
-and sum of squares are reduced from the C-contiguous (rows, chunks,
-size) block along its last axis, with the bits of a chunk reduced alone,
-and folded into one running total in chunk order as each slab
-completes, so no bit depends on the slab's width.  The tasks are slabs,
-not chunks, because every numpy call releases the GIL and takes it
-back: with two threads each of those handoffs can wait on the other
-thread, and a slab makes its ~50 calls, so as many handoffs, at any
-width.  A slab of six default chunks makes the draw's, the geometry's
-and the blocks' calls once, over six times the elements: on 2 CPUs a
-two-thread pass of 10^6 trials at 5 powers made ~420 voluntary context
-switches, where slabs of four chunks made ~750.
-
-Each worker thread holds one workspace per `_mc_sweep` call, one buffer
-of max(4, rows) widths of floats plus 2 per kernel, and a byte mask.
-The positions, chunk by chunk, come first, and every kernel's (p, q)
-follows; since every (p, q) is formed before any block of ratios, the
-block takes the positions' floats.  A kernel's third row, Bob's noise
-power, is the next kernel's p row, free until that kernel runs, or for
-the last kernel the positions' x2 rows, which are not read once
-Willie's noise power is formed.  At 5 rows and 2 kernels that is 9
-widths of floats (1.7 MiB at a full slab).  No block or slab allocates
-an array of trials, which at the default chunk (128 KiB, glibc's mmap
-threshold) were page-faulted afresh every block.  The buffer starts on
-a 64-byte boundary (np.empty promises 16), so at chunk sizes that are
-multiples of 8 every row of it does: numpy's SIMD loops run about twice
-as fast on such rows as on rows 16 bytes off.  The means and standard
-errors are formed on arrays, whose divide, multiply and sqrt round as
-Python's do.  The public `mc_*` functions are its single-power,
-single-kernel views.
+`_mc_sweep` is the engine, over one channel and an array of transmit
+powers.  Its kernels form the rho-free terms of `_secrecy_ratio` from the
+positions (`_pa_geometry`, `_fa_geometry`); its pool runs `_slabs` of
+chunks through `_in_order`.  `pa_secrecy_rate` and `fa_secrecy_rate`
+evaluate the same ratio at given positions, and the `mc_*` functions are
+the engine's single-power, single-kernel views.
 """
 
 from __future__ import annotations
@@ -154,10 +96,7 @@ def _noise_power(out, scale, d2, u, v=None, scratch=None):
 
 
 def _ratio_terms(noise_w, q, noise_b, loss=1.0):
-    """(p, q) = ((Nw - Nb)*q/Nb, loss/Nw): q into `q`, p over the Willie row.
-
-    p is (Nw - Nb)*loss/(Nb*Nw) without the product Nb*Nw.
-    """
+    """_secrecy_ratio's (p, q), with p as (Nw - Nb)*q/Nb: q into `q`, p over the Willie row."""
     np.divide(loss, noise_w, out=q)
     noise_w -= noise_b
     noise_w *= q
@@ -200,8 +139,11 @@ def _inverse_gains(scenario: Scenario, chan: ChannelParams, tx_powers) -> np.nda
 def _certain_outage(scenario: Scenario, chan: ChannelParams, inverse_gains, below) -> np.ndarray:
     """Where eta*P/(d^2*sigma_b^2)*(1 + _CERTAIN_MARGIN) < 4^Rbar - 1 (`below`), of each r.
 
-    That gain bounds t at every trial of either system, so there every
-    trial is in outage.  Never at Rbar = 0, nor at r = 0 (P = inf).
+    Since loss <= 1 and Nb >= d^2*sigma_b^2, every trial of either system
+    has t < S/Nb <= eta*P/(d^2*sigma_b^2), so there every trial is in
+    outage: a chunk's count is its size, with no comparison of t, while
+    its log1p sums are formed as at any other power.  Never at Rbar = 0,
+    nor at r = 0 (P = inf).
     """
     floor = scenario.waveguide_height ** 2 * (chan.noise_bob / _power_unit(scenario, chan))
     with np.errstate(divide="ignore", over="ignore"):
@@ -212,8 +154,18 @@ def _certain_outage(scenario: Scenario, chan: ChannelParams, inverse_gains, belo
 def _secrecy_ratio(r, p, q, out=None):
     """t = p/(r + q), so that Rb - Rw = log1p(t)/(2 ln 2); r is a number or a column of rows.
 
-    Given `out`, an array of t's shape, it allocates nothing.  r = +inf
-    gives t = 0.
+    With S = eta*P*loss and the noise powers Nb = zb*sigma_b^2 and
+    Nw = zw*sigma_w^2,
+
+        Rb - Rw = (1/2)log2((1 + S/Nb)/(1 + S/Nw)) = log1p(t)/(2 ln 2),
+        t = S*(Nw - Nb)/(Nb*(Nw + S)) = p/(r + q),
+
+    with p = (Nw - Nb)*loss/(Nb*Nw) and q = loss/Nw from the geometry and
+    r = 1/(eta*P) from the power (_inverse_gains), so a block of powers
+    costs one add and one divide per trial and power.  An outage is
+    t < 4^Rbar - 1, which log1p does not round.  r = +inf gives t = 0, and
+    r = 0 (rho = inf) the exact high-SNR limit t = p/q = (Nw - Nb)/Nb.
+    Given `out`, an array of t's shape, it allocates nothing.
     """
     return np.divide(p, np.add(r, q, out=out), out=out)
 
@@ -248,7 +200,12 @@ def _slabs(cfg: McConfig) -> list:
     """The pool's tasks (first chunk, chunks, chunk size): runs of full chunks, then the ragged one.
 
     A run holds at most _SLAB_TRIALS trials, or one chunk where a chunk is
-    larger.
+    larger.  The tasks are slabs, not chunks, because every numpy call
+    releases the GIL and takes it back: with two threads each of those
+    handoffs can wait on the other thread, and a slab makes its ~50 calls,
+    so as many handoffs, at any width.  On 2 CPUs a two-thread pass of
+    10^6 trials at 5 powers made ~420 voluntary context switches in slabs
+    of six default chunks, ~750 in slabs of four.
     """
     full, rest = divmod(cfg.trials, cfg.chunk_size)
     per_slab = max(1, _SLAB_TRIALS // cfg.chunk_size)
@@ -282,17 +239,15 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
     """(sop, esc) x (mean, std_error) of each kernel at each of tx_powers.
 
     An array of shape (powers, kernels, 2, 2); with the default kernels a
-    power's rows are PA, then FA.  chan.tx_power is not used.  A grid
-    that mixes finite powers with rho = inf takes two passes, one of each
-    kind, the second on the loss-free channel.  In a pass each slab's
-    positions are drawn once, in one fill, and each kernel forms its
-    rho-free (p, q) from them once, all before the first block of ratios.
-    The ratios t of a block of powers over the whole slab, at most
-    5*_SLAB_TRIALS at once, are then reduced per power and chunk to an
-    outage count (exact in a float; the chunk's size, untested, where
-    outage is certain), a sum of log1p(t) and a sum of its squares; those
-    are folded into one total in fixed chunk order as each slab completes,
-    and scaled once.
+    power's rows are PA, then FA.  chan.tx_power is not used.  A slab's
+    positions come in one fill of its (chunks, 4, size) block, since that
+    chunk-major layout is the stream's order, and each kernel forms its
+    (p, q) from them once, over the whole slab.  For each block of powers
+    the ratios t across the slab are reduced per power and chunk to an
+    outage count, a sum of log1p(t) and a sum of its squares, which are
+    folded into one total in chunk order as each slab arrives and scaled
+    by 1/(2 ln 2) once.  The means and standard errors are formed on
+    arrays, whose divide, multiply and sqrt round as Python's do.
     """
     inverse_gains = _inverse_gains(scenario, chan, tx_powers)
     # rho = inf (r = 0) takes t = (Nw - Nb)/Nb from the loss-free geometry: the loss cancels
@@ -330,11 +285,17 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
     def workspace(n_chunks: int, size: int):
         """(positions, terms, ratios, mask) for a slab of n_chunks chunks: views of one buffer.
 
-        Floats: the positions, chunk by chunk, each chunk's 4 rows
-        together, and a block of ratios over the same floats, which are
+        One buffer per worker thread and call: max(4, rows) widths of
+        floats plus 2 per kernel, then a byte mask (9 widths at 5 rows and
+        2 kernels, 1.7 MiB at a full slab).  The positions, chunk by chunk,
+        come first, and a block of ratios takes the same floats, which are
         free once every kernel's (p, q) is formed; then p and q of each
-        kernel as (chunks, size) rows.  The block's outage mask follows as
-        bytes.  The buffer starts on an _ALIGN-byte boundary.
+        kernel as (chunks, size) rows.  No block or slab allocates an array
+        of trials, which at the default chunk (128 KiB, glibc's mmap
+        threshold) were page-faulted afresh every block.  The buffer starts
+        on an _ALIGN-byte boundary (np.empty promises 16), so at chunk
+        sizes that are multiples of 8 every row of it does: numpy's SIMD
+        loops run about twice as fast on such rows as on rows 16 bytes off.
         """
         if not hasattr(local, "buffer"):
             nbytes = 8 * floats + rows_max * width_max
@@ -353,7 +314,7 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
         positions, terms, ratios, mask = workspace(n_chunks, size)
         _draw_positions(rng, scenario.side_length, n_chunks * size, positions)
         x1, x2, y1, y2 = positions.swapaxes(0, 1)
-        # Bob's noise power takes the next kernel's p row; the last kernel's takes x2
+        # Bob's noise power takes the next kernel's p row, free until it runs; the last's, x2
         for j, geometry in enumerate(kernels):
             noise_b = terms[j + 1, 0] if j + 1 < len(kernels) else x2
             geometry(scenario, chan, x1, x2, y1, y2, (*terms[j], noise_b))
@@ -420,4 +381,5 @@ def mc_sop_fa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
 
 def mc_esc_fa(scenario: Scenario, chan: ChannelParams,
               cfg: McConfig, workers: int = 1) -> McEstimate:
+    """Sample mean of the fixed-antenna baseline's secrecy rate on the same position stream."""
     return _estimate(scenario, chan, SecrecyTarget(), cfg, workers, _fa_geometry, 1)
