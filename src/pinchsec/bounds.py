@@ -18,15 +18,15 @@ where a rate or the outage threshold is formed.  Rows run in blocks, each
 summed alone by quad.integrate, so a power's bracket has the same bits in
 any array.
 
-sop_bounds and esc_bounds take one ChannelParams, whose tx_power they
-ignore, and an array of transmit powers, and return a BoundPair of arrays
-in that order, each from one term-sum call for both of its directions
-(_directions).  sop_term_sums and esc_term_sums take the rows
-(eta*rho, A, B) as arrays and return per row the sums [j, k, l] over the
-three Zw density pieces, preceded by the Zb term where there is one
-(_densities).  sop_asymptotic and esc_asymptotic are the brackets at
-rho = inf; the finite-difference estimators let callers confirm the
-saturation numerically.
+sop_bounds and esc_bounds take one ChannelParams and an array of transmit
+powers P, and return a BoundPair of arrays in that order, each from one
+term-sum call for both of its directions (_directions).  sop_term_sums and
+esc_term_sums take the rows (eta*rho, A, B) as arrays, rho = P/sigma^2
+(_eta_rho), and return per row the sums [j, k, l] over the three Zw
+density pieces, preceded by the Zb term where there is one (_densities).
+sop_asymptotic and esc_asymptotic are the brackets at rho = inf; the
+finite-difference estimators let callers confirm the saturation
+numerically.
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ def _clamp_probability(values, label: str):
 
 
 def _eta_rho(chan: ChannelParams, tx_powers):
-    """eta*rho at each of tx_powers, by chan.eta * chan.rho's operations and checks."""
+    """eta*rho at each of tx_powers, with rho = P/sigma^2: defined only for equal noises."""
     if chan.noise_bob != chan.noise_willie:
         raise ValueError("rho undefined: noise_bob != noise_willie")
     return chan.eta * (_tx_powers(tx_powers) / chan.noise_bob)

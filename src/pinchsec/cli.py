@@ -1,14 +1,14 @@
 """Command-line front end: config loading, SNR sweeps, CSV output, checks.
 
 `run_sweep` evaluates each analytical bound metric in one call over a dB
-grid of the transmit SNR rho plus rho = inf, whose row is the high-SNR
-asymptote, and, in one Monte Carlo pass over the position stream, the PA
-and FA estimates on the grid: one channel and one array of transmit
-powers, whose columns form one table, one record per row.  The `sweep`
-subcommand writes the records as CSV; `sop` and `esc` print column
-selections of them; `mc-only` prints the Monte Carlo engine's output
-directly, which also allows unequal noise levels.  `workers` sizes the
-engine's slab pool.  Output is data only; plotting is left to external tools.
+grid of the transmit power P, the SNR rho = P/sigma^2 only at unit noise,
+plus P = inf, whose row is the high-SNR asymptote, and, in one Monte Carlo
+pass over the position stream, the PA and FA estimates on the grid: one
+channel and one array of transmit powers, whose columns form one table,
+one record per row.  The `sweep` subcommand writes the records as CSV;
+`sop` and `esc` print column selections of them; `mc-only` prints the
+Monte Carlo engine's output directly, which also allows unequal noise
+levels.  `workers` sizes the engine's slab pool.  Output is data only.
 """
 
 from __future__ import annotations
@@ -43,21 +43,21 @@ class CliError(RuntimeError):
 
 # key: (kind, default, minimum, strict); a strict minimum is exclusive
 _CONFIG_KEYS = {
-    "side_length_D": ("number", 25.0, 0.0, True),
-    "waveguide_height_d": ("number", 3.0, 0.0, True),
-    "carrier_freq_hz": ("number", 10e9, 0.0, True),
-    "attenuation_alpha": ("number", 0.01, 0.0, False),
-    "noise_bob_var": ("number", 1.0, 0.0, True),
-    "noise_willie_var": ("number", 1.0, 0.0, True),
-    "target_rate_bits": ("number", 0.01, 0.0, False),
+    "side_length_D": ("number", Scenario.side_length, 0.0, True),
+    "waveguide_height_d": ("number", Scenario.waveguide_height, 0.0, True),
+    "carrier_freq_hz": ("number", ChannelParams.carrier_freq, 0.0, True),
+    "attenuation_alpha": ("number", ChannelParams.attenuation, 0.0, False),
+    "noise_bob_var": ("number", ChannelParams.noise_bob, 0.0, True),
+    "noise_willie_var": ("number", ChannelParams.noise_willie, 0.0, True),
+    "target_rate_bits": ("number", SecrecyTarget.rate, 0.0, False),
     "target_rate_bps": ("number", None, 0.0, False),
     "bandwidth_hz": ("number", 1e6, 0.0, True),
     "snr_db_grid": ("grid", tuple(float(s) for s in range(-10, 55, 5)), None, False),
     # brackets vs n = 4000, property configs: 3.6e-15 at n = 200, 1.4e-10 at 100, 2.1 at 2
     "quadrature_n": ("int", 200, 100, False),
-    "mc_trials": ("int", 50000, 100, False),
-    "mc_seed": ("int", 12345, 0, False),  # McConfig bounds it above, by 2^64
-    "mc_chunk_size": ("int", 4096, 1, False),
+    "mc_trials": ("int", McConfig.trials, 100, False),
+    "mc_seed": ("int", McConfig.seed, 0, False),  # McConfig bounds it above, by 2^64
+    "mc_chunk_size": ("int", McConfig.chunk_size, 1, False),
     "workers": ("int", 1, 1, False),
     "output_path": ("path", None, None, False),
 }
@@ -66,7 +66,7 @@ _CONFIG_KEYS = {
 @dataclass(frozen=True)
 class RunConfig:
     scenario: Scenario
-    channel: ChannelParams  # the sweep's one channel; its tx_power is unused
+    channel: ChannelParams  # the sweep's one channel
     target: SecrecyTarget
     snr_db_grid: tuple[float, ...]
     quadrature_n: int
@@ -401,7 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              f"(>= {_CONFIG_KEYS['quadrature_n'][2]})")
     common.add_argument("--snr-db", dest="snr_db_grid", metavar="LIST",
                         type=lambda text: text.split(","),
-                        help="comma-separated dB grid, e.g. 0,10,20")
+                        help="comma-separated dB grid of the transmit power P, e.g. "
+                             "0,10,20; it is the SNR rho = P/sigma^2 only at unit noise")
     common.add_argument("--alpha", dest="attenuation_alpha", type=float,
                         help="attenuation in nepers/m")
     common.add_argument("--workers", type=int,
@@ -462,10 +463,10 @@ def _cmd_mc_only(cfg: RunConfig) -> int:
 
 
 def _glue_snr_list(argv: list[str]) -> list[str]:
-    """`--snr-db -10,0` as `--snr-db=-10,0`: argparse reads -10,0 as a flag."""
+    """`--snr-db -10,0` as `--snr-db=-10,0`: argparse reads -10,0 (or -inf,0, -nan) as a flag."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--snr-db" and re.match(r"-\.?\d", arg):
+        if out and out[-1] == "--snr-db" and re.match(r"-(\.?\d|inf|nan)", arg, re.IGNORECASE):
             out[-1] = f"--snr-db={arg}"
         else:
             out.append(arg)

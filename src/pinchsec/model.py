@@ -44,7 +44,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Carrier, attenuation, power and noise parameters.
+    """Carrier, attenuation and noise parameters; the transmit power is each function's argument.
 
     eta is the free-space path factor c^2 / (16 pi^2 fc^2); alpha is the
     in-waveguide amplitude attenuation constant in nepers per meter.
@@ -52,7 +52,6 @@ class ChannelParams:
 
     carrier_freq: float = 10e9
     attenuation: float = 0.01
-    tx_power: float = 1.0
     noise_bob: float = 1.0
     noise_willie: float = 1.0
 
@@ -61,21 +60,12 @@ class ChannelParams:
             raise ValueError("carrier_freq must be > 0")
         if not (self.attenuation >= 0):
             raise ValueError("attenuation must be >= 0")
-        if not (self.tx_power > 0):
-            raise ValueError("tx_power must be > 0")
         if not (self.noise_bob > 0 and self.noise_willie > 0):
             raise ValueError("noise variances must be > 0")
 
     @property
     def eta(self) -> float:
         return SPEED_OF_LIGHT ** 2 / (16.0 * math.pi ** 2 * self.carrier_freq ** 2)
-
-    @property
-    def rho(self) -> float:
-        """Transmit SNR P/sigma^2. Defined only for a common noise level."""
-        if self.noise_bob != self.noise_willie:
-            raise ValueError("rho undefined: noise_bob != noise_willie")
-        return self.tx_power / self.noise_bob
 
 
 @dataclass(frozen=True)
@@ -106,7 +96,7 @@ class SecrecyTarget:
 
 
 def _tx_powers(tx_powers) -> np.ndarray:
-    """A 1-D grid of transmit powers as a float array; each must be > 0, as a tx_power must."""
+    """A 1-D grid of transmit powers as a float array; the one check that a power is > 0."""
     powers = np.asarray(tx_powers, dtype=float)
     if powers.ndim != 1:
         raise ValueError(f"tx_powers must be a 1-D sequence, not of shape {powers.shape}")
@@ -115,13 +105,14 @@ def _tx_powers(tx_powers) -> np.ndarray:
     return powers
 
 
-def los_rate(dist_sq, chan: ChannelParams, noise_var: float, guided_len=0.0):
-    """Line-of-sight rate (1/2)log2(1 + eta*P*exp(-2*alpha*L)/(dist^2*sigma^2)).
+def los_rate(dist_sq, chan: ChannelParams, tx_power: float, noise_var: float, guided_len=0.0):
+    """Line-of-sight rate (1/2)log2(1 + eta*P*exp(-2*alpha*L)/(dist^2*sigma^2)) at P = tx_power.
 
     Vectorized over dist_sq and guided_len.  dist_sq must be positive.
     """
+    power, = _tx_powers([tx_power])
     dist_sq = np.asarray(dist_sq, dtype=float)
     if np.any(dist_sq <= 0.0):
         raise ValueError("dist_sq must be positive")
     loss = np.exp(-2.0 * chan.attenuation * np.asarray(guided_len, dtype=float))
-    return np.log1p(chan.eta * chan.tx_power * loss / (dist_sq * noise_var)) * _HALF_LOG2E
+    return np.log1p(chan.eta * power * loss / (dist_sq * noise_var)) * _HALF_LOG2E

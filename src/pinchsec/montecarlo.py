@@ -170,9 +170,9 @@ def _secrecy_ratio(r, p, q, out=None):
     return np.divide(p, np.add(r, q, out=out), out=out)
 
 
-def _secrecy_rate(geometry, scenario: Scenario, chan: ChannelParams, *positions):
-    """Rb - Rw (bits/s/Hz) at chan.tx_power, from `geometry` at the broadcast positions."""
-    r = _inverse_gains(scenario, chan, [chan.tx_power])[0]
+def _secrecy_rate(geometry, scenario: Scenario, chan: ChannelParams, tx_power, *positions):
+    """Rb - Rw (bits/s/Hz) at tx_power, from `geometry` at the broadcast positions."""
+    r = _inverse_gains(scenario, chan, [tx_power])[0]
     if r == 0:  # rho = inf: the loss-free limit, as in _mc_sweep
         chan = dataclasses.replace(chan, attenuation=0.0)
     positions = np.broadcast_arrays(*positions)
@@ -181,19 +181,19 @@ def _secrecy_rate(geometry, scenario: Scenario, chan: ChannelParams, *positions)
     return np.log1p(t) * _HALF_LOG2E
 
 
-def pa_secrecy_rate(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
+def pa_secrecy_rate(scenario: Scenario, chan: ChannelParams, tx_power: float, x1, x2, y1, y2):
     """Exact secrecy rate Rb - Rw with the radiator pinned above Bob at (x1, 0, d).
 
     Bob stands at (x1, y1), Willie at (x2, y2); both links pay the guided
     loss of the travel x1 + D/2 from the feed.  Vectorized over positions;
     scalars work too.  The difference may be negative.
     """
-    return _secrecy_rate(_pa_geometry, scenario, chan, x1, x2, y1, y2)
+    return _secrecy_rate(_pa_geometry, scenario, chan, tx_power, x1, x2, y1, y2)
 
 
-def fa_secrecy_rate(scenario: Scenario, chan: ChannelParams, x1, x2, y1, y2):
+def fa_secrecy_rate(scenario: Scenario, chan: ChannelParams, tx_power: float, x1, x2, y1, y2):
     """Secrecy rate Rb - Rw from the fixed antenna at (0, 0, d); no guided loss."""
-    return _secrecy_rate(_fa_geometry, scenario, chan, x1, x2, y1, y2)
+    return _secrecy_rate(_fa_geometry, scenario, chan, tx_power, x1, x2, y1, y2)
 
 
 def _slabs(cfg: McConfig) -> list:
@@ -239,15 +239,15 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
     """(sop, esc) x (mean, std_error) of each kernel at each of tx_powers.
 
     An array of shape (powers, kernels, 2, 2); with the default kernels a
-    power's rows are PA, then FA.  chan.tx_power is not used.  A slab's
-    positions come in one fill of its (chunks, 4, size) block, since that
-    chunk-major layout is the stream's order, and each kernel forms its
-    (p, q) from them once, over the whole slab.  For each block of powers
-    the ratios t across the slab are reduced per power and chunk to an
-    outage count, a sum of log1p(t) and a sum of its squares, which are
-    folded into one total in chunk order as each slab arrives and scaled
-    by 1/(2 ln 2) once.  The means and standard errors are formed on
-    arrays, whose divide, multiply and sqrt round as Python's do.
+    power's rows are PA, then FA.  A slab's positions come in one fill of
+    its (chunks, 4, size) block, since that chunk-major layout is the
+    stream's order, and each kernel forms its (p, q) from them once, over
+    the whole slab.  For each block of powers the ratios t across the slab
+    are reduced per power and chunk to an outage count, a sum of log1p(t)
+    and a sum of its squares, which are folded into one total in chunk
+    order as each slab arrives and scaled by 1/(2 ln 2) once.  The means
+    and standard errors are formed on arrays, whose divide, multiply and
+    sqrt round as Python's do.
     """
     inverse_gains = _inverse_gains(scenario, chan, tx_powers)
     # rho = inf (r = 0) takes t = (Nw - Nb)/Nb from the loss-free geometry: the loss cancels
@@ -353,33 +353,33 @@ def _mc_sweep(scenario: Scenario, chan: ChannelParams, tx_powers, target: Secrec
                      np.stack([s / n, np.sqrt(var / n)], -1)], -2)
 
 
-def _estimate(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget, cfg: McConfig,
-              workers: int, kernel, metric: int) -> McEstimate:
-    """`kernel`'s sop (metric 0) or esc (metric 1) estimate at chan's own tx_power."""
-    mean, std_error = _mc_sweep(scenario, chan, [chan.tx_power], target, cfg, workers,
+def _estimate(scenario: Scenario, chan: ChannelParams, tx_power: float, target: SecrecyTarget,
+              cfg: McConfig, workers: int, kernel, metric: int) -> McEstimate:
+    """`kernel`'s sop (metric 0) or esc (metric 1) estimate at tx_power."""
+    mean, std_error = _mc_sweep(scenario, chan, [tx_power], target, cfg, workers,
                                 (kernel,))[0, 0, metric].tolist()
     return McEstimate(mean=mean, std_error=std_error, trials=cfg.trials)
 
 
-def mc_sop_pa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
+def mc_sop_pa(scenario: Scenario, chan: ChannelParams, tx_power: float, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Fraction of placements whose exact secrecy rate falls below the target."""
-    return _estimate(scenario, chan, target, cfg, workers, _pa_geometry, 0)
+    return _estimate(scenario, chan, tx_power, target, cfg, workers, _pa_geometry, 0)
 
 
-def mc_esc_pa(scenario: Scenario, chan: ChannelParams,
+def mc_esc_pa(scenario: Scenario, chan: ChannelParams, tx_power: float,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Sample mean of the exact secrecy rate over random placements."""
-    return _estimate(scenario, chan, SecrecyTarget(), cfg, workers, _pa_geometry, 1)
+    return _estimate(scenario, chan, tx_power, SecrecyTarget(), cfg, workers, _pa_geometry, 1)
 
 
-def mc_sop_fa(scenario: Scenario, chan: ChannelParams, target: SecrecyTarget,
+def mc_sop_fa(scenario: Scenario, chan: ChannelParams, tx_power: float, target: SecrecyTarget,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Outage of the fixed-antenna baseline on the same position stream."""
-    return _estimate(scenario, chan, target, cfg, workers, _fa_geometry, 0)
+    return _estimate(scenario, chan, tx_power, target, cfg, workers, _fa_geometry, 0)
 
 
-def mc_esc_fa(scenario: Scenario, chan: ChannelParams,
+def mc_esc_fa(scenario: Scenario, chan: ChannelParams, tx_power: float,
               cfg: McConfig, workers: int = 1) -> McEstimate:
     """Sample mean of the fixed-antenna baseline's secrecy rate on the same position stream."""
-    return _estimate(scenario, chan, SecrecyTarget(), cfg, workers, _fa_geometry, 1)
+    return _estimate(scenario, chan, tx_power, SecrecyTarget(), cfg, workers, _fa_geometry, 1)

@@ -69,34 +69,24 @@ def rule_8000():
     return ps.make_rule(8000)
 
 
-def chan_at(rho, alpha=0.01):
-    """Unit-noise channel with the requested transmit SNR."""
-    return ps.ChannelParams(attenuation=alpha, tx_power=rho)
+def gain(chan, power):
+    """eta*rho of a channel at a transmit power: the row value the term sums take."""
+    return bounds._eta_rho(chan, [power]).item()
 
 
-@pytest.fixture(scope="session", name="chan_at")
-def chan_at_fixture():
-    return chan_at
-
-
-def gain(chan):
-    """eta*rho of a channel: the row value the term sums take."""
-    return chan.eta * chan.rho
-
-
-def sop_at(scenario, chan, target, rule):
-    """ps.sop_bounds at chan's own tx_power, as a BoundPair of numbers."""
-    pair = ps.sop_bounds(scenario, chan, [chan.tx_power], target, rule)
+def sop_at(scenario, chan, power, target, rule):
+    """ps.sop_bounds at one transmit power, as a BoundPair of numbers."""
+    pair = ps.sop_bounds(scenario, chan, [power], target, rule)
     return ps.BoundPair(lower=pair.lower.item(), upper=pair.upper.item())
 
 
-def esc_at(scenario, chan, rule):
-    """ps.esc_bounds at chan's own tx_power, as a BoundPair of numbers."""
-    pair = ps.esc_bounds(scenario, chan, [chan.tx_power], rule)
+def esc_at(scenario, chan, power, rule):
+    """ps.esc_bounds at one transmit power, as a BoundPair of numbers."""
+    pair = ps.esc_bounds(scenario, chan, [power], rule)
     return ps.BoundPair(lower=pair.lower.item(), upper=pair.upper.item())
 
 
-def outage_coefficients(chan, target, bob_factor, willie_factor):
+def outage_coefficients(chan, power, target, bob_factor, willie_factor):
     """One channel's (a, b, c) of the no-outage threshold a / (b + c/z) on Zb, in scalars.
 
     a = A, b = (4^Rbar - 1)/(eta*rho) and c = 4^Rbar*B; b is 0 at rho = inf
@@ -104,7 +94,7 @@ def outage_coefficients(chan, target, bob_factor, willie_factor):
     4^Rbar overflows.  bounds._outage_rows forms them on arrays, with these bits.
     """
     fr, gap = target.threshold, target.threshold_minus_one
-    eta_rho = chan.eta * chan.rho
+    eta_rho = gain(chan, power)
     if eta_rho > 0 and gap < math.inf:
         b = gap / eta_rho
     else:
@@ -172,15 +162,15 @@ def _add_values_at_height(scenario, sums, bob_at_0, willie_at_0):
                               for p, m in zip(pieces, (cdf1, cdf2 - cdf1, 1.0 - cdf2)))]
 
 
-def esc_term_values(scenario, chan, rule, bob_factor, willie_factor):
+def esc_term_values(scenario, chan, power, rule, bob_factor, willie_factor):
     """bounds.esc_term_sums as absolute rate integrals, comparable to esc_term_oracles.
 
     The program integrates each rate as an offset from its value at
     distance d; the oracles integrate the rate itself.
     """
-    sums = bounds.esc_term_sums(scenario, rule, [gain(chan)], bob_factor, willie_factor)[0]
+    eta_rho = gain(chan, power)
+    sums = bounds.esc_term_sums(scenario, rule, [eta_rho], bob_factor, willie_factor)[0]
     d2 = scenario.waveguide_height ** 2
-    eta_rho = chan.eta * chan.rho
     return _add_values_at_height(scenario, sums, math.log2(1.0 + eta_rho * bob_factor / d2),
                                  math.log2(1.0 + eta_rho * willie_factor / d2))
 
@@ -200,7 +190,7 @@ def log2_moment_values(scenario, rule):
 # take offsets u = z - d^2, formed only at the density or CDF call
 
 
-def _threshold_kinks(scenario, chan, target, bob_factor, willie_factor, lo, hi,
+def _threshold_kinks(scenario, eta_rho, target, bob_factor, willie_factor, lo, hi,
                      asymptotic):
     """z values where the no-outage CDF saturates at 0 or 1 inside (lo, hi).
 
@@ -216,7 +206,6 @@ def _threshold_kinks(scenario, chan, target, bob_factor, willie_factor, lo, hi,
         if asymptotic:
             z = s * fr * willie_factor / bob_factor
         else:
-            eta_rho = chan.eta * chan.rho
             denom = eta_rho * bob_factor / s - fr + 1.0
             if denom <= 0:
                 continue
@@ -232,9 +221,11 @@ def _quad(f, lo, hi, points=None):
     return value
 
 
-def sop_term_oracles(scenario, chan, target, bob_factor, willie_factor, asymptotic=False):
+def sop_term_oracles(scenario, chan, power, target, bob_factor, willie_factor,
+                     asymptotic=False):
     """The three Zw-piece no-outage integrals, adaptively in z."""
     d2 = scenario.waveguide_height ** 2
+    eta_rho = None if asymptotic else gain(chan, power)
     zb = ps.ZbDistribution(scenario.side_length)
     zw = ps.ZwDistribution(scenario.side_length)
     if asymptotic:
@@ -243,7 +234,6 @@ def sop_term_oracles(scenario, chan, target, bob_factor, willie_factor, asymptot
         def thr(z):
             return z * factor
     else:
-        eta_rho = chan.eta * chan.rho
         fr = target.threshold
 
         def thr(z):
@@ -253,7 +243,7 @@ def sop_term_oracles(scenario, chan, target, bob_factor, willie_factor, asymptot
     out = []
     for start, width, branch, _ in zw.branches:
         lo, hi = d2 + start, d2 + start + width
-        kinks = _threshold_kinks(scenario, chan, target, bob_factor, willie_factor, lo, hi,
+        kinks = _threshold_kinks(scenario, eta_rho, target, bob_factor, willie_factor, lo, hi,
                                  asymptotic)
 
         def f(z, branch=branch):
@@ -263,12 +253,12 @@ def sop_term_oracles(scenario, chan, target, bob_factor, willie_factor, asymptot
     return out
 
 
-def esc_term_oracles(scenario, chan, bob_factor, willie_factor):
+def esc_term_oracles(scenario, chan, power, bob_factor, willie_factor):
     """(bob, piece1, piece2, piece3) rate integrals, adaptively in z."""
     d2 = scenario.waveguide_height ** 2
     zb = ps.ZbDistribution(scenario.side_length)
     zw = ps.ZwDistribution(scenario.side_length)
-    eta_rho = chan.eta * chan.rho
+    eta_rho = gain(chan, power)
     lo, hi = zb.support
     bob = _quad(lambda z: math.log2(1.0 + eta_rho * bob_factor / z) * float(zb.pdf(z - d2)),
                 d2 + lo, d2 + hi)

@@ -9,7 +9,6 @@ in the message.  Criterion 6a compares PA and FA outage only where outage
 can be avoided: below rho* = (4^Rbar - 1) d^2 / eta both are exactly 1.
 """
 
-import dataclasses
 import math
 import time
 
@@ -18,7 +17,7 @@ import pytest
 
 import pinchsec as ps
 from pinchsec import bounds, cli
-from conftest import (SNR_GRID_DB, chan_at, esc_at, esc_term_oracles, esc_term_values, gain,
+from conftest import (SNR_GRID_DB, esc_at, esc_term_oracles, esc_term_values, gain,
                       pdf_mass_oracle, sop_at, sop_directions, sop_term_oracles)
 
 
@@ -73,13 +72,14 @@ def test_criterion_3_exact_case_collapse(scenario, target, rule_1000):
     cfg = ps.McConfig()
     max_width = 0.0
     worst = 0.0  # most positive (|mc - value| - 3 se), <= 0 everywhere when ok
+    chan = ps.ChannelParams(attenuation=0.0)
     for snr_db in SNR_GRID_DB:
-        chan = chan_at(10 ** (snr_db / 10.0), alpha=0.0)
-        sop = sop_at(scenario, chan, target, rule_1000)
-        esc = esc_at(scenario, chan, rule_1000)
+        power = 10 ** (snr_db / 10.0)
+        sop = sop_at(scenario, chan, power, target, rule_1000)
+        esc = esc_at(scenario, chan, power, rule_1000)
         max_width = max(max_width, abs(sop.width), abs(esc.width))
-        sop_mc = ps.mc_sop_pa(scenario, chan, target, cfg)
-        esc_mc = ps.mc_esc_pa(scenario, chan, cfg)
+        sop_mc = ps.mc_sop_pa(scenario, chan, power, target, cfg)
+        esc_mc = ps.mc_esc_pa(scenario, chan, power, cfg)
         worst = max(worst,
                     abs(sop_mc.mean - sop.lower) - 3.0 * sop_mc.std_error,
                     abs(esc_mc.mean - esc.lower) - 3.0 * esc_mc.std_error)
@@ -98,12 +98,13 @@ def test_criterion_4_bracketing(scenario, target, rule_1000):
     start = time.perf_counter()
     cfg = ps.McConfig()
     worst = -math.inf
+    chan = ps.ChannelParams()
     for snr_db in SNR_GRID_DB:
-        chan = chan_at(10 ** (snr_db / 10.0))
-        sop = sop_at(scenario, chan, target, rule_1000)
-        esc = esc_at(scenario, chan, rule_1000)
-        sop_mc = ps.mc_sop_pa(scenario, chan, target, cfg)
-        esc_mc = ps.mc_esc_pa(scenario, chan, cfg)
+        power = 10 ** (snr_db / 10.0)
+        sop = sop_at(scenario, chan, power, target, rule_1000)
+        esc = esc_at(scenario, chan, power, rule_1000)
+        sop_mc = ps.mc_sop_pa(scenario, chan, power, target, cfg)
+        esc_mc = ps.mc_esc_pa(scenario, chan, power, cfg)
         worst = max(worst,
                     sop.lower - 3.0 * sop_mc.std_error - sop_mc.mean,
                     sop_mc.mean - sop.upper - 3.0 * sop_mc.std_error,
@@ -123,10 +124,11 @@ def test_criterion_4_esc_upper_bound_tightness(scenario, rule_1000):
     cfg = ps.McConfig()
     hits = 0
     gaps = []
+    chan = ps.ChannelParams()
     for snr_db in SNR_GRID_DB:
-        chan = chan_at(10 ** (snr_db / 10.0))
-        esc = esc_at(scenario, chan, rule_1000)
-        mc = ps.mc_esc_pa(scenario, chan, cfg).mean
+        power = 10 ** (snr_db / 10.0)
+        esc = esc_at(scenario, chan, power, rule_1000)
+        mc = ps.mc_esc_pa(scenario, chan, power, cfg).mean
         if abs(esc.upper - mc) <= abs(esc.lower - mc):
             hits += 1
         gaps.append((snr_db, esc.upper - mc, mc - esc.lower))
@@ -146,24 +148,22 @@ def test_criterion_4_esc_upper_bound_tightness(scenario, rule_1000):
 
 def test_criterion_5_saturation(scenario, target, rule_1000):
     start = time.perf_counter()
+    chan = ps.ChannelParams()
 
     def sop_curve(side):
-        return lambda rho: getattr(
-            sop_at(scenario, chan_at(rho), target, rule_1000), side)
+        return lambda rho: getattr(sop_at(scenario, chan, rho, target, rule_1000), side)
 
     def esc_curve(side):
-        return lambda rho: getattr(
-            esc_at(scenario, chan_at(rho), rule_1000), side)
+        return lambda rho: getattr(esc_at(scenario, chan, rho, rule_1000), side)
 
     div_up = ps.diversity_estimate(sop_curve("upper"), 1e12, 1e14)
     div_lo = ps.diversity_estimate(sop_curve("lower"), 1e12, 1e14)
     slope_up = ps.slope_estimate(esc_curve("upper"), 1e12, 1e14)
     slope_lo = ps.slope_estimate(esc_curve("lower"), 1e12, 1e14)
 
-    chan = chan_at(1e14)
-    sop_fin = sop_at(scenario, chan, target, rule_1000)
+    sop_fin = sop_at(scenario, chan, 1e14, target, rule_1000)
     sop_asym = ps.sop_asymptotic(scenario, chan, target, rule_1000)
-    esc_fin = esc_at(scenario, chan, rule_1000)
+    esc_fin = esc_at(scenario, chan, 1e14, rule_1000)
     esc_asym = ps.esc_asymptotic(scenario, chan, rule_1000)
     rels = (_rel(sop_fin.lower, sop_asym.lower), _rel(sop_fin.upper, sop_asym.upper),
             _rel(esc_fin.lower, esc_asym.lower), _rel(esc_fin.upper, esc_asym.upper))
@@ -188,17 +188,15 @@ def test_criterion_6_sop_pa_strictly_beats_fa(scenario, target, rule_1000):
     # probability 1 and PA cannot be strictly below FA; the comparison is
     # strict only above rho*.
     start = time.perf_counter()
-    cfg = ps.McConfig()
-    rho_star = ((target.threshold - 1.0) * scenario.waveguide_height ** 2
-                / chan_at(1.0).eta)
+    cfg, chan = ps.McConfig(), ps.ChannelParams()
+    rho_star = (target.threshold - 1.0) * scenario.waveguide_height ** 2 / chan.eta
     certain, rows = [], []
     for snr_db in SNR_GRID_DB:
         rho = 10 ** (snr_db / 10.0)
-        chan = chan_at(rho)
-        pa = ps.mc_sop_pa(scenario, chan, target, cfg).mean
-        fa = ps.mc_sop_fa(scenario, chan, target, cfg).mean
+        pa = ps.mc_sop_pa(scenario, chan, rho, target, cfg).mean
+        fa = ps.mc_sop_fa(scenario, chan, rho, target, cfg).mean
         if rho <= rho_star:
-            pair = sop_at(scenario, chan, target, rule_1000)
+            pair = sop_at(scenario, chan, rho, target, rule_1000)
             certain.append((snr_db, pa, fa, pair.lower, pair.upper))
         else:
             rows.append((snr_db, pa, fa))
@@ -226,10 +224,11 @@ def test_criterion_6_esc_pa_strictly_beats_fa(scenario):
     start = time.perf_counter()
     cfg = ps.McConfig()
     margins = []
+    chan = ps.ChannelParams()
     for snr_db in SNR_GRID_DB:
-        chan = chan_at(10 ** (snr_db / 10.0))
-        pa = ps.mc_esc_pa(scenario, chan, cfg).mean
-        fa = ps.mc_esc_fa(scenario, chan, cfg).mean
+        power = 10 ** (snr_db / 10.0)
+        pa = ps.mc_esc_pa(scenario, chan, power, cfg).mean
+        fa = ps.mc_esc_fa(scenario, chan, power, cfg).mean
         margins.append((snr_db, pa - fa))
     elapsed = time.perf_counter() - start
     violations = [(s, m) for s, m in margins if m <= 0.0]
@@ -243,20 +242,20 @@ def test_criterion_6_esc_pa_strictly_beats_fa(scenario):
 
 def test_criterion_7_quadrature_fidelity(scenario, target, rule_1000, rule_8000):
     start = time.perf_counter()
-    chan = chan_at(1e8)
+    chan = ps.ChannelParams()
     rows = []  # (term name, refinement rel diff, oracle rel diff)
 
     for direction, factors in zip(("upper", "lower"), sop_directions(scenario, chan)):
-        fine = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan)], *factors)[0]
-        coarse = bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)], *factors)[0]
-        oracle = sop_term_oracles(scenario, chan, target, *factors)
+        fine = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan, 1e8)], *factors)[0]
+        coarse = bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan, 1e8)], *factors)[0]
+        oracle = sop_term_oracles(scenario, chan, 1e8, target, *factors)
         for name, c, f, o in zip("jkl", coarse, fine, oracle):
             rows.append((f"sop_{direction}_{name}", _rel(c, f), _rel(c, o)))
 
     for direction, factors in zip(("upper", "lower"), sop_directions(scenario, chan)[::-1]):
-        fine = esc_term_values(scenario, chan, rule_8000, *factors)
-        coarse = esc_term_values(scenario, chan, rule_1000, *factors)
-        oracle = esc_term_oracles(scenario, chan, *factors)
+        fine = esc_term_values(scenario, chan, 1e8, rule_8000, *factors)
+        coarse = esc_term_values(scenario, chan, 1e8, rule_1000, *factors)
+        oracle = esc_term_oracles(scenario, chan, 1e8, *factors)
         for name, c, f, o in zip("cjkl", coarse, fine, oracle):
             rows.append((f"esc_{direction}_{name}", _rel(c, f), _rel(c, o)))
 

@@ -48,6 +48,16 @@ def test_all_matches_readme():
     assert set(pinchsec.__all__) == readme_library_names()
 
 
+def test_readme_library_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    lower, mean, _, _, upper = capsys.readouterr().out.split()
+    assert float(lower) <= float(mean) <= float(upper)
+    assert namespace["sat"].lower <= namespace["sat"].upper
+
+
 def test_tracer_patch_points_resolve():
     # the benchmark's tracer wraps callees where pinchsec looks them up; a
     # refactor that unbinds one would silently zero its per-layer metrics

@@ -21,7 +21,7 @@ import pytest
 
 import pinchsec as ps
 from pinchsec import bounds, cli, montecarlo, quad
-from conftest import (SNR_GRID_DB, chan_at, esc_at, esc_term_oracles, esc_term_values, gain,
+from conftest import (SNR_GRID_DB, esc_at, esc_term_oracles, esc_term_values, gain,
                       golden_path, log2_moment_oracles, log2_moment_values, outage_coefficients,
                       outage_kinks, sop_at, sop_directions, sop_term_oracles, sop_term_rows)
 from test_properties import CONFIGS as PROPERTY_CONFIGS
@@ -31,9 +31,9 @@ SPAN = math.exp(-0.5)  # exp(-2 * 0.01 * 25)
 
 class TestCoefficients:
     def test_span_value(self, scenario):
-        assert bounds.attenuation_span(scenario, chan_at(1e8)) == pytest.approx(
+        assert bounds.attenuation_span(scenario, ps.ChannelParams()) == pytest.approx(
             0.6065306597126334, rel=1e-15)
-        assert bounds.attenuation_span(scenario, chan_at(1e8, alpha=0.0)) == 1.0
+        assert bounds.attenuation_span(scenario, ps.ChannelParams(attenuation=0.0)) == 1.0
 
     def test_sop_pairs(self, scenario, target, rule_1000, monkeypatch):
         # one call for both directions, as per-row factor arrays: the
@@ -43,11 +43,12 @@ class TestCoefficients:
         term_sums = bounds.sop_term_sums
         monkeypatch.setattr(bounds, "sop_term_sums",
                             lambda *a: seen.append(tuple(list(f) for f in a[-2:])) or term_sums(*a))
-        ps.sop_bounds(scenario, chan_at(1e8), [1e8], target, rule_1000)
+        ps.sop_bounds(scenario, ps.ChannelParams(), [1e8], target, rule_1000)
         assert seen == [([SPAN, 1.0], [1.0, SPAN])]
-        assert sop_directions(scenario, chan_at(1e8)) == tuple(zip(*seen[0]))
+        assert sop_directions(scenario, ps.ChannelParams()) == tuple(zip(*seen[0]))
         seen.clear()
-        pair = ps.sop_bounds(scenario, chan_at(1e8, alpha=0.0), [1e6, 1e8], target, rule_1000)
+        pair = ps.sop_bounds(scenario, ps.ChannelParams(attenuation=0.0), [1e6, 1e8], target,
+                             rule_1000)
         assert seen == [([1.0, 1.0], [1.0, 1.0])]
         assert pair.lower.tolist() == pair.upper.tolist()
 
@@ -59,29 +60,29 @@ class TestCoefficients:
         term_sums = bounds.esc_term_sums
         monkeypatch.setattr(bounds, "esc_term_sums",
                             lambda *a: seen.append(tuple(list(f) for f in a[-2:])) or term_sums(*a))
-        ps.esc_bounds(scenario, chan_at(1e8), [1e8], rule_1000)
+        ps.esc_bounds(scenario, ps.ChannelParams(), [1e8], rule_1000)
         assert seen == [([1.0, SPAN], [SPAN, 1.0])]
         seen.clear()
-        pair = ps.esc_bounds(scenario, chan_at(1e8, alpha=0.0), [1e6, 1e8], rule_1000)
+        pair = ps.esc_bounds(scenario, ps.ChannelParams(attenuation=0.0), [1e6, 1e8], rule_1000)
         assert seen == [([1.0, 1.0], [1.0, 1.0])]
         assert pair.lower.tolist() == pair.upper.tolist()
 
     def test_overflowed_threshold_is_certain_outage(self, scenario):
         # 4^600 is +inf: b is +inf at every rho, never inf/inf = nan at rho = inf
-        target = ps.SecrecyTarget(rate=600)
-        for chan in (chan_at(1e8), chan_at(math.inf)):
+        target, chan = ps.SecrecyTarget(rate=600), ps.ChannelParams()
+        for power in (1e8, math.inf):
             for direction in sop_directions(scenario, chan):
-                a, b, c = outage_coefficients(chan, target, *direction)
+                a, b, c = outage_coefficients(chan, power, target, *direction)
                 assert b == math.inf
                 assert outage_kinks(scenario, a, b, c) == [math.inf, math.inf]
 
     def test_underflowed_span_is_valid(self, scenario, target, rule_1000):
         # alpha * D = 500: exp(-1000) is 0.0, yet the model is well defined
-        chan = chan_at(1e8, alpha=20.0)
+        chan = ps.ChannelParams(attenuation=20.0)
         assert bounds.attenuation_span(scenario, chan) == 0.0
-        for pair in (sop_at(scenario, chan, target, rule_1000),
+        for pair in (sop_at(scenario, chan, 1e8, target, rule_1000),
                      ps.sop_asymptotic(scenario, chan, target, rule_1000),
-                     esc_at(scenario, chan, rule_1000),
+                     esc_at(scenario, chan, 1e8, rule_1000),
                      ps.esc_asymptotic(scenario, chan, rule_1000)):
             assert math.isfinite(pair.lower) and math.isfinite(pair.upper)
             assert pair.lower <= pair.upper
@@ -94,65 +95,65 @@ class TestCoefficients:
             1000.0 / math.log(2.0), rel=1e-12)
 
 
-def threshold_offset(u, chan, target, bob_factor, willie_factor, d2=9.0):
-    coeffs = outage_coefficients(chan, target, bob_factor, willie_factor)
+def threshold_offset(u, chan, power, target, bob_factor, willie_factor, d2=9.0):
+    coeffs = outage_coefficients(chan, power, target, bob_factor, willie_factor)
     return bounds._threshold_offset(u, d2, *coeffs)
 
 
 class TestSopThreshold:
     # offsets u = z - d^2 with d^2 = 9; the frozen values are thresholds in z minus 9
     def test_reference_values(self, scenario, target):
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
         up, lo = sop_directions(scenario, chan)
         z = 165.25
         fr = 4.0 ** 0.01
         for (bob, willie), frozen in ((up, 89.4557479348137), (lo, 257.94101014423063)):
             want = (chan.eta * 1e8 * bob
                     / (fr - 1.0 + fr * chan.eta * 1e8 * willie / z)) - 9.0
-            got = float(threshold_offset(z - 9.0, chan, target, bob, willie))
+            got = float(threshold_offset(z - 9.0, chan, 1e8, target, bob, willie))
             assert got == pytest.approx(want, rel=1e-15)
             assert got == pytest.approx(frozen, rel=1e-13)
 
     def test_vectorized(self, scenario, target):
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
         up, _ = sop_directions(scenario, chan)
         u = np.array([0.0, 91.0, 781.25])
-        thr = threshold_offset(u, chan, target, *up)
+        thr = threshold_offset(u, chan, 1e8, target, *up)
         assert thr.shape == (3,)
         assert np.all(np.diff(thr) > 0)  # farther Willie, looser threshold
 
     def test_zero_attenuation_pairs_coincide(self, scenario, target):
-        chan = chan_at(1e8, alpha=0.0)
+        chan = ps.ChannelParams(attenuation=0.0)
         up, lo = sop_directions(scenario, chan)
         u = np.linspace(0.0, 781.25, 50)
-        np.testing.assert_array_equal(threshold_offset(u, chan, target, *up),
-                                      threshold_offset(u, chan, target, *lo))
+        np.testing.assert_array_equal(threshold_offset(u, chan, 1e8, target, *up),
+                                      threshold_offset(u, chan, 1e8, target, *lo))
 
     def test_high_snr_scaling(self, scenario, target):
         # exact at rho = inf: the threshold is z * A / (4^Rbar * B)
-        chan = chan_at(math.inf)
+        chan = ps.ChannelParams()
         fr = 4.0 ** 0.01
         for bob, willie in sop_directions(scenario, chan):
             for z in (9.0, 165.25, 790.25):
                 want = z * bob / (fr * willie) - 9.0
-                assert float(threshold_offset(z - 9.0, chan, target, bob, willie)) == pytest.approx(
-                    want, rel=1e-13)
+                got = threshold_offset(z - 9.0, chan, math.inf, target, bob, willie)
+                assert float(got) == pytest.approx(want, rel=1e-13)
 
     def test_degenerate_denominator_gives_inf(self):
         # zero target rate and a deaf Willie (B = 0): no outage
-        got = threshold_offset(np.array([0.0, 100.0]), chan_at(1e8), ps.SecrecyTarget(rate=0.0),
-                               1.0, 0.0)
+        got = threshold_offset(np.array([0.0, 100.0]), ps.ChannelParams(), 1e8,
+                               ps.SecrecyTarget(rate=0.0), 1.0, 0.0)
         assert np.all(got == np.inf)
 
 
 class TestOutageKinks:
     def test_kinks_are_saturation_points(self, scenario, target, zb_dist):
         # kinks are offsets u = z - d^2; the z-form thresholds are formed at z = 9 + u
-        fr = target.threshold
-        for chan in (chan_at(1e8), chan_at(math.inf)):
-            eta_rho = chan.eta * chan.rho
+        fr, chan = target.threshold, ps.ChannelParams()
+        for power in (1e8, math.inf):
+            eta_rho = gain(chan, power)
             for bob, willie in sop_directions(scenario, chan):
-                coeffs = outage_coefficients(chan, target, bob, willie)
+                coeffs = outage_coefficients(chan, power, target, bob, willie)
                 z = 9.0 + np.array(outage_kinks(scenario, *coeffs))
                 if math.isinf(eta_rho):
                     thr = z * bob / (fr * willie)
@@ -162,7 +163,7 @@ class TestOutageKinks:
 
     def test_no_kink_when_threshold_stays_below_support(self, scenario, target):
         # below rho* = (4^Rbar - 1) d^2 / eta even the best threshold misses d^2
-        coeffs = outage_coefficients(chan_at(1e4), target, 1.0, 1.0)
+        coeffs = outage_coefficients(ps.ChannelParams(), 1e4, target, 1.0, 1.0)
         assert outage_kinks(scenario, *coeffs) == [math.inf, math.inf]
 
     def test_certain_outage_skips_quadrature(self, scenario, target, rule_1000, monkeypatch):
@@ -170,12 +171,13 @@ class TestOutageKinks:
         integrate = bounds.integrate
         monkeypatch.setattr(bounds, "integrate",
                             lambda rule, values: calls.append(rule) or integrate(rule, values))
-        chan = chan_at(1e4)
+        chan = ps.ChannelParams()
         for direction in sop_directions(scenario, chan):
-            sums = bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)], *direction)[0]
+            sums = bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan, 1e4)],
+                                        *direction)[0]
             assert sums.tolist() == [0.0, 0.0, 0.0]
         assert calls == []
-        pair = sop_at(scenario, chan, target, rule_1000)
+        pair = sop_at(scenario, chan, 1e4, target, rule_1000)
         assert (pair.lower, pair.upper) == (1.0, 1.0)
 
     def test_no_node_at_or_beyond_saturation(self, scenario, target, rule_1000, monkeypatch):
@@ -187,14 +189,15 @@ class TestOutageKinks:
         monkeypatch.setattr(bounds, "_threshold_offset",
                             lambda u, *abc: seen.append(np.array(u)) or offset(u, *abc))
         quarter = scenario.side_length ** 2 / 4.0  # the end of Zw's first piece
-        for chan in (chan_at(1e7), chan_at(1e8), chan_at(math.inf)):
+        chan = ps.ChannelParams()
+        for power in (1e7, 1e8, math.inf):
             for direction in sop_directions(scenario, chan):  # upper, then lower
                 seen.clear()
                 u_0, u_1 = outage_kinks(
-                    scenario, *outage_coefficients(chan, target, *direction))
-                bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)], *direction)
+                    scenario, *outage_coefficients(chan, power, target, *direction))
+                bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan, power)], *direction)
                 nodes = np.concatenate([u.ravel() for u in seen])
-                assert np.all((u_0 <= nodes) & (nodes <= u_1)), (chan.rho, direction)
+                assert np.all((u_0 <= nodes) & (nodes <= u_1)), (power, direction)
             # lower side at rho = inf: u_1 lies in piece 1, so pieces 2 and 3 need no node
             assert u_1 < quarter
             assert nodes.size == rule_1000.n and np.all(nodes < u_1)
@@ -205,40 +208,40 @@ class TestOutageKinks:
         # [0, 1], [1, 4], [4, 5]; the last row is finite rho with u_1 = +inf
         scenario = ps.Scenario(side_length=2.0, waveguide_height=1.0)
         target = ps.SecrecyTarget(rate=0.0)
-        chan = chan_at(math.inf)
+        chan = ps.ChannelParams()
         willie = [0.5, 0.75, 1.0, 1.5, 2.5, 2.75, 3.0, 4.0]
-        kinks = [outage_kinks(scenario, *outage_coefficients(chan, target, 1.0, b))[1]
+        kinks = [outage_kinks(scenario, *outage_coefficients(chan, math.inf, target, 1.0, b))[1]
                  for b in willie]
         assert kinks == [0.0, 0.5, 1.0, 2.0, 4.0, 4.5, 5.0, 7.0]
-        got = bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)] * len(willie), 1.0,
-                                   np.array(willie))
+        got = bounds.sop_term_sums(scenario, target, rule_1000,
+                                   [gain(chan, math.inf)] * len(willie), 1.0, np.array(willie))
         for row, b in zip(got, willie):
-            want = sop_term_oracles(scenario, chan, target, 1.0, b, asymptotic=True)
+            want = sop_term_oracles(scenario, chan, math.inf, target, 1.0, b, asymptotic=True)
             np.testing.assert_allclose(row, want, rtol=0, atol=5e-13, err_msg=f"B = {b}")
-        scenario, target, chan = ps.Scenario(), ps.SecrecyTarget(), chan_at(1e5)
+        scenario, target = ps.Scenario(), ps.SecrecyTarget()
         direction = (1.0, bounds.attenuation_span(scenario, chan))
         assert outage_kinks(
-            scenario, *outage_coefficients(chan, target, *direction))[1] == math.inf
+            scenario, *outage_coefficients(chan, 1e5, target, *direction))[1] == math.inf
         np.testing.assert_allclose(
-            bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)], *direction)[0],
-            sop_term_oracles(scenario, chan, target, *direction), rtol=0, atol=5e-13)
+            bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan, 1e5)], *direction)[0],
+            sop_term_oracles(scenario, chan, 1e5, target, *direction), rtol=0, atol=5e-13)
 
     @pytest.mark.parametrize("rho", [1e7, 1e8, math.inf])
     def test_bracket_near_oracle(self, scenario, target, rule_1000, rho):
         # the closed-form saturated mass keeps both sides within 5e-13 of
         # 1 - sum(sop_term_oracles); integrating it by quadrature read 1.1e-12
-        chan = chan_at(rho)
+        chan = ps.ChannelParams()
         pair = (ps.sop_asymptotic(scenario, chan, target, rule_1000) if math.isinf(rho)
-                else sop_at(scenario, chan, target, rule_1000))
+                else sop_at(scenario, chan, rho, target, rule_1000))
         for got, direction in zip((pair.upper, pair.lower), sop_directions(scenario, chan)):
-            want = 1.0 - sum(sop_term_oracles(scenario, chan, target, *direction,
+            want = 1.0 - sum(sop_term_oracles(scenario, chan, rho, target, *direction,
                                               asymptotic=math.isinf(rho)))
             assert abs(got - want) <= 5e-13, (rho, direction, got - want)
 
 
 class TestSopBounds:
     def test_reference_point(self, scenario, target, rule_1000):
-        pair = sop_at(scenario, chan_at(1e8), target, rule_1000)
+        pair = sop_at(scenario, ps.ChannelParams(), 1e8, target, rule_1000)
         # 1 - sum(sop_term_oracles(...)) for the lower and the upper
         # direction of sop_directions
         assert pair.lower == pytest.approx(0.12810884315380378, rel=1e-10)
@@ -246,20 +249,20 @@ class TestSopBounds:
 
     def test_ordering_across_grid(self, scenario, target, rule_1000):
         for snr_db in SNR_GRID_DB:
-            pair = sop_at(scenario, chan_at(10 ** (snr_db / 10.0)), target, rule_1000)
+            pair = sop_at(scenario, ps.ChannelParams(), 10 ** (snr_db / 10.0), target, rule_1000)
             assert 0.0 <= pair.lower <= pair.upper <= 1.0
 
     def test_zero_attenuation_collapse(self, scenario, target, rule_1000):
-        pair = sop_at(scenario, chan_at(1e8, alpha=0.0), target, rule_1000)
+        pair = sop_at(scenario, ps.ChannelParams(attenuation=0.0), 1e8, target, rule_1000)
         assert pair.lower == pair.upper
 
     def test_low_snr_saturates_at_one(self, scenario, target, rule_1000):
-        pair = sop_at(scenario, chan_at(1e-12), target, rule_1000)
+        pair = sop_at(scenario, ps.ChannelParams(), 1e-12, target, rule_1000)
         assert pair.lower == 1.0
         assert pair.upper == 1.0
 
     def test_monotone_in_rho(self, scenario, target, rule_1000):
-        vals = [sop_at(scenario, chan_at(r), target, rule_1000)
+        vals = [sop_at(scenario, ps.ChannelParams(), r, target, rule_1000)
                 for r in (1e6, 1e8, 1e10)]
         assert vals[0].upper >= vals[1].upper >= vals[2].upper
         assert vals[0].lower >= vals[1].lower >= vals[2].lower
@@ -267,15 +270,15 @@ class TestSopBounds:
     def test_no_clamping_on_grid(self, scenario, target, rule_1000, caplog):
         with caplog.at_level(logging.WARNING, logger="pinchsec.bounds"):
             for snr_db in SNR_GRID_DB:
-                sop_at(scenario, chan_at(10 ** (snr_db / 10.0)), target, rule_1000)
+                sop_at(scenario, ps.ChannelParams(), 10 ** (snr_db / 10.0), target, rule_1000)
         assert not caplog.records
 
     def test_term_sums_reference(self, scenario, target, rule_8000):
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
         up, lo = sop_directions(scenario, chan)
-        got_up = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan)], *up)[0]
-        got_lo = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan)], *lo)[0]
-        # sop_term_oracles(scenario, chan, target, *direction) for each direction
+        got_up = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan, 1e8)], *up)[0]
+        got_lo = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan, 1e8)], *lo)[0]
+        # sop_term_oracles(scenario, chan, 1e8, target, *direction) for each direction
         np.testing.assert_allclose(
             got_up,
             [0.2884738515657313, 0.3501617515801622, 0.003443711685630247], rtol=1e-10)
@@ -284,10 +287,11 @@ class TestSopBounds:
             [0.49062265357697776, 0.3778247915835881, 0.003443711685630247], rtol=1e-10)
 
     def test_term_sums_against_adaptive_oracle(self, scenario, target, rule_8000):
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
         for direction in sop_directions(scenario, chan):
-            got = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan)], *direction)[0]
-            want = sop_term_oracles(scenario, chan, target, *direction)
+            got = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan, 1e8)],
+                                       *direction)[0]
+            want = sop_term_oracles(scenario, chan, 1e8, target, *direction)
             np.testing.assert_allclose(got, want, rtol=1e-7)
 
     @pytest.mark.parametrize("d", [3.0, 30.0, 3e3, 3e4, 3e6])
@@ -296,10 +300,10 @@ class TestSopBounds:
         # at Rbar = 0 and alpha = 0 the SOP is P(Zb > Zw) = pi/12 - 1/24 for
         # every D, d and rho; d >> D must not cancel the threshold offset
         scenario = ps.Scenario(side_length=1e-3, waveguide_height=d)
-        chan = chan_at(rho, alpha=0.0)
+        chan = ps.ChannelParams(attenuation=0.0)
         target = ps.SecrecyTarget(rate=0.0)
         exact = math.pi / 12.0 - 1.0 / 24.0
-        for pair in (sop_at(scenario, chan, target, rule_1000),
+        for pair in (sop_at(scenario, chan, rho, target, rule_1000),
                      ps.sop_asymptotic(scenario, chan, target, rule_1000)):
             assert pair.lower == pytest.approx(exact, abs=1e-11)
             assert pair.upper == pytest.approx(exact, abs=1e-11)
@@ -307,7 +311,7 @@ class TestSopBounds:
 
 class TestSopAsymptotic:
     def test_reference_point(self, scenario, target, rule_1000):
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
         pair = ps.sop_asymptotic(scenario, chan, target, rule_1000)
         # 1 - sum(sop_term_oracles(..., asymptotic=True)) for the lower and
         # the upper direction of sop_directions
@@ -315,27 +319,28 @@ class TestSopAsymptotic:
         assert pair.upper == pytest.approx(0.3570016314035447, rel=1e-10)
 
     def test_power_independence(self, scenario, target, rule_1000):
-        a = ps.sop_asymptotic(scenario, chan_at(1e2), target, rule_1000)
-        b = ps.sop_asymptotic(scenario, chan_at(1e16), target, rule_1000)
-        assert (a.lower, a.upper) == (b.lower, b.upper)
+        # the saturation levels are the rows at rho = inf of grids that end at any finite power
+        a, b = (ps.sop_bounds(scenario, ps.ChannelParams(), [power, math.inf], target, rule_1000)
+                for power in (1e2, 1e16))
+        assert (a.lower[-1], a.upper[-1]) == (b.lower[-1], b.upper[-1])
 
     def test_zero_attenuation_collapse(self, scenario, target, rule_1000):
-        pair = ps.sop_asymptotic(scenario, chan_at(1e8, alpha=0.0), target, rule_1000)
+        pair = ps.sop_asymptotic(scenario, ps.ChannelParams(attenuation=0.0), target, rule_1000)
         assert pair.lower == pair.upper
 
     def test_finite_snr_approaches_asymptote(self, scenario, target, rule_1000):
-        chan = chan_at(1e14)
-        finite = sop_at(scenario, chan, target, rule_1000)
+        chan = ps.ChannelParams()
+        finite = sop_at(scenario, chan, 1e14, target, rule_1000)
         asym = ps.sop_asymptotic(scenario, chan, target, rule_1000)
         assert abs(finite.lower - asym.lower) < 1e-2
         assert abs(finite.upper - asym.upper) < 1e-2
 
     def test_oracle_agreement(self, scenario, target, rule_8000):
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
         for direction in sop_directions(scenario, chan):
-            got = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan_at(math.inf))],
+            got = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan, math.inf)],
                                        *direction)[0]
-            want = sop_term_oracles(scenario, chan, target, *direction, asymptotic=True)
+            want = sop_term_oracles(scenario, chan, math.inf, target, *direction, asymptotic=True)
             np.testing.assert_allclose(got, want, rtol=1e-7)
 
 
@@ -387,7 +392,7 @@ class TestRateOffset:
 
 class TestEscBounds:
     def test_reference_point(self, scenario, rule_1000):
-        pair = esc_at(scenario, chan_at(1e8), rule_1000)
+        pair = esc_at(scenario, ps.ChannelParams(), 1e8, rule_1000)
         # (bob - piece1 - piece2 - piece3) / 2 of esc_term_oracles(...) for
         # the lower and the upper direction (sop_directions reversed)
         assert pair.lower == pytest.approx(0.30282340510406547, rel=1e-10)
@@ -395,28 +400,28 @@ class TestEscBounds:
 
     def test_ordering_across_grid(self, scenario, rule_1000):
         for snr_db in SNR_GRID_DB:
-            pair = esc_at(scenario, chan_at(10 ** (snr_db / 10.0)), rule_1000)
+            pair = esc_at(scenario, ps.ChannelParams(), 10 ** (snr_db / 10.0), rule_1000)
             assert pair.lower <= pair.upper
 
     def test_zero_attenuation_collapse(self, scenario, rule_1000):
-        pair = esc_at(scenario, chan_at(1e8, alpha=0.0), rule_1000)
+        pair = esc_at(scenario, ps.ChannelParams(attenuation=0.0), 1e8, rule_1000)
         assert pair.lower == pair.upper
 
     def test_low_snr_vanishes(self, scenario, rule_1000):
-        pair = esc_at(scenario, chan_at(1e-12), rule_1000)
+        pair = esc_at(scenario, ps.ChannelParams(), 1e-12, rule_1000)
         assert 0.0 <= pair.lower <= pair.upper < 1e-15
 
     def test_monotone_in_rho(self, scenario, rule_1000):
-        vals = [esc_at(scenario, chan_at(r), rule_1000) for r in (1e6, 1e8, 1e10)]
+        vals = [esc_at(scenario, ps.ChannelParams(), r, rule_1000) for r in (1e6, 1e8, 1e10)]
         assert vals[0].upper <= vals[1].upper <= vals[2].upper
         assert vals[0].lower <= vals[1].lower <= vals[2].lower
 
     def test_term_sums_reference(self, scenario, rule_8000):
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
         lo, up = sop_directions(scenario, chan)
-        got_up = esc_term_values(scenario, chan, rule_8000, *up)
-        got_lo = esc_term_values(scenario, chan, rule_8000, *lo)
-        # esc_term_oracles(scenario, chan, *direction) for each direction
+        got_up = esc_term_values(scenario, chan, 1e8, rule_8000, *up)
+        got_lo = esc_term_values(scenario, chan, 1e8, rule_8000, *lo)
+        # esc_term_oracles(scenario, chan, 1e8, *direction) for each direction
         np.testing.assert_allclose(
             got_up,
             [3.888118980972693, 1.6464170954142006, 0.4491709079623515,
@@ -427,38 +432,39 @@ class TestEscBounds:
              0.00305647073303006], rtol=1e-10)
 
     def test_term_sums_against_adaptive_oracle(self, scenario, rule_8000):
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
         for direction in sop_directions(scenario, chan)[::-1]:
-            got = esc_term_values(scenario, chan, rule_8000, *direction)
-            want = esc_term_oracles(scenario, chan, *direction)
+            got = esc_term_values(scenario, chan, 1e8, rule_8000, *direction)
+            want = esc_term_oracles(scenario, chan, 1e8, *direction)
             np.testing.assert_allclose(got, want, rtol=1e-7)
 
 
 class TestEscAsymptotic:
     def test_reference_point(self, scenario, rule_1000):
-        pair = ps.esc_asymptotic(scenario, chan_at(1e8), rule_1000)
+        pair = ps.esc_asymptotic(scenario, ps.ChannelParams(), rule_1000)
         # (piece1 + piece2 + piece3 - bob +/- log2(exp(-0.5))) / 2 of
         # log2_moment_oracles(scenario)
         assert pair.lower == pytest.approx(0.3632990671252686, rel=1e-10)
         assert pair.upper == pytest.approx(1.0846465875697504, rel=1e-10)
 
     def test_width_is_span_log(self, scenario, rule_1000):
-        pair = ps.esc_asymptotic(scenario, chan_at(1e8), rule_1000)
+        pair = ps.esc_asymptotic(scenario, ps.ChannelParams(), rule_1000)
         # width = -log2(exp(-2 alpha D)) = 2 alpha D log2(e)
         assert pair.width == pytest.approx(0.7213475204444817, rel=1e-12)
 
     def test_zero_attenuation_collapse(self, scenario, rule_1000):
-        pair = ps.esc_asymptotic(scenario, chan_at(1e8, alpha=0.0), rule_1000)
+        pair = ps.esc_asymptotic(scenario, ps.ChannelParams(attenuation=0.0), rule_1000)
         assert pair.lower == pair.upper
 
     def test_power_independence(self, scenario, rule_1000):
-        a = ps.esc_asymptotic(scenario, chan_at(1e2), rule_1000)
-        b = ps.esc_asymptotic(scenario, chan_at(1e16), rule_1000)
-        assert (a.lower, a.upper) == (b.lower, b.upper)
+        # the saturation levels are the rows at rho = inf of grids that end at any finite power
+        a, b = (ps.esc_bounds(scenario, ps.ChannelParams(), [power, math.inf], rule_1000)
+                for power in (1e2, 1e16))
+        assert (a.lower[-1], a.upper[-1]) == (b.lower[-1], b.upper[-1])
 
     def test_finite_snr_approaches_asymptote(self, scenario, rule_1000):
-        chan = chan_at(1e14)
-        finite = esc_at(scenario, chan, rule_1000)
+        chan = ps.ChannelParams()
+        finite = esc_at(scenario, chan, 1e14, rule_1000)
         asym = ps.esc_asymptotic(scenario, chan, rule_1000)
         assert abs(finite.lower - asym.lower) < 1e-2
         assert abs(finite.upper - asym.upper) < 1e-2
@@ -482,10 +488,10 @@ class TestChannelLists:
         # below rho* (43.4 dB) outage is certain and no node is evaluated,
         # above it the rows are kinked; rho = inf is the asymptotes' row.
         # At alpha = 0 both directions are one set of rows
-        chan = chan_at(1.0, alpha=alpha)
+        chan = ps.ChannelParams(attenuation=alpha)
         powers = [*(10 ** (snr_db / 10.0) for snr_db in DENSE_GRID_DB), math.inf]
-        sop_alone = [sop_at(scenario, chan_at(p, alpha=alpha), target, rule_1000) for p in powers]
-        esc_alone = [esc_at(scenario, chan_at(p, alpha=alpha), rule_1000) for p in powers]
+        sop_alone = [sop_at(scenario, chan, p, target, rule_1000) for p in powers]
+        esc_alone = [esc_at(scenario, chan, p, rule_1000) for p in powers]
         assert sop_alone[0] == ps.BoundPair(1.0, 1.0) and sop_alone[-1].lower < 1.0
         assert all(math.isfinite(pair.lower) and math.isfinite(pair.upper)
                    for pair in esc_alone)
@@ -501,8 +507,8 @@ class TestChannelLists:
                 assert got.upper.tolist() == [pair.upper for pair in alone]
 
     def test_empty_list(self, scenario, target, rule_1000):
-        for pair in (ps.sop_bounds(scenario, chan_at(1.0), [], target, rule_1000),
-                     ps.esc_bounds(scenario, chan_at(1.0), [], rule_1000)):
+        for pair in (ps.sop_bounds(scenario, ps.ChannelParams(), [], target, rule_1000),
+                     ps.esc_bounds(scenario, ps.ChannelParams(), [], rule_1000)):
             assert pair.lower.shape == pair.upper.shape == (0,)
 
     @pytest.mark.parametrize("grid", [pytest.param([1e8, power], id=str(power))
@@ -511,18 +517,16 @@ class TestChannelLists:
     def test_rejects_what_tx_power_rejects(self, scenario, target, rule_1000, grid):
         # a power that tx_power rejects, or a grid that is not a 1-D sequence:
         # both brackets and the Monte Carlo raise the same error
-        if np.ndim(grid) == 1:
-            with pytest.raises(ValueError, match="tx_power"):
-                ps.ChannelParams(tx_power=grid[-1])
-        for run in (lambda: ps.sop_bounds(scenario, chan_at(1.0), grid, target, rule_1000),
-                    lambda: ps.esc_bounds(scenario, chan_at(1.0), grid, rule_1000),
-                    lambda: montecarlo._mc_sweep(scenario, chan_at(1.0), grid, target,
+        chan = ps.ChannelParams()
+        for run in (lambda: ps.sop_bounds(scenario, chan, grid, target, rule_1000),
+                    lambda: ps.esc_bounds(scenario, chan, grid, rule_1000),
+                    lambda: montecarlo._mc_sweep(scenario, chan, grid, target,
                                                  ps.McConfig(trials=100))):
             with pytest.raises(ValueError, match="tx_power"):
                 run()
 
     def test_rejects_unequal_noises(self, scenario, target, rule_1000):
-        # rho = P/sigma^2 needs one noise level, as ChannelParams.rho does
+        # rho = P/sigma^2 needs one noise level: bounds._eta_rho forms it and raises
         chan = ps.ChannelParams(noise_bob=1.0, noise_willie=2.0)
         for bound in (lambda: ps.sop_bounds(scenario, chan, [1e8], target, rule_1000),
                       lambda: ps.esc_bounds(scenario, chan, [1e8], rule_1000),
@@ -544,7 +548,7 @@ class TestChannelLists:
     def test_block_memory_stays_bounded(self, scenario, target, rule_1000):
         # rows run in blocks of ~16 at n = 1000 (about 0.9 MB for the SOP
         # and 0.6 MB for the ESC); all 361 rows at once would take ~20 MB
-        chan = chan_at(1.0)
+        chan = ps.ChannelParams()
         powers = [10 ** (snr_db / 10.0) for snr_db in DENSE_GRID_DB]
         ps.sop_bounds(scenario, chan, powers[:2], target, rule_1000)
         ps.esc_bounds(scenario, chan, powers[:2], rule_1000)
@@ -575,8 +579,8 @@ class TestRowBuffer:
     POWERS = [*(10 ** (snr_db / 10.0) for snr_db in DENSE_GRID_DB[::8]), math.inf]
 
     def brackets(self, scenario, target, rule):
-        sop = ps.sop_bounds(scenario, chan_at(1.0), self.POWERS, target, rule)
-        esc = ps.esc_bounds(scenario, chan_at(1.0), self.POWERS, rule)
+        sop = ps.sop_bounds(scenario, ps.ChannelParams(), self.POWERS, target, rule)
+        esc = ps.esc_bounds(scenario, ps.ChannelParams(), self.POWERS, rule)
         return [side.tobytes() for side in (sop.lower, sop.upper, esc.lower, esc.upper)]
 
     @pytest.mark.parametrize("n", [200, 1000, 8000])
@@ -632,8 +636,8 @@ class TestRowBuffer:
 
         monkeypatch.setattr(bounds, "integrate", broken)
         before = ufunc_state()
-        for bound in (lambda: ps.sop_bounds(scenario, chan_at(1.0), [1e8], target, rule_1000),
-                      lambda: ps.esc_bounds(scenario, chan_at(1.0), [1e8], rule_1000)):
+        for bound in (lambda: ps.sop_bounds(scenario, ps.ChannelParams(), [1e8], target, rule_1000),
+                      lambda: ps.esc_bounds(scenario, ps.ChannelParams(), [1e8], rule_1000)):
             with pytest.raises(ArithmeticError, match="integrand"):
                 bound()
             assert ufunc_state() == before
@@ -657,7 +661,7 @@ class TestRowBuffer:
         thread = threading.Thread(target=other)
         thread.start()
         try:
-            ps.sop_bounds(scenario, chan_at(1.0), self.POWERS, target, rule_1000)
+            ps.sop_bounds(scenario, ps.ChannelParams(), self.POWERS, target, rule_1000)
         finally:
             inside.set()
             thread.join(30)
@@ -701,15 +705,15 @@ class TestSopKernel:
     @pytest.mark.parametrize("alpha", [0.0, 0.01, 16.0])
     def test_array_rows_equal_scalar_forms(self, scenario, alpha, rate):
         target = ps.SecrecyTarget(rate=rate)
-        chans = [*(chan_at(10 ** (snr_db / 10.0), alpha=alpha) for snr_db in DENSE_GRID_DB),
-                 chan_at(math.inf, alpha=alpha)]
-        span = bounds.attenuation_span(scenario, chans[0])
+        chan = ps.ChannelParams(attenuation=alpha)
+        powers = [*(10 ** (snr_db / 10.0) for snr_db in DENSE_GRID_DB), math.inf]
+        span = bounds.attenuation_span(scenario, chan)
         for direction in ((span, 1.0), (1.0, span)):
-            got = np.column_stack(bounds._outage_rows(scenario, target, [gain(c) for c in chans],
-                                                      *direction))
+            got = np.column_stack(bounds._outage_rows(
+                scenario, target, [gain(chan, p) for p in powers], *direction))
             want = []
-            for chan in chans:
-                abc = outage_coefficients(chan, target, *direction)
+            for power in powers:
+                abc = outage_coefficients(chan, power, target, *direction)
                 want.append([*abc, *outage_kinks(scenario, *abc)])
             # bit for bit, NaN (c = inf * 0 where the span underflows) included
             np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
@@ -833,19 +837,19 @@ class TestEscSeries:
     # rows with s = g/(d^2 + g) <= 1/2 take the series over moments, the others quadrature
 
     def test_series_matches_quadrature(self, rule_1000):
-        cases = [(ps.Scenario(), [chan_at(10 ** (snr_db / 10.0), alpha=alpha)
-                                  for snr_db in DENSE_GRID_DB])
+        cases = [(ps.Scenario(), ps.ChannelParams(attenuation=alpha),
+                  [10 ** (snr_db / 10.0) for snr_db in DENSE_GRID_DB])
                  for alpha in (0.0, 0.01, 16.0)]
         for data in PROPERTY_CONFIGS:
             cfg = cli.config_from_dict({**data, "snr_db_grid": [0.0]})
             for alpha in (cfg.channel.attenuation, 0.0):
-                cases.append((cfg.scenario, [
-                    ps.ChannelParams(carrier_freq=cfg.channel.carrier_freq, attenuation=alpha,
-                                     tx_power=10 ** (snr_db / 10.0))
-                    for snr_db in range(-20, 201, 10)]))
-        for scenario, chans in cases:
-            span = bounds.attenuation_span(scenario, chans[0])
-            gains = [gain(chan) for chan in chans]
+                cases.append((cfg.scenario,
+                              ps.ChannelParams(carrier_freq=cfg.channel.carrier_freq,
+                                               attenuation=alpha),
+                              [10 ** (snr_db / 10.0) for snr_db in range(-20, 201, 10)]))
+        for scenario, chan, powers in cases:
+            span = bounds.attenuation_span(scenario, chan)
+            gains = [gain(chan, power) for power in powers]
             for direction in ((1.0, span), (span, 1.0)):
                 got = bounds.esc_term_sums(scenario, rule_1000, gains, *direction)
                 want = quadrature_term_sums(scenario, rule_1000, gain_rows(gains, *direction))
@@ -863,11 +867,11 @@ class TestEscSeries:
 
     def test_underflowed_gain_is_zero(self, scenario, rule_1000):
         # at -3200 dB eta*rho underflows to 0: s is exactly 0, and so is the row
-        chan = chan_at(10 ** (-320.0))
-        assert chan.eta * chan.rho == 0.0
+        g = gain(ps.ChannelParams(), 10 ** (-320.0))
+        assert g == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sums = bounds.esc_term_sums(scenario, rule_1000, [gain(chan)], 1.0, 1.0)
+            sums = bounds.esc_term_sums(scenario, rule_1000, [g], 1.0, 1.0)
         assert sums.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     def test_quadrature_only_where_s_exceeds_half(self, scenario, rule_1000, monkeypatch):
@@ -876,7 +880,7 @@ class TestEscSeries:
         monkeypatch.setattr(bounds, "_rate_offset",
                             lambda gain, *a: rows.append(np.shape(gain)[0]) or offset(gain, *a))
         # to 60 dB eta*rho stays below d^2 = 9: no log1p per node
-        ps.esc_bounds(scenario, chan_at(1.0),
+        ps.esc_bounds(scenario, ps.ChannelParams(),
                       [10 ** (snr_db / 10.0) for snr_db in DENSE_GRID_DB[:281]], rule_1000)
         assert rows == []
         # at g = d^2 the series still, one ulp past it quadrature
@@ -887,10 +891,10 @@ class TestEscSeries:
         # rho = inf: both directions have the gains (inf, inf), one row each
         # on the Zb density and on each Zw piece; at alpha = 0 the two
         # directions are one, evaluated once
-        ps.esc_asymptotic(scenario, chan_at(1e8), rule_1000)
+        ps.esc_asymptotic(scenario, ps.ChannelParams(), rule_1000)
         assert rows == [2, 2, 2, 2]
         rows.clear()
-        ps.esc_asymptotic(scenario, chan_at(1e8, alpha=0.0), rule_1000)
+        ps.esc_asymptotic(scenario, ps.ChannelParams(attenuation=0.0), rule_1000)
         assert rows == [1, 1, 1, 1]
 
 
@@ -922,17 +926,19 @@ class TestHighSnrEstimators:
             ps.slope_estimate(lambda r: 1.0, 1e3, 1e3)
 
     def test_saturating_curves_have_zero_order(self, scenario, target, rule_1000):
+        chan = ps.ChannelParams()
+
         def sop_up(rho):
-            return sop_at(scenario, chan_at(rho), target, rule_1000).upper
+            return sop_at(scenario, chan, rho, target, rule_1000).upper
 
         def sop_lo(rho):
-            return sop_at(scenario, chan_at(rho), target, rule_1000).lower
+            return sop_at(scenario, chan, rho, target, rule_1000).lower
 
         def esc_up(rho):
-            return esc_at(scenario, chan_at(rho), rule_1000).upper
+            return esc_at(scenario, chan, rho, rule_1000).upper
 
         def esc_lo(rho):
-            return esc_at(scenario, chan_at(rho), rule_1000).lower
+            return esc_at(scenario, chan, rho, rule_1000).lower
 
         assert abs(ps.diversity_estimate(sop_up, 1e12, 1e14)) < 1e-6
         assert abs(ps.diversity_estimate(sop_lo, 1e12, 1e14)) < 1e-6

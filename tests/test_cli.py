@@ -173,6 +173,21 @@ class TestConfigFromDict:
         assert cfg.channel.attenuation == 0.01
         assert (cfg.channel.noise_bob, cfg.channel.noise_willie) == (1.0, 2.0)
 
+    def test_grid_is_the_power_not_rho(self):
+        # snr_db is P in dB, and rho = P/sigma^2: at sigma^2 = 4 the powers 4e5 and 4e3
+        # give, bit for bit, the unit-noise results at 1e5 and 1e3
+        scenario, target, rule = ps.Scenario(), ps.SecrecyTarget(), ps.make_rule(100)
+        cfg = ps.McConfig(trials=2000, seed=9, chunk_size=512)
+        results = []
+        for noise, powers in ((4.0, [4e5, 4e3]), (1.0, [1e5, 1e3])):
+            chan = ps.ChannelParams(noise_bob=noise, noise_willie=noise)
+            sop = ps.sop_bounds(scenario, chan, powers, target, rule)
+            esc = ps.esc_bounds(scenario, chan, powers, rule)
+            mc = montecarlo._mc_sweep(scenario, chan, powers, target, cfg)
+            results.append([a.tobytes() for a in (sop.lower, sop.upper, esc.lower, esc.upper, mc)])
+        assert results[0] == results[1]
+        assert len(set(results[0])) == 5
+
 
 class TestLoadConfig:
     def test_empty_file_means_defaults(self, tmp_path):
@@ -604,12 +619,15 @@ class TestMain:
     def test_bad_snr_list(self, capsys):
         assert cli.main(["sweep", "--snr-db", "5,3"]) == 2
         assert "strictly increasing" in capsys.readouterr().err
-        for grid in ("0,nan", "0,inf"):
+        # a list that starts -inf or -nan is glued like a negative number, so that the
+        # grid's own check names it
+        for grid in ("0,nan", "0,inf", "-inf,0", "-INF", "-Infinity,0", "-nan", "-NaN,0"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert cli.main(["sweep", "--snr-db", grid]) == 2, grid
-            err = capsys.readouterr().err
-            assert "snr_db_grid" in err and "finite" in err, grid
+            captured = capsys.readouterr()
+            assert captured.out == "", grid
+            assert captured.err == "error: snr_db_grid: entries must be finite\n", grid
 
     def test_snr_list_may_start_negative(self, capsys):
         outs = []

@@ -5,7 +5,6 @@ reduction) is replicated by hand in one test so any change to the draw
 layout or the reduction arithmetic is caught exactly, not statistically.
 """
 
-import dataclasses
 import math
 import subprocess
 import sys
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 import pinchsec as ps
-from conftest import chan_at, esc_at, simd_class, sop_at
+from conftest import esc_at, simd_class, sop_at
 from pinchsec import montecarlo
 from pinchsec.diststats import _draw_positions
 
@@ -55,22 +54,22 @@ class TestConfig:
 
 class TestReproducibility:
     def test_identical_reruns(self, scenario, target):
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
         cfg = small_cfg()
-        a = ps.mc_sop_pa(scenario, chan, target, cfg)
-        b = ps.mc_sop_pa(scenario, chan, target, cfg)
+        a = ps.mc_sop_pa(scenario, chan, 1e8, target, cfg)
+        b = ps.mc_sop_pa(scenario, chan, 1e8, target, cfg)
         assert (a.mean, a.std_error, a.trials) == (b.mean, b.std_error, b.trials)
-        c = ps.mc_esc_pa(scenario, chan, cfg)
-        d = ps.mc_esc_pa(scenario, chan, cfg)
+        c = ps.mc_esc_pa(scenario, chan, 1e8, cfg)
+        d = ps.mc_esc_pa(scenario, chan, 1e8, cfg)
         assert (c.mean, c.std_error) == (d.mean, d.std_error)
 
     def test_worker_count_invariance(self, scenario, target):
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
         cfg = small_cfg(trials=5000)
-        for fn in (lambda w: ps.mc_sop_pa(scenario, chan, target, cfg, workers=w),
-                   lambda w: ps.mc_esc_pa(scenario, chan, cfg, workers=w),
-                   lambda w: ps.mc_sop_fa(scenario, chan, target, cfg, workers=w),
-                   lambda w: ps.mc_esc_fa(scenario, chan, cfg, workers=w)):
+        for fn in (lambda w: ps.mc_sop_pa(scenario, chan, 1e8, target, cfg, workers=w),
+                   lambda w: ps.mc_esc_pa(scenario, chan, 1e8, cfg, workers=w),
+                   lambda w: ps.mc_sop_fa(scenario, chan, 1e8, target, cfg, workers=w),
+                   lambda w: ps.mc_esc_fa(scenario, chan, 1e8, cfg, workers=w)):
             one, three = fn(1), fn(3)
             assert (one.mean, one.std_error) == (three.mean, three.std_error)
 
@@ -78,17 +77,17 @@ class TestReproducibility:
         # one pass over a grid that straddles rho* (43.4 dB) gives, at every
         # point, exactly what the four single-channel estimators give
         powers = [10 ** (db / 10.0) for db in (35.0, 43.0, 44.0, 50.0)]
-        cfg = small_cfg(trials=3000)
-        views = (lambda c, w: ps.mc_sop_pa(scenario, c, target, cfg, workers=w),
-                 lambda c, w: ps.mc_esc_pa(scenario, c, cfg, workers=w),
-                 lambda c, w: ps.mc_sop_fa(scenario, c, target, cfg, workers=w),
-                 lambda c, w: ps.mc_esc_fa(scenario, c, cfg, workers=w))
+        cfg, chan = small_cfg(trials=3000), ps.ChannelParams()
+        views = (lambda p, w: ps.mc_sop_pa(scenario, chan, p, target, cfg, workers=w),
+                 lambda p, w: ps.mc_esc_pa(scenario, chan, p, cfg, workers=w),
+                 lambda p, w: ps.mc_sop_fa(scenario, chan, p, target, cfg, workers=w),
+                 lambda p, w: ps.mc_esc_fa(scenario, chan, p, cfg, workers=w))
         for workers in (1, 3):
-            grid = montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg, workers)
+            grid = montecarlo._mc_sweep(scenario, chan, powers, target, cfg, workers)
             assert grid.shape == (len(powers), 2, 2, 2)
             for power, estimates in zip(powers, grid.reshape(len(powers), 4, 2).tolist()):
                 assert estimates == [[est.mean, est.std_error]
-                                     for est in (view(chan_at(power), 1) for view in views)]
+                                     for est in (view(power, 1) for view in views)]
 
     def test_views_evaluate_only_their_kernel(self, scenario, target, monkeypatch):
         # a view forms its own kernel's geometry once per slab (2000 trials
@@ -109,9 +108,9 @@ class TestReproducibility:
         cfg = small_cfg()
         slabs = len(montecarlo._slabs(cfg))
         assert slabs == 2
-        ps.mc_sop_pa(scenario, chan_at(1e4), target, cfg)
+        ps.mc_sop_pa(scenario, ps.ChannelParams(), 1e4, target, cfg)
         assert calls == {"_pa_geometry": slabs, "_fa_geometry": 0, "_secrecy_ratio": slabs}
-        ps.mc_esc_fa(scenario, chan_at(1e4), cfg)
+        ps.mc_esc_fa(scenario, ps.ChannelParams(), 1e4, cfg)
         assert calls == {"_pa_geometry": slabs, "_fa_geometry": slabs,
                          "_secrecy_ratio": 2 * slabs}
 
@@ -134,7 +133,7 @@ class TestReproducibility:
         cfg = ps.McConfig(trials=7 * (2 * per_slab + 144) + 3, seed=seed, chunk_size=7)
         slabs = montecarlo._slabs(cfg)
         assert [n for _, n, _ in slabs] == [per_slab, per_slab, 144, 1] and slabs[-1][2] == 3
-        montecarlo._mc_sweep(scenario, chan_at(1.0), [1e4], target, cfg, 1,
+        montecarlo._mc_sweep(scenario, ps.ChannelParams(), [1e4], target, cfg, 1,
                              (montecarlo._pa_geometry,))
         assert [(n, fill.shape) for n, fill in fills] == [(k * size, (k, 4, size))
                                                          for _, k, size in slabs]
@@ -147,9 +146,9 @@ class TestReproducibility:
         assert far.random(8).tobytes() == stream.random(8).tobytes()
 
     def test_seed_changes_result(self, scenario, target):
-        chan = chan_at(1e8)
-        a = ps.mc_sop_pa(scenario, chan, target, small_cfg(seed=1))
-        b = ps.mc_sop_pa(scenario, chan, target, small_cfg(seed=2))
+        chan = ps.ChannelParams()
+        a = ps.mc_sop_pa(scenario, chan, 1e8, target, small_cfg(seed=1))
+        b = ps.mc_sop_pa(scenario, chan, 1e8, target, small_cfg(seed=2))
         assert a.mean != b.mean
 
     def test_manual_replication(self, scenario, target):
@@ -157,9 +156,9 @@ class TestReproducibility:
         # draw (x1, x2, y1, y2) in turn from one PCG64(4242) stream; a trial's
         # Rb - Rw is log1p(t)/(2 ln 2) with t = p/(r + q), in outage
         # where t < 4^Rbar - 1; the sums are scaled once at the end
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
         cfg = ps.McConfig(trials=300, seed=4242, chunk_size=128)
-        r = 1.0 / (chan.eta * chan.tx_power)
+        r = 1.0 / (chan.eta * 1e8)
         total, s, s2 = 0, 0.0, 0.0
         rng = np.random.Generator(np.random.PCG64(4242))
         for k in range(3):
@@ -181,39 +180,39 @@ class TestReproducibility:
         scale = 0.5 / math.log(2.0)
         s, s2 = s * scale, s2 * (scale * scale)
         p = total / 300
-        sop = ps.mc_sop_pa(scenario, chan, target, cfg)
+        sop = ps.mc_sop_pa(scenario, chan, 1e8, target, cfg)
         assert sop.mean == p
         assert sop.std_error == math.sqrt(p * (1.0 - p) / 300)
-        esc = ps.mc_esc_pa(scenario, chan, cfg)
+        esc = ps.mc_esc_pa(scenario, chan, 1e8, cfg)
         assert esc.mean == s / 300
         var = max((s2 - s * s / 300) / 299, 0.0)
         assert esc.std_error == math.sqrt(var / 300)
 
 
-def _oracle_pa(scenario, chan, x1, x2, y1, y2):
-    # the PA's t = p/(r + q), q = loss/Nw, p = (Nw - Nb)*q/Nb, for one channel, in the noise
+def _oracle_pa(scenario, chan, power, x1, x2, y1, y2):
+    # the PA's t = p/(r + q), q = loss/Nw, p = (Nw - Nb)*q/Nb, for one power, in the noise
     # powers' own units
     d2 = scenario.waveguide_height ** 2
     loss = np.exp(-2.0 * chan.attenuation * (x1 + scenario.side_length / 2.0))
     nb = (y1 ** 2 + d2) * chan.noise_bob
     nw = ((x1 - x2) ** 2 + y2 ** 2 + d2) * chan.noise_willie
     q = loss / nw
-    return (nw - nb) * q / nb / (1.0 / (chan.eta * chan.tx_power) + q)
+    return (nw - nb) * q / nb / (1.0 / (chan.eta * power) + q)
 
 
-def _oracle_fa(scenario, chan, x1, x2, y1, y2):
+def _oracle_fa(scenario, chan, power, x1, x2, y1, y2):
     d2 = scenario.waveguide_height ** 2
     nb = (x1 ** 2 + y1 ** 2 + d2) * chan.noise_bob
     nw = (x2 ** 2 + y2 ** 2 + d2) * chan.noise_willie
     q = 1.0 / nw
-    return (nw - nb) * q / nb / (1.0 / (chan.eta * chan.tx_power) + q)
+    return (nw - nb) * q / nb / (1.0 / (chan.eta * power) + q)
 
 
-def _oracle_sweep(scenario, chans, target, cfg):
-    """The engine's estimates, one channel and one kernel at a time.
+def _oracle_sweep(scenario, chan, powers, target, cfg):
+    """The engine's estimates, one power and one kernel at a time.
 
     The chunks draw their positions in turn from one
-    Generator(PCG64(seed)).  Every channel forms each kernel's t on them and
+    Generator(PCG64(seed)).  Every power forms each kernel's t on them and
     reduces the outage count, log1p(t) and its square with 1-D sums; the
     sums are added up in chunk order and scaled by 1/(2 ln 2) once.  The
     engine measures powers in a power of two; scaling by one changes no
@@ -225,9 +224,9 @@ def _oracle_sweep(scenario, chans, target, cfg):
     for first in range(0, cfg.trials, cfg.chunk_size):
         positions = _draw_positions(rng, scenario.side_length,
                                     min(cfg.chunk_size, cfg.trials - first))
-        for i, chan in enumerate(chans):
+        for i, power in enumerate(powers):
             for j, kernel in enumerate((_oracle_pa, _oracle_fa)):
-                t = kernel(scenario, chan, *positions)
+                t = kernel(scenario, chan, power, *positions)
                 logs = np.log1p(t)
                 c, s, s2 = totals.get((i, j), (0, 0.0, 0.0))
                 totals[i, j] = (c + int(np.sum(t < below)), s + float(np.sum(logs)),
@@ -235,7 +234,7 @@ def _oracle_sweep(scenario, chans, target, cfg):
     n = cfg.trials
     scale = 0.5 / math.log(2.0)
     grid = []
-    for i in range(len(chans)):
+    for i in range(len(powers)):
         row = []
         for j in range(2):
             count, s, s2 = totals[i, j]
@@ -325,19 +324,18 @@ class TestBatchedEngine:
         # so slabs and blocks of every shape must give the oracle's bits
         trials, chunk_size = (n * montecarlo._SLAB_TRIALS // 16384 for n in (trials, chunk_size))
         target = ps.SecrecyTarget(rate=0.05)
-        chans = [ps.ChannelParams(attenuation=0.05, tx_power=10 ** (db / 10.0),
-                                  noise_bob=2.0, noise_willie=0.5)
-                 for db in np.linspace(20.0, 90.0, 21)]
+        chan = ps.ChannelParams(attenuation=0.05, noise_bob=2.0, noise_willie=0.5)
+        powers = [10 ** (db / 10.0) for db in np.linspace(20.0, 90.0, 21)]
         cfg = ps.McConfig(trials=trials, seed=2024, chunk_size=chunk_size)
         widths = [n * size for _, n, size in montecarlo._slabs(cfg)]
         assert sum(widths) == trials
         assert 4 * montecarlo._SLAB_TRIALS // max(widths) == rows_per_block
-        want = _oracle_sweep(scenario, chans, target, cfg)
+        want = _oracle_sweep(scenario, chan, powers, target, cfg)
         assert len({est[0] for row in want for kernel in row for est in kernel}) > 30
         for workers in (1, 2, 3):
             # the engine's reduction on arrays, bit for bit, against Python's floats
-            assert montecarlo._mc_sweep(scenario, chans[0], [chan.tx_power for chan in chans],
-                                        target, cfg, workers).tolist() == want
+            assert montecarlo._mc_sweep(scenario, chan, powers, target, cfg,
+                                        workers).tolist() == want
 
     @pytest.mark.parametrize("rows, blocks", [(5, [5]), (6, [4, 2])], ids=["5-1", "6-2"])
     def test_short_grid_runs_as_one_block(self, scenario, monkeypatch, rows, blocks):
@@ -353,17 +351,15 @@ class TestBatchedEngine:
             return secrecy_ratio(*args)
 
         monkeypatch.setattr(montecarlo, "_secrecy_ratio", counted)
-        chans = [ps.ChannelParams(attenuation=0.05, tx_power=10 ** (db / 10.0),
-                                  noise_bob=2.0, noise_willie=0.5)
-                 for db in np.linspace(40.0, 65.0, rows)]
+        chan = ps.ChannelParams(attenuation=0.05, noise_bob=2.0, noise_willie=0.5)
+        powers = [10 ** (db / 10.0) for db in np.linspace(40.0, 65.0, rows)]
         slab = montecarlo._SLAB_TRIALS
         cfg = ps.McConfig(trials=2 * slab + 100, seed=77, chunk_size=4096)
         assert [n * size for _, n, size in montecarlo._slabs(cfg)] == [slab, slab, 100]
         target = ps.SecrecyTarget(rate=0.05)
-        got = montecarlo._mc_sweep(scenario, chans[0], [chan.tx_power for chan in chans],
-                                   target, cfg)
+        got = montecarlo._mc_sweep(scenario, chan, powers, target, cfg)
         assert calls == blocks * (3 * 2)  # the rows of each block, per slab and kernel
-        assert got.tolist() == _oracle_sweep(scenario, chans, target, cfg)
+        assert got.tolist() == _oracle_sweep(scenario, chan, powers, target, cfg)
 
     @pytest.mark.parametrize("trials", [65535, 70000])
     def test_outage_count_exact_past_narrow_widths(self, scenario, target, trials):
@@ -372,12 +368,11 @@ class TestBatchedEngine:
         # and past it; a count kept in 8 or 16 bits would wrap.  At 45 dB the
         # count is ~96% of the chunk, held to the oracle's Python ints
         cfg = ps.McConfig(trials=trials, seed=8, chunk_size=trials)
-        chans = [chan_at(10 ** (db / 10.0)) for db in (40.0, 45.0)]
-        want = _oracle_sweep(scenario, chans, target, cfg)
+        chan, powers = ps.ChannelParams(), [10 ** (db / 10.0) for db in (40.0, 45.0)]
+        want = _oracle_sweep(scenario, chan, powers, target, cfg)
         assert 0.95 < want[1][0][0][0] < 1.0
         for workers in (1, 2):
-            got = montecarlo._mc_sweep(scenario, chans[0], [chan.tx_power for chan in chans],
-                                       target, cfg, workers)
+            got = montecarlo._mc_sweep(scenario, chan, powers, target, cfg, workers)
             assert got[0, :, 0].tolist() == [[1.0, 0.0], [1.0, 0.0]]
             assert got.tolist() == want
 
@@ -400,8 +395,7 @@ class TestBatchedEngine:
         assert montecarlo._certain_outage(scenario, chan, inverse_gains, thr).tolist() == [
             True, False, True, False, False]
         cfg = ps.McConfig(trials=5000, seed=606, chunk_size=1024)
-        want = _oracle_sweep(scenario, [dataclasses.replace(chan, tx_power=p) for p in powers],
-                             target, cfg)
+        want = _oracle_sweep(scenario, chan, powers, target, cfg)
         for workers in (1, 2):
             got = montecarlo._mc_sweep(scenario, chan, powers, target, cfg, workers)
             assert got.tolist() == want
@@ -412,8 +406,7 @@ class TestBatchedEngine:
         assert not montecarlo._certain_outage(
             scenario, chan, montecarlo._inverse_gains(scenario, chan, tiny), 0.0).any()
         got = montecarlo._mc_sweep(scenario, chan, tiny, zero, cfg)
-        assert got.tolist() == _oracle_sweep(
-            scenario, [dataclasses.replace(chan, tx_power=p) for p in tiny], zero, cfg)
+        assert got.tolist() == _oracle_sweep(scenario, chan, tiny, zero, cfg)
         assert np.all(got[:, :, 0, 0] < 1.0)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -456,7 +449,7 @@ class TestBatchedEngine:
         slabs = montecarlo._slabs(cfg)
         assert [n * size for _, n, size in slabs] == [slab, slab, 848]
         kernels = (formed(montecarlo._pa_geometry), formed(montecarlo._fa_geometry))
-        montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg, workers, kernels)
+        montecarlo._mc_sweep(scenario, ps.ChannelParams(), powers, target, cfg, workers, kernels)
         # per slab, two geometries of three rows a chunk; per kernel, four blocks
         # of p and q rows and the grid's 13 rows of ratios, chunk by chunk
         assert [start % 64 for start in fills] == [0] * len(slabs)
@@ -469,21 +462,25 @@ class TestBatchedEngine:
         positions = np.array(KERNEL_POSITIONS)
         for snr_db, rows in KERNEL_REFERENCE.items():
             power = 10 ** (snr_db / 10.0) if math.isfinite(snr_db) else math.inf
-            chan = ps.ChannelParams(attenuation=0.05, tx_power=power, noise_bob=0.5,
-                                    noise_willie=2.0)
+            chan = ps.ChannelParams(attenuation=0.05, noise_bob=0.5, noise_willie=2.0)
             for kernel, want in zip((ps.pa_secrecy_rate, ps.fa_secrecy_rate), rows):
-                got = kernel(scenario, chan, *positions).tolist()
+                got = kernel(scenario, chan, power, *positions).tolist()
                 assert got == pytest.approx(want, rel=5e-14), (snr_db, kernel)
 
     @pytest.mark.parametrize("power", [0.0, -1.0, math.nan])
     def test_rejects_what_tx_power_rejects(self, scenario, target, power):
-        with pytest.raises(ValueError, match="tx_power"):
-            ps.ChannelParams(tx_power=power)
-        with pytest.raises(ValueError, match="tx_power"):
-            montecarlo._mc_sweep(scenario, chan_at(1.0), [1e4, power], target, small_cfg())
+        # one bad power in a grid, or the one power of a view
+        chan, cfg = ps.ChannelParams(), small_cfg()
+        for run in (lambda: montecarlo._mc_sweep(scenario, chan, [1e4, power], target, cfg),
+                    lambda: ps.mc_sop_pa(scenario, chan, power, target, cfg),
+                    lambda: ps.mc_esc_pa(scenario, chan, power, cfg),
+                    lambda: ps.mc_sop_fa(scenario, chan, power, target, cfg),
+                    lambda: ps.mc_esc_fa(scenario, chan, power, cfg)):
+            with pytest.raises(ValueError, match="tx_power must be > 0"):
+                run()
 
     def test_empty_grid(self, scenario, target):
-        assert montecarlo._mc_sweep(scenario, chan_at(1.0), [], target,
+        assert montecarlo._mc_sweep(scenario, ps.ChannelParams(), [], target,
                                     small_cfg()).shape == (0, 2, 2, 2)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -519,11 +516,11 @@ class TestBatchedEngine:
         # all 400 rows at once would take ~13 MB per array
         powers = [10 ** (0.2 * k) for k in range(400)]
         cfg = ps.McConfig(trials=4096, seed=5, chunk_size=4096)
-        montecarlo._mc_sweep(scenario, chan_at(1.0), powers[:2], target, cfg)
+        montecarlo._mc_sweep(scenario, ps.ChannelParams(), powers[:2], target, cfg)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg)
+            montecarlo._mc_sweep(scenario, ps.ChannelParams(), powers, target, cfg)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -538,11 +535,11 @@ class TestBatchedEngine:
         # are handed out ahead of the one folded
         powers = [10 ** (db / 10.0) for db in (40.0, 45.0, 50.0, 55.0, 60.0)]
         cfg = ps.McConfig(trials=1000000, seed=5, chunk_size=4096)
-        montecarlo._mc_sweep(scenario, chan_at(1.0), powers[:1], target, small_cfg(), 2)
+        montecarlo._mc_sweep(scenario, ps.ChannelParams(), powers[:1], target, small_cfg(), 2)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg, 2)
+            montecarlo._mc_sweep(scenario, ps.ChannelParams(), powers, target, cfg, 2)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -569,7 +566,7 @@ class TestBatchedEngine:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                montecarlo._mc_sweep(scenario, chan_at(1.0), powers, target, cfg, workers)
+                montecarlo._mc_sweep(scenario, ps.ChannelParams(), powers, target, cfg, workers)
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -584,29 +581,29 @@ class TestDegenerateGeometry:
     def test_colocated_users_always_outage(self, target):
         # a vanishing floor collapses Bob and Willie onto the same point
         tiny = ps.Scenario(side_length=1e-9, waveguide_height=3.0)
-        est = ps.mc_sop_pa(tiny, chan_at(1e8), target, small_cfg(trials=1000))
+        est = ps.mc_sop_pa(tiny, ps.ChannelParams(), 1e8, target, small_cfg(trials=1000))
         assert est.mean == 1.0
         assert est.std_error == 0.0
 
     def test_vanishing_power(self, scenario, target):
-        chan = chan_at(1e-10)
+        chan = ps.ChannelParams()
         cfg = small_cfg(trials=1000)
-        assert ps.mc_sop_pa(scenario, chan, target, cfg).mean == 1.0
-        assert abs(ps.mc_esc_pa(scenario, chan, cfg).mean) < 1e-9
+        assert ps.mc_sop_pa(scenario, chan, 1e-10, target, cfg).mean == 1.0
+        assert abs(ps.mc_esc_pa(scenario, chan, 1e-10, cfg).mean) < 1e-9
 
     def test_small_room_pa_approaches_fa(self, target):
         # as the room shrinks both systems converge to the same point link.
         # note the estimates do not merge in std-error units: the PA-FA gap
         # and the std error both scale as D^2, leaving a scale-invariant
         # z-score (~63 at 2e4 trials), so agreement is asserted absolutely
-        chan = chan_at(1e8, alpha=0.0)
+        chan = ps.ChannelParams(attenuation=0.0)
         cfg = ps.McConfig(trials=20000, seed=31, chunk_size=4096)
         for side, tol in ((0.01, 1e-5), (0.001, 1e-7)):
             tiny = ps.Scenario(side_length=side, waveguide_height=3.0)
-            assert ps.mc_sop_pa(tiny, chan, target, cfg).mean == 1.0
-            assert ps.mc_sop_fa(tiny, chan, target, cfg).mean == 1.0
-            esc_pa = ps.mc_esc_pa(tiny, chan, cfg)
-            esc_fa = ps.mc_esc_fa(tiny, chan, cfg)
+            assert ps.mc_sop_pa(tiny, chan, 1e8, target, cfg).mean == 1.0
+            assert ps.mc_sop_fa(tiny, chan, 1e8, target, cfg).mean == 1.0
+            esc_pa = ps.mc_esc_pa(tiny, chan, 1e8, cfg)
+            esc_fa = ps.mc_esc_fa(tiny, chan, 1e8, cfg)
             assert abs(esc_pa.mean) < tol and abs(esc_fa.mean) < tol
             assert abs(esc_pa.mean - esc_fa.mean) < tol
 
@@ -615,14 +612,16 @@ class TestInfinitePower:
     def test_high_snr_limit(self, scenario, target, rule_1000):
         # at rho = inf, r = 0 gives t = (Nw - Nb)/Nb, the exact high-SNR
         # limit: no inf - inf, so no warning and no NaN estimate
-        chan = chan_at(math.inf)
+        chan, inf = ps.ChannelParams(), math.inf
         cfg = ps.McConfig(trials=200000, seed=12345)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = montecarlo._mc_sweep(scenario, chan, [math.inf], target, cfg)
+            grid = montecarlo._mc_sweep(scenario, chan, [inf], target, cfg)
             views = [[est.mean, est.std_error] for est in (
-                ps.mc_sop_pa(scenario, chan, target, cfg), ps.mc_esc_pa(scenario, chan, cfg),
-                ps.mc_sop_fa(scenario, chan, target, cfg), ps.mc_esc_fa(scenario, chan, cfg))]
+                ps.mc_sop_pa(scenario, chan, inf, target, cfg),
+                ps.mc_esc_pa(scenario, chan, inf, cfg),
+                ps.mc_sop_fa(scenario, chan, inf, target, cfg),
+                ps.mc_esc_fa(scenario, chan, inf, cfg))]
             # 4^Rbar overflows from Rbar = 512: the threshold is +inf, outage certain
             certain = [montecarlo._mc_sweep(scenario, chan, [1e8, math.inf],
                                             ps.SecrecyTarget(rate=rate), small_cfg())
@@ -652,7 +651,7 @@ class TestInfinitePower:
                                                     [1e8, math.inf], target, cfg)
                                for alpha in (20.0, 0.0))
             rates = [montecarlo.pa_secrecy_rate(
-                scenario, ps.ChannelParams(attenuation=alpha, tx_power=math.inf), *far)
+                scenario, ps.ChannelParams(attenuation=alpha), math.inf, *far)
                 for alpha in (20.0, 0.0)]
         assert np.all(np.isfinite(lossy[1]))
         assert lossy[1].tobytes() == lossless[1].tobytes()
@@ -686,31 +685,30 @@ class TestInfinitePower:
 class TestStatisticalBehavior:
     def test_agrees_with_exact_point_when_bounds_collapse(self, scenario, target, rule_1000):
         cfg = ps.McConfig(trials=50000, seed=12345)
-        chan = chan_at(10 ** 4.5, alpha=0.0)
-        point = sop_at(scenario, chan, target, rule_1000)
+        chan = ps.ChannelParams(attenuation=0.0)
+        point = sop_at(scenario, chan, 10 ** 4.5, target, rule_1000)
         assert point.lower == point.upper
-        est = ps.mc_sop_pa(scenario, chan, target, cfg)
+        est = ps.mc_sop_pa(scenario, chan, 10 ** 4.5, target, cfg)
         assert abs(est.mean - point.lower) <= 3.0 * est.std_error
-        chan2 = chan_at(1e2, alpha=0.0)
-        point2 = esc_at(scenario, chan2, rule_1000)
-        est2 = ps.mc_esc_pa(scenario, chan2, cfg)
+        point2 = esc_at(scenario, chan, 1e2, rule_1000)
+        est2 = ps.mc_esc_pa(scenario, chan, 1e2, cfg)
         assert abs(est2.mean - point2.lower) <= 3.0 * est2.std_error
 
     def test_std_error_scales_with_trials(self, scenario, target):
         # quadrupling the trial count halves the standard error; one
         # doubling shrinks it by 1/sqrt(2)
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
         sizes = (20000, 40000, 80000)
-        sop = [ps.mc_sop_pa(scenario, chan, target,
+        sop = [ps.mc_sop_pa(scenario, chan, 1e8, target,
                             ps.McConfig(trials=n, seed=99)).std_error for n in sizes]
-        esc = [ps.mc_esc_pa(scenario, chan,
+        esc = [ps.mc_esc_pa(scenario, chan, 1e8,
                             ps.McConfig(trials=n, seed=99)).std_error for n in sizes]
         for se in (sop, esc):
             assert se[1] / se[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
             assert se[2] / se[0] == pytest.approx(0.5, rel=0.2)
 
     def test_outage_se_bernoulli(self, scenario, target):
-        est = ps.mc_sop_pa(scenario, chan_at(1e8), target, small_cfg())
+        est = ps.mc_sop_pa(scenario, ps.ChannelParams(), 1e8, target, small_cfg())
         want = math.sqrt(est.mean * (1.0 - est.mean) / est.trials)
         assert est.std_error == want
 
@@ -718,21 +716,21 @@ class TestStatisticalBehavior:
 class TestBaselineComparison:
     def test_fixed_antenna_never_better(self, scenario, target):
         # same position stream for both systems (paired comparison)
-        cfg = ps.McConfig(trials=50000, seed=12345)
+        cfg, chan = ps.McConfig(trials=50000, seed=12345), ps.ChannelParams()
         for snr_db in (15.0, 30.0, 45.0):
-            chan = chan_at(10 ** (snr_db / 10.0))
-            assert (ps.mc_sop_fa(scenario, chan, target, cfg).mean
-                    >= ps.mc_sop_pa(scenario, chan, target, cfg).mean)
-            assert (ps.mc_esc_fa(scenario, chan, cfg).mean
-                    <= ps.mc_esc_pa(scenario, chan, cfg).mean)
+            power = 10 ** (snr_db / 10.0)
+            assert (ps.mc_sop_fa(scenario, chan, power, target, cfg).mean
+                    >= ps.mc_sop_pa(scenario, chan, power, target, cfg).mean)
+            assert (ps.mc_esc_fa(scenario, chan, power, cfg).mean
+                    <= ps.mc_esc_pa(scenario, chan, power, cfg).mean)
 
     def test_mc_inside_analytic_bracket(self, scenario, target, rule_1000):
-        cfg = ps.McConfig(trials=50000, seed=12345)
+        cfg, chan = ps.McConfig(trials=50000, seed=12345), ps.ChannelParams()
         for snr_db in (30.0, 45.0):
-            chan = chan_at(10 ** (snr_db / 10.0))
-            pair = sop_at(scenario, chan, target, rule_1000)
-            est = ps.mc_sop_pa(scenario, chan, target, cfg)
+            power = 10 ** (snr_db / 10.0)
+            pair = sop_at(scenario, chan, power, target, rule_1000)
+            est = ps.mc_sop_pa(scenario, chan, power, target, cfg)
             assert pair.lower - 3.0 * est.std_error <= est.mean <= pair.upper + 3.0 * est.std_error
-            epair = esc_at(scenario, chan, rule_1000)
-            eest = ps.mc_esc_pa(scenario, chan, cfg)
+            epair = esc_at(scenario, chan, power, rule_1000)
+            eest = ps.mc_esc_pa(scenario, chan, power, cfg)
             assert epair.lower - 3.0 * eest.std_error <= eest.mean <= epair.upper + 3.0 * eest.std_error

@@ -31,6 +31,7 @@ import pytest
 
 import pinchsec as ps
 from pinchsec import cli
+from conftest import gain
 
 TRIALS = 20000
 FIXED_GEOMETRIES = ((0.01, 100.0), (1e-3, 3.0), (1e4, 0.01))
@@ -63,8 +64,7 @@ def _ids(configs):
 
 def _near_field_trials(cfg, snr_db):
     """Expected number of trials with Bob within max(d, sqrt(eta*rho)) of the radiator."""
-    chan = dataclasses.replace(cfg.channel, tx_power=10 ** (snr_db / 10.0))
-    reach = max(cfg.scenario.waveguide_height, math.sqrt(chan.eta * chan.rho))
+    reach = max(cfg.scenario.waveguide_height, math.sqrt(gain(cfg.channel, 10 ** (snr_db / 10.0))))
     return TRIALS * min(1.0, 2.0 * reach / cfg.scenario.side_length)
 
 

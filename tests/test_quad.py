@@ -5,7 +5,7 @@ import pytest
 
 import pinchsec as ps
 from pinchsec import bounds, quad
-from conftest import chan_at, gain, sop_directions
+from conftest import gain, sop_directions
 
 
 class TestMakeRule:
@@ -152,15 +152,16 @@ class TestTermConvergence:
         # capacity terms with corners at their piece ends included: the
         # pieces are split at the kinks and integrated on the tanh-sinh
         # nodes (~2e-16 at these node counts)
-        chan = chan_at(1e8)
+        chan = ps.ChannelParams()
+        g = gain(chan, 1e8)
         rels = []
         for direction in sop_directions(scenario, chan):
-            a = bounds.sop_term_sums(scenario, target, rule_1000, [gain(chan)], *direction)[0]
-            b = bounds.sop_term_sums(scenario, target, rule_8000, [gain(chan)], *direction)[0]
+            a = bounds.sop_term_sums(scenario, target, rule_1000, [g], *direction)[0]
+            b = bounds.sop_term_sums(scenario, target, rule_8000, [g], *direction)[0]
             rels.extend(abs(x - y) / abs(y) for x, y in zip(a, b))
         for direction in sop_directions(scenario, chan)[::-1]:
-            a = bounds.esc_term_sums(scenario, rule_1000, [gain(chan)], *direction)[0]
-            b = bounds.esc_term_sums(scenario, rule_8000, [gain(chan)], *direction)[0]
+            a = bounds.esc_term_sums(scenario, rule_1000, [g], *direction)[0]
+            b = bounds.esc_term_sums(scenario, rule_8000, [g], *direction)[0]
             rels.extend(abs(x - y) / abs(y) for x, y in zip(a, b))
         assert len(rels) == 14
         assert max(rels) < 1e-6
