@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diststats import ZbDistribution, ZwDistribution
-from .model import ChannelParams, Scenario, SecrecyTarget, _tx_powers
+from .model import ChannelParams, Scenario, SecrecyTarget, _secrecy_ratio, _tx_powers
 from .quad import QuadratureRule, integrate
 
 logger = logging.getLogger(__name__)
@@ -217,12 +217,12 @@ def sop_term_sums(scenario: Scenario, target: SecrecyTarget, rule: QuadratureRul
 def _rate_offset(gain, d2: float, u):
     """log2(1 + g/(d^2 + u)) - log2(1 + g/d^2) = -log2(1 + t); g and u broadcast.
 
-    t = g*u/(d^2*(d^2 + g + u)) is taken as w / x with w = u/(d^2 + u) and
-    x = d^2/g + v, v = d^2/(d^2 + u): non-negative terms, w and v at most 1,
-    joined by one add, so it neither cancels nor overflows.  d^2/g is 0 at
-    g = inf, giving -log2(1 + u/d^2), and +inf where g is 0 or d^2/g
-    overflows, giving 0.  Where x is below the normal range (u/d^2 near or
-    past it, g far above d^2), ln(1 + t) is taken in logs as
+    t = g*u/(d^2*(d^2 + g + u)) is _secrecy_ratio(d^2/g, w, v) = w / x with
+    w = u/(d^2 + u) and x = d^2/g + v, v = d^2/(d^2 + u): non-negative terms,
+    w and v at most 1, joined by one add, so it neither cancels nor overflows.
+    d^2/g is 0 at g = inf, giving -log2(1 + u/d^2), and +inf where g is 0 or
+    d^2/g overflows, giving 0.  Where x is below the normal range (u/d^2 near
+    or past it, g far above d^2), ln(1 + t) is taken in logs as
     log1p(d^2/g) - ln(x), with ln(x) = ln(d^2) - ln(d^2 + u) + log1p((d^2 + u)/g).
     """
     u = np.asarray(u, dtype=float)
@@ -230,8 +230,7 @@ def _rate_offset(gain, d2: float, u):
     gain = np.asarray(gain, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         d2_over_g = d2 / gain
-        offset = np.asarray(d2_over_g + v)  # the one (rows, n) array, formed in place
-        np.divide(w, offset, out=offset)
+        offset = _secrecy_ratio(d2_over_g, w, v, np.empty(np.broadcast(d2_over_g, v).shape))
         np.log1p(offset, out=offset)
         offset /= -math.log(2.0)
     if np.any(v < _TINY):  # x >= v, so x is normal wherever v is
@@ -292,7 +291,7 @@ def esc_term_sums(scenario: Scenario, rule: QuadratureRule, eta_rho, bob_factor,
         with np.errstate(invalid="ignore"):  # inf * 0 where a span underflowed
             gains = np.where(g < math.inf, g * np.column_stack([a, b, b, b]), g)
         with np.errstate(divide="ignore", over="ignore"):
-            s = 1.0 / (1.0 + d2 / gains)  # exactly 1 at g = inf, 0 at g = 0
+            s = _secrecy_ratio(d2 / gains, 1.0, 1.0)  # exactly 1 at g = inf, 0 at g = 0
             terms = np.where(s <= 0.5, np.ceil(53.0 / -np.log2(s)) + 1.0, 0.0)
         sums = np.zeros(gains.shape)
         k_max = int(terms.max(initial=0.0))
@@ -354,25 +353,29 @@ def sop_asymptotic(scenario: Scenario, chan: ChannelParams, target: SecrecyTarge
     return BoundPair(lower=pair.lower.item(), upper=pair.upper.item())
 
 
+def _rate_gap(scenario: Scenario, chan: ChannelParams, eta_rho) -> np.ndarray:
+    """r(1) - r(span) at each eta*rho, r(F) = log2(1 + eta*rho*F/d^2): 0 exactly at alpha = 0.
+
+    One log1p of _secrecy_ratio(d^2/(eta*rho), -expm1(-2 alpha D), span), so
+    log2(1 + eta*rho/d^2) where the span underflows; 2 alpha D / ln 2 at rho = inf.
+    """
+    alpha_d = chan.attenuation * scenario.side_length
+    with np.errstate(divide="ignore", over="ignore"):
+        t = _secrecy_ratio(scenario.waveguide_height ** 2 / eta_rho, -math.expm1(-2.0 * alpha_d),
+                           attenuation_span(scenario, chan))
+    return np.where(eta_rho < math.inf, np.log1p(t) / math.log(2.0), 2.0 * alpha_d / math.log(2.0))
+
+
 def esc_bounds(scenario: Scenario, chan: ChannelParams, tx_powers,
                rule: QuadratureRule) -> BoundPair:
     """Ergodic secrecy capacity brackets at each of tx_powers, as arrays in their order.
 
     0.5 * (r(A) - r(B) + bob - (j + k + l)) in the upper (1, span) and the
     lower (span, 1) direction, where r(F) = log2(1 + eta*rho*F/d^2) is the
-    rate at distance d that esc_term_sums measures its offsets from.  At
-    alpha = 0 the r terms cancel exactly.  rho = inf gives the high-SNR
-    limit, where r(A) - r(B) is log2(A/B) = -/+ log2(span), taken as
-    2 alpha D / ln 2: finite where the span underflows.
+    rate at distance d that esc_term_sums measures its offsets from (_rate_gap).
     """
-    d2, ln2 = scenario.waveguide_height ** 2, math.log(2.0)
-    span = attenuation_span(scenario, chan)
-    eta_rho = _eta_rho(chan, tx_powers)
-    # r(1) - r(span), the upper direction's r(A) - r(B), by libm's log1p per
-    # power: np.log1p differs from it in the last bit on some gains
-    head = np.array([(math.log1p(g / d2) - math.log1p(g * span / d2)) / ln2 if g < math.inf
-                     else 2.0 * chan.attenuation * scenario.side_length / ln2
-                     for g in eta_rho.tolist()])
+    span, eta_rho = attenuation_span(scenario, chan), _eta_rho(chan, tx_powers)
+    head = _rate_gap(scenario, chan, eta_rho)
     sums = esc_term_sums(scenario, rule, *_directions(eta_rho, (1.0, span)))
     rate = sums[:, 0] - (sums[:, 1] + sums[:, 2] + sums[:, 3])
     return BoundPair(lower=0.5 * (rate[-eta_rho.size:] - head),

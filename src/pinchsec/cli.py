@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _densities, esc_bounds, sop_bounds
+from .bounds import _densities, _eta_rho, esc_bounds, sop_bounds
 from .diststats import ZbDistribution, ZwDistribution, cdf_pdf_fd_gap, ks_statistic
-from .model import ChannelParams, Scenario, SecrecyTarget
+from .model import ChannelParams, Scenario, SecrecyTarget, _tx_powers
 from .montecarlo import McConfig, _mc_sweep
 # unused here: bench/tracer.py patches these names, bench/smoke.py expects all of them
 from .bounds import esc_asymptotic, sop_asymptotic  # noqa: F401
@@ -250,10 +250,12 @@ def run_sweep(cfg: RunConfig) -> list[SweepRecord]:
     reject fails before any trial is drawn.  The columns form one table,
     checked finite at once; its first bad cell, row by row, is named.
     """
-    chan, powers = cfg.channel, cfg.tx_powers
-    if chan.noise_bob != chan.noise_willie:
+    chan, powers = cfg.channel, _tx_powers(cfg.tx_powers)
+    try:
+        _eta_rho(chan, powers)
+    except ValueError as exc:  # the powers passed above, so this is rho's equal-noise rule
         raise ConfigError("the bounds need noise_bob_var == noise_willie_var; "
-                          "use mc-only for distinct noise levels")
+                          "use mc-only for distinct noise levels") from exc
     # each bracket's last row, at rho = inf, is its high-SNR asymptote
     rule, with_inf = make_rule(cfg.quadrature_n), np.append(powers, math.inf)
     sop = sop_bounds(cfg.scenario, chan, with_inf, cfg.target, rule)

@@ -11,10 +11,10 @@ antenna (FA) baseline radiates from [0, 0, d] with no guided travel.
 All rates are spectral efficiencies in bits/s/Hz under a deterministic
 line-of-sight law: rate = (1/2) * log2(1 + eta * P / (dist^2 * sigma^2)),
 formed as log1p(snr) * _HALF_LOG2E, which keeps the digits of an SNR << 1.
-The secrecy rates Rb - Rw of both placements (montecarlo.pa_secrecy_rate,
-montecarlo.fa_secrecy_rate and the Monte Carlo) are not differences of two
-such rates: they come from one log1p of a single ratio, which neither
-cancels at high SNR nor costs a second log1p.
+The secrecy rates Rb - Rw of the Monte Carlo and of both placements, and
+the ESC bracket's r(A) - r(B) and rate offsets, are not differences of two
+such rates: each is one log1p of the one ratio of _secrecy_ratio, which
+neither cancels at high SNR nor costs a second log1p.
 """
 
 from __future__ import annotations
@@ -103,6 +103,20 @@ def _tx_powers(tx_powers) -> np.ndarray:
     if not np.all(powers > 0):  # NaN fails it too; +inf is valid
         raise ValueError("tx_power must be > 0")
     return powers
+
+
+def _secrecy_ratio(r, p, q, out=None):
+    """t = p/(r + q), a difference of two rates as one log1p(t); r is a number or a column.
+
+    Rb - Rw = (1/2)log2((1 + S/Nb)/(1 + S/Nw)) = log1p(t)/(2 ln 2) with
+    S = eta*P*loss, noise powers Nb = zb*sigma_b^2 and Nw = zw*sigma_w^2, and
+    t = S*(Nw - Nb)/(Nb*(Nw + S)): p = (Nw - Nb)*loss/(Nb*Nw) and q = loss/Nw
+    from the geometry, r = 1/(eta*P) from the power, one add and one divide
+    per trial and power.  An outage is t < 4^Rbar - 1, which log1p does not
+    round.  r = +inf gives t = 0; r = 0 (rho = inf) the high-SNR limit
+    (Nw - Nb)/Nb.  Given `out`, an array of t's shape, it allocates nothing.
+    """
+    return np.divide(p, np.add(r, q, out=out), out=out)
 
 
 def los_rate(dist_sq, chan: ChannelParams, tx_power: float, noise_var: float, guided_len=0.0):

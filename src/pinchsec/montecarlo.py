@@ -12,11 +12,11 @@ estimates are bit-identical for a given (seed, trials, chunk_size) at any
 worker count, and a power's estimate has the same bits in any grid.
 
 `_mc_sweep` is the engine, over one channel and an array of transmit
-powers.  Its kernels form the rho-free terms of `_secrecy_ratio` from the
-positions (`_pa_geometry`, `_fa_geometry`); its pool runs `_slabs` of
-chunks through `_in_order`.  `pa_secrecy_rate` and `fa_secrecy_rate`
-evaluate the same ratio at given positions, and the `mc_*` functions are
-the engine's single-power, single-kernel views.
+powers.  Its kernels form the rho-free terms of `model._secrecy_ratio`
+from the positions (`_pa_geometry`, `_fa_geometry`); its pool runs
+`_slabs` of chunks through `_in_order`.  `pa_secrecy_rate` and
+`fa_secrecy_rate` evaluate the same ratio at given positions, and the
+`mc_*` functions are the engine's single-power, single-kernel views.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 
 from .diststats import _draw_positions
 # los_rate is imported for bench/tracer.py, which patches pinchsec.montecarlo.los_rate
-from .model import (_HALF_LOG2E, ChannelParams, Scenario, SecrecyTarget, _tx_powers,  # noqa: F401
-                    los_rate)
+from .model import (_HALF_LOG2E, ChannelParams, Scenario, SecrecyTarget,  # noqa: F401
+                    _secrecy_ratio, _tx_powers, los_rate)
 
 _SLAB_TRIALS = 24576  # trials per pool task (six default chunks), a quarter of a block of ratios
 _CERTAIN_MARGIN = 1e-12  # the certain-outage test's relative headroom over the rounding of t
@@ -149,25 +149,6 @@ def _certain_outage(scenario: Scenario, chan: ChannelParams, inverse_gains, belo
     with np.errstate(divide="ignore", over="ignore"):
         gains = 1.0 / (inverse_gains * floor)
     return gains * (1.0 + _CERTAIN_MARGIN) < below
-
-
-def _secrecy_ratio(r, p, q, out=None):
-    """t = p/(r + q), so that Rb - Rw = log1p(t)/(2 ln 2); r is a number or a column of rows.
-
-    With S = eta*P*loss and the noise powers Nb = zb*sigma_b^2 and
-    Nw = zw*sigma_w^2,
-
-        Rb - Rw = (1/2)log2((1 + S/Nb)/(1 + S/Nw)) = log1p(t)/(2 ln 2),
-        t = S*(Nw - Nb)/(Nb*(Nw + S)) = p/(r + q),
-
-    with p = (Nw - Nb)*loss/(Nb*Nw) and q = loss/Nw from the geometry and
-    r = 1/(eta*P) from the power (_inverse_gains), so a block of powers
-    costs one add and one divide per trial and power.  An outage is
-    t < 4^Rbar - 1, which log1p does not round.  r = +inf gives t = 0, and
-    r = 0 (rho = inf) the exact high-SNR limit t = p/q = (Nw - Nb)/Nb.
-    Given `out`, an array of t's shape, it allocates nothing.
-    """
-    return np.divide(p, np.add(r, q, out=out), out=out)
 
 
 def _secrecy_rate(geometry, scenario: Scenario, chan: ChannelParams, tx_power, *positions):

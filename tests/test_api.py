@@ -72,3 +72,6 @@ def test_tracer_patch_points_resolve():
     finally:
         tracer.uninstall()
     assert pinchsec.bounds.integrate is pinchsec.quad.integrate
+    # one secrecy-ratio kernel for the Monte Carlo and both ESC bracket terms
+    assert (pinchsec.bounds._secrecy_ratio is pinchsec.montecarlo._secrecy_ratio
+            is pinchsec.model._secrecy_ratio)

@@ -390,6 +390,36 @@ class TestRateOffset:
         np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
 
 
+# r(1) - r(span) = log2(1 + g/d^2) - log2(1 + g*span/d^2) of the default geometry
+# at P = 1e-3, 1, 1e8 and 1e20, by mpmath at 50 digits, rounded to the nearest
+# float; alpha = 20 underflows the span, leaving log2(1 + g/d^2)
+RATE_GAPS = {
+    0.0: [0.0, 0.0, 0.0, 0.0],
+    1e-16: [4.5616683930649366e-24, 4.561665511236693e-21, 7.10118250908579e-15,
+            7.213475204444703e-15],
+    1e-10: [4.561668381660778e-18, 4.561665499832548e-15, 7.101182508809429e-09,
+            7.2134752044447036e-09],
+    1e-06: [4.561554353255865e-14, 4.561551471571708e-11, 7.101179745425494e-05,
+            7.213475204444703e-05],
+    0.01: [3.5897533069046e-10, 3.5897514852415117e-07, 0.7068512624773746,
+           0.7213475204444669],
+    20.0: [9.123336789014612e-10, 9.12333390718576e-07, 6.005358479255913, 45.84586043637132],
+}
+
+
+class TestRateGap:
+    # esc_bounds' r(1) - r(span): one log1p of one ratio, where a difference of
+    # two log1p terms lost up to 6.3e-7 relative at alpha = 1e-10
+    @pytest.mark.parametrize("alpha", list(RATE_GAPS))
+    def test_against_mpmath(self, scenario, alpha):
+        chan = ps.ChannelParams(attenuation=alpha)
+        *got, at_inf = bounds._rate_gap(scenario, chan,
+                                        bounds._eta_rho(chan, [1e-3, 1.0, 1e8, 1e20, math.inf]))
+        want = np.array(RATE_GAPS[alpha])
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want)), (got, want)
+        assert at_inf == 2.0 * alpha * scenario.side_length / math.log(2.0)  # the exact limit
+
+
 class TestEscBounds:
     def test_reference_point(self, scenario, rule_1000):
         pair = esc_at(scenario, ps.ChannelParams(), 1e8, rule_1000)
@@ -768,13 +798,8 @@ class TestSopKernel:
         """The dense-bounds grid's bounds and asymptotes, byte for byte, in this numpy's class.
 
         The golden files change only with a CHANGES.md entry saying why.  A
-        change meant to move their bytes regenerates both classes' files,
-        from the repository root on an AVX-512 machine, with
-
-            PYTHONPATH=src:tests python3 -c "import test_bounds as t; print(*t.dense_bounds_lines(), sep='\\n')" > tests/data/dense_bounds.csv
-
-        and the same command under NPY_DISABLE_CPU_FEATURES="X86_V4
-        AVX512_ICL AVX512_SPR", into tests/data/no_avx512/dense_bounds.csv.
+        change meant to move their bytes regenerates every class's files
+        with tests/regen_goldens.py.
         """
         text = "".join(line + "\n" for line in dense_bounds_lines())
         want = golden_path("dense_bounds.csv").read_text(encoding="ascii")

@@ -337,6 +337,13 @@ class TestRunSweep:
         with pytest.raises(cli.ConfigError, match="noise"):
             cli.run_sweep(cfg)
 
+    def test_bad_power_is_not_read_as_unequal_noises(self):
+        # a RunConfig built by hand skips the grid check; its power error keeps its own text
+        cfg = dataclasses.replace(cli.config_from_dict(fast_dict()), snr_db_grid=(-4000.0,))
+        with pytest.raises(ValueError, match="tx_power must be > 0") as info:
+            cli.run_sweep(cfg)
+        assert not isinstance(info.value, cli.ConfigError)
+
     def test_worker_invariance(self):
         base = cli.config_from_dict(fast_dict())
         lines1 = cli.csv_lines(cli.run_sweep(base))
@@ -346,6 +353,11 @@ class TestRunSweep:
     def test_rerun_identical(self):
         cfg = cli.config_from_dict(fast_dict())
         assert cli.csv_lines(cli.run_sweep(cfg)) == cli.csv_lines(cli.run_sweep(cfg))
+
+
+def default_sweep_lines() -> list:
+    """The CSV lines of `pinchsec sweep` at the defaults, header first."""
+    return cli.csv_lines(cli.run_sweep(cli.config_from_dict({})))
 
 
 class TestCsv:
@@ -385,14 +397,10 @@ class TestCsv:
         """The default sweep, byte for byte, in this numpy's class.
 
         The golden files change only with a CHANGES.md entry saying why.  A
-        change meant to move their bytes regenerates both classes' files,
-        from the repository root on an AVX-512 machine, with
-
-            PYTHONPATH=src python3 -m pinchsec.cli sweep > tests/data/default_sweep.csv
-            NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=src python3 -m pinchsec.cli sweep > tests/data/no_avx512/default_sweep.csv
+        change meant to move their bytes regenerates every class's files
+        with tests/regen_goldens.py.
         """
-        lines = cli.csv_lines(cli.run_sweep(cli.config_from_dict({})))
-        text = "".join(line + "\n" for line in lines)
+        text = "".join(line + "\n" for line in default_sweep_lines())
         assert text.encode("ascii") == golden_path("default_sweep.csv").read_bytes()
 
     def test_goldens_match_without_avx512(self):
@@ -466,6 +474,25 @@ class TestValidateStats:
         report = cli.validate_stats(cfg, ks_samples=20000)
         residuals = {c.name: c.value for c in report.checks if "normalization" in c.name}
         assert max(residuals.values()) < 1e-12
+
+
+STDOUT_COMMANDS = ("sop", "esc", "mc-only")  # the printing subcommands
+
+
+def stdout_argv(command: str, tmp_path) -> list:
+    """argv of a small fixed run of `command`: mc-only at unequal noises, which the bounds
+    reject, read from a config written into tmp_path."""
+    if command == "mc-only":
+        path = write_json(tmp_path, "m.json",
+                          {"noise_willie_var": 4.0, "snr_db_grid": [-10.0, 30.0, 45.0, 60.0],
+                           "mc_trials": 2000})
+        return ["mc-only", "--config", path]
+    return [command, "--snr-db=-10,20,40,45,50,60,80", "--trials", "2000", "--quad-n", "200"]
+
+
+def stdout_golden(command: str) -> Path:
+    """The file that pins stdout_argv(command)'s output, one for both classes."""
+    return DATA_DIR / f"stdout_{command.replace('-', '_')}.txt"
 
 
 class TestMain:
@@ -727,18 +754,9 @@ class TestMain:
         assert cfg.workers == 2
         assert cfg.snr_db_grid == (0.0, 10.0, 20.0)
 
-    @pytest.mark.parametrize("command", ["sop", "esc", "mc-only"])
+    @pytest.mark.parametrize("command", STDOUT_COMMANDS)
     def test_subcommand_stdout_is_pinned(self, command, tmp_path, capsys):
-        # a small fixed run of each printing subcommand, byte for byte;
-        # mc-only at unequal noises, which the bounds reject
-        if command == "mc-only":
-            path = write_json(tmp_path, "m.json",
-                              {"noise_willie_var": 4.0, "snr_db_grid": [-10.0, 30.0, 45.0, 60.0],
-                               "mc_trials": 2000})
-            argv = ["mc-only", "--config", path]
-        else:
-            argv = [command, "--snr-db=-10,20,40,45,50,60,80", "--trials", "2000",
-                    "--quad-n", "200"]
-        assert cli.main(argv) == 0
-        want = (DATA_DIR / f"stdout_{command.replace('-', '_')}.txt").read_text(encoding="ascii")
-        assert capsys.readouterr().out == want
+        # a small fixed run of each printing subcommand, byte for byte, in
+        # either class; tests/regen_goldens.py rewrites the files
+        assert cli.main(stdout_argv(command, tmp_path)) == 0
+        assert capsys.readouterr().out == stdout_golden(command).read_text(encoding="ascii")
